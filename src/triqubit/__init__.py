@@ -16,10 +16,12 @@ from .evolution import (
     evolve_commuting_closed_form,
     evolve_exact,
     evolve_fastpath,
+    evolve_grid,
     factor_probe,
     kraus_pair,
     make_plan,
     measure_probe,
+    measure_probe_grid,
     reduced_state_12,
     v_operators,
 )
@@ -37,8 +39,10 @@ from .hamiltonians import (
 from .measures import (
     EntanglementReport,
     concurrence,
+    concurrence_12,
     eof_from_tangle,
     report,
+    report_batch,
     residual_tangle_ckw_oracle,
     residual_tangle_lambda,
     residual_tangle_poly,

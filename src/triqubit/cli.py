@@ -14,7 +14,7 @@ import numpy as np
 
 from .evolution import evolve, make_plan, measure_probe
 from .hamiltonians import qnd_zz
-from .measures import density, report, tangle
+from .measures import report
 from .scenarios import (
     FASTPATH_MODES,
     ConfigError,
@@ -162,7 +162,7 @@ def cmd_qnd_demo(args) -> int:
         if outcome.state is None:
             print(f"{outcome.label:<8} {outcome.probability:<14.10f} (degenerate outcome)")
         else:
-            print(f"{outcome.label:<8} {outcome.probability:<14.10f} {tangle(density(outcome.state)):.10f}")
+            print(f"{outcome.label:<8} {outcome.probability:<14.10f} {outcome.tangle:.10f}")
     return EXIT_OK
 
 

@@ -1,17 +1,18 @@
-"""Exact and closed-form unitary evolution, reduced states, Kraus pairs and
-probe measurement with post-selection.
+"""Spectral unitary evolution, reduced states, Kraus pairs and probe
+measurement with post-selection.
 
-The exact path diagonalizes the total 8x8 Hamiltonian once per plan. When the
-two pair Hamiltonians commute there is also a closed-form fast path: the total
-Hamiltonian is block diagonal over the probe-axis eigenprojectors, and within
-each block the body qubits see plain axis rotations, so no eigensolver is
-needed at all. With all single-body terms zero this reduces to pure phases in
-the joint interaction eigenbasis.
+Every evolution goes through one spectral core: a plan's ``(w, V)`` with
+``h_total = V diag(w) V†`` and psi(t) = V exp(-i w t) V† psi0, evaluated for a
+whole time grid at once. The spectrum has two sources. ``eigh`` works for any
+plan. When the two pair Hamiltonians commute, the canonical form gives it in
+closed form: the total Hamiltonian is block diagonal over the probe-axis
+eigenprojectors, and within each block the body qubits see plain axis
+rotations, so no eigensolver is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,10 +24,13 @@ from .hamiltonians import (
     canonical_commuting_form,
     commutator_norm,
 )
-from .linalg import I2, axis_sigma, kron, partial_trace_qubit
-from .states import axis_eigenbasis, basis_matrix
+from .linalg import I2, axis_sigma, kron, partial_trace_qubit  # noqa: F401 (bench/selftest.py reads kron here)
+from .states import axis_eigenbasis
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 from .measures import density
+
+FASTPATH_MODES = ("auto", "on", "off")
+_SIGNS = np.array([1.0, -1.0])
 
 
 class NoFastpathError(RuntimeError):
@@ -56,6 +60,44 @@ class CommutingFastpath:
     def body_axes(self):
         return self.form13.coupling_axis_self, self.form23.coupling_axis_self
 
+    def sector_vectors(self) -> np.ndarray:
+        """Rotation vectors, shape (2, 2, 3): [probe sector m = +1, -1][body qubit 1, 2].
+
+        In the sector with probe eigenvalue m, body qubit k rotates about
+        m * (coupling strength) * (coupling axis) + (local strength) * (local axis).
+        """
+        forms = (self.form13, self.form23)
+        coupling = np.array([f.coupling_strength * np.asarray(f.coupling_axis_self) for f in forms])
+        local = np.array([f.local_self_strength * np.asarray(f.local_self_axis) for f in forms])
+        return _SIGNS[:, None, None] * coupling + local
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form ``(w, V)`` of the full commuting Hamiltonian.
+
+        In probe sector m, qubit k's eigenbasis is the axis eigenbasis of its
+        rotation vector, with energies +-|vector| (any basis when the vector
+        is zero); the probe-local term adds m * (probe-local strength).
+        Column (m, a, b) of V is e1_a(m) x e2_b(m) x p_m.
+        """
+        vecs = self.sector_vectors()
+        norms = np.linalg.norm(vecs, axis=-1)
+        body = np.empty((2, 2, 2, 2), dtype=complex)  # [sector, body qubit, component, +-]
+        for m in range(2):
+            for k in range(2):
+                if norms[m, k] == 0.0:
+                    body[m, k] = I2
+                else:
+                    body[m, k, :, 0], body[m, k, :, 1] = axis_eigenbasis(vecs[m, k])
+        probe = np.array(axis_eigenbasis(self.probe_axis))  # [sector, component]
+        v = np.einsum("mia,mjb,mk->ijkmab", body[:, 0], body[:, 1], probe).reshape(8, 8)
+        probe_local = self.form13.local_probe_strength + self.form23.local_probe_strength
+        w = (
+            _SIGNS[None, :, None] * norms[:, 0, None, None]
+            + _SIGNS[None, None, :] * norms[:, 1, None, None]
+            + _SIGNS[:, None, None] * probe_local
+        )
+        return w.reshape(8), v
+
 
 @dataclass
 class EvolutionPlan:
@@ -67,27 +109,41 @@ class EvolutionPlan:
     fastpath: CommutingFastpath | None
     commutator_norm: float
     fastpath_error: str | None = None
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def commuting(self) -> bool:
         return self.fastpath is not None
 
-    def _spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eig is None:
-            self._eig = np.linalg.eigh(self.h_total)
-        return self._eig
+    def spectrum(self, fastpath: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+        """``(w, V)`` with ``h_total = V diag(w) V†`` for fast-path mode 'auto', 'on' or 'off'.
+
+        'auto' and 'on' take the closed form of the commuting fast path ('on'
+        raises NoFastpathError when there is none); 'off', and 'auto' without
+        a fast path, take ``eigh``. Each source is computed once per plan.
+        """
+        if fastpath not in FASTPATH_MODES:
+            raise ValueError(f"fastpath mode must be auto, on or off, got {fastpath!r}")
+        if fastpath == "on" and self.fastpath is None:
+            raise NoFastpathError("the pair Hamiltonians do not admit a commuting fast path")
+        source = "closed_form" if fastpath != "off" and self.fastpath is not None else "eigh"
+        if source not in self._spectra:
+            if source == "eigh":
+                self._spectra[source] = np.linalg.eigh(self.h_total)
+            else:
+                self._spectra[source] = self.fastpath.spectrum()
+        return self._spectra[source]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._spectral()[0]
+        return self.spectrum("off")[0]
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._spectral()[1]
+        return self.spectrum("off")[1]
 
     def unitary(self, t: float) -> np.ndarray:
-        w, v = self._spectral()
+        w, v = self.spectrum("off")
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -110,10 +166,35 @@ def make_plan(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> Evolution
     )
 
 
-def evolve_exact(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
-    """Spectral matrix-exponential evolution; preserves the norm."""
+def _propagate(spectrum: tuple[np.ndarray, np.ndarray], psi0, times) -> np.ndarray:
+    """(exp(-i t (x) w) * (V† psi0)) @ V^T: the evolved states, shape (T, 8)."""
+    w, v = spectrum
     psi0 = np.asarray(psi0, dtype=complex).reshape(8)
-    return plan.unitary(t) @ psi0
+    times = np.asarray(times, dtype=float).reshape(-1)
+    return (np.exp(-1j * np.multiply.outer(times, w)) * (v.conj().T @ psi0)) @ v.T
+
+
+def evolve_grid(plan: EvolutionPlan, psi0, times, fastpath: str = "auto") -> np.ndarray:
+    """Evolve one state to every time of a grid at once; returns shape (T, 8).
+
+    ``fastpath`` selects the spectrum source as in ``EvolutionPlan.spectrum``.
+    """
+    return _propagate(plan.spectrum(fastpath), psi0, times)
+
+
+def evolve(plan: EvolutionPlan, psi0, t: float, fastpath: str = "auto") -> np.ndarray:
+    """Evolve to one time: the one-point grid. Mode 'auto' (closed form when available), 'on' or 'off'."""
+    return evolve_grid(plan, psi0, (t,), fastpath)[0]
+
+
+def evolve_exact(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
+    """Evolution with the ``eigh`` spectrum; preserves the norm."""
+    return evolve(plan, psi0, t, fastpath="off")
+
+
+def evolve_fastpath(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
+    """Evolution with the closed-form spectrum; agrees with ``evolve_exact`` to the spectral tolerance."""
+    return evolve(plan, psi0, t, fastpath="on")
 
 
 def _axis_rotation(vec: np.ndarray, t: float) -> np.ndarray:
@@ -124,72 +205,18 @@ def _axis_rotation(vec: np.ndarray, t: float) -> np.ndarray:
     return np.cos(n * t) * I2 - 1j * np.sin(n * t) * axis_sigma(vec)
 
 
-def fastpath_unitary(fastpath: CommutingFastpath, t: float) -> np.ndarray:
-    """Closed-form U(t) for the full commuting Hamiltonian (entangling and local terms).
-
-    Block decomposition over the probe-axis eigenprojectors: in the sector
-    with probe eigenvalue m, qubit k rotates about m * (coupling strength) *
-    (coupling axis) + (local strength) * (local axis).
-    """
-    f13, f23 = fastpath.form13, fastpath.form23
-    plus, minus = axis_eigenbasis(fastpath.probe_axis)
-    probe_local = f13.local_probe_strength + f23.local_probe_strength
-    u = np.zeros((8, 8), dtype=complex)
-    for m, probe_vec in ((1.0, plus), (-1.0, minus)):
-        vec1 = m * f13.coupling_strength * np.asarray(f13.coupling_axis_self) + (
-            f13.local_self_strength * np.asarray(f13.local_self_axis)
-        )
-        vec2 = m * f23.coupling_strength * np.asarray(f23.coupling_axis_self) + (
-            f23.local_self_strength * np.asarray(f23.local_self_axis)
-        )
-        phase = np.exp(-1j * m * probe_local * t)
-        u += phase * kron(_axis_rotation(vec1, t), _axis_rotation(vec2, t), np.outer(probe_vec, probe_vec.conj()))
-    return u
-
-
-def evolve_fastpath(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
-    """Closed-form evolution; agrees with ``evolve_exact`` to the spectral tolerance."""
-    if plan.fastpath is None:
-        raise NoFastpathError("the pair Hamiltonians do not admit a commuting fast path")
-    psi0 = np.asarray(psi0, dtype=complex).reshape(8)
-    return fastpath_unitary(plan.fastpath, t) @ psi0
-
-
-def evolve(plan: EvolutionPlan, psi0, t: float, fastpath: str = "auto") -> np.ndarray:
-    """Evolve with mode 'auto' (fast path when available), 'on' or 'off'."""
-    if fastpath not in ("auto", "on", "off"):
-        raise ValueError(f"fastpath mode must be auto, on or off, got {fastpath!r}")
-    if fastpath == "on" or (fastpath == "auto" and plan.fastpath is not None):
-        return evolve_fastpath(plan, psi0, t)
-    return evolve_exact(plan, psi0, t)
-
-
-def closed_form_phases(fastpath: CommutingFastpath, t: float) -> np.ndarray:
-    """The eight phases exp(-i (m1 m3 |a| + m2 m3 |b|) t) of the entangling evolution."""
-    s13, s23 = fastpath.strengths
-    phases = np.empty(8, dtype=complex)
-    for idx in range(8):
-        m1 = 1.0 - 2.0 * ((idx >> 2) & 1)
-        m2 = 1.0 - 2.0 * ((idx >> 1) & 1)
-        m3 = 1.0 - 2.0 * (idx & 1)
-        phases[idx] = np.exp(-1j * (m1 * m3 * s13 + m2 * m3 * s23) * t)
-    return phases
-
-
 def evolve_commuting_closed_form(fastpath: CommutingFastpath, psi0, t: float) -> np.ndarray:
-    """Entangling-only closed form: phase multiplication in the interaction eigenbasis.
+    """Entangling-only evolution: the closed-form spectrum with every local term zeroed.
 
     Single-body terms of the Hamiltonians are not applied here; this matches
     the exact evolution of the two entangling pieces alone.
     """
     if fastpath is None:
         raise NoFastpathError("no commuting fast path available")
-    psi0 = np.asarray(psi0, dtype=complex).reshape(8)
-    axes = (*fastpath.body_axes, fastpath.probe_axis)
-    b = basis_matrix(axes)
-    amps = b.conj().T @ psi0
-    amps *= closed_form_phases(fastpath, t)
-    return b @ amps
+    entangling = CommutingFastpath(
+        *(replace(f, local_self_strength=0.0, local_probe_strength=0.0) for f in (fastpath.form13, fastpath.form23))
+    )
+    return _propagate(entangling.spectrum(), psi0, (t,))[0]
 
 
 def reduced_state_12(psi) -> np.ndarray:
@@ -255,34 +282,48 @@ def kraus_pair(plan: EvolutionPlan, probe_state, t: float, basis=None) -> KrausP
 class MeasurementOutcome:
     """One projective outcome on qubit 3: label, Born probability, conditional state.
 
-    ``state`` is the normalized conditional pure state of qubits 1,2, or None
-    when the probability is below the degenerate-outcome threshold.
+    ``state`` is the normalized conditional pure state of qubits 1,2 and
+    ``tangle`` its tangle 4|a00 a11 - a01 a10|^2; both are None when the
+    probability is below the degenerate-outcome threshold.
     """
 
     label: str
     probability: float
     state: np.ndarray | None
+    tangle: float | None
 
     @property
     def degenerate(self) -> bool:
         return self.state is None
 
 
-def measure_probe(psi, basis, labels=("plus", "minus")) -> list[MeasurementOutcome]:
-    """Projective measurement of qubit 3 in an orthonormal basis pair."""
-    psi = np.asarray(psi, dtype=complex).reshape(8)
-    b0, b1 = (np.asarray(b, dtype=complex).reshape(2) for b in basis)
-    gram = np.array([[np.vdot(b0, b0), np.vdot(b0, b1)], [np.vdot(b1, b0), np.vdot(b1, b1)]])
-    if np.max(np.abs(gram - np.eye(2))) > STRUCTURAL_TOL:
+def measure_probe_grid(psis, basis, labels=("plus", "minus")) -> list[list[MeasurementOutcome]]:
+    """Projective measurement of qubit 3 in an orthonormal basis pair, for every row of ``psis``."""
+    b = np.array([np.asarray(vec, dtype=complex).reshape(2) for vec in basis])
+    if np.max(np.abs(b.conj() @ b.T - np.eye(2))) > STRUCTURAL_TOL:
         raise ValueError("measurement basis must be orthonormal")
-    m = psi.reshape(4, 2)
-    outcomes = []
-    for label, bvec in zip(labels, (b0, b1)):
-        phi = m @ bvec.conj()
-        p = float(np.vdot(phi, phi).real)
-        state = phi / np.sqrt(p) if p >= DEGENERATE_OUTCOME_PROB else None
-        outcomes.append(MeasurementOutcome(label=label, probability=p, state=state))
-    return outcomes
+    branches = np.asarray(psis, dtype=complex).reshape(-1, 4, 2) @ b.conj().T  # [row, pair amplitude, outcome]
+    probs = np.einsum("tak,tak->tk", branches, branches.conj()).real
+    present = probs >= DEGENERATE_OUTCOME_PROB
+    states = branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]
+    det = states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2]
+    tangles = 4.0 * (det.real**2 + det.imag**2)
+    rows = []
+    for row_states, row_probs, row_present, row_tangles in zip(
+        states.transpose(0, 2, 1), probs.tolist(), present.tolist(), tangles.tolist()
+    ):
+        rows.append(
+            [
+                MeasurementOutcome(label, p, state if ok else None, tau if ok else None)
+                for label, state, p, ok, tau in zip(labels, row_states, row_probs, row_present, row_tangles)
+            ]
+        )
+    return rows
+
+
+def measure_probe(psi, basis, labels=("plus", "minus")) -> list[MeasurementOutcome]:
+    """Projective measurement of qubit 3 in an orthonormal basis pair: the one-row grid."""
+    return measure_probe_grid(np.asarray(psi, dtype=complex).reshape(1, 8), basis, labels)[0]
 
 
 def v_operators(cf: CommutingForm, rotation, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,19 @@ class TestSweepCommand:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"hamiltonian": {"preset": "heisenberg_chain", "g": float("nan")}}, "config.hamiltonian.g"),
+            ({"time_grid": {"t_start": 0.0, "t_end": float("inf"), "steps": 4}}, "config.time_grid.t_end"),
+        ],
+    )
+    def test_non_finite_number_exit_2_names_path(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path, heisenberg_raw(**overrides))  # json writes NaN / Infinity
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
     def test_fastpath_on_noncommuting_exit_2_cites_commutator(self, tmp_path, capsys):
         cfg = write_config(tmp_path, heisenberg_raw())
         code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--fastpath", "on"])

@@ -8,8 +8,8 @@ from triqubit.evolution import (
     evolve_commuting_closed_form,
     evolve_exact,
     evolve_fastpath,
+    evolve_grid,
     factor_probe,
-    fastpath_unitary,
     kraus_pair,
     make_plan,
     measure_probe,
@@ -99,9 +99,11 @@ class TestFastpath:
                 assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_fastpath_unitary_is_unitary(self):
+        # U(t) from the closed-form spectrum of the commuting fast path
         rng = np.random.default_rng(21)
         h13, h23 = random_commuting_pair(rng, locals_mode="full")
-        u = fastpath_unitary(make_plan(h13, h23).fastpath, 1.7)
+        w, v = make_plan(h13, h23).spectrum("on")
+        u = (v * np.exp(-1.7j * w)) @ v.conj().T
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
     def test_no_fastpath_raises(self):
@@ -123,6 +125,56 @@ class TestFastpath:
         assert np.allclose(auto, on)
         with pytest.raises(ValueError):
             evolve(plan, psi, 0.9, fastpath="sometimes")
+
+
+class TestSpectrum:
+    def test_closed_form_matches_eigh_with_a_zero_sector_vector(self):
+        # local_self cancels the coupling of qubit 1 in the m = -1 probe sector
+        z = np.array([0.0, 0.0, 1.0])
+        h13 = PauliPairHamiltonian(coupling=0.8 * np.outer(z, z), local_self=0.8 * z,
+                                   local_probe=0.3 * z, pair=(1, 3))
+        h23 = PauliPairHamiltonian(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z),
+                                   local_self=(0.2, 0.4, 0.1), pair=(2, 3))
+        plan = make_plan(h13, h23)
+        vecs = plan.fastpath.sector_vectors()
+        assert np.all(vecs[1, 0] == 0.0)
+        assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
+        w, v = plan.spectrum("on")
+        w_eigh, _ = plan.spectrum("off")
+        assert np.max(np.abs(np.sort(w) - w_eigh)) <= 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
+        psi = random_state(np.random.default_rng(23))
+        times = np.linspace(0.0, 6.0, 25)
+        on, off = evolve_grid(plan, psi, times, "on"), evolve_grid(plan, psi, times, "off")
+        assert np.max(np.abs(on - off)) <= 1e-12
+
+    def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            plan = make_plan(*random_commuting_pair(rng, locals_mode="full"))
+            w, v = plan.spectrum("auto")
+            assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
+            assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
+
+    def test_grid_rows_equal_single_points(self):
+        rng = np.random.default_rng(25)
+        plans = [make_plan(*random_commuting_pair(rng, locals_mode="full")), make_plan(*heisenberg_chain(0.9))]
+        psi = random_state(rng)
+        times = rng.uniform(0.0, 7.0, 17)
+        for plan in plans:
+            for mode in ("auto", "off"):
+                grid = evolve_grid(plan, psi, times, mode)
+                assert grid.shape == (17, 8)
+                for row, t in zip(grid, times):
+                    assert np.max(np.abs(row - evolve(plan, psi, t, fastpath=mode))) <= 1e-12
+
+    def test_spectrum_cached_per_source(self):
+        plan = make_plan(*qnd_zz(1.0))
+        assert plan.spectrum("auto") is plan.spectrum("on")
+        assert plan.spectrum("off") is not plan.spectrum("on")
+        with pytest.raises(ValueError):
+            plan.spectrum("sometimes")
 
 
 class TestClosedForm:

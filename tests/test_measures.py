@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from triqubit.measures import (
     EntanglementReport,
     binary_entropy,
+    concurrence,
+    concurrence_12,
     density,
     eof_from_tangle,
     purity,
     report,
+    report_batch,
     residual_tangle_ckw_oracle,
     residual_tangle_lambda,
     residual_tangle_poly,
@@ -17,9 +20,10 @@ from triqubit.measures import (
     tangle,
     wootters_lambdas,
 )
-from triqubit.states import ghz_general, triple, zrt
+from triqubit.linalg import partial_trace_qubit
+from triqubit.states import LocalRotation, fully_separable, ghz_general, triple, zrt
 
-from oracles import haar_state, oracle_concurrence_mixed, oracle_tangle_pure2
+from oracles import haar_state, oracle_concurrence_mixed, oracle_concurrence_pure3, oracle_rho12, oracle_tangle_pure2
 
 INV_SQRT2 = 1 / np.sqrt(2)
 BELL_PSI_PLUS = np.array([0, INV_SQRT2, INV_SQRT2, 0], dtype=complex)
@@ -200,6 +204,54 @@ class TestReport:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             report(np.ones(8))
+
+
+class TestPureStateConcurrence:
+    def test_product_states_are_exact_zeros(self):
+        x = (1.0, 0.0, 0.0)
+        plus3 = fully_separable(*(LocalRotation(qubit=q) for q in (1, 2, 3)), axes=(x, x, x))
+        assert report(plus3).concurrence_12 <= 1e-15
+        rng = np.random.default_rng(90)
+        products = np.array([
+            np.kron(np.kron(haar_state(rng, 2), haar_state(rng, 2)), haar_state(rng, 2)) for _ in range(500)
+        ])
+        assert np.max(concurrence_12(products)) <= 1e-15
+        for psi in products[:50]:
+            assert report(psi).concurrence_12 <= 1e-15
+
+    def test_pair_product_with_probe_entanglement_is_zero(self):
+        # |a>_1 (x) (entangled 2,3): rho_12 is a product mixed state
+        rng = np.random.default_rng(91)
+        for _ in range(50):
+            psi = np.kron(haar_state(rng, 2), haar_state(rng, 4))
+            assert concurrence_12(psi)[0] <= 1e-15
+
+    def test_matches_cross_matrix_oracle_and_wootters_route(self):
+        rng = np.random.default_rng(92)
+        states = np.array([haar_state(rng) for _ in range(200)])
+        c = concurrence_12(states)
+        for psi, value in zip(states, c):
+            assert abs(value - oracle_concurrence_pure3(psi, 3)) <= 1e-14
+            assert abs(value - concurrence(partial_trace_qubit(density(psi), 3))) <= 1e-7
+
+    def test_batch_rows_equal_single_reports(self):
+        rng = np.random.default_rng(93)
+        states = np.array([haar_state(rng) for _ in range(40)])
+        table = report_batch(states)
+        for i, psi in enumerate(states):
+            rep = report(psi)
+            for name, values in table.items():
+                assert abs(values[i] - getattr(rep, name)) <= 1e-15
+            rho = oracle_rho12(psi)
+            assert abs(rep.purity_12 - np.trace(rho @ rho).real) <= 1e-14
+
+    def test_batch_rejects_one_unnormalized_row(self):
+        states = np.array([ghz_general(INV_SQRT2, INV_SQRT2), 2 * ghz_general(INV_SQRT2, INV_SQRT2)])
+        with pytest.raises(ValueError, match="normalized"):
+            report_batch(states)
+        nan_row = np.full(8, np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="normalized"):
+            report(nan_row)
 
 
 def test_purity_range():

@@ -1,8 +1,15 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from triqubit import scenarios
 from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
+    MAX_STEPS,
     ConfigError,
     SweepResult,
     emit_csv,
@@ -16,8 +23,8 @@ from triqubit.scenarios import (
     suite_names,
 )
 from triqubit.hamiltonians import commutes
-from triqubit.evolution import evolve_commuting_closed_form, make_plan
-from triqubit.measures import density, residual_tangle_poly, tangle
+from triqubit.evolution import evolve, evolve_commuting_closed_form, make_plan, measure_probe
+from triqubit.measures import density, report, residual_tangle_poly, tangle
 
 from oracles import oracle_concurrence_pure3, oracle_evolve
 
@@ -106,6 +113,137 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.json"):
             load_config(tmp_path / "missing.json")
+
+
+class TestNonFiniteAndMalformedValues:
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"hamiltonian": {"preset": "qnd_zz", "g": math.nan}}, "config.hamiltonian.g"),
+            ({"time_grid": {"t_start": 0.0, "t_end": math.inf, "steps": 4}}, "config.time_grid.t_end"),
+            ({"time_grid": {"t_start": -math.inf, "t_end": 1.0, "steps": 4}}, "config.time_grid.t_start"),
+            ({"measurement": {"basis": "x", "at_time": math.nan}}, "config.measurement.at_time"),
+            ({"initial_state": {"class": "zrt", "params": {"a": math.nan, "b": 0, "c": 0, "d": 1}}},
+             "config.initial_state.params.a"),
+            ({"hamiltonian": {"preset": "qnd_zz", "g": 10**400}}, "config.hamiltonian.g"),
+        ],
+    )
+    def test_rejected_with_path(self, overrides, path):
+        with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+            parse_config(heisenberg_config(**overrides))
+
+    def test_pairwise_non_finite_coupling(self):
+        raw = heisenberg_config(hamiltonian={"pairwise": {
+            "h13": {"coupling": [[0, 0, math.inf], [0, 0, 0], [0, 0, 0]]},
+            "h23": {"coupling": [[0, 0, 1], [0, 0, 0], [0, 0, 0]]},
+        }})
+        with pytest.raises(ConfigError, match=r"config\.hamiltonian\.pairwise\.h13\.coupling"):
+            parse_config(raw)
+
+    def test_zero_measurement_axis(self):
+        with pytest.raises(ConfigError, match=r"config\.measurement\.basis"):
+            parse_config(heisenberg_config(measurement={"basis": {"axis": [0, 0, 0]}}))
+
+    def test_non_string_preset_and_name(self):
+        with pytest.raises(ConfigError, match="preset"):
+            parse_config(heisenberg_config(hamiltonian={"preset": ["qnd_zz"]}))
+        with pytest.raises(ConfigError, match=r"config\.name"):
+            parse_config(heisenberg_config(name=7))
+
+    def test_integer_past_the_digit_limit_in_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"hamiltonian": {"preset": "qnd_zz", "g": ' + "9" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
+
+    def test_steps_bounded(self):
+        grid = {"t_start": 0.0, "t_end": 1.0, "steps": MAX_STEPS}
+        assert len(parse_config(heisenberg_config(time_grid=grid)).times) == MAX_STEPS
+        with pytest.raises(ConfigError, match="steps"):
+            parse_config(heisenberg_config(time_grid={**grid, "steps": MAX_STEPS + 1}))
+
+
+def _config_paths(value, prefix=()):
+    """Every key/index path into a nested config, containers included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _config_paths(child, (*prefix, key))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _config_paths(child, (*prefix, index))
+
+
+def _fuzz_bases():
+    pairwise = {"pairwise": {
+        "h13": {"coupling": [[0, 0, 1.2], [0, 0, 0], [0, 0, 0]], "local_self": [0.1, 0, 0], "local_probe": [0, 0, 0.3]},
+        "h23": {"coupling": [[0, 0, 0.7], [0, 0, 0], [0, 0, 0]]},
+    }}
+    states = [
+        {"class": "fully_separable", "params": {"rotations": [{"qubit": q, "angle": 0.3, "axis": [0, 1, 0]} for q in (1, 2, 3)],
+                                                "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+        {"class": "bipartite_12", "params": {"a": 0.6, "b": 0.8, "probe": [[0, 1], 0]}},
+        {"class": "bipartite_13", "params": {"a": 0.6, "b": 0.8, "spectator": [1, 0]}},
+        {"class": "ghz_general", "params": {"a": 0.6, "b": 0.8}},
+        {"class": "zrt", "params": {"a": 0.5, "b": 0.5, "c": 0.5, "d": [0, 0.5]}},
+        {"class": "triple", "params": {"f": 0.6, "g": 0.8, "h": 0}},
+        {"class": "raw_amplitudes", "params": {"amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]}},
+    ]
+    bases = []
+    for index, state in enumerate(states):
+        bases.append({
+            "name": "fuzz",
+            "hamiltonian": pairwise if index % 2 else {"preset": "qnd_zz", "g": 1.0},
+            "initial_state": state,
+            "time_grid": {"t_start": 0.0, "t_end": 1.0, "steps": 3},
+            "measures": ["tangle_12", "purity_12"],
+            "measurement": {"basis": {"axis": [1, 1, 0]} if index % 2 else "x", "at_time": 0.5},
+            "fastpath": "auto",
+        })
+    return [(base, path) for base in bases for path in _config_paths(base)]
+
+
+_FUZZ_TARGETS = _fuzz_bases()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replaced(base, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(base))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+class TestConfigFuzz:
+    @given(target=st.sampled_from(_FUZZ_TARGETS), value=_JSON_VALUES)
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_any_json_value_parses_or_raises_config_error(self, target, value):
+        base, path = target
+        try:
+            parse_config(_replaced(base, path, value))
+        except ConfigError:
+            pass
+
+    @given(value=_JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_any_top_level_value(self, value):
+        try:
+            parse_config(value)
+        except ConfigError:
+            pass
+
+    def test_every_base_config_parses(self):
+        for base, path in _FUZZ_TARGETS:
+            if not path:
+                assert parse_config(base).psi0 is not None
 
 
 class TestRunSweep:
@@ -198,6 +336,32 @@ class TestRunSweep:
         populated = [i for i, row in enumerate(result.rows) if row.outcomes is not None]
         assert populated == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
 
+    @pytest.mark.parametrize("locals_mode, mode", [("full", "auto"), ("full", "off"), (None, "auto")])
+    def test_grid_equals_pointwise_evolve_report_and_measure(self, locals_mode, mode):
+        rng = np.random.default_rng(14)
+        raw = heisenberg_config(measurement={"basis": {"axis": [0.3, -0.2, 0.9]}}, fastpath=mode)
+        raw["time_grid"]["steps"] = 33
+        if locals_mode is not None:
+            h13, h23 = random_commuting_pair(rng, locals_mode=locals_mode)
+            raw["hamiltonian"] = {"pairwise": {
+                name: {"coupling": h.coupling.tolist(), "local_self": h.local_self.tolist(),
+                       "local_probe": h.local_probe.tolist()}
+                for name, h in (("h13", h13), ("h23", h23))
+            }}
+        cfg = parse_config(raw)
+        result = run_sweep(cfg)
+        plan = make_plan(cfg.h13, cfg.h23)
+        for row in result.rows:
+            psi_t = evolve(plan, cfg.psi0, row.t, fastpath=mode)
+            single = report(psi_t)
+            for name in REPORT_FIELDS:
+                assert abs(getattr(row.report, name) - getattr(single, name)) <= 1e-12
+            for got, want in zip(row.outcomes, measure_probe(psi_t, cfg.measurement.basis, cfg.measurement.labels)):
+                assert got.label == want.label
+                assert abs(got.probability - want.probability) <= 1e-12
+                assert abs(got.tangle - want.tangle) <= 1e-12
+                assert abs(got.tangle - tangle(density(got.state))) <= 1e-9
+
     def test_missing_state_or_grid_rejected(self):
         raw = heisenberg_config()
         del raw["initial_state"]
@@ -241,6 +405,26 @@ class TestCsv:
         emit_csv(run_sweep(cfg_a, seed=123), out_a)
         emit_csv(run_sweep(cfg_b, seed=123), out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_columns_follow_the_explicit_measure_list(self, tmp_path):
+        raw = heisenberg_config(measures=["purity_12", "tangle_12"], measurement={"basis": "z", "at_time": 1.0})
+        raw["time_grid"]["steps"] = 5
+        result = run_sweep(parse_config(raw))
+        assert result.measures == ("purity_12", "tangle_12") and result.with_outcomes
+        out = tmp_path / "sweep.csv"
+        emit_csv(result, out)
+        columns, _, rows = read_sweep_csv(out)
+        assert columns == result.columns
+        for parsed, row in zip(rows, result.rows):
+            assert len(parsed) == len(columns)
+            assert [float(c) for c in parsed[1:3]] == [row.report.purity_12, row.report.tangle_12]
+            if row.outcomes is None:
+                assert parsed[3:] == [""] * 6
+            else:
+                assert parsed[3] == "+z" and float(parsed[4]) == row.outcomes[0].probability
+        without = SweepResult(name="x", columns=["t", "eof_12"], rows=result.rows, measures=("eof_12",))
+        emit_csv(without, out)
+        assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 6
 
     def test_io_error(self, tmp_path):
         result = SweepResult(name="x", columns=["t"], rows=[])
@@ -294,6 +478,31 @@ class TestSuites:
         a = property_suite("separable_stays_separable", trials=50, seed=9)
         b = property_suite("separable_stays_separable", trials=50, seed=9)
         assert a.max_violation == b.max_violation
+
+
+class TestNonFiniteViolations:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trial_fails_the_suite(self, monkeypatch, bad):
+        values = iter([0.0, bad, 0.0])
+        monkeypatch.setitem(scenarios._SUITES, "non_finite_trial", lambda rng: (next(values), {"tag": 1}))
+        result = property_suite("non_finite_trial", trials=3, seed=0)
+        assert not result.passed
+        assert [f["trial"] for f in result.failures] == [1]
+        if math.isnan(bad):
+            assert math.isnan(result.max_violation)
+
+    def test_nan_residual_tangle_fails_periodicity(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "residual_tangle_poly", lambda psi: math.nan)
+        result = residual_periodicity_check(1, 1, trials=4, seed=0)
+        assert len(result.failures) == 4
+        assert math.isnan(result.max_violation)
+
+    def test_nan_suite_exits_4(self, monkeypatch, capsys):
+        from triqubit.cli import main
+
+        monkeypatch.setitem(scenarios._SUITES, "nan_trial", lambda rng: (math.nan, {}))
+        assert main(["suite", "nan_trial", "--trials", "2"]) == 4
+        assert "max violation nan" in capsys.readouterr().out
 
 
 class TestPeriodicity:
