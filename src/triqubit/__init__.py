@@ -10,12 +10,8 @@ from .evolution import (
     EvolutionPlan,
     KrausPair,
     MeasurementOutcome,
-    NoFastpathError,
     NonFactorizedInitialStateError,
     evolve,
-    evolve_commuting_closed_form,
-    evolve_exact,
-    evolve_fastpath,
     evolve_grid,
     factor_probe,
     kraus_pair,
@@ -34,7 +30,6 @@ from .hamiltonians import (
     commutes,
     heisenberg_chain,
     qnd_zz,
-    split_local_and_entangling,
 )
 from .measures import (
     EntanglementReport,

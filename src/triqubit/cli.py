@@ -16,7 +16,6 @@ from .evolution import evolve, make_plan, measure_probe
 from .hamiltonians import qnd_zz
 from .measures import report
 from .scenarios import (
-    FASTPATH_MODES,
     ConfigError,
     emit_csv,
     load_config,
@@ -43,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True, help="path to a JSON scenario config")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.add_argument("--seed", type=int, default=None, help="seed recorded in the CSV header")
-    sweep.add_argument("--fastpath", choices=FASTPATH_MODES, default=None, help="override the config's fastpath mode")
 
     suite = sub.add_parser("suite", help="run a randomized property suite")
     suite.add_argument("name", help=f"one of: {', '.join(suite_names())}")
@@ -68,10 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_sweep(args) -> int:
     try:
-        cfg = load_config(args.config)
-        if args.fastpath is not None:
-            cfg.fastpath_mode = args.fastpath
-        result = run_sweep(cfg, seed=args.seed)
+        result = run_sweep(load_config(args.config), seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -141,7 +136,7 @@ def cmd_classify(args) -> int:
     else:
         print(f"noncommuting (commutator norm {plan.commutator_norm:.6e})")
         print(f"reason: {plan.fastpath_error}")
-        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(plan.eigenvalues)}")
+        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(plan.spectrum()[0])}")
     return EXIT_OK
 
 

@@ -3,16 +3,16 @@ measurement with post-selection.
 
 Every evolution goes through one spectral core: a plan's ``(w, V)`` with
 ``h_total = V diag(w) V†`` and psi(t) = V exp(-i w t) V† psi0, evaluated for a
-whole time grid at once. The spectrum has two sources. ``eigh`` works for any
-plan. When the two pair Hamiltonians commute, the canonical form gives it in
-closed form: the total Hamiltonian is block diagonal over the probe-axis
-eigenprojectors, and within each block the body qubits see plain axis
-rotations, so no eigensolver is needed.
+whole time grid at once. The plan picks the source of its spectrum. When the
+two pair Hamiltonians commute, the canonical form gives it in closed form: the
+total Hamiltonian is block diagonal over the probe-axis eigenprojectors, and
+within each block the body qubits see plain axis rotations, so no eigensolver
+is needed. Otherwise it comes from ``eigh``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,12 +29,7 @@ from .states import axis_eigenbasis
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 from .measures import density
 
-FASTPATH_MODES = ("auto", "on", "off")
 _SIGNS = np.array([1.0, -1.0])
-
-
-class NoFastpathError(RuntimeError):
-    """The plan has no commuting fast path."""
 
 
 class NonFactorizedInitialStateError(ValueError):
@@ -109,41 +104,24 @@ class EvolutionPlan:
     fastpath: CommutingFastpath | None
     commutator_norm: float
     fastpath_error: str | None = None
-    _spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    _spectrum: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def commuting(self) -> bool:
         return self.fastpath is not None
 
-    def spectrum(self, fastpath: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-        """``(w, V)`` with ``h_total = V diag(w) V†`` for fast-path mode 'auto', 'on' or 'off'.
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, V)`` with ``h_total = V diag(w) V†``, computed once per plan.
 
-        'auto' and 'on' take the closed form of the commuting fast path ('on'
-        raises NoFastpathError when there is none); 'off', and 'auto' without
-        a fast path, take ``eigh``. Each source is computed once per plan.
+        The closed form of the commuting fast path when there is one, ``eigh``
+        otherwise.
         """
-        if fastpath not in FASTPATH_MODES:
-            raise ValueError(f"fastpath mode must be auto, on or off, got {fastpath!r}")
-        if fastpath == "on" and self.fastpath is None:
-            raise NoFastpathError("the pair Hamiltonians do not admit a commuting fast path")
-        source = "closed_form" if fastpath != "off" and self.fastpath is not None else "eigh"
-        if source not in self._spectra:
-            if source == "eigh":
-                self._spectra[source] = np.linalg.eigh(self.h_total)
-            else:
-                self._spectra[source] = self.fastpath.spectrum()
-        return self._spectra[source]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.spectrum("off")[0]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self.spectrum("off")[1]
+        if self._spectrum is None:
+            self._spectrum = self.fastpath.spectrum() if self.commuting else np.linalg.eigh(self.h_total)
+        return self._spectrum
 
     def unitary(self, t: float) -> np.ndarray:
-        w, v = self.spectrum("off")
+        w, v = self.spectrum()
         return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -166,35 +144,17 @@ def make_plan(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> Evolution
     )
 
 
-def _propagate(spectrum: tuple[np.ndarray, np.ndarray], psi0, times) -> np.ndarray:
-    """(exp(-i t (x) w) * (V† psi0)) @ V^T: the evolved states, shape (T, 8)."""
-    w, v = spectrum
+def evolve_grid(plan: EvolutionPlan, psi0, times) -> np.ndarray:
+    """Evolve one state to every time of a grid at once: (exp(-i t (x) w) * (V† psi0)) @ V^T, shape (T, 8)."""
+    w, v = plan.spectrum()
     psi0 = np.asarray(psi0, dtype=complex).reshape(8)
     times = np.asarray(times, dtype=float).reshape(-1)
     return (np.exp(-1j * np.multiply.outer(times, w)) * (v.conj().T @ psi0)) @ v.T
 
 
-def evolve_grid(plan: EvolutionPlan, psi0, times, fastpath: str = "auto") -> np.ndarray:
-    """Evolve one state to every time of a grid at once; returns shape (T, 8).
-
-    ``fastpath`` selects the spectrum source as in ``EvolutionPlan.spectrum``.
-    """
-    return _propagate(plan.spectrum(fastpath), psi0, times)
-
-
-def evolve(plan: EvolutionPlan, psi0, t: float, fastpath: str = "auto") -> np.ndarray:
-    """Evolve to one time: the one-point grid. Mode 'auto' (closed form when available), 'on' or 'off'."""
-    return evolve_grid(plan, psi0, (t,), fastpath)[0]
-
-
-def evolve_exact(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
-    """Evolution with the ``eigh`` spectrum; preserves the norm."""
-    return evolve(plan, psi0, t, fastpath="off")
-
-
-def evolve_fastpath(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
-    """Evolution with the closed-form spectrum; agrees with ``evolve_exact`` to the spectral tolerance."""
-    return evolve(plan, psi0, t, fastpath="on")
+def evolve(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
+    """Evolve to one time: the one-point grid."""
+    return evolve_grid(plan, psi0, (t,))[0]
 
 
 def _axis_rotation(vec: np.ndarray, t: float) -> np.ndarray:
@@ -203,20 +163,6 @@ def _axis_rotation(vec: np.ndarray, t: float) -> np.ndarray:
     if n == 0.0 or t == 0.0:
         return I2.copy()
     return np.cos(n * t) * I2 - 1j * np.sin(n * t) * axis_sigma(vec)
-
-
-def evolve_commuting_closed_form(fastpath: CommutingFastpath, psi0, t: float) -> np.ndarray:
-    """Entangling-only evolution: the closed-form spectrum with every local term zeroed.
-
-    Single-body terms of the Hamiltonians are not applied here; this matches
-    the exact evolution of the two entangling pieces alone.
-    """
-    if fastpath is None:
-        raise NoFastpathError("no commuting fast path available")
-    entangling = CommutingFastpath(
-        *(replace(f, local_self_strength=0.0, local_probe_strength=0.0) for f in (fastpath.form13, fastpath.form23))
-    )
-    return _propagate(entangling.spectrum(), psi0, (t,))[0]
 
 
 def reduced_state_12(psi) -> np.ndarray:

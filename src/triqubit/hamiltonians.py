@@ -246,16 +246,6 @@ def canonical_commuting_form(
     return forms
 
 
-def split_local_and_entangling(cf: CommutingForm) -> tuple[np.ndarray, np.ndarray]:
-    """(entangling, local) 8x8 pieces of one canonical-form Hamiltonian.
-
-    The two pieces commute whenever the body-local axis is parallel to the
-    coupling axis (or either term vanishes); a generic body-local axis makes
-    them noncommuting even though the two *pair* Hamiltonians still commute.
-    """
-    return cf.entangling_matrix(), cf.local_matrix()
-
-
 # Named presets ----------------------------------------------------------
 
 def heisenberg_chain(g: float) -> tuple[PauliPairHamiltonian, PauliPairHamiltonian]:

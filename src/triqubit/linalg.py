@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import STRUCTURAL_TOL
-
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -37,11 +35,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def frob(m: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(m))
-
-
-def is_hermitian(m: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def axis_sigma(axis) -> np.ndarray:
@@ -73,24 +66,3 @@ def partial_trace_qubit(m: np.ndarray, which: int) -> np.ndarray:
     k = which - 1
     t = m.reshape(2, 2, 2, 2, 2, 2)
     return np.trace(t, axis1=k, axis2=k + 3).reshape(4, 4)
-
-
-def hermitian_eig(m: np.ndarray, tol: float = STRUCTURAL_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` real and sorted descending and
-    eigenvector columns ``v`` unitary, so that ``m = v @ diag(w) @ v†``.
-    Raises ValueError if ``m`` deviates from Hermiticity by more than ``tol``.
-    """
-    m = np.asarray(m, dtype=complex)
-    dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g} (deviation {dev:.3e})")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def unitary_exp(h: np.ndarray, t: float, tol: float = STRUCTURAL_TOL) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via the spectral decomposition."""
-    w, v = hermitian_eig(h, tol=tol)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T

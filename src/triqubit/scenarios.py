@@ -17,9 +17,12 @@ path in the error message)::
       "time_grid": {"t_start": 0.0, "t_end": 3.14159, "steps": 64},
       "measures": ["tangle_12", ...],                # optional, default all
       "measurement": {"basis": "x"|"y"|"z"|{"axis": [..3..]},
-                      "at_time": <float> | null},    # optional
-      "fastpath": "auto" | "on" | "off"              # optional, default "auto"
+                      "at_time": <float> | null}     # optional
     }
+
+Every matrix entry of the two pair Hamiltonians and of their sum must be
+finite, and so must ``||H13||_F * ||H23||_F`` and, with a time grid,
+``||H_total||_F * max(|t_start|, |t_end|)``.
 
 State classes and parameters (complex entries are numbers or [re, im] pairs):
 fully_separable {rotations?, axes?}, bipartite_12 {a, b, probe?},
@@ -52,8 +55,9 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import FASTPATH_MODES, EvolutionPlan, evolve, evolve_grid, make_plan, measure_probe_grid
+from .evolution import evolve, evolve_grid, make_plan, measure_probe_grid
 from .hamiltonians import PRESETS, PauliPairHamiltonian
+from .linalg import frob
 from .measures import REPORT_FIELDS, EntanglementReport, concurrence_12, report, report_batch, residual_tangle_poly
 from .states import LocalRotation, axis_eigenbasis, from_axis_basis, probe_components
 from .tolerances import PHYSICS_TOL
@@ -139,6 +143,25 @@ def _parse_hamiltonian(section: dict, path: str) -> tuple[PauliPairHamiltonian, 
         _parse_pair(pairwise["h13"], (1, 3), f"{path}.pairwise.h13"),
         _parse_pair(pairwise["h23"], (2, 3), f"{path}.pairwise.h23"),
     )
+
+
+def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, path: str) -> float:
+    """``||H_total||_F``, after rejecting Hamiltonians whose evolution would overflow.
+
+    Finite coefficients can still sum to an infinite matrix entry, and the
+    commutation test multiplies ``||H13||_F * ||H23||_F``; past float range
+    either turns the classification or the eigensolver into NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        m13, m23 = h13.to_matrix(), h23.to_matrix()
+        h_total = m13 + m23
+        norms = frob(m13), frob(m23), frob(h_total)
+    if not all(np.isfinite(m).all() for m in (m13, m23, h_total)):
+        raise ConfigError(f"{path}: matrix entries overflow; coefficients are too large")
+    scale = norms[0] * norms[1]
+    if not math.isfinite(scale):
+        raise ConfigError(f"{path}: ||H13||_F * ||H23||_F = {scale} overflows; coefficients are too large")
+    return norms[2]
 
 
 def _parse_rotation(entry: dict, path: str) -> LocalRotation:
@@ -254,7 +277,6 @@ class ScenarioConfig:
     times: np.ndarray | None
     measures: tuple[str, ...]
     measurement: MeasurementSpec | None
-    fastpath_mode: str
     config_hash: str
 
 
@@ -266,7 +288,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     """
     _check_keys(
         raw,
-        {"name", "hamiltonian", "initial_state", "time_grid", "measures", "measurement", "fastpath"},
+        {"name", "hamiltonian", "initial_state", "time_grid", "measures", "measurement"},
         {"hamiltonian"},
         "config",
     )
@@ -274,6 +296,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(name, str):
         raise ConfigError(f"config.name: expected a string, got {name!r}")
     h13, h23 = _parse_hamiltonian(raw["hamiltonian"], "config.hamiltonian")
+    h_norm = _hamiltonian_scale(h13, h23, "config.hamiltonian")
 
     state_class, psi0 = (None, None)
     if "initial_state" in raw:
@@ -290,6 +313,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"config.time_grid.steps: expected an integer in [1, {MAX_STEPS}], got {steps!r}")
         if t_end < t_start:
             raise ConfigError("config.time_grid: t_end must be >= t_start")
+        phase = h_norm * max(abs(t_start), abs(t_end))
+        if not math.isfinite(phase):
+            raise ConfigError(f"config.time_grid: ||H_total||_F * max(|t_start|, |t_end|) = {phase} is not finite")
         times = np.linspace(t_start, t_end, steps)
 
     measures = tuple(REPORT_FIELDS)
@@ -306,10 +332,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if "measurement" in raw:
         measurement = _parse_measurement(raw["measurement"], "config.measurement")
 
-    fastpath_mode = raw.get("fastpath", "auto")
-    if fastpath_mode not in FASTPATH_MODES:
-        raise ConfigError(f"config.fastpath: expected one of {FASTPATH_MODES}, got {fastpath_mode!r}")
-
     digest = sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return ScenarioConfig(
         name=name,
@@ -320,7 +342,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
         times=times,
         measures=measures,
         measurement=measurement,
-        fastpath_mode=fastpath_mode,
         config_hash=digest,
     )
 
@@ -371,14 +392,6 @@ def _sweep_columns(cfg: ScenarioConfig) -> list[str]:
     return columns
 
 
-def check_fastpath_mode(cfg: ScenarioConfig, plan: EvolutionPlan):
-    if cfg.fastpath_mode == "on" and plan.fastpath is None:
-        raise ConfigError(
-            "config.fastpath: 'on' requested but no commuting fast path exists "
-            f"(commutator norm {plan.commutator_norm:.6e}; {plan.fastpath_error})"
-        )
-
-
 def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
     """Evolve, reduce and measure the whole grid at once. Deterministic for a fixed config."""
     if cfg.psi0 is None:
@@ -386,8 +399,7 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
     if cfg.times is None:
         raise ConfigError("config.time_grid: required to run a sweep")
     plan = make_plan(cfg.h13, cfg.h23)
-    check_fastpath_mode(cfg, plan)
-    psis = evolve_grid(plan, cfg.psi0, cfg.times, fastpath=cfg.fastpath_mode)
+    psis = evolve_grid(plan, cfg.psi0, cfg.times)
     table = report_batch(psis)
     reports = [EntanglementReport(*values) for values in zip(*(table[name].tolist() for name in REPORT_FIELDS))]
     outcomes = [None] * len(reports)
@@ -745,22 +757,26 @@ def _trial_heisenberg13(rng):
     return max(tau0, -tau_t), {"t": t, "g": g, "max_tangle": tau_t}
 
 
-def property_suite(name: str, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
-    """Run a registered randomized suite; each trial draws from a split child stream."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(suite_names())}")
+def _run_trials(name: str, trial, trials: int, seed: int, slack: float) -> SuiteResult:
+    """Fold ``trials`` calls of ``trial(rng)`` into a SuiteResult; each trial
+    draws from its own child stream spawned from ``seed``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    trial = _SUITES[name]
     result = SuiteResult(name=name, trials=trials, seed=seed)
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
-        violation, context = trial(rng)
+        violation, context = trial(np.random.default_rng(child))
         result.record(index, violation, slack, context)
         for key, value in context.items():
             if key.startswith("max_"):
                 result.stats[key] = max(result.stats.get(key, -np.inf), value)
     return result
+
+
+def property_suite(name: str, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
+    """Run a registered randomized suite."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(suite_names())}")
+    return _run_trials(name, _SUITES[name], trials, seed, slack)
 
 
 def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
@@ -769,9 +785,8 @@ def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: fl
         raise ValueError("k and l must be >= 1")
     if math.gcd(k, l) != 1:
         raise ValueError(f"k/l must be in lowest terms, got {k}/{l}")
-    result = SuiteResult(name=f"residual_periodicity_{k}_{l}", trials=trials, seed=seed)
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(child)
+
+    def trial(rng):
         u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
         s13 = 2.0 - rng.uniform(0.0, 2.0)
         s23 = s13 * l / k
@@ -782,5 +797,6 @@ def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: fl
         t_star = k * np.pi / (2.0 * s13)
         tau0 = residual_tangle_poly(psi0)
         tau_star = residual_tangle_poly(evolve(plan, psi0, t_star))
-        result.record(index, abs(tau_star - tau0), slack, {"t_star": t_star, "tau0": tau0})
-    return result
+        return abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
+
+    return _run_trials(f"residual_periodicity_{k}_{l}", trial, trials, seed, slack)

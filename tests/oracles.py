@@ -18,8 +18,13 @@ I2 = np.eye(2, dtype=complex)
 YY = np.kron(SY, SY).real
 
 
+def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) by scipy's Pade approximant."""
+    return expm(-1j * np.asarray(h, dtype=complex) * t)
+
+
 def oracle_evolve(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    return expm(-1j * np.asarray(h, dtype=complex) * t) @ psi0
+    return oracle_unitary(h, t) @ psi0
 
 
 def oracle_rho12(psi: np.ndarray) -> np.ndarray:

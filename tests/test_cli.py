@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from triqubit.cli import main
+from triqubit.scenarios import ConfigError, parse_config
+
+from test_scenarios import OVERFLOW_CASES
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -55,11 +58,27 @@ class TestSweepCommand:
         assert code == 2
         assert path in capsys.readouterr().err
 
-    def test_fastpath_on_noncommuting_exit_2_cites_commutator(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, heisenberg_raw())
-        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--fastpath", "on"])
-        assert code == 2
-        assert "commutator norm" in capsys.readouterr().err
+    def test_config_fastpath_key_exit_2(self, tmp_path, capsys):
+        # the spectrum source is picked by the plan; the old "fastpath" option is an unknown key
+        raw = heisenberg_raw(fastpath="auto")
+        with pytest.raises(ConfigError, match=r"config: unknown keys \['fastpath'\]"):
+            parse_config(raw)
+        cfg = write_config(tmp_path, raw)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "unknown keys ['fastpath']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--fastpath", "on"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("overrides, path", OVERFLOW_CASES)
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    def test_overflowing_hamiltonian_exit_2_names_path(self, tmp_path, capsys, command, overrides, path):
+        cfg = write_config(tmp_path, heisenberg_raw(**overrides))
+        argv = [command, "--config", cfg] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {path}:")
+        assert captured.out == ""
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, heisenberg_raw())
@@ -178,3 +197,10 @@ class TestPeriodicityCommand:
 
     def test_invalid_ratio_exit_2(self, capsys):
         assert main(["periodicity", "--k", "2", "--l", "4", "--trials", "5", "--seed", "2"]) == 2
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_bad_trial_count_exit_2(self, capsys, trials):
+        assert main(["periodicity", "--k", "1", "--l", "2", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be >= 1" in captured.err
+        assert captured.out == ""

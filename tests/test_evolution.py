@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from triqubit.evolution import (
-    NoFastpathError,
     NonFactorizedInitialStateError,
     evolve,
-    evolve_commuting_closed_form,
-    evolve_exact,
-    evolve_fastpath,
     evolve_grid,
     factor_probe,
     kraus_pair,
@@ -28,7 +24,7 @@ from triqubit.scenarios import (
 )
 from triqubit.states import LocalRotation, axis_eigenbasis, basis_matrix, fully_separable, ghz_general
 
-from oracles import haar_state, oracle_evolve, oracle_rho12
+from oracles import haar_state, oracle_evolve, oracle_rho12, oracle_unitary
 
 X = (1.0, 0.0, 0.0)
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -51,19 +47,28 @@ class TestPlan:
         u = plan.unitary(1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
+    def test_unitary_group_property_and_pade_oracle(self):
+        # U(0) = 1, U(t) U(s) = U(t + s), and U(t) = expm(-i H t) from either spectrum source
+        rng = np.random.default_rng(11)
+        for plan in (make_plan(*heisenberg_chain(0.7)), make_plan(*random_commuting_pair(rng, locals_mode="full"))):
+            t, s = 0.7, 1.9
+            assert np.max(np.abs(plan.unitary(0.0) - np.eye(8))) <= 1e-12
+            assert np.max(np.abs(plan.unitary(t) @ plan.unitary(s) - plan.unitary(t + s))) <= 1e-10
+            assert np.max(np.abs(plan.unitary(t) - oracle_unitary(plan.h_total, t))) <= 1e-10
+
 
 class TestEvolveExact:
     def test_time_zero_identity(self):
         plan = make_plan(*heisenberg_chain(1.0))
         psi = haar_state(np.random.default_rng(0))
-        assert np.max(np.abs(evolve_exact(plan, psi, 0.0) - psi)) <= 1e-12
+        assert np.max(np.abs(evolve(plan, psi, 0.0) - psi)) <= 1e-12
 
     def test_norm_preserved_and_matches_pade_oracle(self):
         rng = np.random.default_rng(10)
         plan = make_plan(*heisenberg_chain(1.0))
         psi = haar_state(rng)
         for t in np.linspace(0, 6, 13):
-            out = evolve_exact(plan, psi, t)
+            out = evolve(plan, psi, t)
             assert abs(np.vdot(out, out).real - 1) <= 1e-12
             assert np.max(np.abs(out - oracle_evolve(plan.h_total, psi, t))) <= 1e-10
 
@@ -71,7 +76,7 @@ class TestEvolveExact:
         # frozen amplitudes of the evolved x-polarized product state at g t = pi,
         # derived by phase bookkeeping on the zz eigenbasis
         plan = make_plan(*qnd_zz(1.0))
-        out = evolve_exact(plan, x_product_state(), np.pi)
+        out = evolve(plan, x_product_state(), np.pi)
         s = 1 / (2 * np.sqrt(2))
         expected = s * np.array([-1j, 1j, 1, 1, 1, 1, 1j, -1j])
         assert np.max(np.abs(out - expected)) <= 1e-12
@@ -82,7 +87,7 @@ class TestEvolveExact:
         psi0[0] = 1  # product of three identical states
         rho0 = reduced_state_12(psi0)
         for t in (0.3, 1.1, 2.9):
-            rho_t = reduced_state_12(evolve_exact(plan, psi0, t))
+            rho_t = reduced_state_12(evolve(plan, psi0, t))
             assert np.max(np.abs(rho_t - rho0)) <= 1e-10
 
 
@@ -92,39 +97,33 @@ class TestFastpath:
         for _ in range(60):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
             plan = make_plan(h13, h23)
+            assert plan.commuting
             psi = random_state(rng)
             for t in rng.uniform(0, 7, 4):
-                a = evolve_exact(plan, psi, t)
-                b = evolve_fastpath(plan, psi, t)
+                a = oracle_evolve(plan.h_total, psi, t)
+                b = evolve(plan, psi, t)
                 assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_fastpath_unitary_is_unitary(self):
         # U(t) from the closed-form spectrum of the commuting fast path
         rng = np.random.default_rng(21)
         h13, h23 = random_commuting_pair(rng, locals_mode="full")
-        w, v = make_plan(h13, h23).spectrum("on")
+        w, v = make_plan(h13, h23).spectrum()
         u = (v * np.exp(-1.7j * w)) @ v.conj().T
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
-    def test_no_fastpath_raises(self):
-        plan = make_plan(*heisenberg_chain(1.0))
-        with pytest.raises(NoFastpathError):
-            evolve_fastpath(plan, haar_state(np.random.default_rng(0)), 1.0)
-        with pytest.raises(NoFastpathError):
-            evolve(plan, haar_state(np.random.default_rng(0)), 1.0, fastpath="on")
-
     def test_evolve_mode_dispatch(self):
+        # the plan picks the spectrum: closed form when the pair commutes, eigh otherwise
         rng = np.random.default_rng(22)
-        h13, h23 = random_commuting_pair(rng)
-        plan = make_plan(h13, h23)
+        commuting = make_plan(*random_commuting_pair(rng))
+        noncommuting = make_plan(*heisenberg_chain(1.0))
+        closed_form, eigh = commuting.fastpath.spectrum(), np.linalg.eigh(noncommuting.h_total)
+        for plan, expected in ((commuting, closed_form), (noncommuting, eigh)):
+            for got, want in zip(plan.spectrum(), expected):
+                assert np.array_equal(got, want)
         psi = random_state(rng)
-        on = evolve(plan, psi, 0.9, fastpath="on")
-        off = evolve(plan, psi, 0.9, fastpath="off")
-        auto = evolve(plan, psi, 0.9)
-        assert np.max(np.abs(on - off)) <= 1e-10
-        assert np.allclose(auto, on)
-        with pytest.raises(ValueError):
-            evolve(plan, psi, 0.9, fastpath="sometimes")
+        for plan in (commuting, noncommuting):
+            assert np.max(np.abs(evolve(plan, psi, 0.9) - oracle_evolve(plan.h_total, psi, 0.9))) <= 1e-10
 
 
 class TestSpectrum:
@@ -139,21 +138,21 @@ class TestSpectrum:
         vecs = plan.fastpath.sector_vectors()
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
-        w, v = plan.spectrum("on")
-        w_eigh, _ = plan.spectrum("off")
+        w, v = plan.spectrum()
+        w_eigh, v_eigh = np.linalg.eigh(plan.h_total)
         assert np.max(np.abs(np.sort(w) - w_eigh)) <= 1e-12
         assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
         assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
         psi = random_state(np.random.default_rng(23))
         times = np.linspace(0.0, 6.0, 25)
-        on, off = evolve_grid(plan, psi, times, "on"), evolve_grid(plan, psi, times, "off")
-        assert np.max(np.abs(on - off)) <= 1e-12
+        exact = (np.exp(-1j * np.outer(times, w_eigh)) * (v_eigh.conj().T @ psi)) @ v_eigh.T
+        assert np.max(np.abs(evolve_grid(plan, psi, times) - exact)) <= 1e-12
 
     def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
         rng = np.random.default_rng(24)
         for _ in range(100):
             plan = make_plan(*random_commuting_pair(rng, locals_mode="full"))
-            w, v = plan.spectrum("auto")
+            w, v = plan.spectrum()
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
             assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
 
@@ -163,21 +162,29 @@ class TestSpectrum:
         psi = random_state(rng)
         times = rng.uniform(0.0, 7.0, 17)
         for plan in plans:
-            for mode in ("auto", "off"):
-                grid = evolve_grid(plan, psi, times, mode)
-                assert grid.shape == (17, 8)
-                for row, t in zip(grid, times):
-                    assert np.max(np.abs(row - evolve(plan, psi, t, fastpath=mode))) <= 1e-12
+            grid = evolve_grid(plan, psi, times)
+            assert grid.shape == (17, 8)
+            for row, t in zip(grid, times):
+                assert np.max(np.abs(row - evolve(plan, psi, t))) <= 1e-12
 
-    def test_spectrum_cached_per_source(self):
-        plan = make_plan(*qnd_zz(1.0))
-        assert plan.spectrum("auto") is plan.spectrum("on")
-        assert plan.spectrum("off") is not plan.spectrum("on")
-        with pytest.raises(ValueError):
-            plan.spectrum("sometimes")
+    def test_spectrum_cached_per_source(self, monkeypatch):
+        # each plan computes its one source once; a commuting plan never calls eigh
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
+        commuting, noncommuting = make_plan(*qnd_zz(1.0)), make_plan(*heisenberg_chain(1.0))
+        psi = random_state(np.random.default_rng(26))
+        for plan in (commuting, noncommuting):
+            first = plan.spectrum()
+            evolve_grid(plan, psi, (0.1, 0.2))
+            plan.unitary(0.3)
+            assert plan.spectrum() is first
+        assert len(calls) == 1
 
 
 class TestClosedForm:
+    # entangling-only plans: random commuting pairs without local terms
+
     def test_matches_exact_entangling_evolution(self):
         rng = np.random.default_rng(30)
         for _ in range(40):
@@ -185,8 +192,8 @@ class TestClosedForm:
             plan = make_plan(h13, h23)
             psi = random_state(rng)
             t = rng.uniform(0, 7)
-            a = evolve_exact(plan, psi, t)
-            b = evolve_commuting_closed_form(plan.fastpath, psi, t)
+            a = oracle_evolve(plan.h_total, psi, t)
+            b = evolve(plan, psi, t)
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_plus_plus_plus_only_picks_global_phase(self):
@@ -199,7 +206,7 @@ class TestClosedForm:
         amps[0] = 1.0
         psi0 = basis_matrix(axes) @ amps
         t = 1.234
-        out = evolve_commuting_closed_form(fp, psi0, t)
+        out = evolve(plan, psi0, t)
         expected = np.exp(-1j * sum(fp.strengths) * t) * psi0
         assert np.max(np.abs(out - expected)) <= 1e-12
 
@@ -212,10 +219,10 @@ class TestClosedForm:
         plan = make_plan(h13, h23)
         psi = random_state(rng)
         period = np.pi / s
-        revived = evolve_commuting_closed_form(plan.fastpath, psi, period)
+        revived = evolve(plan, psi, period)
         assert np.max(np.abs(revived - psi)) <= 1e-10
-        rho_a = reduced_state_12(evolve_commuting_closed_form(plan.fastpath, psi, 0.4))
-        rho_b = reduced_state_12(evolve_commuting_closed_form(plan.fastpath, psi, 0.4 + period))
+        rho_a = reduced_state_12(evolve(plan, psi, 0.4))
+        rho_b = reduced_state_12(evolve(plan, psi, 0.4 + period))
         assert np.max(np.abs(rho_a - rho_b)) <= 1e-10
 
 
@@ -264,7 +271,7 @@ class TestKraus:
             pair = kraus_pair(plan, phi, t)
             assert pair.completeness_defect() <= 1e-10
             via_kraus = pair.apply(density(chi))
-            via_trace = reduced_state_12(evolve_exact(plan, np.kron(chi, phi), t))
+            via_trace = reduced_state_12(oracle_evolve(plan.h_total, np.kron(chi, phi), t))
             assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_branch_unitary_structure(self):
@@ -308,7 +315,7 @@ class TestKraus:
         chi = np.zeros(4, dtype=complex)
         chi[0] = 1
         via_kraus = pair.apply(density(chi))
-        via_trace = reduced_state_12(evolve_exact(plan, np.kron(chi, phi), 1.0))
+        via_trace = reduced_state_12(evolve(plan, np.kron(chi, phi), 1.0))
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_factor_probe(self):
@@ -342,8 +349,6 @@ class TestVOperators:
 
     def test_conjugation_identity(self):
         # U13(t) (R1 x 1 x 1)|++m> = (V1_m x 1 x 1)|++m> on the interaction eigenbasis
-        from triqubit.linalg import unitary_exp
-
         rng = np.random.default_rng(52)
         for _ in range(10):
             h13, h23 = random_commuting_pair(rng)
@@ -353,7 +358,7 @@ class TestVOperators:
             b = basis_matrix(axes)
             r = random_rotation(rng, 1)
             t = rng.uniform(0, 5)
-            u13 = unitary_exp(f13.entangling_matrix(), t)
+            u13 = oracle_unitary(f13.entangling_matrix(), t)
             r_embedded = kron(r.matrix(), I2, I2)
             v_plus, v_minus = v_operators(f13, r, t)
             for column, v in ((0, v_plus), (1, v_minus)):  # |++(+)> and |++(-)>
@@ -375,7 +380,7 @@ class TestMeasureProbe:
 
     def test_bell_pair_preparation(self):
         plan = make_plan(*qnd_zz(1.0))
-        psi = evolve_exact(plan, x_product_state(), np.pi)
+        psi = evolve(plan, x_product_state(), np.pi)
         outcomes = measure_probe(psi, axis_eigenbasis(X), labels=("+x", "-x"))
         assert outcomes[0].label == "+x"
         assert outcomes[0].probability == pytest.approx(0.5, abs=1e-12)
@@ -429,6 +434,6 @@ def test_local_terms_do_not_change_tangle_when_aligned():
         )
         psi0 = random_state(rng)
         t = rng.uniform(0, 2 * np.pi)
-        tau_full = tangle(reduced_state_12(evolve_exact(make_plan(*full), psi0, t)))
-        tau_ent = tangle(reduced_state_12(evolve_exact(make_plan(*entangling_only), psi0, t)))
+        tau_full = tangle(reduced_state_12(evolve(make_plan(*full), psi0, t)))
+        tau_ent = tangle(reduced_state_12(evolve(make_plan(*entangling_only), psi0, t)))
         assert abs(tau_full - tau_ent) <= 1e-9

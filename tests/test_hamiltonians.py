@@ -10,11 +10,10 @@ from triqubit.hamiltonians import (
     commutator_norm,
     heisenberg_chain,
     qnd_zz,
-    split_local_and_entangling,
 )
 from triqubit.linalg import I2, SZ, kron, partial_trace_qubit
 from triqubit.measures import density, tangle
-from triqubit.evolution import evolve_exact, make_plan
+from triqubit.evolution import evolve, make_plan
 from triqubit.scenarios import random_commuting_pair, random_state
 
 
@@ -173,7 +172,7 @@ class TestCanonicalForm:
 class TestSplitLocalAndEntangling:
     def test_zero_locals(self):
         f13, _ = canonical_commuting_form(zz_pair(1.0, (1, 3)), zz_pair(1.0, (2, 3)))
-        entangling, local = split_local_and_entangling(f13)
+        entangling, local = f13.entangling_matrix(), f13.local_matrix()
         assert np.allclose(local, 0)
         assert np.allclose(entangling, kron(SZ, I2, SZ), atol=1e-12)
 
@@ -182,7 +181,7 @@ class TestSplitLocalAndEntangling:
         for _ in range(50):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
             for form, h in zip(canonical_commuting_form(h13, h23), (h13, h23)):
-                entangling, local = split_local_and_entangling(form)
+                entangling, local = form.entangling_matrix(), form.local_matrix()
                 assert np.max(np.abs(entangling + local - h.to_matrix())) <= 1e-10
 
     @staticmethod
@@ -227,8 +226,8 @@ class TestSplitLocalAndEntangling:
             )
             psi0 = random_state(rng)
             t = rng.uniform(0, 2 * np.pi)
-            tau_full = tangle(partial_trace_qubit(density(evolve_exact(make_plan(h13, h23), psi0, t)), 3))
-            tau_ent = tangle(partial_trace_qubit(density(evolve_exact(make_plan(*ent_only), psi0, t)), 3))
+            tau_full = tangle(partial_trace_qubit(density(evolve(make_plan(h13, h23), psi0, t)), 3))
+            tau_ent = tangle(partial_trace_qubit(density(evolve(make_plan(*ent_only), psi0, t)), 3))
             assert abs(tau_full - tau_ent) <= 1e-9
 
     def test_misaligned_body_local_breaks_the_split(self):
@@ -240,5 +239,5 @@ class TestSplitLocalAndEntangling:
         h23 = zz_pair(1.0, (2, 3))
         assert commutes(h13, h23)
         f13, _ = canonical_commuting_form(h13, h23)
-        entangling, local = split_local_and_entangling(f13)
+        entangling, local = f13.entangling_matrix(), f13.local_matrix()
         assert np.linalg.norm(entangling @ local - local @ entangling) > 0.1

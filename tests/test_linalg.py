@@ -8,10 +8,8 @@ from triqubit.linalg import (
     SZ,
     axis_sigma,
     commutator,
-    hermitian_eig,
     kron,
     partial_trace_qubit,
-    unitary_exp,
 )
 
 from oracles import oracle_ptrace
@@ -79,69 +77,6 @@ def test_partial_trace_rejects_bad_inputs():
         partial_trace_qubit(np.eye(4), 3)
     with pytest.raises(ValueError):
         partial_trace_qubit(np.eye(8), 0)
-
-
-def test_hermitian_eig_sigma_z():
-    w, v = hermitian_eig(SZ)
-    assert np.allclose(w, [1, -1])
-    assert np.allclose(np.abs(v[:, 0]), [1, 0])
-    assert np.allclose(np.abs(v[:, 1]), [0, 1])
-
-
-def test_hermitian_eig_identity():
-    w, _ = hermitian_eig(np.eye(8, dtype=complex))
-    assert np.allclose(w, 1.0)
-
-
-def test_hermitian_eig_heisenberg_spectrum():
-    h = sum(kron(p, I2, p) + kron(I2, p, p) for p in (SX, SY, SZ))
-    w, v = hermitian_eig(h)
-    assert np.allclose(sorted(w), [-4, -4, 0, 0, 2, 2, 2, 2], atol=1e-10)
-    # unitary eigenvectors, descending order, reconstruction
-    assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-10
-    assert all(w[i] >= w[i + 1] - 1e-12 for i in range(7))
-    rec = (v * w) @ v.conj().T
-    assert np.linalg.norm(rec - h) <= 1e-10 * np.linalg.norm(h)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError):
-        hermitian_eig(m)
-
-
-def test_unitary_exp_at_zero_is_identity():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = a + a.conj().T
-    assert np.allclose(unitary_exp(h, 0.0), np.eye(8), atol=1e-12)
-
-
-def test_unitary_exp_diagonal():
-    u = unitary_exp(SZ, np.pi / 2)
-    assert np.allclose(u, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]), atol=1e-12)
-
-
-def test_unitary_exp_involution_closed_form():
-    # exp(-i t M) = cos(t) 1 - i sin(t) M whenever M squares to the identity
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        axis = rng.normal(size=3)
-        strength = rng.uniform(0.1, 2.0)
-        m = kron(axis_sigma(axis), I2, axis_sigma(rng.normal(size=3)))
-        t = rng.uniform(0, 5)
-        expected = np.cos(strength * t) * np.eye(8) - 1j * np.sin(strength * t) * m
-        assert np.max(np.abs(unitary_exp(strength * m, t) - expected)) <= 1e-10
-
-
-def test_unitary_exp_group_property_and_unitarity():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    h = a + a.conj().T
-    t, s = 0.7, 1.9
-    ut, us, uts = unitary_exp(h, t), unitary_exp(h, s), unitary_exp(h, t + s)
-    assert np.max(np.abs(ut @ us - uts)) <= 1e-10
-    assert np.max(np.abs(ut @ ut.conj().T - np.eye(8))) <= 1e-10
 
 
 def test_axis_sigma_rejects_zero_axis():

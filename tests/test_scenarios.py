@@ -23,7 +23,7 @@ from triqubit.scenarios import (
     suite_names,
 )
 from triqubit.hamiltonians import commutes
-from triqubit.evolution import evolve, evolve_commuting_closed_form, make_plan, measure_probe
+from triqubit.evolution import evolve, make_plan, measure_probe
 from triqubit.measures import density, report, residual_tangle_poly, tangle
 
 from oracles import oracle_concurrence_pure3, oracle_evolve
@@ -51,7 +51,6 @@ class TestConfigParsing:
         assert cfg.name == "heisenberg-00plus"
         assert cfg.times is not None and len(cfg.times) == 64
         assert cfg.measures == REPORT_FIELDS
-        assert cfg.fastpath_mode == "auto"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys.*plot"):
@@ -84,7 +83,7 @@ class TestConfigParsing:
     def test_unknown_measure_and_fastpath(self):
         with pytest.raises(ConfigError, match="unknown measure"):
             parse_config(heisenberg_config(measures=["negativity"]))
-        with pytest.raises(ConfigError, match="fastpath"):
+        with pytest.raises(ConfigError, match=r"config: unknown keys \['fastpath'\]"):
             parse_config(heisenberg_config(fastpath="always"))
 
     def test_pairwise_hamiltonian_and_complex_entries(self):
@@ -115,6 +114,21 @@ class TestConfigParsing:
             load_config(tmp_path / "missing.json")
 
 
+_ZERO_COUPLING = [[0, 0, 0]] * 3
+# Hamiltonians whose coefficients are finite but whose evolution overflows
+OVERFLOW_CASES = [
+    ({"hamiltonian": {"preset": "heisenberg_chain", "g": 1e308}}, "config.hamiltonian"),
+    ({"hamiltonian": {"preset": "qnd_zz", "g": 1e155}}, "config.hamiltonian"),
+    ({"hamiltonian": {"preset": "qnd_zz", "g": 1e300},
+      "time_grid": {"t_start": 0.0, "t_end": 1e300, "steps": 4}}, "config.hamiltonian"),
+    ({"hamiltonian": {"preset": "qnd_zz", "g": 1e100},
+      "time_grid": {"t_start": 0.0, "t_end": 1e300, "steps": 4}}, "config.time_grid"),
+    ({"hamiltonian": {"pairwise": {"h13": {"coupling": _ZERO_COUPLING, "local_probe": [0, 0, 1e308]},
+                                   "h23": {"coupling": _ZERO_COUPLING, "local_probe": [0, 0, 1e308]}}}},
+     "config.hamiltonian"),
+]
+
+
 class TestNonFiniteAndMalformedValues:
     @pytest.mark.parametrize(
         "overrides, path",
@@ -126,11 +140,18 @@ class TestNonFiniteAndMalformedValues:
             ({"initial_state": {"class": "zrt", "params": {"a": math.nan, "b": 0, "c": 0, "d": 1}}},
              "config.initial_state.params.a"),
             ({"hamiltonian": {"preset": "qnd_zz", "g": 10**400}}, "config.hamiltonian.g"),
+            *OVERFLOW_CASES,
         ],
     )
     def test_rejected_with_path(self, overrides, path):
         with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
             parse_config(heisenberg_config(**overrides))
+
+    def test_large_but_representable_coupling_is_accepted(self):
+        cfg = parse_config(heisenberg_config(hamiltonian={"preset": "qnd_zz", "g": 1e150}))
+        plan = make_plan(cfg.h13, cfg.h23)
+        assert plan.commuting and plan.commutator_norm == 0.0
+        assert np.isfinite(run_sweep(cfg).rows[-1].report.tangle_12)
 
     def test_pairwise_non_finite_coupling(self):
         raw = heisenberg_config(hamiltonian={"pairwise": {
@@ -198,7 +219,6 @@ def _fuzz_bases():
             "time_grid": {"t_start": 0.0, "t_end": 1.0, "steps": 3},
             "measures": ["tangle_12", "purity_12"],
             "measurement": {"basis": {"axis": [1, 1, 0]} if index % 2 else "x", "at_time": 0.5},
-            "fastpath": "auto",
         })
     return [(base, path) for base in bases for path in _config_paths(base)]
 
@@ -280,16 +300,13 @@ class TestRunSweep:
             "initial_state": {"class": "zrt", "params": {"a": 0.5, "b": 0.5, "c": 0.5, "d": [0, 0.5]}},
             "time_grid": {"t_start": 0.0, "t_end": 5.0, "steps": 21},
         }
-        rows_on = run_sweep(parse_config({**base, "fastpath": "on"})).rows
-        rows_off = run_sweep(parse_config({**base, "fastpath": "off"})).rows
-        for row_on, row_off in zip(rows_on, rows_off):
+        cfg = parse_config(base)
+        result = run_sweep(cfg)
+        assert result.commuting
+        for row in result.rows:
+            exact = report(oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, row.t))
             for field in REPORT_FIELDS:
-                assert abs(getattr(row_on.report, field) - getattr(row_off.report, field)) <= 1e-9
-
-    def test_fastpath_on_rejected_for_noncommuting(self):
-        cfg = parse_config(heisenberg_config(fastpath="on"))
-        with pytest.raises(ConfigError, match="commutator norm"):
-            run_sweep(cfg)
+                assert abs(getattr(row.report, field) - getattr(exact, field)) <= 1e-9
 
     def test_separable_commuting_sweep_stays_untangled(self):
         raw = {
@@ -336,10 +353,11 @@ class TestRunSweep:
         populated = [i for i, row in enumerate(result.rows) if row.outcomes is not None]
         assert populated == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
 
-    @pytest.mark.parametrize("locals_mode, mode", [("full", "auto"), ("full", "off"), (None, "auto")])
-    def test_grid_equals_pointwise_evolve_report_and_measure(self, locals_mode, mode):
+    # reference "auto": the package's pointwise evolve; "off": an eigh of h_total built here
+    @pytest.mark.parametrize("locals_mode, reference", [("full", "auto"), ("full", "off"), (None, "auto")])
+    def test_grid_equals_pointwise_evolve_report_and_measure(self, locals_mode, reference):
         rng = np.random.default_rng(14)
-        raw = heisenberg_config(measurement={"basis": {"axis": [0.3, -0.2, 0.9]}}, fastpath=mode)
+        raw = heisenberg_config(measurement={"basis": {"axis": [0.3, -0.2, 0.9]}})
         raw["time_grid"]["steps"] = 33
         if locals_mode is not None:
             h13, h23 = random_commuting_pair(rng, locals_mode=locals_mode)
@@ -351,8 +369,12 @@ class TestRunSweep:
         cfg = parse_config(raw)
         result = run_sweep(cfg)
         plan = make_plan(cfg.h13, cfg.h23)
+        w, v = np.linalg.eigh(plan.h_total)
         for row in result.rows:
-            psi_t = evolve(plan, cfg.psi0, row.t, fastpath=mode)
+            if reference == "off":
+                psi_t = (v * np.exp(-1j * w * row.t)) @ (v.conj().T @ cfg.psi0)
+            else:
+                psi_t = evolve(plan, cfg.psi0, row.t)
             single = report(psi_t)
             for name in REPORT_FIELDS:
                 assert abs(getattr(row.report, name) - getattr(single, name)) <= 1e-12
@@ -538,6 +560,6 @@ class TestPeriodicity:
             psi0 = random_state(rng)
             t_half = np.pi / (4 * s)
             tau0 = residual_tangle_poly(psi0)
-            tau_half = residual_tangle_poly(evolve_commuting_closed_form(plan.fastpath, psi0, t_half))
+            tau_half = residual_tangle_poly(evolve(plan, psi0, t_half))
             best = max(best, abs(tau_half - tau0))
         assert best > 1e-3
