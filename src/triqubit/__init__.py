@@ -18,7 +18,6 @@ from .evolution import (
     make_plan,
     measure_probe,
     measure_probe_grid,
-    reduced_state_12,
     v_operators,
 )
 from .hamiltonians import (
@@ -33,16 +32,11 @@ from .hamiltonians import (
 )
 from .measures import (
     EntanglementReport,
-    concurrence,
     concurrence_12,
     eof_from_tangle,
     report,
     report_batch,
-    residual_tangle_ckw_oracle,
-    residual_tangle_lambda,
     residual_tangle_poly,
-    tangle,
-    wootters_lambdas,
 )
 from .scenarios import (
     ConfigError,

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error or unknown suite, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -101,10 +102,16 @@ def cmd_suite(args) -> int:
 
 
 def _eigenvalue_report(eigenvalues: np.ndarray) -> str:
+    """Sorted eigenvalues as distinct values with multiplicities.
+
+    Rounds to 9 decimals in units of the largest |eigenvalue|'s decade, so the
+    zero cut and the grouping gap scale with the Hamiltonian.
+    """
+    decimals = 9 - math.floor(math.log10(float(np.max(np.abs(eigenvalues)))))
     distinct: list[tuple[float, int]] = []
     for value in eigenvalues:
-        value = round(float(value), 9) + 0.0  # drop display noise, avoid -0
-        if distinct and abs(value - distinct[-1][0]) < 1e-9:
+        value = round(float(value), decimals) + 0.0  # drop display noise, avoid -0
+        if distinct and abs(value - distinct[-1][0]) < 10.0**-decimals:
             distinct[-1] = (distinct[-1][0], distinct[-1][1] + 1)
         else:
             distinct.append((value, 1))

@@ -1,5 +1,5 @@
-"""Spectral unitary evolution, reduced states, Kraus pairs and probe
-measurement with post-selection.
+"""Spectral unitary evolution, Kraus pairs and probe measurement with
+post-selection.
 
 Every evolution goes through one spectral core: a plan's ``(w, V)`` with
 ``h_total = V diag(w) V†`` and psi(t) = V exp(-i w t) V† psi0, evaluated for a
@@ -24,10 +24,9 @@ from .hamiltonians import (
     canonical_commuting_form,
     commutator_norm,
 )
-from .linalg import I2, axis_sigma, kron, partial_trace_qubit  # noqa: F401 (bench/selftest.py reads kron here)
+from .linalg import I2, axis_sigma, frob, kron  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import axis_eigenbasis
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
-from .measures import density
 
 _SIGNS = np.array([1.0, -1.0])
 
@@ -159,20 +158,10 @@ def evolve(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
 
 def _axis_rotation(vec: np.ndarray, t: float) -> np.ndarray:
     """exp(-i t vec.sigma) in closed form."""
-    n = float(np.linalg.norm(vec))
+    n = frob(vec)
     if n == 0.0 or t == 0.0:
         return I2.copy()
     return np.cos(n * t) * I2 - 1j * np.sin(n * t) * axis_sigma(vec)
-
-
-def reduced_state_12(psi) -> np.ndarray:
-    """4x4 reduced density matrix of qubits 1 and 2."""
-    psi = np.asarray(psi, dtype=complex).reshape(8)
-    n2 = float(np.vdot(psi, psi).real)
-    if abs(n2 - 1.0) > 1e-10:
-        raise ValueError(f"state must be normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
-    rho = partial_trace_qubit(density(psi), 3)
-    return (rho + rho.conj().T) / 2
 
 
 def factor_probe(psi) -> tuple[np.ndarray, np.ndarray]:

@@ -174,7 +174,7 @@ def _rank_one_factors(coupling: np.ndarray, tol: float):
 
 
 def _local_self_form(vec: np.ndarray):
-    n = float(np.linalg.norm(vec))
+    n = frob(vec)
     if n <= 1e-14:
         return Z_AXIS, 0.0
     return tuple(vec / n), n

@@ -7,6 +7,8 @@ products are therefore built left to right, ``kron(op1, op2, op3)``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -33,17 +35,36 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm, summed at the scale of the largest entry.
+
+    The plain sum of squares overflows once entries pass ~1e154, although the
+    norm itself is representable.
+    """
+    m = np.asarray(m).ravel()
+    top = float(np.abs(m).max())
+    if not 0.0 < top < math.inf:
+        return top
+    x = m / top
+    return top * math.sqrt(np.vdot(x, x).real)
+
+
+def unit_axis(axis) -> np.ndarray:
+    """``axis / |axis|``, scaled by the largest component first.
+
+    Like ``frob``, this keeps the sum of squares in range for finite
+    components past ~1e154.
+    """
+    axis = np.asarray(axis, dtype=float)
+    top = float(np.abs(axis).max())
+    if top == 0.0:
+        raise ValueError("zero axis has no direction")
+    axis = axis / top
+    return axis / np.linalg.norm(axis)
 
 
 def axis_sigma(axis) -> np.ndarray:
     """Pauli operator along a Bloch axis: n . (sx, sy, sz), with n normalized."""
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0:
-        raise ValueError("zero axis has no Pauli operator")
-    x, y, z = axis / n
+    x, y, z = unit_axis(axis)
     return x * SX + y * SY + z * SZ
 
 
@@ -55,14 +76,3 @@ def embed_single(op2: np.ndarray, qubit: int) -> np.ndarray:
     ops[qubit - 1] = np.asarray(op2, dtype=complex)
     return kron(*ops)
 
-
-def partial_trace_qubit(m: np.ndarray, which: int) -> np.ndarray:
-    """Trace a three-qubit operator over one qubit; preserves the total trace."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 matrix, got shape {m.shape}")
-    if which not in (1, 2, 3):
-        raise ValueError(f"qubit index must be 1, 2 or 3, got {which}")
-    k = which - 1
-    t = m.reshape(2, 2, 2, 2, 2, 2)
-    return np.trace(t, axis1=k, axis2=k + 3).reshape(4, 4)

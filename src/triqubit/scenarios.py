@@ -427,10 +427,7 @@ def _fmt(x: float) -> str:
 
 
 def emit_csv(result: SweepResult, destination) -> None:
-    """Write a sweep as CSV; ``destination`` is a path or a text file object."""
-    if hasattr(destination, "write"):
-        _write_csv(result, destination)
-        return
+    """Write a sweep as CSV to the file at path ``destination``."""
     try:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             _write_csv(result, fh)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, axis_sigma, dagger, embed_single, kron
+from .linalg import I2, axis_sigma, dagger, embed_single, kron, unit_axis
 from .tolerances import STRUCTURAL_TOL
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -44,11 +44,7 @@ def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
     Bloch angles of the axis; minus has a real nonnegative first component
     (fixed to |1> for the +z axis where that component vanishes).
     """
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0:
-        raise ValueError("zero axis has no eigenbasis")
-    x, y, z = axis / n
+    x, y, z = unit_axis(axis)
     # half-angle components from (transverse radius, z); arccos would lose
     # ~sqrt(eps) accuracy near the poles
     r = np.hypot(x, y)

@@ -9,11 +9,6 @@ STRUCTURAL_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 PHYSICS_TOL = 1e-9
 
-# Relative floor applied to eigenvalues of the spin-flip product before the
-# square root: true zeros land at ~1e-17 in float64 and would otherwise be
-# amplified to ~1e-8 by the square root.
-WOOTTERS_EIGENVALUE_FLOOR = 1e-14
-
 # Conditional states with outcome probability below this are reported as
 # absent instead of being normalized out of rounding noise.
 DEGENERATE_OUTCOME_PROB = 1e-14

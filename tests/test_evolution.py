@@ -9,12 +9,10 @@ from triqubit.evolution import (
     kraus_pair,
     make_plan,
     measure_probe,
-    reduced_state_12,
     v_operators,
 )
 from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, qnd_zz
 from triqubit.linalg import I2, kron
-from triqubit.measures import density, tangle
 from triqubit.scenarios import (
     random_axis,
     random_commuting_pair,
@@ -24,7 +22,15 @@ from triqubit.scenarios import (
 )
 from triqubit.states import LocalRotation, axis_eigenbasis, basis_matrix, fully_separable, ghz_general
 
-from oracles import haar_state, oracle_evolve, oracle_rho12, oracle_unitary
+from oracles import (
+    haar_state,
+    oracle_concurrence_mixed,
+    oracle_evolve,
+    oracle_rho12,
+    oracle_tangle12_pure3,
+    oracle_tangle_pure2,
+    oracle_unitary,
+)
 
 X = (1.0, 0.0, 0.0)
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -85,9 +91,9 @@ class TestEvolveExact:
         plan = make_plan(*heisenberg_chain(1.0))
         psi0 = np.zeros(8, dtype=complex)
         psi0[0] = 1  # product of three identical states
-        rho0 = reduced_state_12(psi0)
+        rho0 = oracle_rho12(psi0)
         for t in (0.3, 1.1, 2.9):
-            rho_t = reduced_state_12(evolve(plan, psi0, t))
+            rho_t = oracle_rho12(evolve(plan, psi0, t))
             assert np.max(np.abs(rho_t - rho0)) <= 1e-10
 
 
@@ -221,32 +227,9 @@ class TestClosedForm:
         period = np.pi / s
         revived = evolve(plan, psi, period)
         assert np.max(np.abs(revived - psi)) <= 1e-10
-        rho_a = reduced_state_12(evolve(plan, psi, 0.4))
-        rho_b = reduced_state_12(evolve(plan, psi, 0.4 + period))
+        rho_a = oracle_rho12(evolve(plan, psi, 0.4))
+        rho_b = oracle_rho12(evolve(plan, psi, 0.4 + period))
         assert np.max(np.abs(rho_a - rho_b)) <= 1e-10
-
-
-class TestReducedState:
-    def test_product_state_rank_one(self):
-        psi = np.kron(haar_state(np.random.default_rng(1), 4), np.array([1, 0], dtype=complex))
-        rho = reduced_state_12(psi)
-        w = np.linalg.eigvalsh(rho)
-        assert w[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(w[:-1])) <= 1e-12
-
-    def test_ghz_marginal(self):
-        rho = reduced_state_12(ghz_general(INV_SQRT2, INV_SQRT2))
-        assert np.allclose(rho, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
-
-    def test_valid_density_matrix(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            psi = haar_state(rng)
-            rho = reduced_state_12(psi)
-            assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
-            assert np.linalg.eigvalsh(rho).min() >= -1e-10
-            assert abs(np.trace(rho).real - 1) <= 1e-10
-            assert np.max(np.abs(rho - oracle_rho12(psi))) <= 1e-12
 
 
 class TestKraus:
@@ -270,8 +253,8 @@ class TestKraus:
             t = rng.uniform(0, 5)
             pair = kraus_pair(plan, phi, t)
             assert pair.completeness_defect() <= 1e-10
-            via_kraus = pair.apply(density(chi))
-            via_trace = reduced_state_12(oracle_evolve(plan.h_total, np.kron(chi, phi), t))
+            via_kraus = pair.apply(np.outer(chi, chi.conj()))
+            via_trace = oracle_rho12(oracle_evolve(plan.h_total, np.kron(chi, phi), t))
             assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_branch_unitary_structure(self):
@@ -301,8 +284,8 @@ class TestKraus:
         chi = np.kron(random_qubit_state(rng), random_qubit_state(rng))
         phi = random_qubit_state(rng)
         for t in np.linspace(0, 4, 9):
-            rho = kraus_pair(plan, phi, t).apply(density(chi))
-            assert tangle(rho) <= 1e-9
+            rho = kraus_pair(plan, phi, t).apply(np.outer(chi, chi.conj()))
+            assert oracle_concurrence_mixed(rho) ** 2 <= 1e-9
 
     def test_explicit_basis_for_noncommuting_plan(self):
         plan = make_plan(*heisenberg_chain(1.0))
@@ -314,8 +297,8 @@ class TestKraus:
         assert pair.completeness_defect() <= 1e-10
         chi = np.zeros(4, dtype=complex)
         chi[0] = 1
-        via_kraus = pair.apply(density(chi))
-        via_trace = reduced_state_12(evolve(plan, np.kron(chi, phi), 1.0))
+        via_kraus = pair.apply(np.outer(chi, chi.conj()))
+        via_trace = oracle_rho12(evolve(plan, np.kron(chi, phi), 1.0))
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_factor_probe(self):
@@ -384,7 +367,7 @@ class TestMeasureProbe:
         outcomes = measure_probe(psi, axis_eigenbasis(X), labels=("+x", "-x"))
         assert outcomes[0].label == "+x"
         assert outcomes[0].probability == pytest.approx(0.5, abs=1e-12)
-        assert tangle(density(outcomes[0].state)) == pytest.approx(1.0, abs=1e-9)
+        assert oracle_tangle_pure2(outcomes[0].state) == pytest.approx(1.0, abs=1e-9)
         # the +x conditional is (|01> + |10>)/sqrt(2) up to a global phase
         bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
         assert abs(np.vdot(bell, outcomes[0].state)) == pytest.approx(1.0, abs=1e-12)
@@ -434,6 +417,6 @@ def test_local_terms_do_not_change_tangle_when_aligned():
         )
         psi0 = random_state(rng)
         t = rng.uniform(0, 2 * np.pi)
-        tau_full = tangle(reduced_state_12(evolve(make_plan(*full), psi0, t)))
-        tau_ent = tangle(reduced_state_12(evolve(make_plan(*entangling_only), psi0, t)))
+        tau_full = oracle_tangle12_pure3(evolve(make_plan(*full), psi0, t))
+        tau_ent = oracle_tangle12_pure3(evolve(make_plan(*entangling_only), psi0, t))
         assert abs(tau_full - tau_ent) <= 1e-9

@@ -11,10 +11,11 @@ from triqubit.hamiltonians import (
     heisenberg_chain,
     qnd_zz,
 )
-from triqubit.linalg import I2, SZ, kron, partial_trace_qubit
-from triqubit.measures import density, tangle
+from triqubit.linalg import I2, SZ, kron
 from triqubit.evolution import evolve, make_plan
 from triqubit.scenarios import random_commuting_pair, random_state
+
+from oracles import oracle_tangle12_pure3
 
 
 def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
@@ -226,8 +227,8 @@ class TestSplitLocalAndEntangling:
             )
             psi0 = random_state(rng)
             t = rng.uniform(0, 2 * np.pi)
-            tau_full = tangle(partial_trace_qubit(density(evolve(make_plan(h13, h23), psi0, t)), 3))
-            tau_ent = tangle(partial_trace_qubit(density(evolve(make_plan(*ent_only), psi0, t)), 3))
+            tau_full = oracle_tangle12_pure3(evolve(make_plan(h13, h23), psi0, t))
+            tau_ent = oracle_tangle12_pure3(evolve(make_plan(*ent_only), psi0, t))
             assert abs(tau_full - tau_ent) <= 1e-9
 
     def test_misaligned_body_local_breaks_the_split(self):

@@ -8,11 +8,9 @@ from triqubit.linalg import (
     SZ,
     axis_sigma,
     commutator,
+    frob,
     kron,
-    partial_trace_qubit,
 )
-
-from oracles import oracle_ptrace
 
 
 def test_kron_identities():
@@ -35,48 +33,13 @@ def test_kron_associativity():
         assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
 
 
-def test_partial_trace_product_state():
-    e000 = np.zeros(8, dtype=complex)
-    e000[0] = 1
-    rho = np.outer(e000, e000.conj())
-    out = partial_trace_qubit(rho, 3)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1
-    assert np.allclose(out, expected, atol=1e-14)
-
-
-def test_partial_trace_ghz():
-    ghz = np.zeros(8, dtype=complex)
-    ghz[0] = ghz[7] = 1 / np.sqrt(2)
-    out = partial_trace_qubit(np.outer(ghz, ghz.conj()), 3)
-    assert np.allclose(out, np.diag([0.5, 0, 0, 0.5]), atol=1e-14)
-
-
-@pytest.mark.parametrize("which", [1, 2, 3])
-def test_partial_trace_preserves_trace_and_matches_oracle(which):
-    rng = np.random.default_rng(23 + which)
-    for _ in range(20):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho)
-        out = partial_trace_qubit(rho, which)
-        assert abs(np.trace(out) - 1.0) <= 1e-12
-        assert np.max(np.abs(out - oracle_ptrace(rho, which))) <= 1e-12
-
-
-def test_partial_trace_of_kron_is_weighted_factor():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = partial_trace_qubit(kron(a, b), 3)
-    assert np.max(np.abs(out - a * np.trace(b))) <= 1e-12
-
-
-def test_partial_trace_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        partial_trace_qubit(np.eye(4), 3)
-    with pytest.raises(ValueError):
-        partial_trace_qubit(np.eye(8), 0)
+def test_frob_scales_past_the_range_of_squares():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        for scale in (1.0, 1e200, 1e-200):
+            assert frob(m * scale) == pytest.approx(np.linalg.norm(m) * scale, rel=1e-14)
+    assert frob(np.zeros((2, 2))) == 0.0
 
 
 def test_axis_sigma_rejects_zero_axis():

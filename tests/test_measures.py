@@ -3,98 +3,70 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triqubit.evolution import measure_probe
 from triqubit.measures import (
     EntanglementReport,
     binary_entropy,
-    concurrence,
     concurrence_12,
-    density,
     eof_from_tangle,
-    purity,
     report,
     report_batch,
-    residual_tangle_ckw_oracle,
-    residual_tangle_lambda,
     residual_tangle_poly,
-    spin_flip,
-    tangle,
-    wootters_lambdas,
 )
-from triqubit.linalg import partial_trace_qubit
 from triqubit.states import LocalRotation, fully_separable, ghz_general, triple, zrt
 
-from oracles import haar_state, oracle_concurrence_mixed, oracle_concurrence_pure3, oracle_rho12, oracle_tangle_pure2
+from oracles import (
+    haar_state,
+    oracle_concurrence_mixed,
+    oracle_concurrence_pure3,
+    oracle_residual_tangle_ckw,
+    oracle_residual_tangle_lambda,
+    oracle_rho12,
+    oracle_tangle_pure2,
+)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 BELL_PSI_PLUS = np.array([0, INV_SQRT2, INV_SQRT2, 0], dtype=complex)
+E0 = np.array([1, 0], dtype=complex)
 
 
-class TestWoottersLambdas:
-    def test_maximally_mixed(self):
-        lam = wootters_lambdas(np.eye(4) / 4)
-        assert np.allclose(lam, 0.25, atol=1e-12)
+def pair_tangles(chi, phi):
+    """Tangle of the pure pair chi held next to a probe in state phi, by both package routes.
 
-    def test_bell_state(self):
-        lam = wootters_lambdas(density(BELL_PSI_PLUS))
-        assert np.allclose(lam, [1, 0, 0, 0], atol=1e-10)
-
-    def test_diagonal_mixture(self):
-        rho = np.diag([0.5, 0, 0, 0.5]).astype(complex)
-        lam = wootters_lambdas(rho)
-        assert np.allclose(lam, [0.5, 0.5, 0, 0], atol=1e-12)
-
-    def test_descending_order_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            lam = wootters_lambdas(rho)
-            assert all(lam[i] >= lam[i + 1] - 1e-12 for i in range(3))
-            assert lam[3] >= 0
-
-    def test_agrees_with_plain_eigenvalue_route(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            lam = wootters_lambdas(rho)
-            c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-            assert abs(c - oracle_concurrence_mixed(rho)) <= 1e-7
-
-    def test_rejects_non_hermitian_and_non_psd(self):
-        with pytest.raises(ValueError):
-            wootters_lambdas(np.triu(np.ones((4, 4))))
-        with pytest.raises(ValueError):
-            wootters_lambdas(np.diag([1.5, -0.5, 0, 0]).astype(complex))
-
-    def test_spin_flip_is_an_involution(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = a @ a.conj().T
-        assert np.allclose(spin_flip(spin_flip(rho)), rho, atol=1e-12)
+    ``report`` takes it from the 1,2 cross matrix of chi (x) phi; a probe measurement
+    leaves chi as the conditional pair state, whose tangle is 4|a00 a11 - a01 a10|^2.
+    """
+    psi = np.kron(chi, phi)
+    outcome = measure_probe(psi, (phi, np.array([-phi[1].conj(), phi[0].conj()])))[0]
+    return report(psi).tangle_12, outcome.tangle
 
 
 class TestTangle:
     def test_bell(self):
-        assert tangle(density(BELL_PSI_PLUS)) == pytest.approx(1.0, abs=1e-10)
+        for value in pair_tangles(BELL_PSI_PLUS, E0):
+            assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_schmidt_pair(self):
         for a2 in (0.5, 0.9, 0.25):
             a, b = np.sqrt(a2), np.sqrt(1 - a2)
             chi = np.array([a, 0, 0, b], dtype=complex)
-            assert tangle(density(chi)) == pytest.approx(4 * (a * b) ** 2, abs=1e-9)
+            for value in pair_tangles(chi, E0):
+                assert value == pytest.approx(4 * (a * b) ** 2, abs=1e-9)
 
     def test_maximally_mixed_is_zero(self):
-        # lambda gap is -1/2, clamped by the max with zero
-        assert tangle(np.eye(4) / 4) == 0.0
+        # the most mixed rho_12 a pure three-qubit state allows (rank 2, purity 1/2):
+        # GHZ gives diag(1/2, 0, 0, 1/2), |0> (x) Bell_23 gives |0><0| (x) 1/2
+        for psi in (ghz_general(INV_SQRT2, INV_SQRT2), np.kron(E0, BELL_PSI_PLUS)):
+            rep = report(psi)
+            assert rep.purity_12 == pytest.approx(0.5, abs=1e-15)
+            assert rep.tangle_12 == 0.0
 
     def test_matches_pure_shortcut(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             chi = haar_state(rng, 4)
-            assert abs(tangle(density(chi)) - oracle_tangle_pure2(chi)) <= 1e-10
+            for value in pair_tangles(chi, haar_state(rng, 2)):
+                assert abs(value - oracle_tangle_pure2(chi)) <= 1e-10
 
 
 class TestEof:
@@ -132,7 +104,7 @@ class TestResidualTangle:
         w = triple(*(np.ones(3) / np.sqrt(3)))
         product = np.zeros(8, dtype=complex)
         product[0] = 1
-        for route in (residual_tangle_lambda, residual_tangle_poly, residual_tangle_ckw_oracle):
+        for route in (oracle_residual_tangle_lambda, residual_tangle_poly, oracle_residual_tangle_ckw):
             assert route(ghz) == pytest.approx(1.0, abs=1e-9)
             assert abs(route(w)) <= 1e-9
             assert abs(route(product)) <= 1e-9
@@ -147,8 +119,8 @@ class TestResidualTangle:
         for _ in range(500):
             psi = haar_state(rng)
             p = residual_tangle_poly(psi)
-            assert abs(residual_tangle_lambda(psi) - p) <= 1e-9
-            assert abs(residual_tangle_ckw_oracle(psi) - p) <= 1e-9
+            assert abs(oracle_residual_tangle_lambda(psi) - p) <= 1e-9
+            assert abs(oracle_residual_tangle_ckw(psi) - p) <= 1e-9
 
     def test_complex_amplitudes_enter_squared(self):
         # the polynomial route uses complex squares verbatim; a global i on one
@@ -156,7 +128,7 @@ class TestResidualTangle:
         psi = np.zeros(8, dtype=complex)
         psi[0] = psi[7] = INV_SQRT2 * np.exp(0.3j)
         assert residual_tangle_poly(psi) == pytest.approx(1.0, abs=1e-12)
-        assert residual_tangle_lambda(psi) == pytest.approx(1.0, abs=1e-9)
+        assert oracle_residual_tangle_lambda(psi) == pytest.approx(1.0, abs=1e-9)
 
     def test_even_parity_closed_form(self):
         rng = np.random.default_rng(55)
@@ -166,7 +138,7 @@ class TestResidualTangle:
             psi[[0b000, 0b011, 0b101, 0b110]] = amps
             expected = 16 * abs(np.prod(amps))
             assert residual_tangle_poly(psi) == pytest.approx(expected, abs=1e-9)
-            assert residual_tangle_lambda(psi) == pytest.approx(expected, abs=1e-9)
+            assert oracle_residual_tangle_lambda(psi) == pytest.approx(expected, abs=1e-9)
 
     def test_odd_parity_closed_form(self):
         rng = np.random.default_rng(56)
@@ -232,7 +204,7 @@ class TestPureStateConcurrence:
         c = concurrence_12(states)
         for psi, value in zip(states, c):
             assert abs(value - oracle_concurrence_pure3(psi, 3)) <= 1e-14
-            assert abs(value - concurrence(partial_trace_qubit(density(psi), 3))) <= 1e-7
+            assert abs(value - oracle_concurrence_mixed(oracle_rho12(psi))) <= 1e-7
 
     def test_batch_rows_equal_single_reports(self):
         rng = np.random.default_rng(93)
@@ -255,8 +227,12 @@ class TestPureStateConcurrence:
 
 
 def test_purity_range():
-    assert purity(np.eye(4) / 4) == pytest.approx(0.25)
-    assert purity(density(BELL_PSI_PLUS)) == pytest.approx(1.0)
+    # rho_12 of a pure three-qubit state has rank <= 2, so its purity lies in [1/2, 1]
+    assert report(np.kron(BELL_PSI_PLUS, E0)).purity_12 == pytest.approx(1.0, abs=1e-15)
+    assert report(ghz_general(INV_SQRT2, INV_SQRT2)).purity_12 == pytest.approx(0.5, abs=1e-15)
+    rng = np.random.default_rng(72)
+    purities = report_batch(np.array([haar_state(rng) for _ in range(500)]))["purity_12"]
+    assert np.all((purities >= 0.5 - 1e-15) & (purities <= 1.0 + 1e-15))
 
 
 def test_zrt_sweep_zero_residual():

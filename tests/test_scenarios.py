@@ -24,9 +24,9 @@ from triqubit.scenarios import (
 )
 from triqubit.hamiltonians import commutes
 from triqubit.evolution import evolve, make_plan, measure_probe
-from triqubit.measures import density, report, residual_tangle_poly, tangle
+from triqubit.measures import report, residual_tangle_poly
 
-from oracles import oracle_concurrence_pure3, oracle_evolve
+from oracles import oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -340,7 +340,7 @@ class TestRunSweep:
         # on either probe outcome leaves a maximally entangled conditional
         assert final.report.tangle_12 <= 1e-9
         for outcome in final.outcomes:
-            assert tangle(density(outcome.state)) == pytest.approx(1.0, abs=1e-9)
+            assert oracle_tangle_pure2(outcome.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_measurement_at_time_only_nearest_row(self):
         raw = {
@@ -382,7 +382,7 @@ class TestRunSweep:
                 assert got.label == want.label
                 assert abs(got.probability - want.probability) <= 1e-12
                 assert abs(got.tangle - want.tangle) <= 1e-12
-                assert abs(got.tangle - tangle(density(got.state))) <= 1e-9
+                assert abs(got.tangle - oracle_tangle_pure2(got.state)) <= 1e-9
 
     def test_missing_state_or_grid_rejected(self):
         raw = heisenberg_config()

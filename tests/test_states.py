@@ -24,7 +24,15 @@ from triqubit.states import (
 )
 from triqubit.scenarios import random_rotation
 
-from oracles import haar_state, oracle_tangle_pure2, oracle_unitary
+from oracles import (
+    haar_state,
+    oracle_concurrence_pure3,
+    oracle_ptrace,
+    oracle_residual_tangle_ckw,
+    oracle_residual_tangle_lambda,
+    oracle_tangle_pure2,
+    oracle_unitary,
+)
 
 X = (1.0, 0.0, 0.0)
 Z = (0.0, 0.0, 1.0)
@@ -61,6 +69,16 @@ class TestAxisEigenbasis:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             axis_eigenbasis((0, 0, 0))
+
+    @pytest.mark.parametrize("scale", [1.3407807929942597e154, 1e300, 1e-300])
+    def test_extreme_finite_axis_scale(self, scale):
+        # the sum of squares leaves float range, although the direction does not
+        axis = (scale, scale, 0.0)
+        plus, minus = axis_eigenbasis(axis)
+        want_plus, want_minus = axis_eigenbasis((1.0, 1.0, 0.0))
+        assert np.max(np.abs(plus - want_plus)) <= 1e-15
+        assert np.max(np.abs(minus - want_minus)) <= 1e-15
+        assert np.max(np.abs(axis_sigma(axis) - axis_sigma((1.0, 1.0, 0.0)))) <= 1e-15
 
 
 class TestRotations:
@@ -126,12 +144,9 @@ class TestConstructors:
         rots = tuple(random_rotation(rng, q) for q in (1, 2, 3))
         psi = fully_separable(*rots, axes=(X, Z, (0, 1, 0)))
         rho = np.outer(psi, psi.conj())
-        from triqubit.linalg import partial_trace_qubit
-
-        rho12 = partial_trace_qubit(rho, 3)
-        assert measures.tangle(rho12) <= 1e-12
+        assert oracle_concurrence_pure3(psi, 3) ** 2 <= 1e-12
         for which in (1, 2, 3):
-            rho4 = partial_trace_qubit(rho, which)
+            rho4 = oracle_ptrace(rho, which)
             assert abs(np.trace(rho4 @ rho4).real - 1) <= 1e-12
 
     def test_fully_separable_x_reference_matches_hand_built_product(self):
@@ -156,11 +171,10 @@ class TestConstructors:
         psi = bipartite_23(INV_SQRT2, INV_SQRT2, np.array([1.0, 0]))
         rep = measures.report(psi)
         assert rep.tangle_12 <= 1e-12
-        rho23 = _reduced_23(psi)
-        assert measures.tangle(rho23) == pytest.approx(1.0, abs=1e-9)
+        assert oracle_concurrence_pure3(psi, 1) ** 2 == pytest.approx(1.0, abs=1e-9)
         # derived from the pure-state shortcut: 4*(0.8*0.6)^2 = 0.9216
         psi = bipartite_23(0.8, 0.6, np.array([1.0, 0]))
-        assert measures.tangle(_reduced_23(psi)) == pytest.approx(0.9216, abs=1e-9)
+        assert oracle_concurrence_pure3(psi, 1) ** 2 == pytest.approx(0.9216, abs=1e-9)
 
     def test_bipartite_23_of_zero_b_is_fully_separable(self):
         psi = bipartite_23(1.0, 0.0, np.array([0.6, 0.8]))
@@ -172,19 +186,16 @@ class TestConstructors:
     def test_ghz_marginals_unentangled(self):
         for a2 in (0.5, 0.8, 1.0):
             psi = ghz_general(np.sqrt(a2), np.sqrt(1 - a2))
-            rho = np.outer(psi, psi.conj())
-            from triqubit.linalg import partial_trace_qubit
-
             for which in (1, 2, 3):
-                assert measures.tangle(partial_trace_qubit(rho, which)) <= 1e-12
+                assert oracle_concurrence_pure3(psi, which) ** 2 <= 1e-12
 
     @pytest.mark.parametrize("a2,expected", [(0.5, 1.0), (1.0, 0.0), (0.8, 0.64)])
     def test_ghz_residual_tangle(self, a2, expected):
         # 4 a^2 b^2, checked against all three residual-tangle routes
         psi = ghz_general(np.sqrt(a2), np.sqrt(1 - a2))
         assert measures.residual_tangle_poly(psi) == pytest.approx(expected, abs=1e-9)
-        assert measures.residual_tangle_lambda(psi) == pytest.approx(expected, abs=1e-9)
-        assert measures.residual_tangle_ckw_oracle(psi) == pytest.approx(expected, abs=1e-9)
+        assert oracle_residual_tangle_lambda(psi) == pytest.approx(expected, abs=1e-9)
+        assert oracle_residual_tangle_ckw(psi) == pytest.approx(expected, abs=1e-9)
 
     def test_zrt_class_has_zero_residual_tangle(self):
         rng = np.random.default_rng(99)
@@ -193,7 +204,7 @@ class TestConstructors:
         assert measures.residual_tangle_poly(w) <= 1e-12
         for _ in range(100):
             amps = haar_state(rng, 4)
-            assert measures.residual_tangle_lambda(zrt(*amps)) <= 1e-9
+            assert oracle_residual_tangle_lambda(zrt(*amps)) <= 1e-9
 
     @pytest.mark.parametrize(
         "amps,expected",
@@ -237,12 +248,6 @@ class TestBasisChange:
         c, d = probe_components(axis_eigenbasis(X)[0], X)
         assert c == pytest.approx(1.0)
         assert abs(d) <= 1e-15
-
-
-def _reduced_23(psi):
-    from triqubit.linalg import partial_trace_qubit
-
-    return partial_trace_qubit(np.outer(psi, psi.conj()), 1)
 
 
 def test_pure_marginal_tangle_shortcut():
