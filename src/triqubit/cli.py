@@ -77,7 +77,7 @@ def cmd_sweep(args) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     kind = "commuting" if result.commuting else "noncommuting"
-    print(f"{result.name}: {len(result.rows)} rows -> {args.out} ({kind}, commutator norm {result.commutator_norm:.6e})")
+    print(f"{result.name}: {len(result.times)} rows -> {args.out} ({kind}, commutator norm {result.commutator_norm:.6e})")
     return EXIT_OK
 
 
@@ -125,8 +125,7 @@ def cmd_classify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     plan = make_plan(cfg.h13, cfg.h23)
-    norms = np.linalg.norm(plan.h13.to_matrix()), np.linalg.norm(plan.h23.to_matrix())
-    if max(norms) < 1e-14:
+    if not (plan.h13.to_matrix().any() or plan.h23.to_matrix().any()):
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
     if plan.commuting:

@@ -74,7 +74,13 @@ class CommutingFastpath:
         Column (m, a, b) of V is e1_a(m) x e2_b(m) x p_m.
         """
         vecs = self.sector_vectors()
-        norms = np.linalg.norm(vecs, axis=-1)
+        top = np.abs(vecs).max(axis=-1)
+        # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
+        if any(x > 1e150 or 0.0 < x < 1e-150 for x in top.ravel().tolist()):
+            top = np.where((top > 1e150) | ((top < 1e-150) & (top > 0.0)), top, 1.0)
+            norms = top * np.linalg.norm(vecs / top[..., None], axis=-1)
+        else:
+            norms = np.linalg.norm(vecs, axis=-1)
         body = np.empty((2, 2, 2, 2), dtype=complex)  # [sector, body qubit, component, +-]
         for m in range(2):
             for k in range(2):
@@ -232,33 +238,29 @@ class MeasurementOutcome:
         return self.state is None
 
 
-def measure_probe_grid(psis, basis, labels=("plus", "minus")) -> list[list[MeasurementOutcome]]:
-    """Projective measurement of qubit 3 in an orthonormal basis pair, for every row of ``psis``."""
+def measure_probe_grid(psis, basis):
+    """Projective measurement of qubit 3 in an orthonormal basis pair, for every row of ``psis``:
+    (probabilities, tangles, present, states), indexed [row, outcome] with states (T, 2, 4). Where
+    ``present`` is False the probability is below the degenerate-outcome threshold and ``states``
+    holds the unnormalized branch."""
     b = np.array([np.asarray(vec, dtype=complex).reshape(2) for vec in basis])
     if np.max(np.abs(b.conj() @ b.T - np.eye(2))) > STRUCTURAL_TOL:
         raise ValueError("measurement basis must be orthonormal")
     branches = np.asarray(psis, dtype=complex).reshape(-1, 4, 2) @ b.conj().T  # [row, pair amplitude, outcome]
     probs = np.einsum("tak,tak->tk", branches, branches.conj()).real
     present = probs >= DEGENERATE_OUTCOME_PROB
-    states = branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]
-    det = states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2]
-    tangles = 4.0 * (det.real**2 + det.imag**2)
-    rows = []
-    for row_states, row_probs, row_present, row_tangles in zip(
-        states.transpose(0, 2, 1), probs.tolist(), present.tolist(), tangles.tolist()
-    ):
-        rows.append(
-            [
-                MeasurementOutcome(label, p, state if ok else None, tau if ok else None)
-                for label, state, p, ok, tau in zip(labels, row_states, row_probs, row_present, row_tangles)
-            ]
-        )
-    return rows
+    states = (branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]).transpose(0, 2, 1)
+    det = states[..., 0] * states[..., 3] - states[..., 1] * states[..., 2]
+    return probs, 4.0 * (det.real**2 + det.imag**2), present, states
 
 
 def measure_probe(psi, basis, labels=("plus", "minus")) -> list[MeasurementOutcome]:
     """Projective measurement of qubit 3 in an orthonormal basis pair: the one-row grid."""
-    return measure_probe_grid(np.asarray(psi, dtype=complex).reshape(1, 8), basis, labels)[0]
+    probs, tangles, present, states = measure_probe_grid(np.asarray(psi, dtype=complex).reshape(1, 8), basis)
+    return [
+        MeasurementOutcome(label, p, state if ok else None, tau if ok else None)
+        for label, p, tau, ok, state in zip(labels, probs[0].tolist(), tangles[0].tolist(), present[0].tolist(), states[0])
+    ]
 
 
 def v_operators(cf: CommutingForm, rotation, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -135,11 +135,11 @@ class CommutingForm:
 def commutes(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, tol: float = SPECTRAL_TOL) -> bool:
     """Whether the 8x8 embeddings commute.
 
-    The threshold is scale invariant: the commutator's Frobenius norm is
-    compared against ``tol * max(1, ||H13||_F * ||H23||_F)``.
+    The threshold is relative, so H -> H/s gives the same answer: the
+    commutator's Frobenius norm is compared against ``tol * ||H13||_F * ||H23||_F``.
     """
     m13, m23 = h13.to_matrix(), h23.to_matrix()
-    return frob(commutator(m13, m23)) <= tol * max(1.0, frob(m13) * frob(m23))
+    return frob(commutator(m13, m23)) <= tol * frob(m13) * frob(m23)
 
 
 def commutator_norm(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> float:
@@ -161,7 +161,7 @@ def _rank_one_factors(coupling: np.ndarray, tol: float):
     the body axis absorbs the sign so the strength stays nonnegative.
     """
     u, s, vt = np.linalg.svd(coupling)
-    if s[0] <= 1e-14:
+    if s[0] == 0.0:
         return None
     if s[1] > tol * s[0]:
         raise NotRankOneError(
@@ -175,7 +175,7 @@ def _rank_one_factors(coupling: np.ndarray, tol: float):
 
 def _local_self_form(vec: np.ndarray):
     n = frob(vec)
-    if n <= 1e-14:
+    if n == 0.0:
         return Z_AXIS, 0.0
     return tuple(vec / n), n
 
@@ -212,9 +212,9 @@ def canonical_commuting_form(
         # No coupling anywhere: any probe-local terms must be mutually
         # parallel for the pair to commute; reuse their direction.
         for vec in (h13.local_probe, h23.local_probe):
-            n = np.linalg.norm(vec)
-            if n > 1e-14:
-                shared = vec / n * _sign_fix(vec)
+            if vec.any():
+                shared = vec / np.linalg.norm(vec)
+                shared = shared * _sign_fix(shared)
                 break
         else:
             shared = np.array(Z_AXIS)
@@ -241,7 +241,7 @@ def canonical_commuting_form(
     forms = build(h13, fac13), build(h23, fac23)
     for h, form in zip((h13, h23), forms):
         dev = np.max(np.abs(form.to_matrix() - h.to_matrix()))
-        if dev > SPECTRAL_TOL * max(1.0, frob(h.to_matrix())):
+        if dev > SPECTRAL_TOL * frob(h.to_matrix()):
             raise NotCommutingError(f"canonical form fails to reconstruct the input (deviation {dev:.3e})")
     return forms
 

@@ -58,11 +58,11 @@ from . import states
 from .evolution import evolve, evolve_grid, make_plan, measure_probe_grid
 from .hamiltonians import PRESETS, PauliPairHamiltonian
 from .linalg import frob
-from .measures import REPORT_FIELDS, EntanglementReport, concurrence_12, report, report_batch, residual_tangle_poly
+from .measures import REPORT_FIELDS, concurrence_12, report, report_batch, residual_tangle_poly
 from .states import LocalRotation, axis_eigenbasis, from_axis_basis, probe_components
 from .tolerances import PHYSICS_TOL
 
-MAX_STEPS = 1_000_000  # one sweep row holds about a kilobyte of objects
+MAX_STEPS = 1_000_000  # a measured sweep peaks near 0.55 KB per row (tracemalloc, 1e5 rows): ~550 MB at the limit
 NAMED_BASES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
@@ -361,35 +361,44 @@ def load_config(path) -> ScenarioConfig:
 
 # Sweep execution ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
-    t: float
-    report: EntanglementReport
-    outcomes: list | None = None
+NOT_MEASURED, DEGENERATE, PRESENT = range(3)  # per-row, per-outcome state of a measured sweep
+# CSV cells of one outcome by its state; "%.0s" consumes a value and prints nothing
+_OUTCOME_CELLS = (",%.0s,%.0s,%.0s", ",%s,%.17g,%.0s", ",%s,%.17g,%.17g")
 
 
 @dataclass
 class SweepResult:
-    """Rows of a sweep with their CSV layout: ``t``, then ``measures``, then the
-    six outcome columns when ``with_outcomes``."""
+    """A sweep as columns, in the arrays it was computed in.
+
+    ``times`` has shape (T,) and ``table`` maps every ``REPORT_FIELDS`` name to
+    a (T,) array; the CSV holds ``t`` and the ``measures`` columns in order.
+    With a probe measurement, ``labels`` names the two outcomes and
+    ``probabilities``, ``conditional_tangles`` and ``outcome_state`` are (T, 2)
+    arrays indexed [row, outcome]. ``outcome_state`` is NOT_MEASURED,
+    DEGENERATE or PRESENT; a probability is NaN where its row was not measured
+    and a conditional tangle is NaN where its outcome is not PRESENT.
+    """
 
     name: str
-    columns: list[str]
-    rows: list[SweepRow]
-    commuting: bool | None = None
-    commutator_norm: float | None = None
+    times: np.ndarray
+    table: dict[str, np.ndarray]
+    measures: tuple[str, ...]
+    commuting: bool
+    commutator_norm: float
+    config_hash: str
     seed: int | None = None
-    config_hash: str | None = None
-    measures: tuple[str, ...] = ()
-    with_outcomes: bool = False
+    labels: tuple[str, str] | None = None
+    probabilities: np.ndarray | None = None
+    conditional_tangles: np.ndarray | None = None
+    outcome_state: np.ndarray | None = None
 
-
-def _sweep_columns(cfg: ScenarioConfig) -> list[str]:
-    columns = ["t", *cfg.measures]
-    if cfg.measurement is not None:
-        for k in (1, 2):
-            columns += [f"outcome_label_{k}", f"outcome_prob_{k}", f"conditional_tangle_{k}"]
-    return columns
+    @property
+    def columns(self) -> list[str]:
+        columns = ["t", *self.measures]
+        if self.labels is not None:
+            for k in (1, 2):
+                columns += [f"outcome_label_{k}", f"outcome_prob_{k}", f"conditional_tangle_{k}"]
+        return columns
 
 
 def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
@@ -400,30 +409,25 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         raise ConfigError("config.time_grid: required to run a sweep")
     plan = make_plan(cfg.h13, cfg.h23)
     psis = evolve_grid(plan, cfg.psi0, cfg.times)
-    table = report_batch(psis)
-    reports = [EntanglementReport(*values) for values in zip(*(table[name].tolist() for name in REPORT_FIELDS))]
-    outcomes = [None] * len(reports)
-    if cfg.measurement is not None:
-        measured = range(len(reports))
-        if cfg.measurement.at_time is not None:
-            measured = [int(np.argmin(np.abs(cfg.times - cfg.measurement.at_time)))]
-        for i, row in zip(measured, measure_probe_grid(psis[measured], cfg.measurement.basis, cfg.measurement.labels)):
-            outcomes[i] = row
-    return SweepResult(
+    result = SweepResult(
         name=cfg.name,
-        columns=_sweep_columns(cfg),
-        rows=[SweepRow(t=t, report=rep, outcomes=out) for t, rep, out in zip(cfg.times.tolist(), reports, outcomes)],
+        times=cfg.times,
+        table=report_batch(psis),
+        measures=cfg.measures,
         commuting=plan.commuting,
         commutator_norm=plan.commutator_norm,
-        seed=seed,
         config_hash=cfg.config_hash,
-        measures=cfg.measures,
-        with_outcomes=cfg.measurement is not None,
+        seed=seed,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    if cfg.measurement is not None:
+        probs, tangles, present, _ = measure_probe_grid(psis, cfg.measurement.basis)
+        state = np.where(present, PRESENT, DEGENERATE)
+        if cfg.measurement.at_time is not None:
+            state[np.arange(len(cfg.times)) != np.argmin(np.abs(cfg.times - cfg.measurement.at_time))] = NOT_MEASURED
+        result.labels, result.outcome_state = cfg.measurement.labels, state
+        result.probabilities = np.where(state == NOT_MEASURED, np.nan, probs)
+        result.conditional_tangles = np.where(state == PRESENT, tangles, np.nan)
+    return result
 
 
 def emit_csv(result: SweepResult, destination) -> None:
@@ -436,36 +440,21 @@ def emit_csv(result: SweepResult, destination) -> None:
 
 
 def _write_csv(result: SweepResult, fh) -> None:
+    """Header, optional seed comment, then each row from the template of its kind, the
+    pair of its outcome states. Every template takes the same row tuple: ``t``, the
+    measures and, with a measurement, (label, probability, tangle) per outcome."""
     fh.write(",".join(result.columns) + "\n")
     if result.seed is not None:
-        parts = [f"# seed={result.seed}"]
-        if result.config_hash is not None:
-            parts.append(f"config=sha256:{result.config_hash}")
-        if result.commuting is not None:
-            parts.append(f"commuting={str(result.commuting).lower()}")
-        fh.write(" ".join(parts) + "\n")
-    for row in result.rows:
-        cells = [_fmt(row.t), *(_fmt(getattr(row.report, name)) for name in result.measures)]
-        if result.with_outcomes:
-            if row.outcomes is None:
-                cells += [""] * 6
-            else:
-                for outcome in row.outcomes:
-                    cond = "" if outcome.tangle is None else _fmt(outcome.tangle)
-                    cells += [outcome.label, _fmt(outcome.probability), cond]
-        fh.write(",".join(cells) + "\n")
-
-
-def read_sweep_csv(path):
-    """Parse an emitted CSV back into (columns, comment, rows of string cells)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    columns = lines[0].split(",")
-    comment = None
-    body = lines[1:]
-    if body and body[0].startswith("#"):
-        comment, body = body[0], body[1:]
-    return columns, comment, [line.split(",") for line in body if line]
+        fh.write(f"# seed={result.seed} config=sha256:{result.config_hash} commuting={str(result.commuting).lower()}\n")
+    cells = "%.17g" + ",%.17g" * len(result.measures)
+    columns = [result.times.tolist(), *(result.table[name].tolist() for name in result.measures)]
+    templates, kinds = [cells + "\n"], [0] * len(result.times)
+    if result.labels is not None:
+        templates = [cells + first + second + "\n" for first in _OUTCOME_CELLS for second in _OUTCOME_CELLS]
+        for k, label in enumerate(result.labels):
+            columns += [[label] * len(result.times), result.probabilities[:, k].tolist(), result.conditional_tangles[:, k].tolist()]
+        kinds = (len(_OUTCOME_CELLS) * result.outcome_state[:, 0] + result.outcome_state[:, 1]).tolist()
+    fh.writelines(templates[kind] % row for kind, row in zip(kinds, zip(*columns)))
 
 
 # Random sampling ----------------------------------------------------------

@@ -46,23 +46,24 @@ def x_product_state():
     return fully_separable(*(LocalRotation(qubit=q) for q in (1, 2, 3)), axes=(X, X, X))
 
 
-def heisenberg_00plus_grid():
-    plan = make_plan(*heisenberg_chain(1.0))
+def heisenberg_00plus_grid(g=1.0):
+    plan = make_plan(*heisenberg_chain(g))
     psi0 = np.zeros(8, dtype=complex)
     psi0[0] = psi0[1] = INV_SQRT2  # |00> x |+>
-    return plan, psi0, np.linspace(0.0, np.pi, 64)
+    return plan, psi0, np.linspace(0.0, np.pi, 64) / g
 
 
 def test_criterion_01_probe_measurement_prepares_bell_pairs():
-    plan = make_plan(*qnd_zz(1.0))
     psi0 = x_product_state()
-    for m in (0, 1):  # g t = pi and 3 pi
-        gt = np.pi * (2 * m + 1)
-        outcomes = measure_probe(evolve(plan, psi0, gt), axis_eigenbasis(X), labels=("+x", "-x"))
-        plus = outcomes[0]
-        assert abs(plus.probability - 0.5) <= TOL, f"gt={gt}: p(+x)={plus.probability!r}"
-        conditional = oracle_tangle_pure2(plus.state)
-        assert abs(conditional - 1.0) <= TOL, f"gt={gt}: conditional tangle {conditional!r}"
+    for g in (1.0, 1e-15):  # the claim is on g t alone
+        plan = make_plan(*qnd_zz(g))
+        for m in (0, 1):  # g t = pi and 3 pi
+            gt = np.pi * (2 * m + 1)
+            outcomes = measure_probe(evolve(plan, psi0, gt / g), axis_eigenbasis(X), labels=("+x", "-x"))
+            plus = outcomes[0]
+            assert abs(plus.probability - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={plus.probability!r}"
+            conditional = oracle_tangle_pure2(plus.state)
+            assert abs(conditional - 1.0) <= TOL, f"g={g}, gt={gt}: conditional tangle {conditional!r}"
     print("ACCEPTANCE PASS [1] probe measurement at gt=pi(2m+1): p(+x)=1/2, conditional tangle 1")
 
 
@@ -107,16 +108,17 @@ def test_criterion_03_heisenberg_reduced_state_closed_form():
 
 
 def test_criterion_04_heisenberg_tangle_matches_brute_force_oracle():
-    plan, psi0, grid = heisenberg_00plus_grid()
     worst_oracle = 0.0
     worst_quartic = 0.0
     worst_cubic_sine = 0.0
-    for t in grid:
-        computed = report(evolve(plan, psi0, t)).tangle_12
-        oracle = oracle_concurrence_pure3(oracle_evolve(plan.h_total, psi0, t), 3) ** 2
-        worst_oracle = max(worst_oracle, abs(computed - oracle))
-        worst_quartic = max(worst_quartic, abs(oracle - (16 / 81) * np.sin(3 * t) ** 4))
-        worst_cubic_sine = max(worst_cubic_sine, abs(oracle - (4 / 9) * np.sin(3 * t) ** 3))
+    for g in (1.0, 1e-15):  # the claim is on g t alone
+        plan, psi0, grid = heisenberg_00plus_grid(g)
+        for t in grid:
+            computed = report(evolve(plan, psi0, t)).tangle_12
+            oracle = oracle_concurrence_pure3(oracle_evolve(plan.h_total, psi0, t), 3) ** 2
+            worst_oracle = max(worst_oracle, abs(computed - oracle))
+            worst_quartic = max(worst_quartic, abs(oracle - (16 / 81) * np.sin(3 * g * t) ** 4))
+            worst_cubic_sine = max(worst_cubic_sine, abs(oracle - (4 / 9) * np.sin(3 * g * t) ** 3))
     print(
         "ACCEPTANCE [4] closed-form comparison for the |00+> tangle: "
         f"max |oracle - 16/81 sin^4(3gt)| = {worst_quartic:.3e}; "
@@ -126,7 +128,7 @@ def test_criterion_04_heisenberg_tangle_matches_brute_force_oracle():
     assert worst_oracle <= TOL, f"pipeline vs oracle deviation {worst_oracle:.3e}"
     assert worst_quartic <= TOL  # the oracle-confirmed closed form
     assert worst_cubic_sine > 0.1  # the discrepancy is real, not numerical noise
-    print(f"ACCEPTANCE PASS [4] tangle matches the brute-force oracle at 64 points ({worst_oracle:.3e})")
+    print(f"ACCEPTANCE PASS [4] tangle matches the brute-force oracle at 64 points each for g = 1 and 1e-15 ({worst_oracle:.3e})")
 
 
 def test_criterion_05_heisenberg_eigenstructure_and_swap_parity():

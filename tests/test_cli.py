@@ -129,20 +129,26 @@ class TestClassifyCommand:
         "g, norm, eigenvalues",
         [
             (1e100, "1.385641e+201", "-4e+100 (x2), 0 (x2), 2e+100 (x4)"),
+            (1e-6, "1.385641e-11", "-4e-06 (x2), 0 (x2), 2e-06 (x4)"),
             (1e-12, "1.385641e-23", "-4e-12 (x2), 0 (x2), 2e-12 (x4)"),
+            (1e-15, "1.385641e-29", "-4e-15 (x2), 0 (x2), 2e-15 (x4)"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     def test_norm_and_eigenvalues_scale_with_the_coupling(self, tmp_path, capsys, command, g, norm, eigenvalues):
         # at g = 1e100 a plain sum of squares overflows, and absolute rounding splits each
-        # degenerate eigenvalue by its ~1e84 noise; at g = 1e-12 it rounds every eigenvalue to 0
+        # degenerate eigenvalue by its ~1e84 noise; at g = 1e-12 it rounds every eigenvalue to 0;
+        # an absolute commutation floor calls g = 1e-15 commuting and blames the coupling tensor at 1e-6
         cfg = write_config(tmp_path, heisenberg_raw(hamiltonian={"preset": "heisenberg_chain", "g": g}))
         argv = [command, "--config", cfg] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert f"commutator norm {norm}" in captured.out
         assert captured.err == ""
-        if command == "classify":
+        if command == "sweep":
+            assert captured.out.endswith(f"(noncommuting, commutator norm {norm})\n")
+        else:
+            assert captured.out.startswith(f"noncommuting (commutator norm {norm})\n")
+            assert f"reason: pair Hamiltonians do not commute (commutator norm {float(norm):.3e})\n" in captured.out
             assert f"total Hamiltonian eigenvalues: {eigenvalues}\n" in captured.out
 
     def test_zero_hamiltonians_trivially_commuting(self, tmp_path, capsys):
@@ -157,6 +163,18 @@ class TestClassifyCommand:
         cfg = write_config(tmp_path, raw)
         assert main(["classify", "--config", cfg]) == 0
         assert "commuting (trivially)" in capsys.readouterr().out
+
+    def test_large_nonzero_coupling_is_not_called_zero(self, tmp_path, capsys):
+        # the zero test is exact: a Frobenius norm of 1e155 * I would overflow
+        raw = {"hamiltonian": {"pairwise": {
+            "h13": {"coupling": [[1e155, 0, 0], [0, 1e155, 0], [0, 0, 1e155]]},
+            "h23": {"coupling": [[0, 0, 0]] * 3},
+        }}}
+        assert main(["classify", "--config", write_config(tmp_path, raw)]) == 0
+        captured = capsys.readouterr()
+        assert "trivially" not in captured.out
+        assert "total Hamiltonian eigenvalues: -3e+155 (x2), 1e+155 (x6)" in captured.out
+        assert captured.err == ""
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"hamiltonian": {"preset": "qnd_zz"}, "typo_key": 1})

@@ -362,15 +362,17 @@ class TestMeasureProbe:
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_pair_preparation(self):
-        plan = make_plan(*qnd_zz(1.0))
-        psi = evolve(plan, x_product_state(), np.pi)
-        outcomes = measure_probe(psi, axis_eigenbasis(X), labels=("+x", "-x"))
-        assert outcomes[0].label == "+x"
-        assert outcomes[0].probability == pytest.approx(0.5, abs=1e-12)
-        assert oracle_tangle_pure2(outcomes[0].state) == pytest.approx(1.0, abs=1e-9)
-        # the +x conditional is (|01> + |10>)/sqrt(2) up to a global phase
-        bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-        assert abs(np.vdot(bell, outcomes[0].state)) == pytest.approx(1.0, abs=1e-12)
+        # the same g t = pi far below unit scale, where squared rotation vectors underflow at 1e-170
+        for g in (1.0, 1e-15, 1e-170):
+            plan = make_plan(*qnd_zz(g))
+            psi = evolve(plan, x_product_state(), np.pi / g)
+            outcomes = measure_probe(psi, axis_eigenbasis(X), labels=("+x", "-x"))
+            assert outcomes[0].label == "+x"
+            assert outcomes[0].probability == pytest.approx(0.5, abs=1e-12)
+            assert oracle_tangle_pure2(outcomes[0].state) == pytest.approx(1.0, abs=1e-9)
+            # the +x conditional is (|01> + |10>)/sqrt(2) up to a global phase
+            bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+            assert abs(np.vdot(bell, outcomes[0].state)) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_z_basis(self):
         e0 = np.array([1, 0], dtype=complex)

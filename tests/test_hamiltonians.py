@@ -15,7 +15,7 @@ from triqubit.linalg import I2, SZ, kron
 from triqubit.evolution import evolve, make_plan
 from triqubit.scenarios import random_commuting_pair, random_state
 
-from oracles import oracle_tangle12_pure3
+from oracles import oracle_evolve, oracle_tangle12_pure3
 
 
 def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
@@ -99,9 +99,7 @@ class TestCommutes:
                 h23 = pair(coupling=rng.normal(size=(3, 3)), local_self=rng.normal(size=3),
                            local_probe=rng.normal(size=3), which=(2, 3))
             m13, m23 = h13.to_matrix(), h23.to_matrix()
-            direct = np.linalg.norm(m13 @ m23 - m23 @ m13) <= tol * max(
-                1.0, np.linalg.norm(m13) * np.linalg.norm(m23)
-            )
+            direct = np.linalg.norm(m13 @ m23 - m23 @ m13) <= tol * np.linalg.norm(m13) * np.linalg.norm(m23)
             assert commutes(h13, h23, tol=tol) == direct
 
 
@@ -151,6 +149,33 @@ class TestCanonicalForm:
         assert np.allclose(fa.probe_axis, fb.probe_axis, atol=1e-12)
         assert fa.probe_axis[0] > 0  # first nonzero component positive
         assert fa.coupling_strength == pytest.approx(1.5, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-15])
+    def test_form_is_scale_free(self, scale):
+        # H -> s H gives the same axes and s times the strengths: no coefficient
+        # is dropped as zero and no deviation is forgiven by an absolute floor
+        z = np.array([0.0, 0.0, 1.0])
+        h13 = pair(coupling=scale * 0.9 * np.outer([1, 0, 0], z), local_self=scale * np.array([0.3, 0.1, 0.2]),
+                   local_probe=scale * 0.5 * z)
+        h23 = pair(coupling=scale * 1.4 * np.outer([0, 1, 0], z), which=(2, 3))
+        f13, f23 = canonical_commuting_form(h13, h23)
+        assert f13.probe_axis == (0.0, 0.0, 1.0)
+        assert (f13.coupling_strength, f23.coupling_strength) == pytest.approx((0.9 * scale, 1.4 * scale), rel=1e-12, abs=0)
+        assert f13.local_self_strength == pytest.approx(scale * np.sqrt(0.14), rel=1e-12, abs=0)
+        assert f13.local_probe_strength == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
+        # probe-local terms only: their common axis is the probe axis
+        axis = np.array([0.6, 0.0, -0.8])
+        f13, _ = canonical_commuting_form(pair(local_probe=-scale * axis), pair(local_probe=scale * 0.5 * axis, which=(2, 3)))
+        assert f13.probe_axis == pytest.approx(tuple(axis), abs=1e-15)
+        assert f13.local_probe_strength == pytest.approx(-scale, rel=1e-12, abs=0)
+        # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
+        misaligned = pair(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(NotCommutingError):
+            canonical_commuting_form(misaligned, pair(which=(2, 3)))
+        plan = make_plan(misaligned, pair(which=(2, 3)))
+        psi0 = random_state(np.random.default_rng(5))
+        t = 1.3 / scale
+        assert np.max(np.abs(evolve(plan, psi0, t) - oracle_evolve(plan.h_total, psi0, t))) <= 1e-10
 
     def test_reconstruction_roundtrip_random(self):
         rng = np.random.default_rng(17)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,9 @@ from triqubit import scenarios
 from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
     MAX_STEPS,
+    DEGENERATE,
+    NOT_MEASURED,
+    PRESENT,
     ConfigError,
     SweepResult,
     emit_csv,
@@ -17,7 +21,6 @@ from triqubit.scenarios import (
     parse_config,
     property_suite,
     random_commuting_pair,
-    read_sweep_csv,
     residual_periodicity_check,
     run_sweep,
     suite_names,
@@ -151,7 +154,22 @@ class TestNonFiniteAndMalformedValues:
         cfg = parse_config(heisenberg_config(hamiltonian={"preset": "qnd_zz", "g": 1e150}))
         plan = make_plan(cfg.h13, cfg.h23)
         assert plan.commuting and plan.commutator_norm == 0.0
-        assert np.isfinite(run_sweep(cfg).rows[-1].report.tangle_12)
+        assert np.isfinite(run_sweep(cfg).table["tangle_12"][-1])
+        # sector rotation vectors past ~1.3e154, whose squares overflow
+        zero = {"coupling": [[0, 0, 0]] * 3}
+        zz = {"coupling": [[0, 0, 0], [0, 0, 0], [0, 0, 1e155]], "local_self": [1e155, 0, 0]}
+        raw = heisenberg_config(
+            hamiltonian={"pairwise": {"h13": zz, "h23": zero}},
+            time_grid={"t_start": 0.0, "t_end": 1e-155, "steps": 5},
+        )
+        cfg = parse_config(raw)
+        plan = make_plan(cfg.h13, cfg.h23)
+        assert plan.commuting
+        result = run_sweep(cfg)
+        for i, t in enumerate(result.times):
+            exact = report(oracle_evolve(plan.h_total, cfg.psi0, t))
+            for name in REPORT_FIELDS:
+                assert abs(result.table[name][i] - getattr(exact, name)) <= 1e-9
 
     def test_pairwise_non_finite_coupling(self):
         raw = heisenberg_config(hamiltonian={"pairwise": {
@@ -268,16 +286,21 @@ class TestConfigFuzz:
 
 class TestRunSweep:
     def test_heisenberg_tangle_matches_independent_oracle(self):
-        cfg = parse_config(heisenberg_config())
-        result = run_sweep(cfg)
-        assert len(result.rows) == 64
-        assert result.commuting is False
-        psi0 = np.zeros(8, dtype=complex)
-        psi0[0] = psi0[1] = INV_SQRT2
-        h = make_plan(cfg.h13, cfg.h23).h_total
-        for row in result.rows:
-            psi_t = oracle_evolve(h, psi0, row.t)
-            assert abs(row.report.tangle_12 - oracle_concurrence_pure3(psi_t, 3) ** 2) <= 1e-9
+        # H -> H/s with t -> s t is the same evolution, also far below unit scale
+        for g in (1.0, 1e-15):
+            cfg = parse_config(heisenberg_config(
+                hamiltonian={"preset": "heisenberg_chain", "g": g},
+                time_grid={"t_start": 0.0, "t_end": float(np.pi) / g, "steps": 64},
+            ))
+            result = run_sweep(cfg)
+            assert len(result.times) == 64
+            assert result.commuting is False
+            psi0 = np.zeros(8, dtype=complex)
+            psi0[0] = psi0[1] = INV_SQRT2
+            h = make_plan(cfg.h13, cfg.h23).h_total
+            for t, tangle in zip(result.times, result.table["tangle_12"]):
+                psi_t = oracle_evolve(h, psi0, t)
+                assert abs(tangle - oracle_concurrence_pure3(psi_t, 3) ** 2) <= 1e-9
 
     def test_fastpath_on_off_agree_everywhere(self):
         rng = np.random.default_rng(13)
@@ -303,10 +326,10 @@ class TestRunSweep:
         cfg = parse_config(base)
         result = run_sweep(cfg)
         assert result.commuting
-        for row in result.rows:
-            exact = report(oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, row.t))
+        for i, t in enumerate(result.times):
+            exact = report(oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, t))
             for field in REPORT_FIELDS:
-                assert abs(getattr(row.report, field) - getattr(exact, field)) <= 1e-9
+                assert abs(result.table[field][i] - getattr(exact, field)) <= 1e-9
 
     def test_separable_commuting_sweep_stays_untangled(self):
         raw = {
@@ -315,32 +338,38 @@ class TestRunSweep:
             "time_grid": {"t_start": 0.0, "t_end": 7.0, "steps": 40},
         }
         result = run_sweep(parse_config(raw))
-        assert all(row.report.tangle_12 <= 1e-9 for row in result.rows)
+        assert np.all(result.table["tangle_12"] <= 1e-9)
 
     def test_measurement_columns(self):
-        raw = {
-            "hamiltonian": {"preset": "qnd_zz", "g": 1.0},
-            "initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0]] * 3}},
-            "time_grid": {"t_start": 0.0, "t_end": float(np.pi), "steps": 5},
-            "measurement": {"basis": "x"},
-        }
-        result = run_sweep(parse_config(raw))
-        assert result.columns[-6:] == [
-            "outcome_label_1",
-            "outcome_prob_1",
-            "conditional_tangle_1",
-            "outcome_label_2",
-            "outcome_prob_2",
-            "conditional_tangle_2",
-        ]
-        final = result.rows[-1]  # g t = pi
-        assert final.outcomes[0].label == "+x"
-        assert final.outcomes[0].probability == pytest.approx(0.5, abs=1e-9)
-        # pre-measurement pair is separable at the Bell time; post-selection
-        # on either probe outcome leaves a maximally entangled conditional
-        assert final.report.tangle_12 <= 1e-9
-        for outcome in final.outcomes:
-            assert oracle_tangle_pure2(outcome.state) == pytest.approx(1.0, abs=1e-9)
+        # at g = 1e-15 a coupling-strength cut at 1e-14 used to drop the coupling altogether
+        for g in (1.0, 1e-15):
+            raw = {
+                "hamiltonian": {"preset": "qnd_zz", "g": g},
+                "initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0]] * 3}},
+                "time_grid": {"t_start": 0.0, "t_end": float(np.pi) / g, "steps": 5},
+                "measurement": {"basis": "x"},
+            }
+            cfg = parse_config(raw)
+            result = run_sweep(cfg)
+            assert result.columns[-6:] == [
+                "outcome_label_1",
+                "outcome_prob_1",
+                "conditional_tangle_1",
+                "outcome_label_2",
+                "outcome_prob_2",
+                "conditional_tangle_2",
+            ]
+            assert result.labels == ("+x", "-x")
+            # at t = 0 the probe is in |+x>: outcome -x never occurs
+            assert result.outcome_state.tolist() == [[PRESENT, DEGENERATE]] + [[PRESENT, PRESENT]] * 4
+            # g t = pi: the pre-measurement pair is separable; post-selection on
+            # either probe outcome leaves a maximally entangled conditional
+            assert result.probabilities[-1] == pytest.approx([0.5, 0.5], abs=1e-9)
+            assert result.table["tangle_12"][-1] <= 1e-9
+            assert result.conditional_tangles[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
+            psi_t = oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, result.times[-1])
+            for outcome in measure_probe(psi_t, cfg.measurement.basis):
+                assert oracle_tangle_pure2(outcome.state) == pytest.approx(1.0, abs=1e-9)
 
     def test_measurement_at_time_only_nearest_row(self):
         raw = {
@@ -350,8 +379,9 @@ class TestRunSweep:
             "measurement": {"basis": "x", "at_time": 1.0},
         }
         result = run_sweep(parse_config(raw))
-        populated = [i for i, row in enumerate(result.rows) if row.outcomes is not None]
-        assert populated == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
+        populated = np.flatnonzero(np.any(result.outcome_state != NOT_MEASURED, axis=1))
+        assert populated.tolist() == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
+        assert np.isnan(np.delete(result.probabilities, 2, axis=0)).all()
 
     # reference "auto": the package's pointwise evolve; "off": an eigh of h_total built here
     @pytest.mark.parametrize("locals_mode, reference", [("full", "auto"), ("full", "off"), (None, "auto")])
@@ -370,19 +400,19 @@ class TestRunSweep:
         result = run_sweep(cfg)
         plan = make_plan(cfg.h13, cfg.h23)
         w, v = np.linalg.eigh(plan.h_total)
-        for row in result.rows:
+        for i, t in enumerate(result.times):
             if reference == "off":
-                psi_t = (v * np.exp(-1j * w * row.t)) @ (v.conj().T @ cfg.psi0)
+                psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ cfg.psi0)
             else:
-                psi_t = evolve(plan, cfg.psi0, row.t)
+                psi_t = evolve(plan, cfg.psi0, t)
             single = report(psi_t)
             for name in REPORT_FIELDS:
-                assert abs(getattr(row.report, name) - getattr(single, name)) <= 1e-12
-            for got, want in zip(row.outcomes, measure_probe(psi_t, cfg.measurement.basis, cfg.measurement.labels)):
-                assert got.label == want.label
-                assert abs(got.probability - want.probability) <= 1e-12
-                assert abs(got.tangle - want.tangle) <= 1e-12
-                assert abs(got.tangle - oracle_tangle_pure2(got.state)) <= 1e-9
+                assert abs(result.table[name][i] - getattr(single, name)) <= 1e-12
+            for k, want in enumerate(measure_probe(psi_t, cfg.measurement.basis, cfg.measurement.labels)):
+                assert result.labels[k] == want.label
+                assert abs(result.probabilities[i, k] - want.probability) <= 1e-12
+                assert abs(result.conditional_tangles[i, k] - want.tangle) <= 1e-12
+                assert abs(result.conditional_tangles[i, k] - oracle_tangle_pure2(want.state)) <= 1e-9
 
     def test_missing_state_or_grid_rejected(self):
         raw = heisenberg_config()
@@ -393,7 +423,8 @@ class TestRunSweep:
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
-        result = SweepResult(name="empty", columns=["t", "tangle_12"], rows=[])
+        result = SweepResult(name="empty", times=np.zeros(0), table={"tangle_12": np.zeros(0)}, measures=("tangle_12",),
+                             commuting=False, commutator_norm=0.0, config_hash="")
         out = tmp_path / "empty.csv"
         emit_csv(result, out)
         assert out.read_text() == "t,tangle_12\n"
@@ -413,12 +444,15 @@ class TestCsv:
         result = run_sweep(cfg)
         out = tmp_path / "sweep.csv"
         emit_csv(result, out)
-        columns, _, rows = read_sweep_csv(out)
+        header, *lines = out.read_text().splitlines()
+        columns = header.split(",")
         assert columns == result.columns
-        for parsed, row in zip(rows, result.rows):
-            assert float(parsed[0]) == row.t
+        assert len(lines) == len(result.times)
+        for i, line in enumerate(lines):
+            parsed = line.split(",")
+            assert float(parsed[0]) == result.times[i]
             for name, cell in zip(columns[1:], parsed[1:]):
-                assert float(cell) == getattr(row.report, name)
+                assert float(cell) == result.table[name][i]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg_a = parse_config(heisenberg_config())
@@ -429,27 +463,53 @@ class TestCsv:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_columns_follow_the_explicit_measure_list(self, tmp_path):
-        raw = heisenberg_config(measures=["purity_12", "tangle_12"], measurement={"basis": "z", "at_time": 1.0})
-        raw["time_grid"]["steps"] = 5
-        result = run_sweep(parse_config(raw))
-        assert result.measures == ("purity_12", "tangle_12") and result.with_outcomes
+        heisenberg = heisenberg_config(measures=["purity_12", "tangle_12"], measurement={"basis": "z", "at_time": 1.0})
+        heisenberg["time_grid"]["steps"] = 5
+        # the probe starts in |0> and qnd_zz conserves its z component: outcome -z never occurs
+        degenerate = {
+            "hamiltonian": {"preset": "qnd_zz", "g": 1.0},
+            "initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0], [1, 0, 0], [0, 0, 1]]}},
+            "time_grid": {"t_start": 0.0, "t_end": 3.0, "steps": 7},
+            "measures": ["purity_12", "tangle_12"],
+            "measurement": {"basis": "z"},
+        }
+        degenerate_at = json.loads(json.dumps(degenerate))
+        degenerate_at["measurement"]["at_time"] = 1.0
+
+        def same(cell, value):
+            # an empty cell is a NaN of the SweepResult arrays; any other parses back bit for bit
+            return float(cell) == value if cell else bool(np.isnan(value))
+
         out = tmp_path / "sweep.csv"
-        emit_csv(result, out)
-        columns, _, rows = read_sweep_csv(out)
-        assert columns == result.columns
-        for parsed, row in zip(rows, result.rows):
-            assert len(parsed) == len(columns)
-            assert [float(c) for c in parsed[1:3]] == [row.report.purity_12, row.report.tangle_12]
-            if row.outcomes is None:
-                assert parsed[3:] == [""] * 6
-            else:
-                assert parsed[3] == "+z" and float(parsed[4]) == row.outcomes[0].probability
-        without = SweepResult(name="x", columns=["t", "eof_12"], rows=result.rows, measures=("eof_12",))
+        for raw in (heisenberg, degenerate, degenerate_at):
+            result = run_sweep(parse_config(raw))
+            assert result.measures == ("purity_12", "tangle_12") and result.labels == ("+z", "-z")
+            emit_csv(result, out)
+            header, *lines = out.read_text().splitlines()
+            assert header.split(",") == result.columns
+            assert len(lines) == len(result.times)
+            for i, line in enumerate(lines):
+                parsed = line.split(",")
+                assert len(parsed) == len(result.columns)
+                assert [float(c) for c in parsed[1:3]] == [result.table["purity_12"][i], result.table["tangle_12"][i]]
+                measured = bool(np.any(result.outcome_state[i] != NOT_MEASURED))
+                assert line.endswith(",,,,,,") == (not measured)
+                for k in (0, 1):
+                    label, prob, tangle = parsed[3 + 3 * k : 6 + 3 * k]
+                    assert label == (result.labels[k] if measured else "")
+                    assert same(prob, result.probabilities[i, k])
+                    assert same(tangle, result.conditional_tangles[i, k])
+            if raw is not heisenberg:
+                measured_rows = [line for line in lines if not line.endswith(",,,,,,")]
+                assert len(measured_rows) == (1 if raw is degenerate_at else 7)
+                assert all(line.endswith(",-z,0,") for line in measured_rows)
+        without = dataclasses.replace(result, measures=("eof_12",), labels=None)
         emit_csv(without, out)
-        assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 6
+        assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 8
 
     def test_io_error(self, tmp_path):
-        result = SweepResult(name="x", columns=["t"], rows=[])
+        result = SweepResult(name="x", times=np.zeros(0), table={}, measures=(), commuting=False, commutator_norm=0.0,
+                             config_hash="")
         with pytest.raises(IOError):
             emit_csv(result, tmp_path / "no_such_dir" / "out.csv")
 
