@@ -76,8 +76,9 @@ class CommutingFastpath:
         vecs = self.sector_vectors()
         top = np.abs(vecs).max(axis=-1)
         # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
-        if any(x > 1e150 or 0.0 < x < 1e-150 for x in top.ravel().tolist()):
-            top = np.where((top > 1e150) | ((top < 1e-150) & (top > 0.0)), top, 1.0)
+        far = (top > 1e150) | ((top < 1e-150) & (top > 0.0))
+        if far.any():
+            top = np.where(far, top, 1.0)
             norms = top * np.linalg.norm(vecs / top[..., None], axis=-1)
         else:
             norms = np.linalg.norm(vecs, axis=-1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULIS, commutator, embed_single, frob
+from .linalg import PAULIS, commutator, embed_single, frob, unit_axis
 from .tolerances import SPECTRAL_TOL
 
 PAIRS = ((1, 3), (2, 3))
@@ -136,10 +136,12 @@ def commutes(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, tol: float = 
     """Whether the 8x8 embeddings commute.
 
     The threshold is relative, so H -> H/s gives the same answer: the
-    commutator's Frobenius norm is compared against ``tol * ||H13||_F * ||H23||_F``.
+    commutator of the unit-Frobenius-norm matrices is compared against ``tol``.
+    Normalising first keeps its entries out of overflow and underflow.
     """
     m13, m23 = h13.to_matrix(), h23.to_matrix()
-    return frob(commutator(m13, m23)) <= tol * frob(m13) * frob(m23)
+    n13, n23 = frob(m13), frob(m23)
+    return n13 == 0.0 or n23 == 0.0 or frob(commutator(m13 / n13, m23 / n23)) <= tol
 
 
 def commutator_norm(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> float:
@@ -213,7 +215,7 @@ def canonical_commuting_form(
         # parallel for the pair to commute; reuse their direction.
         for vec in (h13.local_probe, h23.local_probe):
             if vec.any():
-                shared = vec / np.linalg.norm(vec)
+                shared = unit_axis(vec)
                 shared = shared * _sign_fix(shared)
                 break
         else:
@@ -223,8 +225,8 @@ def canonical_commuting_form(
         strength, body_axis = (fac[0], fac[1]) if fac is not None else (0.0, np.array(Z_AXIS))
         self_axis, self_strength = _local_self_form(h.local_self)
         probe_coeff = float(h.local_probe @ shared)
-        residual = np.linalg.norm(h.local_probe - probe_coeff * shared)
-        if residual > 1e-8:
+        residual = frob(h.local_probe - probe_coeff * shared)
+        if residual > 1e-8 * frob(h.local_probe):
             raise NotCommutingError(
                 f"probe-local term is not aligned with the shared probe axis (residual {residual:.3e})"
             )

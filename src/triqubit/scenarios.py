@@ -361,8 +361,7 @@ def load_config(path) -> ScenarioConfig:
 
 # Sweep execution ----------------------------------------------------------
 
-NOT_MEASURED, DEGENERATE, PRESENT = range(3)  # per-row, per-outcome state of a measured sweep
-# CSV cells of one outcome by its state; "%.0s" consumes a value and prints nothing
+# CSV cells of one outcome: not measured, degenerate, present; "%.0s" consumes a value and prints nothing
 _OUTCOME_CELLS = (",%.0s,%.0s,%.0s", ",%s,%.17g,%.0s", ",%s,%.17g,%.17g")
 
 
@@ -373,10 +372,10 @@ class SweepResult:
     ``times`` has shape (T,) and ``table`` maps every ``REPORT_FIELDS`` name to
     a (T,) array; the CSV holds ``t`` and the ``measures`` columns in order.
     With a probe measurement, ``labels`` names the two outcomes and
-    ``probabilities``, ``conditional_tangles`` and ``outcome_state`` are (T, 2)
-    arrays indexed [row, outcome]. ``outcome_state`` is NOT_MEASURED,
-    DEGENERATE or PRESENT; a probability is NaN where its row was not measured
-    and a conditional tangle is NaN where its outcome is not PRESENT.
+    ``probabilities`` and ``conditional_tangles`` are (T, 2) arrays indexed
+    [row, outcome]. A probability is NaN where its row was not measured and a
+    conditional tangle is NaN where its outcome was not measured or is
+    degenerate. That NaN pattern is each outcome's state.
     """
 
     name: str
@@ -390,7 +389,6 @@ class SweepResult:
     labels: tuple[str, str] | None = None
     probabilities: np.ndarray | None = None
     conditional_tangles: np.ndarray | None = None
-    outcome_state: np.ndarray | None = None
 
     @property
     def columns(self) -> list[str]:
@@ -421,12 +419,11 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
     )
     if cfg.measurement is not None:
         probs, tangles, present, _ = measure_probe_grid(psis, cfg.measurement.basis)
-        state = np.where(present, PRESENT, DEGENERATE)
         if cfg.measurement.at_time is not None:
-            state[np.arange(len(cfg.times)) != np.argmin(np.abs(cfg.times - cfg.measurement.at_time))] = NOT_MEASURED
-        result.labels, result.outcome_state = cfg.measurement.labels, state
-        result.probabilities = np.where(state == NOT_MEASURED, np.nan, probs)
-        result.conditional_tangles = np.where(state == PRESENT, tangles, np.nan)
+            measured = (np.arange(len(cfg.times)) == np.argmin(np.abs(cfg.times - cfg.measurement.at_time)))[:, None]
+            probs, present = np.where(measured, probs, np.nan), present & measured
+        result.labels, result.probabilities = cfg.measurement.labels, probs
+        result.conditional_tangles = np.where(present, tangles, np.nan)
     return result
 
 
@@ -453,7 +450,8 @@ def _write_csv(result: SweepResult, fh) -> None:
         templates = [cells + first + second + "\n" for first in _OUTCOME_CELLS for second in _OUTCOME_CELLS]
         for k, label in enumerate(result.labels):
             columns += [[label] * len(result.times), result.probabilities[:, k].tolist(), result.conditional_tangles[:, k].tolist()]
-        kinds = (len(_OUTCOME_CELLS) * result.outcome_state[:, 0] + result.outcome_state[:, 1]).tolist()
+        state = (~np.isnan(result.probabilities)).astype(int) + ~np.isnan(result.conditional_tangles)
+        kinds = (len(_OUTCOME_CELLS) * state[:, 0] + state[:, 1]).tolist()
     fh.writelines(templates[kind] % row for kind, row in zip(kinds, zip(*columns)))
 
 

@@ -132,13 +132,16 @@ class TestClassifyCommand:
             (1e-6, "1.385641e-11", "-4e-06 (x2), 0 (x2), 2e-06 (x4)"),
             (1e-12, "1.385641e-23", "-4e-12 (x2), 0 (x2), 2e-12 (x4)"),
             (1e-15, "1.385641e-29", "-4e-15 (x2), 0 (x2), 2e-15 (x4)"),
+            (1e-170, "0.000000e+00", "-4e-170 (x2), 0 (x2), 2e-170 (x4)"),
         ],
     )
     @pytest.mark.parametrize("command", ["classify", "sweep"])
     def test_norm_and_eigenvalues_scale_with_the_coupling(self, tmp_path, capsys, command, g, norm, eigenvalues):
         # at g = 1e100 a plain sum of squares overflows, and absolute rounding splits each
         # degenerate eigenvalue by its ~1e84 noise; at g = 1e-12 it rounds every eigenvalue to 0;
-        # an absolute commutation floor calls g = 1e-15 commuting and blames the coupling tensor at 1e-6
+        # an absolute commutation floor calls g = 1e-15 commuting and blames the coupling tensor at 1e-6;
+        # at g = 1e-170 the commutator's ~1e-339 entries underflow to 0, but the commutator of
+        # the normalised matrices does not
         cfg = write_config(tmp_path, heisenberg_raw(hamiltonian={"preset": "heisenberg_chain", "g": g}))
         argv = [command, "--config", cfg] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
         assert main(argv) == 0

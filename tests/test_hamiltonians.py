@@ -163,19 +163,25 @@ class TestCanonicalForm:
         assert (f13.coupling_strength, f23.coupling_strength) == pytest.approx((0.9 * scale, 1.4 * scale), rel=1e-12, abs=0)
         assert f13.local_self_strength == pytest.approx(scale * np.sqrt(0.14), rel=1e-12, abs=0)
         assert f13.local_probe_strength == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
-        # probe-local terms only: their common axis is the probe axis
-        axis = np.array([0.6, 0.0, -0.8])
-        f13, _ = canonical_commuting_form(pair(local_probe=-scale * axis), pair(local_probe=scale * 0.5 * axis, which=(2, 3)))
-        assert f13.probe_axis == pytest.approx(tuple(axis), abs=1e-15)
-        assert f13.local_probe_strength == pytest.approx(-scale, rel=1e-12, abs=0)
         # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
         misaligned = pair(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NotCommutingError):
+        with pytest.raises(NotCommutingError, match="probe-local term is not aligned"):
             canonical_commuting_form(misaligned, pair(which=(2, 3)))
         plan = make_plan(misaligned, pair(which=(2, 3)))
         psi0 = random_state(np.random.default_rng(5))
         t = 1.3 / scale
         assert np.max(np.abs(evolve(plan, psi0, t) - oracle_evolve(plan.h_total, psi0, t))) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-15, 1e-170, 1e155])
+    def test_probe_local_axis_is_scale_free(self, scale):
+        # probe-local terms only: their common axis is the probe axis, found at the scale of
+        # the largest component (squares vanish below ~1e-162 and overflow past ~1e154)
+        axis = np.array([0.6, 0.0, -0.8])
+        f13, f23 = canonical_commuting_form(pair(local_probe=-scale * axis), pair(local_probe=scale * 0.5 * axis, which=(2, 3)))
+        assert f13.probe_axis == pytest.approx(tuple(axis), abs=1e-15)
+        assert (f13.local_probe_strength, f23.local_probe_strength) == pytest.approx((-scale, 0.5 * scale), rel=1e-12, abs=0)
+        f13, f23 = canonical_commuting_form(pair(local_probe=np.array([scale, 0.0, 0.0])), pair(which=(2, 3)))
+        assert (f13.probe_axis, f13.local_probe_strength, f23.local_probe_strength) == ((1.0, 0.0, 0.0), scale, 0.0)
 
     def test_reconstruction_roundtrip_random(self):
         rng = np.random.default_rng(17)

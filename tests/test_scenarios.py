@@ -11,9 +11,6 @@ from triqubit import scenarios
 from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
     MAX_STEPS,
-    DEGENERATE,
-    NOT_MEASURED,
-    PRESENT,
     ConfigError,
     SweepResult,
     emit_csv,
@@ -26,7 +23,7 @@ from triqubit.scenarios import (
     suite_names,
 )
 from triqubit.hamiltonians import commutes
-from triqubit.evolution import evolve, make_plan, measure_probe
+from triqubit.evolution import evolve, evolve_grid, make_plan, measure_probe
 from triqubit.measures import report, residual_tangle_poly
 
 from oracles import oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2
@@ -170,6 +167,21 @@ class TestNonFiniteAndMalformedValues:
             exact = report(oracle_evolve(plan.h_total, cfg.psi0, t))
             for name in REPORT_FIELDS:
                 assert abs(result.table[name][i] - getattr(exact, name)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_probe_local_term_alone_at_extreme_scales(self, scale):
+        # a lone probe-local term sets the probe axis; the sum of squares of its components
+        # vanishes below ~1e-162 and overflows past ~1.3e154
+        zero = {"coupling": [[0, 0, 0]] * 3}
+        raw = heisenberg_config(
+            hamiltonian={"pairwise": {"h13": {**zero, "local_probe": [0, 0, scale]}, "h23": zero}},
+            time_grid={"t_start": 0.0, "t_end": 3.0 / scale, "steps": 5},
+        )
+        cfg = parse_config(raw)
+        plan = make_plan(cfg.h13, cfg.h23)
+        assert plan.commuting and plan.fastpath.probe_axis == (0.0, 0.0, 1.0)
+        for psi, t in zip(evolve_grid(plan, cfg.psi0, cfg.times), cfg.times):
+            assert np.max(np.abs(psi - oracle_evolve(plan.h_total, cfg.psi0, t))) <= 1e-12
 
     def test_pairwise_non_finite_coupling(self):
         raw = heisenberg_config(hamiltonian={"pairwise": {
@@ -361,7 +373,8 @@ class TestRunSweep:
             ]
             assert result.labels == ("+x", "-x")
             # at t = 0 the probe is in |+x>: outcome -x never occurs
-            assert result.outcome_state.tolist() == [[PRESENT, DEGENERATE]] + [[PRESENT, PRESENT]] * 4
+            assert not np.isnan(result.probabilities).any()
+            assert np.isnan(result.conditional_tangles).tolist() == [[False, True]] + [[False, False]] * 4
             # g t = pi: the pre-measurement pair is separable; post-selection on
             # either probe outcome leaves a maximally entangled conditional
             assert result.probabilities[-1] == pytest.approx([0.5, 0.5], abs=1e-9)
@@ -379,7 +392,7 @@ class TestRunSweep:
             "measurement": {"basis": "x", "at_time": 1.0},
         }
         result = run_sweep(parse_config(raw))
-        populated = np.flatnonzero(np.any(result.outcome_state != NOT_MEASURED, axis=1))
+        populated = np.flatnonzero(np.any(~np.isnan(result.probabilities), axis=1))
         assert populated.tolist() == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
         assert np.isnan(np.delete(result.probabilities, 2, axis=0)).all()
 
@@ -492,7 +505,7 @@ class TestCsv:
                 parsed = line.split(",")
                 assert len(parsed) == len(result.columns)
                 assert [float(c) for c in parsed[1:3]] == [result.table["purity_12"][i], result.table["tangle_12"][i]]
-                measured = bool(np.any(result.outcome_state[i] != NOT_MEASURED))
+                measured = bool(np.any(~np.isnan(result.probabilities[i])))
                 assert line.endswith(",,,,,,") == (not measured)
                 for k in (0, 1):
                     label, prob, tangle = parsed[3 + 3 * k : 6 + 3 * k]
