@@ -13,11 +13,13 @@ from .evolution import (
     NonFactorizedInitialStateError,
     evolve,
     evolve_grid,
+    evolve_rows,
     factor_probe,
     kraus_pair,
     make_plan,
     measure_probe,
     measure_probe_grid,
+    plan_spectra,
     v_operators,
 )
 from .hamiltonians import (
@@ -26,7 +28,7 @@ from .hamiltonians import (
     NotRankOneError,
     PauliPairHamiltonian,
     canonical_commuting_form,
-    commutes,
+    canonical_forms,
     heisenberg_chain,
     qnd_zz,
 )

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error or unknown suite, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -35,7 +36,9 @@ EXIT_VIOLATION = 4
 X_AXIS = (1.0, 0.0, 0.0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="triqubit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,12 +2,18 @@
 post-selection.
 
 Every evolution goes through one spectral core: a plan's ``(w, V)`` with
-``h_total = V diag(w) V†`` and psi(t) = V exp(-i w t) V† psi0, evaluated for a
-whole time grid at once. The plan picks the source of its spectrum. When the
-two pair Hamiltonians commute, the canonical form gives it in closed form: the
-total Hamiltonian is block diagonal over the probe-axis eigenprojectors, and
-within each block the body qubits see plain axis rotations, so no eigensolver
-is needed. Otherwise it comes from ``eigh``.
+``h_total = V diag(w) V†`` and psi(t) = V exp(-i w t) V† psi0. The plan picks
+the source of its spectrum. When the two pair Hamiltonians commute, the
+canonical form gives it in closed form: the total Hamiltonian is block
+diagonal over the probe-axis eigenprojectors, and within each block the body
+qubits see plain axis rotations, so no eigensolver is needed. Otherwise it
+comes from ``eigh``.
+
+``make_plan`` builds one plan and ``evolve_grid`` evolves it over a whole time
+grid. ``plan_spectra`` builds the stacked spectra of N pairs from one
+``canonical_forms`` call (the closed form over (N, 2, 2, 3) sector vectors,
+one stacked ``eigh`` for the rest), and ``evolve_rows`` evolves N states, one
+time each.
 """
 
 from __future__ import annotations
@@ -16,23 +22,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonians import (
-    CommutingForm,
-    NotCommutingError,
-    NotRankOneError,
-    PauliPairHamiltonian,
-    canonical_commuting_form,
-    commutator_norm,
-)
+from .hamiltonians import CommutingForm, PauliPairHamiltonian, canonical_forms
 from .linalg import I2, axis_sigma, frob, kron  # noqa: F401 (bench/selftest.py reads kron here)
-from .states import axis_eigenbasis
+from .states import axis_eigenbasis, axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 
 _SIGNS = np.array([1.0, -1.0])
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class NonFactorizedInitialStateError(ValueError):
     """The state does not factorize as (qubits 1,2) x (qubit 3)."""
+
+
+def sector_vectors(strength, body_axis, self_strength, self_axis) -> np.ndarray:
+    """Rotation vectors of N commuting pairs, shape (N, 2, 2, 3): [row, probe sector m = +1, -1, body qubit 1, 2].
+
+    The arguments are (N, 2) strengths and (N, 2, 3) axes, [row, pair]. In the
+    sector with probe eigenvalue m, body qubit k rotates about
+    m * (coupling strength) * (coupling axis) + (local strength) * (local axis).
+    """
+    coupling = strength[..., None] * body_axis
+    local = self_strength[..., None] * self_axis
+    return _SIGNS[None, :, None, None] * coupling[:, None] + local[:, None]
+
+
+def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``(w, V)`` of N commuting Hamiltonians, shapes (N, 8) and (N, 8, 8).
+
+    ``vecs`` are the (N, 2, 2, 3) sector vectors, ``probe_axis`` (N, 3) and
+    ``probe_local`` (N,) the summed probe-local strengths. In probe sector m,
+    qubit k's eigenbasis is the axis eigenbasis of its rotation vector, with
+    energies +-|vector| (the identity when the vector is zero); the
+    probe-local term adds m * (probe-local strength). Column (m, a, b) of V is
+    e1_a(m) x e2_b(m) x p_m.
+    """
+    n = len(vecs)
+    top = np.abs(vecs).max(axis=-1)
+    # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
+    far = (top > 1e150) | ((top < 1e-150) & (top > 0.0))
+    if far.any():
+        top = np.where(far, top, 1.0)
+        norms = top * np.linalg.norm(vecs / top[..., None], axis=-1)
+    else:
+        norms = np.linalg.norm(vecs, axis=-1)
+    zero = norms == 0.0
+    if zero.any():
+        vecs = np.where(zero[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
+    bases = axis_eigenbases(np.concatenate([vecs.reshape(n, 4, 3), probe_axis[:, None, :]], axis=1))
+    body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
+    probe = bases[:, 4].transpose(0, 2, 1)  # [row, sector, component]
+    v = np.einsum("nmia,nmjb,nmk->nijkmab", body[:, :, 0], body[:, :, 1], probe).reshape(n, 8, 8)
+    w = (
+        _SIGNS[None, None, :, None] * norms[:, :, 0, None, None]
+        + _SIGNS[None, None, None, :] * norms[:, :, 1, None, None]
+        + _SIGNS[None, :, None, None] * probe_local[:, None, None, None]
+    )
+    return w.reshape(n, 8), v
 
 
 @dataclass(frozen=True)
@@ -55,49 +101,20 @@ class CommutingFastpath:
         return self.form13.coupling_axis_self, self.form23.coupling_axis_self
 
     def sector_vectors(self) -> np.ndarray:
-        """Rotation vectors, shape (2, 2, 3): [probe sector m = +1, -1][body qubit 1, 2].
-
-        In the sector with probe eigenvalue m, body qubit k rotates about
-        m * (coupling strength) * (coupling axis) + (local strength) * (local axis).
-        """
+        """Rotation vectors, shape (2, 2, 3): the one-row ``sector_vectors``."""
         forms = (self.form13, self.form23)
-        coupling = np.array([f.coupling_strength * np.asarray(f.coupling_axis_self) for f in forms])
-        local = np.array([f.local_self_strength * np.asarray(f.local_self_axis) for f in forms])
-        return _SIGNS[:, None, None] * coupling + local
+        return sector_vectors(
+            np.array([[f.coupling_strength for f in forms]]),
+            np.array([[f.coupling_axis_self for f in forms]]),
+            np.array([[f.local_self_strength for f in forms]]),
+            np.array([[f.local_self_axis for f in forms]]),
+        )[0]
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form ``(w, V)`` of the full commuting Hamiltonian.
-
-        In probe sector m, qubit k's eigenbasis is the axis eigenbasis of its
-        rotation vector, with energies +-|vector| (any basis when the vector
-        is zero); the probe-local term adds m * (probe-local strength).
-        Column (m, a, b) of V is e1_a(m) x e2_b(m) x p_m.
-        """
-        vecs = self.sector_vectors()
-        top = np.abs(vecs).max(axis=-1)
-        # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
-        far = (top > 1e150) | ((top < 1e-150) & (top > 0.0))
-        if far.any():
-            top = np.where(far, top, 1.0)
-            norms = top * np.linalg.norm(vecs / top[..., None], axis=-1)
-        else:
-            norms = np.linalg.norm(vecs, axis=-1)
-        body = np.empty((2, 2, 2, 2), dtype=complex)  # [sector, body qubit, component, +-]
-        for m in range(2):
-            for k in range(2):
-                if norms[m, k] == 0.0:
-                    body[m, k] = I2
-                else:
-                    body[m, k, :, 0], body[m, k, :, 1] = axis_eigenbasis(vecs[m, k])
-        probe = np.array(axis_eigenbasis(self.probe_axis))  # [sector, component]
-        v = np.einsum("mia,mjb,mk->ijkmab", body[:, 0], body[:, 1], probe).reshape(8, 8)
+        """Closed-form ``(w, V)`` of the full commuting Hamiltonian: the one-row ``closed_form_spectra``."""
         probe_local = self.form13.local_probe_strength + self.form23.local_probe_strength
-        w = (
-            _SIGNS[None, :, None] * norms[:, 0, None, None]
-            + _SIGNS[None, None, :] * norms[:, 1, None, None]
-            + _SIGNS[:, None, None] * probe_local
-        )
-        return w.reshape(8), v
+        w, v = closed_form_spectra(self.sector_vectors()[None], np.array([self.probe_axis]), np.array([probe_local]))
+        return w[0], v[0]
 
 
 @dataclass
@@ -132,22 +149,44 @@ class EvolutionPlan:
 
 
 def make_plan(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> EvolutionPlan:
-    """Build an evolution plan, attaching the fast path when the pair commutes."""
-    h_total = h13.to_matrix() + h23.to_matrix()
-    fastpath, fastpath_error = None, None
-    try:
-        form13, form23 = canonical_commuting_form(h13, h23)
-        fastpath = CommutingFastpath(form13, form23)
-    except (NotCommutingError, NotRankOneError) as exc:
-        fastpath_error = str(exc)
+    """Build an evolution plan from the one-row ``canonical_forms``, with the fast path when the pair has a canonical form."""
+    forms = canonical_forms((h13,), (h23,))
+    error = forms.error(0)
     return EvolutionPlan(
         h13=h13,
         h23=h23,
-        h_total=h_total,
-        fastpath=fastpath,
-        commutator_norm=commutator_norm(h13, h23),
-        fastpath_error=fastpath_error,
+        h_total=h13.to_matrix() + h23.to_matrix(),
+        fastpath=CommutingFastpath(*forms.forms(0)) if error is None else None,
+        commutator_norm=float(forms.commutator_norm[0]),
+        fastpath_error=None if error is None else str(error),
     )
+
+
+def plan_spectra(h13s, h23s):
+    """Canonical forms and stacked spectra of N pairs: ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
+
+    Rows with a canonical form take the closed form, the others one stacked
+    ``eigh`` of their total Hamiltonians; each row equals its one-row plan's
+    ``spectrum()``.
+    """
+    forms = canonical_forms(h13s, h23s)
+    n = len(forms.status)
+    w, v = np.empty((n, 8)), np.empty((n, 8, 8), dtype=complex)
+    ok = forms.ok
+    if ok.any():
+        vecs = sector_vectors(forms.strength[ok], forms.body_axis[ok], forms.self_strength[ok], forms.self_axis[ok])
+        w[ok], v[ok] = closed_form_spectra(vecs, forms.probe_axis[ok], forms.probe_strength[ok, 0] + forms.probe_strength[ok, 1])
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        w[rest], v[rest] = np.linalg.eigh(np.array([h13s[i].to_matrix() + h23s[i].to_matrix() for i in rest]))
+    return forms, w, v
+
+
+def evolve_rows(w, v, psi0s, times) -> np.ndarray:
+    """Evolve N states, each under its own spectrum to its own time: rows V exp(-i w t) V† psi0, shape (N, 8)."""
+    coeffs = (v.conj().transpose(0, 2, 1) @ np.asarray(psi0s, dtype=complex)[..., None])[..., 0]
+    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * w)
+    return (v @ (phases * coeffs)[..., None])[..., 0]
 
 
 def evolve_grid(plan: EvolutionPlan, psi0, times) -> np.ndarray:

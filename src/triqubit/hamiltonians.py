@@ -1,10 +1,22 @@
-"""Pairwise Pauli Hamiltonians on qubit pairs (1,3) and (2,3).
+"""Pairwise Pauli Hamiltonians on qubit pairs (1,3) and (2,3), and the commuting classifier.
 
 A pair Hamiltonian is stored in coefficient form: a 3x3 real coupling tensor
 contracting Pauli operators of the non-probe qubit against those of qubit 3,
 plus single-body coefficient vectors on each qubit. When the two pair
 Hamiltonians commute, each coupling tensor is rank one and both share a single
-probe axis; ``canonical_commuting_form`` extracts that structure.
+probe axis; ``canonical_forms`` extracts that structure for N pairs at once,
+and ``canonical_commuting_form`` is its one-row case.
+
+The classifier works in coefficient space and builds no 8x8 matrix. Write each
+pair as body-Pauli-indexed probe vectors, C = [local_probe; coupling rows]
+(4x3) for (1,3) and D likewise for (2,3), with sigma_0 the identity. Only
+qubit 3 is shared, so by [a.sigma, b.sigma] = 2i (a x b).sigma
+
+    [H13, H23] = 2i sum_{i,k} sigma_i^1 sigma_k^2 (C_i x D_k).sigma^3,
+    ||[H13, H23]||_F^2 = 32 sum_{i,k} |C_i x D_k|^2,
+
+and ||H||_F^2 = 8 (sum of squared coefficients), Pauli strings being
+orthogonal with squared norm 8.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import PAULIS, commutator, embed_single, frob, unit_axis
+from .linalg import PAULIS, embed_single, norms, unit_axis
 from .tolerances import SPECTRAL_TOL
 
 PAIRS = ((1, 3), (2, 3))
@@ -70,16 +82,21 @@ class PauliPairHamiltonian:
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector, got {vec.shape}")
             object.__setattr__(self, name, vec)
-        if not all(np.isfinite(coupling.ravel())) or not all(
-            np.isfinite(np.concatenate([self.local_self, self.local_probe]))
-        ):
+        coefficients = np.concatenate((coupling.ravel(), self.local_self, self.local_probe))
+        if not np.isfinite(coefficients).all():
             raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "_coefficients", coefficients)
         if tuple(self.pair) not in PAIRS:
             raise ValueError(f"pair must be (1,3) or (2,3), got {self.pair}")
 
     @property
     def body_qubit(self) -> int:
         return self.pair[0]
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """All 15 coefficients: the coupling tensor row by row, then ``local_self`` and ``local_probe``."""
+        return self._coefficients
 
     def to_matrix(self) -> np.ndarray:
         """8x8 Hermitian embedding, identity on the absent qubit."""
@@ -113,139 +130,220 @@ class CommutingForm:
     local_self_strength: float = 0.0
     local_probe_strength: float = 0.0
 
-    def entangling_matrix(self) -> np.ndarray:
-        body = self.pair[0]
-        if self.coupling_strength == 0.0:
-            return np.zeros((8, 8), dtype=complex)
-        tensor = self.coupling_strength * np.outer(self.coupling_axis_self, self.probe_axis)
-        return np.einsum("ij,ijab->ab", tensor, _COUPLING[body])
 
-    def local_matrix(self) -> np.ndarray:
-        body = self.pair[0]
-        return np.einsum(
-            "k,kab->ab", self.local_self_strength * np.asarray(self.local_self_axis), _SINGLE[body]
-        ) + np.einsum(
-            "k,kab->ab", self.local_probe_strength * np.asarray(self.probe_axis), _SINGLE[3]
+# (error, message) of each check of ``canonical_forms``, in the order they are made: status
+# k > 0 is the first failed check k, and ``CanonicalForms.error`` picks the numbers to quote
+_FAILURES = (
+    None,
+    (NotCommutingError, "pair Hamiltonians do not commute (commutator norm {:.3e})"),
+    *[(NotRankOneError, "coupling tensor is not (body axis) x (probe axis): second singular value {:.3e} vs first {:.3e}")] * 2,
+    (NotCommutingError, "coupling tensors do not share a probe axis"),
+    *[(NotCommutingError, "probe-local term is not aligned with the shared probe axis (residual {:.3e})")] * 2,
+    *[(NotCommutingError, "canonical form fails to reconstruct the input (deviation {:.3e})")] * 2,
+)
+
+
+@dataclass
+class CanonicalForms:
+    """Commutation test and canonical forms of N pairs, as arrays.
+
+    Arrays are indexed [row] or [row, pair], pair 0 being (1,3) and 1 being
+    (2,3). ``status`` is 0 where the row has a canonical form and otherwise the
+    first failed check (see ``error``); the form arrays of a failed row carry no
+    meaning. ``commutator_norm`` is ||[H13, H23]||_F.
+    """
+
+    status: np.ndarray
+    commutator_norm: np.ndarray
+    strength: np.ndarray
+    body_axis: np.ndarray
+    probe_axis: np.ndarray
+    self_strength: np.ndarray
+    self_axis: np.ndarray
+    probe_strength: np.ndarray
+    singular_values: np.ndarray
+    residual: np.ndarray
+    deviation: np.ndarray
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.status == 0
+
+    def error(self, row: int) -> ValueError | None:
+        """The NotCommutingError or NotRankOneError of a failed row, None for a row with a form."""
+        status = int(self.status[row])
+        if status == 0:
+            return None
+        numbers = {
+            1: (self.commutator_norm[row],),
+            2: self.singular_values[row, 0, 1::-1],
+            3: self.singular_values[row, 1, 1::-1],
+            4: (),
+            5: (self.residual[row, 0],),
+            6: (self.residual[row, 1],),
+            7: (self.deviation[row, 0],),
+            8: (self.deviation[row, 1],),
+        }[status]
+        error, message = _FAILURES[status]
+        return error(message.format(*numbers))
+
+    def forms(self, row: int) -> tuple[CommutingForm, CommutingForm]:
+        """The (1,3) and (2,3) ``CommutingForm`` of a row with a form."""
+        probe_axis = tuple(self.probe_axis[row])
+        return tuple(
+            CommutingForm(
+                pair=PAIRS[k],
+                coupling_axis_self=tuple(self.body_axis[row, k]),
+                coupling_strength=float(self.strength[row, k]),
+                probe_axis=probe_axis,
+                local_self_axis=tuple(self.self_axis[row, k]),
+                local_self_strength=float(self.self_strength[row, k]),
+                local_probe_strength=float(self.probe_strength[row, k]),
+            )
+            for k in range(2)
         )
 
-    def to_matrix(self) -> np.ndarray:
-        return self.entangling_matrix() + self.local_matrix()
+
+def _ordered(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian):
+    """The pair as ((1,3), (2,3))."""
+    if {tuple(h13.pair), tuple(h23.pair)} != set(PAIRS):
+        raise ValueError("expected one Hamiltonian per pair (1,3) and (2,3)")
+    return (h13, h23) if tuple(h13.pair) == (1, 3) else (h23, h13)
 
 
-def commutes(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, tol: float = SPECTRAL_TOL) -> bool:
-    """Whether the 8x8 embeddings commute.
+# weights that make the sign of a sum over the components that of the first nonzero one
+_FIRST_NONZERO = np.array([4.0, 2.0, 1.0])
+# Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+# C = [local_probe; coupling rows] as an index into the 15 coefficients
+_PROBE_ROWS = np.r_[12:15, 0:9]
+_Z = np.array(Z_AXIS)
 
-    The threshold is relative, so H -> H/s gives the same answer: the
-    commutator of the unit-Frobenius-norm matrices is compared against ``tol``.
-    Normalising first keeps its entries out of overflow and underflow.
+
+def _sign_fix(axes: np.ndarray) -> np.ndarray:
+    """+-1.0 making the first component with |c| > 1e-14 of each row positive (1.0 if none is)."""
+    return np.where((np.sign(axes) * (np.abs(axes) > 1e-14)) @ _FIRST_NONZERO < 0.0, -1.0, 1.0)
+
+
+def canonical_forms(h13s, h23s, tol: float = SPECTRAL_TOL) -> CanonicalForms:
+    """Classify N pairs at once and extract their shared-probe-axis canonical forms.
+
+    The checks, in order (the status of a row is its first failure):
+    1. commutation: with each pair's coefficients scaled by its largest one,
+       the commutator of the unit-Frobenius-norm matrices has norm
+       sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)), q the sums of squared scaled
+       coefficients, against ``tol``;
+    2, 3. each nonzero coupling tensor is rank one (one stacked SVD);
+    4. two nonzero couplings share their probe axis;
+    5, 6. each probe-local term lies on the shared probe axis;
+    7, 8. each form reconstructs its coefficients: the Frobenius norm of the
+       8x8 difference is at most ``tol`` ||H||_F (so every entry is too).
+    A pair that commutes without a canonical form, such as a rank-2 coupling
+    against a partner with no probe part, fails check 2 or 3. The decisions
+    are taken on the scaled coefficients, so they do not depend on the scale
+    of H; the form itself is computed from the coefficients as given.
     """
-    m13, m23 = h13.to_matrix(), h23.to_matrix()
-    n13, n23 = frob(m13), frob(m23)
-    return n13 == 0.0 or n23 == 0.0 or frob(commutator(m13 / n13, m23 / n23)) <= tol
+    coeffs = np.array([[h.coefficients for h in _ordered(h13, h23)] for h13, h23 in zip(h13s, h23s)])
+    n = len(coeffs)
+    top = np.abs(coeffs).max(axis=-1)
+    scale = np.where(top > 0.0, top, 1.0)[..., None]
+    unit = coeffs / scale
+    rows = unit[..., _PROBE_ROWS].reshape(n, 2, 4, 3)
+    cross = np.einsum("abc,nib,nkc->nika", _EPS, rows[:, 0], rows[:, 1])
+    sq = np.einsum("nikc,nikc->n", cross, cross)
+    q = np.vecdot(unit, unit) + (top == 0.0)  # >= 1 for a nonzero pair
+    commutes = (top == 0.0).any(axis=-1) | (np.sqrt(sq / (2.0 * q[:, 0] * q[:, 1])) <= tol)
+    with np.errstate(over="ignore"):  # inf only where the norm itself passes float range
+        commutator_norm = np.sqrt(32.0 * sq) * top[:, 0] * top[:, 1]
+    if not commutes.any():  # no form to extract
+        zeros = np.zeros((n, 2, 3))
+        return CanonicalForms(
+            np.ones(n, dtype=int), commutator_norm, strength=zeros[..., 0], body_axis=zeros,
+            probe_axis=zeros[:, 0], self_strength=zeros[..., 0], self_axis=zeros, probe_strength=zeros[..., 0],
+            singular_values=zeros, residual=zeros[..., 0], deviation=zeros[..., 0],
+        )
 
-
-def commutator_norm(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> float:
-    return frob(commutator(h13.to_matrix(), h23.to_matrix()))
-
-
-def _sign_fix(axis: np.ndarray) -> int:
-    """Sign making the first nonzero component of ``axis`` positive."""
-    for component in axis:
-        if abs(component) > 1e-14:
-            return 1 if component > 0 else -1
-    return 1
-
-
-def _rank_one_factors(coupling: np.ndarray, tol: float):
-    """(strength, body_axis, probe_axis) of a rank-1 coupling tensor, or None if zero.
-
-    The probe axis is normalized to have its first nonzero component positive;
-    the body axis absorbs the sign so the strength stays nonnegative.
-    """
+    coupling, local_self, local_probe = coeffs[..., :9].reshape(n, 2, 3, 3), coeffs[..., 9:12], coeffs[..., 12:]
+    # rank-one factors: probe axis first-nonzero-positive, the body axis takes the sign
     u, s, vt = np.linalg.svd(coupling)
-    if s[0] == 0.0:
-        return None
-    if s[1] > tol * s[0]:
-        raise NotRankOneError(
-            "coupling tensor is not (body axis) x (probe axis): "
-            f"second singular value {s[1]:.3e} vs first {s[0]:.3e}"
-        )
-    body_axis, probe_axis = u[:, 0], vt[0, :]
-    flip = _sign_fix(probe_axis)
-    return float(s[0]), flip * body_axis, flip * probe_axis
+    strength = s[..., 0]
+    nonzero = strength != 0.0
+    flip = _sign_fix(vt[..., 0, :])[..., None]
+    probe = flip * vt[..., 0, :]
+    body_axis = np.where(nonzero[..., None], flip * u[..., :, 0], _Z)
 
+    # shared probe axis: the couplings' (mean) axis, else the first probe-local term's, else z
+    p13, p23 = probe[:, 0], probe[:, 1]
+    gap = p13 - p23
+    mismatch = nonzero.all(axis=-1) & (np.sqrt(np.vecdot(gap, gap)) > 1e-8)
+    mean = (p13 + p23) / 2
+    shared = np.where(nonzero[:, 1:], p23, _Z)
+    if not nonzero.all():
+        has_local = local_probe.any(axis=-1)
+        if has_local.any():
+            local_axis = unit_axis(np.where(has_local[:, :1], local_probe[:, 0], np.where(has_local[:, 1:], local_probe[:, 1], _Z)))
+            shared = np.where(nonzero.any(axis=-1)[:, None], shared, local_axis * _sign_fix(local_axis)[:, None])
+    shared = np.where(nonzero[:, :1], np.where(nonzero[:, 1:], mean / np.sqrt(np.vecdot(mean, mean))[:, None], p13), shared)
 
-def _local_self_form(vec: np.ndarray):
-    n = frob(vec)
-    if n == 0.0:
-        return Z_AXIS, 0.0
-    return tuple(vec / n), n
+    self_strength = norms(local_self)
+    self_axis = local_self / np.where(self_strength == 0.0, 1.0, self_strength)[..., None]
+    self_axis = np.where((self_strength == 0.0)[..., None], _Z, self_axis)
+    probe_strength = np.vecdot(local_probe, shared[:, None, :])
+
+    # residual and reconstruction on the scaled coefficients; ||H||_F = sqrt(8) * |coefficients|
+    form = np.concatenate(
+        [
+            (strength[..., None, None] * body_axis[..., :, None] * shared[:, None, None, :]).reshape(n, 2, 9),
+            self_strength[..., None] * self_axis,
+            probe_strength[..., None] * shared[:, None, :],
+        ],
+        axis=-1,
+    ) / scale
+    off_axis = unit[..., 12:] - np.vecdot(unit[..., 12:], shared[:, None, :])[..., None] * shared[:, None, :]
+    residual2 = np.vecdot(off_axis, off_axis)
+    diff = unit - form
+    deviation2 = np.vecdot(diff, diff)
+    failed = np.concatenate(
+        [
+            ~commutes[:, None],
+            nonzero & (s[..., 1] > tol * strength),
+            mismatch[:, None],
+            residual2 > 1e-16 * np.vecdot(unit[..., 12:], unit[..., 12:]),
+            deviation2 > tol * tol * q,
+        ],
+        axis=1,
+    )
+    return CanonicalForms(
+        status=np.where(failed.any(axis=-1), failed.argmax(axis=-1) + 1, 0),
+        commutator_norm=commutator_norm,
+        strength=strength,
+        body_axis=body_axis,
+        probe_axis=shared,
+        self_strength=self_strength,
+        self_axis=self_axis,
+        probe_strength=probe_strength,
+        singular_values=s,
+        residual=np.sqrt(residual2) * top,
+        deviation=np.sqrt(8.0 * deviation2) * top,
+    )
 
 
 def canonical_commuting_form(
     h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, tol: float = SPECTRAL_TOL
 ) -> tuple[CommutingForm, CommutingForm]:
-    """Extract the shared-probe-axis canonical forms of a commuting pair.
+    """Extract the shared-probe-axis canonical forms of a commuting pair: the one-row ``canonical_forms``.
 
-    Raises NotCommutingError if the embeddings do not commute (also when the
-    probe axes fail to line up), NotRankOneError if a nonzero coupling tensor
-    does not factor into a body axis and a probe axis.
+    Raises NotCommutingError if the pair does not commute (also when the probe
+    axes fail to line up), NotRankOneError if a nonzero coupling tensor does
+    not factor into a body axis and a probe axis.
     """
-    if {tuple(h13.pair), tuple(h23.pair)} != {(1, 3), (2, 3)}:
-        raise ValueError("expected one Hamiltonian per pair (1,3) and (2,3)")
-    if tuple(h13.pair) != (1, 3):
-        h13, h23 = h23, h13
-    if not commutes(h13, h23, tol=tol):
-        raise NotCommutingError(
-            f"pair Hamiltonians do not commute (commutator norm {commutator_norm(h13, h23):.3e})"
-        )
-
-    fac13 = _rank_one_factors(h13.coupling, tol)
-    fac23 = _rank_one_factors(h23.coupling, tol)
-
-    if fac13 is not None and fac23 is not None:
-        if np.linalg.norm(fac13[2] - fac23[2]) > 1e-8:
-            raise NotCommutingError("coupling tensors do not share a probe axis")
-        shared = (fac13[2] + fac23[2]) / 2
-        shared = shared / np.linalg.norm(shared)
-    elif fac13 is not None or fac23 is not None:
-        shared = (fac13 or fac23)[2]
-    else:
-        # No coupling anywhere: any probe-local terms must be mutually
-        # parallel for the pair to commute; reuse their direction.
-        for vec in (h13.local_probe, h23.local_probe):
-            if vec.any():
-                shared = unit_axis(vec)
-                shared = shared * _sign_fix(shared)
-                break
-        else:
-            shared = np.array(Z_AXIS)
-
-    def build(h: PauliPairHamiltonian, fac) -> CommutingForm:
-        strength, body_axis = (fac[0], fac[1]) if fac is not None else (0.0, np.array(Z_AXIS))
-        self_axis, self_strength = _local_self_form(h.local_self)
-        probe_coeff = float(h.local_probe @ shared)
-        residual = frob(h.local_probe - probe_coeff * shared)
-        if residual > 1e-8 * frob(h.local_probe):
-            raise NotCommutingError(
-                f"probe-local term is not aligned with the shared probe axis (residual {residual:.3e})"
-            )
-        return CommutingForm(
-            pair=tuple(h.pair),
-            coupling_axis_self=tuple(body_axis),
-            coupling_strength=strength,
-            probe_axis=tuple(shared),
-            local_self_axis=self_axis,
-            local_self_strength=self_strength,
-            local_probe_strength=probe_coeff,
-        )
-
-    forms = build(h13, fac13), build(h23, fac23)
-    for h, form in zip((h13, h23), forms):
-        dev = np.max(np.abs(form.to_matrix() - h.to_matrix()))
-        if dev > SPECTRAL_TOL * frob(h.to_matrix()):
-            raise NotCommutingError(f"canonical form fails to reconstruct the input (deviation {dev:.3e})")
-    return forms
+    forms = canonical_forms((h13,), (h23,), tol=tol)
+    error = forms.error(0)
+    if error is not None:
+        raise error
+    return forms.forms(0)
 
 
 # Named presets ----------------------------------------------------------

@@ -30,36 +30,37 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def norms(x) -> np.ndarray:
+    """Euclidean norm along the last axis, summed at the scale of each row's largest entry.
 
-
-def frob(m: np.ndarray) -> float:
-    """Frobenius norm, summed at the scale of the largest entry.
-
-    The plain sum of squares overflows once entries pass ~1e154, although the
-    norm itself is representable.
+    The plain sum of squares overflows once entries pass ~1e154 and vanishes
+    below ~1e-162, although the norm itself is representable. A row whose
+    largest entry is 0, infinite or NaN gives that entry.
     """
-    m = np.asarray(m).ravel()
-    top = float(np.abs(m).max())
-    if not 0.0 < top < math.inf:
-        return top
-    x = m / top
-    return top * math.sqrt(np.vdot(x, x).real)
+    x = np.asarray(x)
+    top = np.abs(x).max(axis=-1)
+    finite = (top > 0.0) & (top < math.inf)
+    y = np.where(finite[..., None], x / np.where(finite, top, 1.0)[..., None], 0.0)
+    return np.where(finite, top * np.sqrt(np.vecdot(y, y).real), top)
+
+
+def frob(m) -> float:
+    """Frobenius norm, summed at the scale of the largest entry (see ``norms``)."""
+    return float(norms(np.ravel(m)))
 
 
 def unit_axis(axis) -> np.ndarray:
-    """``axis / |axis|``, scaled by the largest component first.
+    """``axis / |axis|`` along the last axis, each row scaled by its largest component first.
 
-    Like ``frob``, this keeps the sum of squares in range for finite
-    components past ~1e154.
+    Like ``norms``, this keeps the sum of squares in range for finite
+    components past ~1e154 and below ~1e-162.
     """
     axis = np.asarray(axis, dtype=float)
-    top = float(np.abs(axis).max())
-    if top == 0.0:
+    top = np.abs(axis).max(axis=-1, keepdims=True)
+    if not top.all():
         raise ValueError("zero axis has no direction")
     axis = axis / top
-    return axis / np.linalg.norm(axis)
+    return axis / np.sqrt(np.vecdot(axis, axis))[..., None]
 
 
 def axis_sigma(axis) -> np.ndarray:

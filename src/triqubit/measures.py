@@ -46,8 +46,9 @@ def eof_from_tangle(tau: float) -> float:
     return float(_eof(np.float64(tau)))
 
 
-def _residual_tangle_rows(psis: np.ndarray) -> np.ndarray:
-    a = psis.reshape(-1, 2, 2, 2)
+def residual_tangle_rows(psis) -> np.ndarray:
+    """Residual tangle of each pure three-qubit state in ``psis``, shape (T,)."""
+    a = np.asarray(psis, dtype=complex).reshape(-1, 2, 2, 2)
     d1 = (
         a[:, 0, 0, 0] ** 2 * a[:, 1, 1, 1] ** 2
         + a[:, 0, 0, 1] ** 2 * a[:, 1, 1, 0] ** 2
@@ -75,7 +76,7 @@ def residual_tangle_poly(psi) -> float:
     The three invariants are built from squares of the complex amplitudes
     verbatim; the only modulus is the final one.
     """
-    return float(_residual_tangle_rows(np.asarray(psi, dtype=complex).reshape(1, 8))[0])
+    return float(residual_tangle_rows(np.asarray(psi, dtype=complex).reshape(1, 8))[0])
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def report_batch(psis) -> dict[str, np.ndarray]:
         "tangle_12": tau,
         "concurrence_12": c,
         "eof_12": _eof(tau),
-        "residual_tangle": _residual_tangle_rows(m),
+        "residual_tangle": residual_tangle_rows(m),
         "purity_12": np.einsum("tij,tij->t", gram, gram.conj()).real,
     }
 

@@ -29,6 +29,9 @@ fully_separable {rotations?, axes?}, bipartite_12 {a, b, probe?},
 bipartite_23 / bipartite_13 {a, b, spectator?}, ghz_general {a, b},
 zrt {a, b, c, d}, triple {f, g, h}, raw_amplitudes {amplitudes}.
 
+Each property suite is a per-trial draw from the trial's own seeded stream and
+one compute batched over the drawn trials (see "Property suites" below).
+
 CSV schema: header line 1 with ``t`` plus the selected measure columns (and,
 when a measurement is configured, ``outcome_label_k, outcome_prob_k,
 conditional_tangle_k`` for k = 1, 2); optional comment line 2 with the seed
@@ -55,11 +58,11 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import evolve, evolve_grid, make_plan, measure_probe_grid
-from .hamiltonians import PRESETS, PauliPairHamiltonian
+from .evolution import evolve_grid, evolve_rows, make_plan, measure_probe_grid, plan_spectra
+from .hamiltonians import PRESETS, PauliPairHamiltonian, heisenberg_chain
 from .linalg import frob
-from .measures import REPORT_FIELDS, concurrence_12, report, report_batch, residual_tangle_poly
-from .states import LocalRotation, axis_eigenbasis, from_axis_basis, probe_components
+from .measures import REPORT_FIELDS, concurrence_12, report_batch, residual_tangle_rows
+from .states import LocalRotation, axis_eigenbasis, from_axis_basis
 from .tolerances import PHYSICS_TOL
 
 MAX_STEPS = 1_000_000  # a measured sweep peaks near 0.55 KB per row (tracemalloc, 1e5 rows): ~550 MB at the limit
@@ -512,6 +515,16 @@ def random_commuting_pair(rng, locals_mode: str = "none"):
 
 
 # Property suites ----------------------------------------------------------
+#
+# A suite is a per-trial draw and one batched compute. Each trial draws from its
+# own child stream spawned from the seed, in the order the draws were always
+# made, so a --seed replay reproduces every trial. The compute takes a list of
+# draws and returns the (n,) violations with the context columns of each
+# trial; _run_trials feeds it chunks of _CHUNK trials, so memory stays bounded
+# for any trial count.
+
+_CHUNK = 1024
+
 
 @dataclass
 class SuiteResult:
@@ -531,21 +544,25 @@ class SuiteResult:
     def record(self, index: int, violation: float, slack: float, context: dict) -> None:
         """Fold one trial in. A violation above ``slack`` or not finite is a
         failure; a NaN violation makes ``max_violation`` NaN for good."""
-        if math.isnan(violation):
-            self.max_violation = violation
-        else:
-            self.max_violation = max(self.max_violation, violation)
+        self.max_violation = _sticky_max(self.max_violation, violation)
         if not (math.isfinite(violation) and violation <= slack):
             self.failures.append({"trial": index, "violation": violation, **context})
 
 
-_SUITES: dict[str, callable] = {}
+def _sticky_max(current: float, value: float) -> float:
+    """max that keeps a NaN once it has seen one (max(nan, x) is nan, max(x, nan) is x)."""
+    return value if math.isnan(value) else max(current, value)
 
 
-def _suite(name: str):
-    def register(fn):
-        _SUITES[name] = fn
-        return fn
+# name -> (draw, compute): draw(rng) gives one trial's draws, compute(list of draws) gives
+# ((n,) violations, {context key: (n,) column})
+_SUITES: dict[str, tuple] = {}
+
+
+def _suite(name: str, draw):
+    def register(compute):
+        _SUITES[name] = (draw, compute)
+        return compute
 
     return register
 
@@ -554,127 +571,161 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def _apply_rotations(psi, rotations):
-    for rotation in rotations:
-        psi = states.apply_local(rotation, psi)
-    return psi
+def _columns(draws):
+    """The draws of n trials as columns: one tuple per drawn quantity."""
+    return tuple(zip(*draws))
 
 
-def _tangle12(psi) -> float:
-    return float(concurrence_12(psi)[0] ** 2)
+def _rotated(psis, rotations) -> np.ndarray:
+    """Apply each trial's rotations (one LocalRotation per qubit column, in order) to the rows of ``psis``."""
+    for column in zip(*rotations):
+        psis = states.rotate(
+            psis, column[0].qubit, states.rotation_matrices([r.angle for r in column], [r.axis for r in column])
+        )
+    return psis
 
 
-@_suite("separable_stays_separable")
-def _trial_separable(rng):
-    """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
+def _tangle12(psis) -> np.ndarray:
+    c = concurrence_12(psis)
+    return c * c
+
+
+def _evolved(h13s, h23s, psi0s, ts) -> np.ndarray:
+    _, w, v = plan_spectra(h13s, h23s)
+    return evolve_rows(w, v, psi0s, np.array(ts))
+
+
+def _draw_separable(rng):
     h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    psi0 = np.kron(np.kron(random_qubit_state(rng), random_qubit_state(rng)), random_qubit_state(rng))
-    plan = make_plan(h13, h23)
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    psi_t = evolve(plan, psi0, t)
-    return _tangle12(psi_t), {"t": t}
+    qubits = random_qubit_state(rng), random_qubit_state(rng), random_qubit_state(rng)
+    return h13, h23, qubits, rng.uniform(0.0, 2.0 * np.pi)
 
 
-@_suite("bipartite12_nonincreasing")
-def _trial_bipartite12(rng):
-    """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
+@_suite("separable_stays_separable", _draw_separable)
+def _separable(draws):
+    """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
+    h13s, h23s, qubits, ts = _columns(draws)
+    q1, q2, q3 = np.moveaxis(np.array(qubits), 1, 0)
+    psi0s = np.einsum("ni,nj,nk->nijk", q1, q2, q3).reshape(-1, 8)
+    return _tangle12(_evolved(h13s, h23s, psi0s, ts)), {"t": ts}
+
+
+def _draw_bipartite12(rng):
     h13, h23 = random_commuting_pair(rng, locals_mode="full")
     a, b = random_schmidt(rng)
     psi0 = states.bipartite_12(a, b, random_qubit_state(rng))
-    psi0 = _apply_rotations(psi0, [random_rotation(rng, 1), random_rotation(rng, 2)])
-    plan = make_plan(h13, h23)
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    eof0 = report(psi0).eof_12
-    eof_t = report(evolve(plan, psi0, t)).eof_12
-    return eof_t - eof0, {"t": t, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
+    rotations = random_rotation(rng, 1), random_rotation(rng, 2)
+    return h13, h23, a, b, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
 
 
-def _trial_bipartite_spectator(rng, cls: str, rot_qubits):
+@_suite("bipartite12_nonincreasing", _draw_bipartite12)
+def _bipartite12(draws):
+    """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
+    h13s, h23s, a, b, psi0s, rotations, ts = _columns(draws)
+    psi0s = _rotated(np.array(psi0s), rotations)
+    eof0 = report_batch(psi0s)["eof_12"]
+    eof_t = report_batch(_evolved(h13s, h23s, psi0s, ts))["eof_12"]
+    return eof_t - eof0, {"t": ts, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
+
+
+def _spectator_draw(cls: str, rot_qubits):
+    def draw(rng):
+        h13, h23 = random_commuting_pair(rng, locals_mode="full")
+        a, b = random_schmidt(rng)
+        psi0 = getattr(states, cls)(a, b, random_qubit_state(rng))
+        rotations = tuple(random_rotation(rng, q) for q in rot_qubits)
+        return h13, h23, a, b, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
+
+    return draw
+
+
+def _spectator(draws):
+    """Initial entanglement of qubit 3 with one body qubit never reaches the 1,2 pair under commuting evolution."""
+    h13s, h23s, a, b, psi0s, rotations, ts = _columns(draws)
+    psi0s = _rotated(np.array(psi0s), rotations)
+    return _tangle12(_evolved(h13s, h23s, psi0s, ts)), {"t": ts, "a": a, "b": b}
+
+
+_suite("bipartite23_stays_zero", _spectator_draw("bipartite_23", (2, 3)))(_spectator)
+_suite("bipartite13_stays_zero", _spectator_draw("bipartite_13", (1, 3)))(_spectator)
+
+
+def _draw_ghz(rng):
     h13, h23 = random_commuting_pair(rng, locals_mode="full")
     a, b = random_schmidt(rng)
-    psi0 = getattr(states, cls)(a, b, random_qubit_state(rng))
-    psi0 = _apply_rotations(psi0, [random_rotation(rng, q) for q in rot_qubits])
-    plan = make_plan(h13, h23)
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    return _tangle12(evolve(plan, psi0, t)), {"t": t, "a": a, "b": b}
+    rotations = tuple(random_rotation(rng, q) for q in (1, 2, 3))
+    return h13, h23, a, b, rotations, rng.uniform(0.0, 2.0 * np.pi)
 
 
-@_suite("bipartite23_stays_zero")
-def _trial_bipartite23(rng):
-    """Initial 2,3 entanglement never reaches the 1,2 pair under commuting evolution."""
-    return _trial_bipartite_spectator(rng, "bipartite_23", (2, 3))
-
-
-@_suite("bipartite13_stays_zero")
-def _trial_bipartite13(rng):
-    """Initial 1,3 entanglement never reaches the 1,2 pair under commuting evolution."""
-    return _trial_bipartite_spectator(rng, "bipartite_13", (1, 3))
-
-
-@_suite("ghz_can_increase")
-def _trial_ghz(rng):
+@_suite("ghz_can_increase", _draw_ghz)
+def _ghz(draws):
     """GHZ-class inputs start with tangle 0; evolution may only raise it."""
+    h13s, h23s, a, b, rotations, ts = _columns(draws)
+    psi0s = np.zeros((len(draws), 8), dtype=complex)
+    psi0s[:, 0], psi0s[:, 7] = a, b
+    psi0s = _rotated(psi0s, rotations)
+    tau0 = _tangle12(psi0s)
+    tau_t = _tangle12(_evolved(h13s, h23s, psi0s, ts))
+    return np.maximum(tau0, -tau_t), {"t": ts, "a": a, "b": b, "max_tangle": tau_t}
+
+
+def _draw_triple(rng):
+    """One single-excitation (triple-state) trial: the pair, the amplitudes,
+    the rotations of qubits 3, 1 and 2 (drawn in that order) and the time."""
     h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    a, b = random_schmidt(rng)
-    psi0 = states.ghz_general(a, b)
-    psi0 = _apply_rotations(psi0, [random_rotation(rng, q) for q in (1, 2, 3)])
-    plan = make_plan(h13, h23)
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    tau0 = _tangle12(psi0)
-    tau_t = _tangle12(evolve(plan, psi0, t))
-    return max(tau0, -tau_t), {"t": t, "a": a, "b": b, "max_tangle": tau_t}
+    amps = random_state(rng, 3)
+    q3 = random_rotation(rng, 3)
+    rotations = random_rotation(rng, 1), random_rotation(rng, 2), q3
+    return h13, h23, amps, rotations, rng.uniform(0.0, 2.0 * np.pi)
 
 
-def _triple_trial_sample(rng):
-    """Shared sampling for the single-excitation (triple-state) suites.
+def _triple_quantities(draws) -> dict[str, np.ndarray]:
+    """Columns of the triple-state trials: the initial and evolved states and
+    1,2 tangles, the time t, the shared probe axis and the two convexity factors.
 
-    Returns the plan, the initial state, the time t and the two convexity
-    factors of one trial. Measuring qubit 3 on the conserved probe axis gives
-    outcome +- with probability m+-^2 at every t; (c, d) are the components of
-    qubit 3's rotated |0> on that axis. Outcome +- leaves the pair in a pure
-    state with tangle tau+-, and
+    Measuring qubit 3 on the conserved probe axis gives outcome +- with
+    probability m+-^2 at every t; (c, d) are the components of qubit 3's
+    rotated |0> on that axis. Outcome +- leaves the pair in a pure state with
+    tangle tau+-, and
         sum m+-^2 tau+- = tangle(0) * (|c|^4/m+^2 + |d|^4/m-^2),
         sum m+-^4 tau+- = tangle(0) * (|c|^4 + |d|^4).
     The first factor is the branch-weighted one that the convex decomposition
     of the evolved state yields; the second, |c|^4 + (1-|c|^2)^2, is the
-    branch-weight-free one.
-    """
-    h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    amps = random_state(rng, 3)
-    psi0 = states.triple(*amps)
-    q3 = random_rotation(rng, 3)
-    psi0 = _apply_rotations(psi0, [random_rotation(rng, 1), random_rotation(rng, 2), q3])
-    plan = make_plan(h13, h23)
-    c, _ = probe_components(q3.matrix() @ np.array([1.0, 0.0]), plan.fastpath.probe_axis)
-    c2 = abs(c) ** 2
-    a2 = abs(amps[0]) ** 2
-    factor_free = c2**2 + (1.0 - c2) ** 2
-    m_plus2 = a2 + c2 - 2.0 * a2 * c2
-    m_minus2 = a2 + (1.0 - c2) - 2.0 * a2 * (1.0 - c2)
-    factor_weighted = 0.0
-    for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
-        if numerator > 1e-30:
-            factor_weighted += numerator / denominator
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    return plan, psi0, t, factor_free, factor_weighted
-
-
-def _triple_trial_quantities(rng):
-    """Evolved and initial 1,2 tangles of one triple-state trial, its two
-    convexity factors (see _triple_trial_sample) and its time t.
-
-    The branch-weighted factor is >= 1: by Cauchy-Schwarz with
-    m+^2 + m-^2 = 1 = |c|^2 + |d|^2,
+    branch-weight-free one. The branch-weighted factor is >= 1: by
+    Cauchy-Schwarz with m+^2 + m-^2 = 1 = |c|^2 + |d|^2,
         1 = (|c|^2 + |d|^2)^2 <= (|c|^4/m+^2 + |d|^4/m-^2)(m+^2 + m-^2).
     """
-    plan, psi0, t, factor_free, factor_weighted = _triple_trial_sample(rng)
-    tau0 = _tangle12(psi0)
-    tau_t = _tangle12(evolve(plan, psi0, t))
-    return tau_t, tau0, factor_free, factor_weighted, t
+    h13s, h23s, amps, rotations, ts = _columns(draws)
+    amps = np.array(amps)
+    psi0s = np.zeros((len(draws), 8), dtype=complex)
+    psi0s[:, [1, 2, 4]] = amps
+    psi0s = _rotated(psi0s, rotations)
+    forms, w, v = plan_spectra(h13s, h23s)
+    q3 = states.rotation_matrices([r[2].angle for r in rotations], [r[2].axis for r in rotations])
+    plus = states.axis_eigenbases(forms.probe_axis)[..., :, 0]
+    c2 = np.abs(np.vecdot(plus, q3[..., :, 0])) ** 2
+    a2 = np.abs(amps[:, 0]) ** 2
+    m_plus2 = a2 + c2 - 2.0 * a2 * c2
+    m_minus2 = a2 + (1.0 - c2) - 2.0 * a2 * (1.0 - c2)
+    factor_weighted = np.zeros(len(draws))
+    for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
+        kept = numerator > 1e-30
+        factor_weighted[kept] += numerator[kept] / denominator[kept]
+    psi_t = evolve_rows(w, v, psi0s, np.array(ts))
+    return {
+        "psi0": psi0s,
+        "psi_t": psi_t,
+        "t": np.array(ts),
+        "probe_axis": forms.probe_axis,
+        "tau0": _tangle12(psi0s),
+        "tau_t": _tangle12(psi_t),
+        "factor_free": c2**2 + (1.0 - c2) ** 2,
+        "factor_weighted": factor_weighted,
+    }
 
 
-@_suite("triple_convexity_bound")
-def _trial_triple_stated_bound(rng):
+@_suite("triple_convexity_bound", _draw_triple)
+def _triple_stated_bound(draws):
     """Single-excitation inputs against the branch-weight-free convexity factor
     tangle(t) <= tangle(0) * (|c|^4 + (1-|c|^2)^2).
 
@@ -684,75 +735,92 @@ def _trial_triple_stated_bound(rng):
     whenever tangle(0) > 0 and 0 < |c| < 1. See triple_nonincreasing for the
     bounds that do hold.
     """
-    tau_t, tau0, factor_free, _, t = _triple_trial_quantities(rng)
-    return tau_t - tau0 * factor_free, {"t": t, "tau0": tau0, "factor": factor_free, "tau_t": tau_t}
+    q = _triple_quantities(draws)
+    violation = q["tau_t"] - q["tau0"] * q["factor_free"]
+    return violation, {"t": q["t"], "tau0": q["tau0"], "factor": q["factor_free"], "tau_t": q["tau_t"]}
 
 
-@_suite("triple_nonincreasing")
-def _trial_triple_true_bounds(rng):
+@_suite("triple_nonincreasing", _draw_triple)
+def _triple_true_bounds(draws):
     """Single-excitation inputs: the 1,2 tangle never increases under commuting
     evolution.
 
     This implies the branch-weighted convexity bound
     tangle(t) <= tangle(0) * (|c|^4/m+^2 + |d|^4/m-^2), with m+-^2 the
     outcome probabilities of the probe-axis measurement: the factor is >= 1
-    (see _triple_trial_quantities), so the bound never binds tighter than
+    (see _triple_quantities), so the bound never binds tighter than
     monotonicity and is not checked separately. The factor is reported with
     each trial."""
-    tau_t, tau0, _, factor_weighted, t = _triple_trial_quantities(rng)
-    return tau_t - tau0, {"t": t, "tau0": tau0, "factor": factor_weighted, "tau_t": tau_t}
+    q = _triple_quantities(draws)
+    return q["tau_t"] - q["tau0"], {"t": q["t"], "tau0": q["tau0"], "factor": q["factor_weighted"], "tau_t": q["tau_t"]}
 
 
-@_suite("parity_residual_conserved")
-def _trial_parity(rng):
+def _draw_parity(rng):
+    h13, h23 = random_commuting_pair(rng, locals_mode="probe")
+    even = bool(rng.integers(0, 2))
+    return h13, h23, even, random_state(rng, 4), rng.uniform(0.0, 2.0 * np.pi)
+
+
+_PARITY_SECTORS = {True: (0b000, 0b011, 0b101, 0b110), False: (0b111, 0b100, 0b010, 0b001)}
+
+
+@_suite("parity_residual_conserved", _draw_parity)
+def _parity(draws):
     """Definite-parity states keep their residual tangle under commuting evolution,
     with the closed-form value 16|a b c d| of the four sector amplitudes."""
-    h13, h23 = random_commuting_pair(rng, locals_mode="probe")
-    plan = make_plan(h13, h23)
-    fastpath = plan.fastpath
-    even = bool(rng.integers(0, 2))
-    sector = (0b000, 0b011, 0b101, 0b110) if even else (0b111, 0b100, 0b010, 0b001)
-    amps4 = random_state(rng, 4)
-    amps8 = np.zeros(8, dtype=complex)
-    amps8[list(sector)] = amps4
-    axes = (*fastpath.body_axes, fastpath.probe_axis)
-    psi0 = from_axis_basis(amps8, axes)
-    tau0 = residual_tangle_poly(psi0)
-    expected = 16.0 * abs(np.prod(amps4))
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    tau_t = residual_tangle_poly(evolve(plan, psi0, t))
-    violation = max(abs(tau_t - tau0), abs(tau0 - expected))
-    return violation, {"t": t, "even": even, "tau0": tau0, "closed_form": expected}
+    h13s, h23s, even, amps4, ts = _columns(draws)
+    amps4 = np.array(amps4)
+    amps8 = np.zeros((len(draws), 8), dtype=complex)
+    np.put_along_axis(amps8, np.array([_PARITY_SECTORS[e] for e in even]), amps4, axis=1)
+    forms, w, v = plan_spectra(h13s, h23s)
+    axes = np.concatenate([forms.body_axis, forms.probe_axis[:, None, :]], axis=1)
+    psi0s = from_axis_basis(amps8, axes)
+    tau0 = residual_tangle_rows(psi0s)
+    expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
+    tau_t = residual_tangle_rows(evolve_rows(w, v, psi0s, np.array(ts)))
+    violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))
+    return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
 
 
-@_suite("heisenberg_entangled13_start")
-def _trial_heisenberg13(rng):
-    """Under the isotropic chain, initial 1,3 entanglement can only raise the 1,2 tangle."""
-    from .hamiltonians import heisenberg_chain
-
+def _draw_heisenberg13(rng):
     g = 2.0 - rng.uniform(0.0, 2.0)
-    plan = make_plan(*heisenberg_chain(g))
     a, b = random_schmidt(rng)
     psi0 = states.bipartite_13(a, b, random_qubit_state(rng))
-    psi0 = _apply_rotations(psi0, [random_rotation(rng, 1), random_rotation(rng, 3)])
-    tau0 = _tangle12(psi0)
-    t = rng.uniform(0.0, 2.0 * np.pi)
-    tau_t = _tangle12(evolve(plan, psi0, t))
-    return max(tau0, -tau_t), {"t": t, "g": g, "max_tangle": tau_t}
+    rotations = random_rotation(rng, 1), random_rotation(rng, 3)
+    return g, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
 
 
-def _run_trials(name: str, trial, trials: int, seed: int, slack: float) -> SuiteResult:
-    """Fold ``trials`` calls of ``trial(rng)`` into a SuiteResult; each trial
-    draws from its own child stream spawned from ``seed``."""
+@_suite("heisenberg_entangled13_start", _draw_heisenberg13)
+def _heisenberg13(draws):
+    """Under the isotropic chain, initial 1,3 entanglement can only raise the 1,2 tangle."""
+    gs, psi0s, rotations, ts = _columns(draws)
+    psi0s = _rotated(np.array(psi0s), rotations)
+    tau0 = _tangle12(psi0s)
+    tau_t = _tangle12(_evolved(*zip(*map(heisenberg_chain, gs)), psi0s, ts))
+    return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
+
+
+def _run_trials(name: str, suite: tuple, trials: int, seed: int, slack: float) -> SuiteResult:
+    """Fold ``trials`` trials of the (draw, compute) ``suite`` into a SuiteResult,
+    one ``record`` per trial in index order. Each trial draws from its own
+    child stream spawned from ``seed``; the draws are computed in chunks of
+    ``_CHUNK``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    draw, compute = suite
     result = SuiteResult(name=name, trials=trials, seed=seed)
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        violation, context = trial(np.random.default_rng(child))
-        result.record(index, violation, slack, context)
-        for key, value in context.items():
+    root = np.random.SeedSequence(seed)
+    for start in range(0, trials, _CHUNK):
+        children = root.spawn(min(_CHUNK, trials - start))
+        violations, context = compute([draw(np.random.default_rng(child)) for child in children])
+        violations = np.asarray(violations).tolist()
+        columns = {key: np.asarray(column).tolist() for key, column in context.items()}
+        rows = zip(*columns.values()) if columns else [()] * len(violations)
+        for index, violation, row in zip(range(start, trials), violations, rows):
+            result.record(index, violation, slack, dict(zip(columns, row)))
+        for key, column in columns.items():
             if key.startswith("max_"):
-                result.stats[key] = max(result.stats.get(key, -np.inf), value)
+                result.stats[key] = _sticky_max(result.stats.get(key, -np.inf), float(np.max(column)))
     return result
 
 
@@ -763,24 +831,30 @@ def property_suite(name: str, trials: int, seed: int, slack: float = PHYSICS_TOL
     return _run_trials(name, _SUITES[name], trials, seed, slack)
 
 
+def _periodicity_draw(k: int, l: int):
+    def draw(rng):
+        u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
+        s13 = 2.0 - rng.uniform(0.0, 2.0)
+        s23 = s13 * l / k
+        h13 = PauliPairHamiltonian(coupling=s13 * np.outer(u, j), pair=(1, 3), local_probe=rng.uniform(-1, 1) * j)
+        h23 = PauliPairHamiltonian(coupling=s23 * np.outer(w, j), pair=(2, 3), local_probe=rng.uniform(-1, 1) * j)
+        return h13, h23, random_state(rng), k * np.pi / (2.0 * s13)
+
+    return draw
+
+
+def _periodicity(draws):
+    h13s, h23s, psi0s, t_star = _columns(draws)
+    psi0s = np.array(psi0s)
+    tau0 = residual_tangle_rows(psi0s)
+    tau_star = residual_tangle_rows(_evolved(h13s, h23s, psi0s, t_star))
+    return np.abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
+
+
 def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
     """Residual tangle returns to its initial value at t = k*pi/(2|a|) when |a|/|b| = k/l."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if math.gcd(k, l) != 1:
         raise ValueError(f"k/l must be in lowest terms, got {k}/{l}")
-
-    def trial(rng):
-        u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
-        s13 = 2.0 - rng.uniform(0.0, 2.0)
-        s23 = s13 * l / k
-        h13 = PauliPairHamiltonian(coupling=s13 * np.outer(u, j), pair=(1, 3), local_probe=rng.uniform(-1, 1) * j)
-        h23 = PauliPairHamiltonian(coupling=s23 * np.outer(w, j), pair=(2, 3), local_probe=rng.uniform(-1, 1) * j)
-        plan = make_plan(h13, h23)
-        psi0 = random_state(rng)
-        t_star = k * np.pi / (2.0 * s13)
-        tau0 = residual_tangle_poly(psi0)
-        tau_star = residual_tangle_poly(evolve(plan, psi0, t_star))
-        return abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
-
-    return _run_trials(f"residual_periodicity_{k}_{l}", trial, trials, seed, slack)
+    return _run_trials(f"residual_periodicity_{k}_{l}", (_periodicity_draw(k, l), _periodicity), trials, seed, slack)

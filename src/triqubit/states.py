@@ -2,6 +2,9 @@
 
 States are plain complex 8-vectors in the logical basis, index b = 4*b1 +
 2*b2 + b3. Constructors validate normalization to the structural tolerance.
+Axis eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis`` also
+take stacked inputs, one row per state; a rotation is contracted on the
+(N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, axis_sigma, dagger, embed_single, kron, unit_axis
+from .linalg import I2, SX, SY, SZ, dagger, kron, unit_axis
 from .tolerances import STRUCTURAL_TOL
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -37,30 +40,41 @@ def _check_schmidt(a: float, b: float):
         raise ValueError(f"Schmidt coefficients must satisfy a^2 + b^2 = 1, got {a * a + b * b!r}")
 
 
-def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (plus, minus) eigenvectors of sigma_axis.
+def axis_eigenbases(axes) -> np.ndarray:
+    """Eigenbases of sigma_axis for axes of shape (..., 3), shape (..., 2, 2): columns plus, minus.
 
     Phase convention: plus = (cos(theta/2), e^{i phi} sin(theta/2)) from the
     Bloch angles of the axis; minus has a real nonnegative first component
     (fixed to |1> for the +z axis where that component vanishes).
     """
-    x, y, z = unit_axis(axis)
-    # half-angle components from (transverse radius, z); arccos would lose
+    unit = unit_axis(axes)
+    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
+    # half-angle components from (transverse radius, 1 + |z|); arccos would lose
     # ~sqrt(eps) accuracy near the poles
     r = np.hypot(x, y)
-    if z >= 0.0:
-        d = np.hypot(1.0 + z, r)
-        c, s = (1.0 + z) / d, r / d
-    else:
-        d = np.hypot(1.0 - z, r)
-        c, s = r / d, (1.0 - z) / d
+    pole = 1.0 + np.abs(z)
+    d = np.hypot(pole, r)
+    north = z >= 0.0
+    c = np.where(north, pole / d, r / d)
+    s = np.where(north, r / d, pole / d)
     phase = np.exp(1j * np.arctan2(y, x))
-    plus = np.array([c, phase * s], dtype=complex)
-    if s == 0.0:
-        minus = np.array([0.0, 1.0], dtype=complex)
-    else:
-        minus = np.array([s, -phase * c], dtype=complex)
-    return plus, minus
+    basis = np.empty((*x.shape, 2, 2), dtype=complex)
+    basis[..., 0, 0], basis[..., 1, 0] = c, phase * s
+    basis[..., 0, 1], basis[..., 1, 1] = s, np.where(s == 0.0, 1.0, -phase * c)
+    return basis
+
+
+def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal (plus, minus) eigenvectors of sigma_axis: the one-axis ``axis_eigenbases``."""
+    basis = axis_eigenbases(axis)
+    return basis[:, 0], basis[:, 1]
+
+
+def rotation_matrices(angles, axes) -> np.ndarray:
+    """exp(-i angle sigma_axis) for N angles and (N, 3) axes, shape (N, 2, 2)."""
+    x, y, z = unit_axis(axes).T[..., None, None]
+    angles = np.asarray(angles, dtype=float)[:, None, None]
+    return np.cos(angles) * I2 - 1j * np.sin(angles) * (x * SX + y * SY + z * SZ)
 
 
 @dataclass(frozen=True)
@@ -76,13 +90,22 @@ class LocalRotation:
             raise ValueError(f"qubit index must be 1, 2 or 3, got {self.qubit}")
 
     def matrix(self) -> np.ndarray:
-        return np.cos(self.angle) * I2 - 1j * np.sin(self.angle) * axis_sigma(self.axis)
+        return rotation_matrices([self.angle], [self.axis])[0]
+
+
+_ROTATE = {1: "nab,nbjk->najk", 2: "nab,nibk->niak", 3: "nab,nijb->nija"}
+
+
+def rotate(psis, qubit: int, matrices) -> np.ndarray:
+    """Apply one (N, 2, 2) single-qubit matrix per row to qubit 1, 2 or 3 of N states, shape (N, 8)."""
+    psis = np.asarray(psis, dtype=complex).reshape(-1, 2, 2, 2)
+    return np.einsum(_ROTATE[qubit], matrices, psis).reshape(-1, 8)
 
 
 def apply_local(rotation: LocalRotation, psi) -> np.ndarray:
     """Apply a single-qubit rotation; norm and every entanglement measure are preserved."""
     psi = _as_vector(psi, 8, "state")
-    return embed_single(rotation.matrix(), rotation.qubit) @ psi
+    return rotate(psi, rotation.qubit, rotation.matrix()[None])[0]
 
 
 def probe_components(vec, axis) -> tuple[complex, complex]:
@@ -107,8 +130,15 @@ def to_axis_basis(psi, axes) -> np.ndarray:
 
 
 def from_axis_basis(amps, axes) -> np.ndarray:
-    """Logical-basis state from amplitudes in the product eigenbasis of the given axes."""
-    return basis_matrix(axes) @ _as_vector(amps, 8, "amplitudes")
+    """Logical-basis states from amplitudes in the product eigenbasis of three axes.
+
+    ``amps`` has shape (..., 8) and ``axes`` (..., 3, 3), one axis per qubit;
+    the result has the shape of ``amps``.
+    """
+    b = axis_eigenbases(axes)
+    a = np.asarray(amps, dtype=complex).reshape(*b.shape[:-3], 2, 2, 2)
+    psi = np.einsum("...ia,...jb,...kc,...abc->...ijk", b[..., 0, :, :], b[..., 1, :, :], b[..., 2, :, :], a)
+    return psi.reshape(*b.shape[:-3], 8)
 
 
 # State-class constructors -------------------------------------------------

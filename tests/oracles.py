@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately different code paths from the package, which measures only pure
-three-qubit states through one route per measure: Pade-approximant matrix
+three-qubit states through one route per measure and classifies pairs in
+Pauli-coefficient space: the 8x8 commutator for the commutation test, Pade-approximant matrix
 exponentials (scipy) instead of spectral ones, einsum reductions, a
 branch-cross-matrix concurrence for marginals of pure states, the plain
 nonsymmetric-eigenvalue Wootters route for mixed two-qubit states, and two
@@ -19,6 +20,49 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 YY = np.kron(SY, SY).real
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``m`` divided by its largest |entry|, and that entry (1 for a zero matrix)."""
+    top = float(np.abs(m).max()) or 1.0
+    return m / top, top
+
+
+def oracle_commutator_norm(h13, h23) -> float:
+    """||[H13, H23]||_F from the two 8x8 matrices, each scaled by its largest entry first."""
+    (m13, t13), (m23, t23) = _scaled(h13.to_matrix()), _scaled(h23.to_matrix())
+    return float(np.linalg.norm(commutator(m13, m23))) * (t13 * t23)
+
+
+def commutes(h13, h23, tol: float = 1e-10) -> bool:
+    """Whether the 8x8 embeddings commute: the commutator of the unit-Frobenius-norm matrices against ``tol``."""
+    m13, m23 = _scaled(h13.to_matrix())[0], _scaled(h23.to_matrix())[0]
+    if not (m13.any() and m23.any()):
+        return True
+    return float(np.linalg.norm(commutator(m13 / np.linalg.norm(m13), m23 / np.linalg.norm(m23)))) <= tol
+
+
+def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
+    ops = [I2, I2, I2]
+    ops[qubit - 1] = op
+    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
+def _sigma(axis) -> np.ndarray:
+    x, y, z = axis
+    return x * SX + y * SY + z * SZ
+
+
+def form_matrices(form) -> tuple[np.ndarray, np.ndarray]:
+    """(entangling, local) 8x8 matrices of a CommutingForm, built from kron embeddings."""
+    body = form.pair[0]
+    entangling = form.coupling_strength * _embed(_sigma(form.coupling_axis_self), body) @ _embed(_sigma(form.probe_axis), 3)
+    local = form.local_self_strength * _embed(_sigma(form.local_self_axis), body)
+    return entangling, local + form.local_probe_strength * _embed(_sigma(form.probe_axis), 3)
 
 
 def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:

@@ -18,7 +18,8 @@ from triqubit.evolution import (
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
 from triqubit.measures import report, residual_tangle_poly
 from triqubit.scenarios import (
-    _triple_trial_sample,
+    _draw_triple,
+    _triple_quantities,
     property_suite,
     random_commuting_pair,
     random_state,
@@ -206,12 +207,15 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     stated = property_suite("triple_convexity_bound", trials=trials, seed=seed)
     oracle_excess = np.empty(trials)
     worst_identity, least_gap, least_t0_excess = 0.0, np.inf, np.inf
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        plan, psi0, t, factor_free, factor_weighted = _triple_trial_sample(np.random.default_rng(child))
+    draws = [_draw_triple(np.random.default_rng(child)) for child in np.random.SeedSequence(seed).spawn(trials)]
+    q = _triple_quantities(draws)
+    for index, (draw, psi0, psi_t, t, probe_axis, factor_free, factor_weighted) in enumerate(
+        zip(draws, q["psi0"], q["psi_t"], q["t"], q["probe_axis"], q["factor_free"], q["factor_weighted"])
+    ):
+        plan = make_plan(*draw[:2])
         tau0 = oracle_tangle12_pure3(psi0)
-        psi_t = evolve(plan, psi0, t)
         tau_t = oracle_tangle12_pure3(psi_t)
-        branches = measure_probe(psi_t, axis_eigenbasis(plan.fastpath.probe_axis))
+        branches = measure_probe(psi_t, axis_eigenbasis(probe_axis))
         probs = [b.probability for b in branches]
         taus = [oracle_tangle_pure2(b.state) for b in branches]
         weighted_sum = sum(p * tau for p, tau in zip(probs, taus))

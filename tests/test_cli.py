@@ -245,3 +245,38 @@ class TestPeriodicityCommand:
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err
         assert captured.out == ""
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path, capsys):
+        # the parser is built once per process; a call must not leave state that a later call sees
+        from triqubit import cli
+
+        cfg = write_config(tmp_path, heisenberg_raw())
+        calls = [
+            ["suite", "ghz_can_increase", "--trials", "5", "--seed", "3"],
+            ["suite", "ghz_can_increase", "--trials", "5"],
+            ["periodicity", "--k", "1", "--l", "2", "--trials", "4", "--seed", "1"],
+            ["periodicity", "--k", "1", "--l", "2"],
+            ["qnd-demo", "--m", "1"],
+            ["qnd-demo"],
+            ["classify", "--config", cfg],
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "a.csv"), "--seed", "2"],
+            ["sweep", "--config", cfg, "--out", str(tmp_path / "a.csv")],
+            ["suite", "no_such_suite"],
+        ]
+
+        def outputs(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = main(argv)
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err, (tmp_path / "a.csv").read_text() if argv[0] == "sweep" else None))
+            return seen
+
+        fresh = outputs(fresh=True)
+        parser = cli._build_parser()
+        assert outputs(fresh=False) == fresh
+        assert cli._build_parser() is parser

@@ -5,10 +5,12 @@ from triqubit.evolution import (
     NonFactorizedInitialStateError,
     evolve,
     evolve_grid,
+    evolve_rows,
     factor_probe,
     kraus_pair,
     make_plan,
     measure_probe,
+    plan_spectra,
     v_operators,
 )
 from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, qnd_zz
@@ -23,6 +25,7 @@ from triqubit.scenarios import (
 from triqubit.states import LocalRotation, axis_eigenbasis, basis_matrix, fully_separable, ghz_general
 
 from oracles import (
+    form_matrices,
     haar_state,
     oracle_concurrence_mixed,
     oracle_evolve,
@@ -172,6 +175,21 @@ class TestSpectrum:
             assert grid.shape == (17, 8)
             for row, t in zip(grid, times):
                 assert np.max(np.abs(row - evolve(plan, psi, t))) <= 1e-12
+
+    def test_stacked_plans_equal_one_row_plans(self):
+        # closed-form and eigh rows in one batch, each bit for bit its own plan's; then one state per row and time
+        rng = np.random.default_rng(27)
+        pairs = [random_commuting_pair(rng, locals_mode="full") for _ in range(4)] + [heisenberg_chain(0.7)]
+        pairs += [(PauliPairHamiltonian(coupling=np.diag([1.0, 2.0, 0.0]), pair=(1, 3)), PauliPairHamiltonian(coupling=np.zeros((3, 3)), pair=(2, 3)))]
+        forms, w, v = plan_spectra(*zip(*pairs))
+        psi0s, times = np.array([random_state(rng) for _ in pairs]), rng.uniform(0.0, 5.0, len(pairs))
+        rows = evolve_rows(w, v, psi0s, times)
+        for i, (h13, h23) in enumerate(pairs):
+            plan = make_plan(h13, h23)
+            assert forms.ok[i] == plan.commuting and str(forms.error(i)) == str(plan.fastpath_error)
+            w1, v1 = plan.spectrum()
+            assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
+            assert np.max(np.abs(rows[i] - evolve(plan, psi0s[i], times[i]))) <= 1e-14
 
     def test_spectrum_cached_per_source(self, monkeypatch):
         # each plan computes its one source once; a commuting plan never calls eigh
@@ -341,7 +359,7 @@ class TestVOperators:
             b = basis_matrix(axes)
             r = random_rotation(rng, 1)
             t = rng.uniform(0, 5)
-            u13 = oracle_unitary(f13.entangling_matrix(), t)
+            u13 = oracle_unitary(form_matrices(f13)[0], t)
             r_embedded = kron(r.matrix(), I2, I2)
             v_plus, v_minus = v_operators(f13, r, t)
             for column, v in ((0, v_plus), (1, v_minus)):  # |++(+)> and |++(-)>

@@ -6,8 +6,7 @@ from triqubit.hamiltonians import (
     NotRankOneError,
     PauliPairHamiltonian,
     canonical_commuting_form,
-    commutes,
-    commutator_norm,
+    canonical_forms,
     heisenberg_chain,
     qnd_zz,
 )
@@ -15,7 +14,7 @@ from triqubit.linalg import I2, SZ, kron
 from triqubit.evolution import evolve, make_plan
 from triqubit.scenarios import random_commuting_pair, random_state
 
-from oracles import oracle_evolve, oracle_tangle12_pure3
+from oracles import commutes, form_matrices, oracle_commutator_norm, oracle_evolve, oracle_tangle12_pure3
 
 
 def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
@@ -77,7 +76,7 @@ class TestCommutes:
     def test_heisenberg_noncommuting(self):
         h13, h23 = heisenberg_chain(1.0)
         assert not commutes(h13, h23)
-        assert commutator_norm(h13, h23) > 1.0
+        assert make_plan(h13, h23).commutator_norm > 1.0
 
     def test_shared_probe_axis_different_body_axes(self):
         # x-coupling on one pair, y-coupling on the other, both through z on the probe
@@ -87,7 +86,7 @@ class TestCommutes:
         assert commutes(pair(coupling=c13), pair(coupling=c23, which=(2, 3)))
 
     def test_randomized_soundness_against_direct_thresholding(self):
-        # independent re-derivation of the decision rule from raw embeddings
+        # the coefficient-space classifier against the decision rule re-derived from raw embeddings
         rng = np.random.default_rng(31)
         tol = 1e-10
         for _ in range(1000):
@@ -100,7 +99,40 @@ class TestCommutes:
                            local_probe=rng.normal(size=3), which=(2, 3))
             m13, m23 = h13.to_matrix(), h23.to_matrix()
             direct = np.linalg.norm(m13 @ m23 - m23 @ m13) <= tol * np.linalg.norm(m13) * np.linalg.norm(m23)
+            assert (canonical_forms((h13,), (h23,), tol=tol).status[0] != 1) == direct  # status 1: not commuting
             assert commutes(h13, h23, tol=tol) == direct
+
+
+class TestCoefficientSpaceCommutator:
+    """||[H13, H23]||_F = sqrt(32 sum |C_i x D_k|^2), against the 8x8 commutator."""
+
+    def test_random_full_pairs(self):
+        rng = np.random.default_rng(41)
+        pairs = [
+            (pair(coupling=rng.normal(size=(3, 3)), local_self=rng.normal(size=3), local_probe=rng.normal(size=3)),
+             pair(coupling=rng.normal(size=(3, 3)), local_self=rng.normal(size=3), local_probe=rng.normal(size=3), which=(2, 3)))
+            for _ in range(300)
+        ]
+        norms = canonical_forms(*zip(*pairs)).commutator_norm
+        oracle = np.array([oracle_commutator_norm(h13, h23) for h13, h23 in pairs])
+        assert np.max(np.abs(norms - oracle) / oracle) <= 1e-13
+
+    def test_commuting_pairs_give_rounding_noise(self):
+        rng = np.random.default_rng(42)
+        pairs = [random_commuting_pair(rng, locals_mode="full") for _ in range(300)]
+        forms = canonical_forms(*zip(*pairs))
+        oracle = np.array([oracle_commutator_norm(h13, h23) for h13, h23 in pairs])
+        assert forms.ok.all()
+        assert np.max(forms.commutator_norm) <= 1e-14 and np.max(oracle) <= 1e-14
+
+    @pytest.mark.parametrize("g, norm", [(1e-170, 0.0), (1.0, np.sqrt(192.0)), (1e155, np.inf)])
+    def test_scale(self, g, norm):
+        # sqrt(192) g^2 underflows at 1e-170 and overflows at 1e155; the classification does neither
+        forms = canonical_forms(*zip(heisenberg_chain(g), qnd_zz(g)))  # row 0 the chain, row 1 the zz coupling
+        assert forms.commutator_norm[0] == pytest.approx(norm, rel=1e-13)
+        assert forms.commutator_norm[1] == 0.0
+        assert list(forms.status) == [1, 0]
+        assert forms.strength[1] == pytest.approx((g / 4, g / 4), rel=1e-13)
 
 
 class TestCanonicalForm:
@@ -188,8 +220,8 @@ class TestCanonicalForm:
         for _ in range(200):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
             f13, f23 = canonical_commuting_form(h13, h23)
-            assert np.max(np.abs(f13.to_matrix() - h13.to_matrix())) <= 1e-10
-            assert np.max(np.abs(f23.to_matrix() - h23.to_matrix())) <= 1e-10
+            assert np.max(np.abs(sum(form_matrices(f13)) - h13.to_matrix())) <= 1e-10
+            assert np.max(np.abs(sum(form_matrices(f23)) - h23.to_matrix())) <= 1e-10
             assert abs(np.linalg.norm(f13.coupling_axis_self) - 1) <= 1e-12
             assert abs(np.linalg.norm(f13.probe_axis) - 1) <= 1e-12
 
@@ -204,7 +236,7 @@ class TestCanonicalForm:
 class TestSplitLocalAndEntangling:
     def test_zero_locals(self):
         f13, _ = canonical_commuting_form(zz_pair(1.0, (1, 3)), zz_pair(1.0, (2, 3)))
-        entangling, local = f13.entangling_matrix(), f13.local_matrix()
+        entangling, local = form_matrices(f13)
         assert np.allclose(local, 0)
         assert np.allclose(entangling, kron(SZ, I2, SZ), atol=1e-12)
 
@@ -213,7 +245,7 @@ class TestSplitLocalAndEntangling:
         for _ in range(50):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
             for form, h in zip(canonical_commuting_form(h13, h23), (h13, h23)):
-                entangling, local = form.entangling_matrix(), form.local_matrix()
+                entangling, local = form_matrices(form)
                 assert np.max(np.abs(entangling + local - h.to_matrix())) <= 1e-10
 
     @staticmethod
@@ -241,8 +273,8 @@ class TestSplitLocalAndEntangling:
         for _ in range(25):
             h13, h23 = self._aligned_pair(rng)
             f13, f23 = canonical_commuting_form(h13, h23)
-            ent = f13.entangling_matrix() + f23.entangling_matrix()
-            loc = f13.local_matrix() + f23.local_matrix()
+            (ent13, loc13), (ent23, loc23) = form_matrices(f13), form_matrices(f23)
+            ent, loc = ent13 + ent23, loc13 + loc23
             assert np.linalg.norm(ent @ loc - loc @ ent) <= 1e-10
 
     def test_local_part_does_not_change_tangle_for_aligned_locals(self):
@@ -271,5 +303,5 @@ class TestSplitLocalAndEntangling:
         h23 = zz_pair(1.0, (2, 3))
         assert commutes(h13, h23)
         f13, _ = canonical_commuting_form(h13, h23)
-        entangling, local = f13.entangling_matrix(), f13.local_matrix()
+        entangling, local = form_matrices(f13)
         assert np.linalg.norm(entangling @ local - local @ entangling) > 0.1

@@ -7,10 +7,11 @@ from triqubit.linalg import (
     SY,
     SZ,
     axis_sigma,
-    commutator,
     frob,
     kron,
 )
+
+from oracles import commutator
 
 
 def test_kron_identities():

@@ -22,11 +22,10 @@ from triqubit.scenarios import (
     run_sweep,
     suite_names,
 )
-from triqubit.hamiltonians import commutes
 from triqubit.evolution import evolve, evolve_grid, make_plan, measure_probe
 from triqubit.measures import report, residual_tangle_poly
 
-from oracles import oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2
+from oracles import commutes, oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -579,7 +578,8 @@ class TestNonFiniteViolations:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trial_fails_the_suite(self, monkeypatch, bad):
         values = iter([0.0, bad, 0.0])
-        monkeypatch.setitem(scenarios._SUITES, "non_finite_trial", lambda rng: (next(values), {"tag": 1}))
+        suite = (lambda rng: next(values), lambda draws: (np.array(draws), {"tag": [1] * len(draws)}))
+        monkeypatch.setitem(scenarios._SUITES, "non_finite_trial", suite)
         result = property_suite("non_finite_trial", trials=3, seed=0)
         assert not result.passed
         assert [f["trial"] for f in result.failures] == [1]
@@ -587,7 +587,7 @@ class TestNonFiniteViolations:
             assert math.isnan(result.max_violation)
 
     def test_nan_residual_tangle_fails_periodicity(self, monkeypatch):
-        monkeypatch.setattr(scenarios, "residual_tangle_poly", lambda psi: math.nan)
+        monkeypatch.setattr(scenarios, "residual_tangle_rows", lambda psis: np.full(len(psis), math.nan))
         result = residual_periodicity_check(1, 1, trials=4, seed=0)
         assert len(result.failures) == 4
         assert math.isnan(result.max_violation)
@@ -595,7 +595,7 @@ class TestNonFiniteViolations:
     def test_nan_suite_exits_4(self, monkeypatch, capsys):
         from triqubit.cli import main
 
-        monkeypatch.setitem(scenarios._SUITES, "nan_trial", lambda rng: (math.nan, {}))
+        monkeypatch.setitem(scenarios._SUITES, "nan_trial", (lambda rng: math.nan, lambda draws: (np.array(draws), {})))
         assert main(["suite", "nan_trial", "--trials", "2"]) == 4
         assert "max violation nan" in capsys.readouterr().out
 
@@ -636,3 +636,114 @@ class TestPeriodicity:
             tau_half = residual_tangle_poly(evolve(plan, psi0, t_half))
             best = max(best, abs(tau_half - tau0))
         assert best > 1e-3
+
+
+class TestNanEvolvedTangle:
+    """A NaN tangle of the evolved state must fail the suites that take a maximum with it."""
+
+    @pytest.fixture
+    def nan_evolved_tangle(self, monkeypatch):
+        evolved = []
+        evolve_rows, tangle12 = scenarios.evolve_rows, scenarios._tangle12
+
+        def record(*args):
+            evolved.append(evolve_rows(*args))
+            return evolved[-1]
+
+        monkeypatch.setattr(scenarios, "evolve_rows", record)
+        monkeypatch.setattr(
+            scenarios, "_tangle12", lambda psis: np.full(len(psis), math.nan) if any(psis is e for e in evolved) else tangle12(psis)
+        )
+
+    @pytest.mark.parametrize("name", ["ghz_can_increase", "heisenberg_entangled13_start"])
+    def test_suite_fails(self, nan_evolved_tangle, name):
+        result = property_suite(name, trials=5, seed=0)
+        assert len(result.failures) == 5
+        assert math.isnan(result.max_violation) and math.isnan(result.stats["max_tangle"])
+
+    @pytest.mark.parametrize("name", ["ghz_can_increase", "heisenberg_entangled13_start"])
+    def test_suite_exits_4(self, nan_evolved_tangle, capsys, name):
+        from triqubit.cli import main
+
+        assert main(["suite", name, "--trials", "5"]) == 4
+        out = capsys.readouterr().out
+        assert "max violation nan" in out and "max_tangle=nan" in out
+
+
+def _periodicity_suite(k, l):
+    return scenarios._periodicity_draw(k, l), scenarios._periodicity
+
+
+SUITES_AND_PERIODICITY = [*suite_names(), "periodicity 1/1", "periodicity 2/3"]
+
+
+def _suite_by_name(name):
+    if name.startswith("periodicity"):
+        return _periodicity_suite(*map(int, name.split()[1].split("/")))
+    return scenarios._SUITES[name]
+
+
+class TestBatchedCompute:
+    @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
+    def test_batch_equals_one_row_computes(self, name):
+        # bit for bit: every row of a batch is computed as it would be alone
+        draw, compute = _suite_by_name(name)
+        draws = [draw(np.random.default_rng(child)) for child in np.random.SeedSequence(7).spawn(9)]
+        violations, context = compute(draws)
+        for i, one in enumerate(draws):
+            violation, row = compute([one])
+            assert violation[0] == violations[i], i
+            for key, column in context.items():
+                assert np.asarray(row[key])[0] == np.asarray(column)[i], (i, key)
+
+    @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
+    def test_chunks_give_the_unchunked_result(self, monkeypatch, name):
+        def run():
+            if name.startswith("periodicity"):
+                return residual_periodicity_check(*map(int, name.split()[1].split("/")), trials=10, seed=5)
+            return property_suite(name, trials=10, seed=5)
+
+        whole = run()
+        monkeypatch.setattr(scenarios, "_CHUNK", 3)
+        chunked = run()
+        assert (chunked.failures, chunked.max_violation, chunked.stats) == (whole.failures, whole.max_violation, whole.stats)
+
+    def test_chunks_replay_the_spawned_streams(self, monkeypatch):
+        # spawning chunk by chunk from one root gives the children of one spawn(trials)
+        seen = []
+        monkeypatch.setitem(
+            scenarios._SUITES, "draws", (lambda rng: rng.integers(2**62), lambda draws: (np.zeros(len(draws)), {"d": draws}))
+        )
+        monkeypatch.setattr(scenarios, "_CHUNK", 4)
+        monkeypatch.setattr(scenarios.SuiteResult, "record", lambda self, i, v, s, context: seen.append(context["d"]))
+        property_suite("draws", trials=10, seed=3)
+        assert seen == [np.random.default_rng(c).integers(2**62) for c in np.random.SeedSequence(3).spawn(10)]
+
+    # recorded at seed 0 with 200 trials from the per-trial implementation these batches replace:
+    # (failures, first failed trial, max violation, stats)
+    PINNED = {
+        "bipartite12_nonincreasing": (0, None, -4.9553917242373124e-05, {}),
+        "bipartite13_stays_zero": (0, None, 1.925929944387236e-30, {}),
+        "bipartite23_stays_zero": (0, None, 1.2019728782920739e-30, {}),
+        "ghz_can_increase": (0, None, 1.509929076399593e-31, {"max_tangle": 0.9391913557578072}),
+        "heisenberg_entangled13_start": (0, None, 4.5726267387922016e-32, {"max_tangle": 0.7502630731499939}),
+        "parity_residual_conserved": (0, None, 1.887379141862766e-15, {}),
+        "separable_stays_separable": (0, None, 1.7381517748094804e-30, {}),
+        "triple_convexity_bound": (77, 1, 0.353369101108656, {}),
+        "triple_nonincreasing": (0, None, -2.8026827272615434e-08, {}),
+        "periodicity 1/1": (0, None, 2.4424906541753444e-15, {}),
+        "periodicity 1/2": (0, None, 2.3314683517128287e-15, {}),
+        "periodicity 2/3": (0, None, 3.552713678800501e-15, {}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_seed_0(self, name):
+        if name.startswith("periodicity"):
+            result = residual_periodicity_check(*map(int, name.split()[1].split("/")), trials=200, seed=0)
+        else:
+            result = property_suite(name, trials=200, seed=0)
+        failures, first, max_violation, stats = self.PINNED[name]
+        assert len(result.failures) == failures
+        assert (result.failures[0]["trial"] if result.failures else None) == first
+        assert result.max_violation == pytest.approx(max_violation, rel=0, abs=1e-12)
+        assert result.stats == pytest.approx(stats, rel=0, abs=1e-12)
