@@ -8,26 +8,20 @@ formation and the residual three-way tangle of the non-interacting pair.
 
 from .evolution import (
     EvolutionPlan,
-    KrausPair,
     MeasurementOutcome,
-    NonFactorizedInitialStateError,
     evolve,
     evolve_grid,
     evolve_rows,
-    factor_probe,
-    kraus_pair,
     make_plan,
     measure_probe,
     measure_probe_grid,
     plan_spectra,
-    v_operators,
 )
 from .hamiltonians import (
     CommutingForm,
     NotCommutingError,
     NotRankOneError,
     PauliPairHamiltonian,
-    canonical_commuting_form,
     canonical_forms,
     heisenberg_chain,
     qnd_zz,
@@ -35,7 +29,6 @@ from .hamiltonians import (
 from .measures import (
     EntanglementReport,
     concurrence_12,
-    eof_from_tangle,
     report,
     report_batch,
     residual_tangle_poly,

@@ -132,10 +132,10 @@ def cmd_classify(args) -> int:
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
     if plan.commuting:
-        fp = plan.fastpath
+        forms = plan.forms.forms(0)
         print(f"commuting (commutator norm {plan.commutator_norm:.6e})")
-        print(f"shared probe axis: {np.round(fp.probe_axis, 12).tolist()}")
-        for label, form in (("pair (1,3)", fp.form13), ("pair (2,3)", fp.form23)):
+        print(f"shared probe axis: {np.round(forms[0].probe_axis, 12).tolist()}")
+        for label, form in zip(("pair (1,3)", "pair (2,3)"), forms):
             print(
                 f"{label}: coupling strength {form.coupling_strength:.12g}, "
                 f"body axis {np.round(form.coupling_axis_self, 12).tolist()}, "
@@ -150,7 +150,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_qnd_demo(args) -> int:
-    gt = float(np.pi * (2 * args.m + 1)) if args.m is not None else args.gt
+    try:
+        gt = float(np.pi * (2 * args.m + 1)) if args.m is not None else args.gt
+    except OverflowError:
+        print("error: |m| is too large: gt = pi*(2m+1) must be finite", file=sys.stderr)
+        return EXIT_CONFIG
+    if not math.isfinite(gt):
+        print("error: gt must be finite", file=sys.stderr)
+        return EXIT_CONFIG
     if gt < 0:
         print("error: gt must be nonnegative", file=sys.stderr)
         return EXIT_CONFIG

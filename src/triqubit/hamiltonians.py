@@ -5,7 +5,8 @@ contracting Pauli operators of the non-probe qubit against those of qubit 3,
 plus single-body coefficient vectors on each qubit. When the two pair
 Hamiltonians commute, each coupling tensor is rank one and both share a single
 probe axis; ``canonical_forms`` extracts that structure for N pairs at once,
-and ``canonical_commuting_form`` is its one-row case.
+as arrays, and ``CanonicalForms.forms`` and ``.error`` read one row back as a
+pair of ``CommutingForm`` or as the reason it has none.
 
 The classifier works in coefficient space and builds no 8x8 matrix. Write each
 pair as body-Pauli-indexed probe vectors, C = [local_probe; coupling rows]
@@ -328,22 +329,6 @@ def canonical_forms(h13s, h23s, tol: float = SPECTRAL_TOL) -> CanonicalForms:
         residual=np.sqrt(residual2) * top,
         deviation=np.sqrt(8.0 * deviation2) * top,
     )
-
-
-def canonical_commuting_form(
-    h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, tol: float = SPECTRAL_TOL
-) -> tuple[CommutingForm, CommutingForm]:
-    """Extract the shared-probe-axis canonical forms of a commuting pair: the one-row ``canonical_forms``.
-
-    Raises NotCommutingError if the pair does not commute (also when the probe
-    axes fail to line up), NotRankOneError if a nonzero coupling tensor does
-    not factor into a body axis and a probe axis.
-    """
-    forms = canonical_forms((h13,), (h23,), tol=tol)
-    error = forms.error(0)
-    if error is not None:
-        raise error
-    return forms.forms(0)
 
 
 # Named presets ----------------------------------------------------------

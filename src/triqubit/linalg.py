@@ -26,10 +26,6 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def norms(x) -> np.ndarray:
     """Euclidean norm along the last axis, summed at the scale of each row's largest entry.
 
@@ -61,12 +57,6 @@ def unit_axis(axis) -> np.ndarray:
         raise ValueError("zero axis has no direction")
     axis = axis / top
     return axis / np.sqrt(np.vecdot(axis, axis))[..., None]
-
-
-def axis_sigma(axis) -> np.ndarray:
-    """Pauli operator along a Bloch axis: n . (sx, sy, sz), with n normalized."""
-    x, y, z = unit_axis(axis)
-    return x * SX + y * SY + z * SZ
 
 
 def embed_single(op2: np.ndarray, qubit: int) -> np.ndarray:

@@ -23,27 +23,15 @@ from .tolerances import PHYSICS_TOL
 _YY = kron(SY, SY).real  # real symmetric
 
 
-def _binary_entropy(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    xi = np.where(inside, x, 0.5)
-    return np.where(inside, -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi), 0.0)
-
-
-def binary_entropy(x: float) -> float:
-    """-x log2 x - (1-x) log2(1-x), continuous at the endpoints."""
-    return float(_binary_entropy(np.float64(x)))
-
-
 def _eof(tau: np.ndarray) -> np.ndarray:
+    """Entanglement of formation h(1/2 + 1/2 sqrt(1 - tau)) in ebits, h the binary entropy (0 at x = 1)."""
     out_of_range = tau[(tau < -PHYSICS_TOL) | (tau > 1.0 + PHYSICS_TOL)]
     if out_of_range.size:
         raise ValueError(f"tangle out of range [0, 1]: {float(out_of_range[0])!r}")
-    return _binary_entropy(0.5 + 0.5 * np.sqrt(1.0 - np.clip(tau, 0.0, 1.0)))
-
-
-def eof_from_tangle(tau: float) -> float:
-    """Entanglement of formation h(1/2 + 1/2 sqrt(1 - tau)) in ebits."""
-    return float(_eof(np.float64(tau)))
+    x = 0.5 + 0.5 * np.sqrt(1.0 - np.clip(tau, 0.0, 1.0))
+    inside = x < 1.0
+    xi = np.where(inside, x, 0.5)
+    return np.where(inside, -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi), 0.0)
 
 
 def residual_tangle_rows(psis) -> np.ndarray:

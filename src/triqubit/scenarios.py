@@ -157,9 +157,9 @@ def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, pat
     """
     with np.errstate(over="ignore", invalid="ignore"):
         m13, m23 = h13.to_matrix(), h23.to_matrix()
-        h_total = m13 + m23
-        norms = frob(m13), frob(m23), frob(h_total)
-    if not all(np.isfinite(m).all() for m in (m13, m23, h_total)):
+        total = m13 + m23
+        norms = frob(m13), frob(m23), frob(total)
+    if not all(np.isfinite(m).all() for m in (m13, m23, total)):
         raise ConfigError(f"{path}: matrix entries overflow; coefficients are too large")
     scale = norms[0] * norms[1]
     if not math.isfinite(scale):
@@ -807,6 +807,8 @@ def _run_trials(name: str, suite: tuple, trials: int, seed: int, slack: float) -
     ``_CHUNK``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     draw, compute = suite
     result = SuiteResult(name=name, trials=trials, seed=seed)
     root = np.random.SeedSequence(seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I2, SX, SY, SZ, dagger, kron, unit_axis
+from .linalg import I2, SX, SY, SZ, kron, unit_axis
 from .tolerances import STRUCTURAL_TOL
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -106,27 +106,6 @@ def apply_local(rotation: LocalRotation, psi) -> np.ndarray:
     """Apply a single-qubit rotation; norm and every entanglement measure are preserved."""
     psi = _as_vector(psi, 8, "state")
     return rotate(psi, rotation.qubit, rotation.matrix()[None])[0]
-
-
-def probe_components(vec, axis) -> tuple[complex, complex]:
-    """Components (c, d) of a qubit state in the (plus, minus) eigenbasis of an axis."""
-    vec = _as_vector(vec, 2, "qubit state")
-    plus, minus = axis_eigenbasis(axis)
-    return complex(np.vdot(plus, vec)), complex(np.vdot(minus, vec))
-
-
-def basis_matrix(axes) -> np.ndarray:
-    """Unitary whose columns are the product (plus/minus) eigenvectors of three axes."""
-    factors = []
-    for axis in axes:
-        plus, minus = axis_eigenbasis(axis)
-        factors.append(np.column_stack([plus, minus]))
-    return kron(*factors)
-
-
-def to_axis_basis(psi, axes) -> np.ndarray:
-    """Amplitudes of a logical-basis state in the product eigenbasis of the given axes."""
-    return dagger(basis_matrix(axes)) @ _as_vector(psi, 8, "state")
 
 
 def from_axis_basis(amps, axes) -> np.ndarray:

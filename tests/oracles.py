@@ -5,9 +5,10 @@ three-qubit states through one route per measure and classifies pairs in
 Pauli-coefficient space: the 8x8 commutator for the commutation test, Pade-approximant matrix
 exponentials (scipy) instead of spectral ones, einsum reductions, a
 branch-cross-matrix concurrence for marginals of pure states, the plain
-nonsymmetric-eigenvalue Wootters route for mixed two-qubit states, and two
-residual-tangle routes (Wootters lambdas, CKW subtraction) built from the
-cross matrix instead of the package's amplitude polynomials.
+nonsymmetric-eigenvalue Wootters route for mixed two-qubit states, the Kraus
+route to rho_12 of a state chi x phi through the probe's conditional
+operators, and two residual-tangle routes (Wootters lambdas, CKW subtraction)
+built from the cross matrix instead of the package's amplitude polynomials.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def commutes(h13, h23, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(commutator(m13 / np.linalg.norm(m13), m23 / np.linalg.norm(m23)))) <= tol
 
 
-def _embed(op: np.ndarray, qubit: int) -> np.ndarray:
+def embed(op: np.ndarray, qubit: int) -> np.ndarray:
+    """A one-qubit operator on qubit 1, 2 or 3, identity on the others."""
     ops = [I2, I2, I2]
     ops[qubit - 1] = op
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
@@ -57,12 +59,24 @@ def _sigma(axis) -> np.ndarray:
     return x * SX + y * SY + z * SZ
 
 
+def axis_pauli(axis) -> np.ndarray:
+    """n . (sx, sy, sz) for the unit vector n along ``axis``, divided by its largest |component| before the norm."""
+    a = np.asarray(axis, dtype=float)
+    a = a / np.abs(a).max()
+    return _sigma(a / np.linalg.norm(a))
+
+
 def form_matrices(form) -> tuple[np.ndarray, np.ndarray]:
     """(entangling, local) 8x8 matrices of a CommutingForm, built from kron embeddings."""
     body = form.pair[0]
-    entangling = form.coupling_strength * _embed(_sigma(form.coupling_axis_self), body) @ _embed(_sigma(form.probe_axis), 3)
-    local = form.local_self_strength * _embed(_sigma(form.local_self_axis), body)
-    return entangling, local + form.local_probe_strength * _embed(_sigma(form.probe_axis), 3)
+    entangling = form.coupling_strength * embed(_sigma(form.coupling_axis_self), body) @ embed(_sigma(form.probe_axis), 3)
+    local = form.local_self_strength * embed(_sigma(form.local_self_axis), body)
+    return entangling, local + form.local_probe_strength * embed(_sigma(form.probe_axis), 3)
+
+
+def total_hamiltonian(plan) -> np.ndarray:
+    """H13 + H23 of a plan, summed from the pair's own 8x8 embeddings."""
+    return plan.h13.to_matrix() + plan.h23.to_matrix()
 
 
 def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -77,6 +91,27 @@ def oracle_evolve(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
 def oracle_rho12(psi: np.ndarray) -> np.ndarray:
     m = np.asarray(psi, dtype=complex).reshape(4, 2)
     return np.einsum("ak,bk->ab", m, m.conj())
+
+
+def oracle_kraus(h: np.ndarray, phi: np.ndarray, basis, t: float) -> list[np.ndarray]:
+    """Kraus operators A_k = (1 x <b_k|) U(t) (1 x |phi>) of qubits 1,2 for a probe starting in |phi>.
+
+    U(t) = expm(-i h t); the probe bra and ket act through kron embeddings.
+    """
+    u = oracle_unitary(h, t)
+    ket = np.kron(np.eye(4), np.asarray(phi, dtype=complex).reshape(2, 1))
+    return [np.kron(np.eye(4), np.asarray(b, dtype=complex).reshape(1, 2).conj()) @ u @ ket for b in basis]
+
+
+def oracle_rho12_kraus(h: np.ndarray, chi: np.ndarray, phi: np.ndarray, basis, t: float) -> np.ndarray:
+    """rho_12(t) of the initial state chi x phi as the mixed state sum_k A_k |chi><chi| A_k†.
+
+    Valid for any orthonormal probe basis: the Kraus route to ``oracle_rho12``
+    of the evolved state, a mixed state for ``oracle_concurrence_mixed``
+    (Wootters, PRL 80, 2245 (1998)).
+    """
+    rho = np.outer(chi, np.conj(chi))
+    return sum(a @ rho @ a.conj().T for a in oracle_kraus(h, phi, basis, t))
 
 
 def oracle_ptrace(m: np.ndarray, which: int) -> np.ndarray:

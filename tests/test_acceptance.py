@@ -36,6 +36,7 @@ from oracles import (
     oracle_rho12,
     oracle_tangle12_pure3,
     oracle_tangle_pure2,
+    total_hamiltonian,
 )
 
 X = (1.0, 0.0, 0.0)
@@ -78,7 +79,7 @@ def test_criterion_02_closed_form_evolution_matches_exact():
         psi0 = random_state(rng)
         assert plan.commuting
         for t in rng.uniform(0.0, 4.0 * np.pi, 100):
-            exact = oracle_evolve(plan.h_total, psi0, t)
+            exact = oracle_evolve(total_hamiltonian(plan), psi0, t)
             fast = evolve(plan, psi0, t)
             worst = max(worst, 1.0 - abs(np.vdot(exact, fast)) ** 2)
     assert worst <= 1e-10, f"worst infidelity {worst:.3e}"
@@ -116,7 +117,7 @@ def test_criterion_04_heisenberg_tangle_matches_brute_force_oracle():
         plan, psi0, grid = heisenberg_00plus_grid(g)
         for t in grid:
             computed = report(evolve(plan, psi0, t)).tangle_12
-            oracle = oracle_concurrence_pure3(oracle_evolve(plan.h_total, psi0, t), 3) ** 2
+            oracle = oracle_concurrence_pure3(oracle_evolve(total_hamiltonian(plan), psi0, t), 3) ** 2
             worst_oracle = max(worst_oracle, abs(computed - oracle))
             worst_quartic = max(worst_quartic, abs(oracle - (16 / 81) * np.sin(3 * g * t) ** 4))
             worst_cubic_sine = max(worst_cubic_sine, abs(oracle - (4 / 9) * np.sin(3 * g * t) ** 3))
@@ -141,7 +142,7 @@ def test_criterion_05_heisenberg_eigenstructure_and_swap_parity():
         swap_13[(b3 << 2) | (b2 << 1) | b1, b] = 1
     for g in (1.0, 0.6):
         plan = make_plan(*heisenberg_chain(g))
-        w, v = np.linalg.eigh(plan.h_total)
+        w, v = np.linalg.eigh(total_hamiltonian(plan))
         expected = np.sort([-4 * g] * 2 + [0.0] * 2 + [2 * g] * 4)
         assert np.allclose(np.sort(w), expected, atol=1e-10), f"g={g}: spectrum {np.sort(w)}"
         # swap parity per eigenspace: E=0 pair-antisymmetric, E=-4g pair-symmetric,
@@ -234,7 +235,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
             t0_excess = tau0 - tau0 * factor_free
             assert t0_excess > TOL, f"FAIL [6e] trial {index}: stated factor holds at t = 0 ({t0_excess:.3e})"
             least_t0_excess = min(least_t0_excess, t0_excess)
-        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(plan.h_total, psi0, t)) - tau0 * factor_free
+        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(total_hamiltonian(plan), psi0, t)) - tau0 * factor_free
     reported = [failure["trial"] for failure in stated.failures]
     assert reported, "the stated factor is violated at t = 0, yet the suite found no counterexample"
     unconfirmed = [i for i in reported if oracle_excess[i] <= TOL]

@@ -109,6 +109,12 @@ class TestSuiteCommand:
         assert "--seed 2024" in captured.err
         assert "counterexample" in captured.err
 
+    def test_negative_seed_exit_2_names_seed(self, capsys):
+        assert main(["suite", "ghz_can_increase", "--trials", "5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
 
 class TestClassifyCommand:
     def test_qnd_preset(self, tmp_path, capsys):
@@ -230,6 +236,21 @@ class TestQndDemoCommand:
     def test_negative_gt_rejected(self, capsys):
         assert main(["qnd-demo", "--gt", "-1"]) == 2
 
+    @pytest.mark.parametrize("gt", ["nan", "inf"])
+    def test_non_finite_gt_exit_2(self, capsys, gt):
+        assert main(["qnd-demo", "--gt", gt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: gt must be finite\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("m", [str(10**400), str(-(10**400)), str(6 * 10**307)], ids=["1e400", "-1e400", "6e307"])
+    def test_overflowing_m_exit_2(self, capsys, m):
+        # 2m + 1 past float range cannot be converted; pi * (2m + 1) past it is infinite
+        assert main(["qnd-demo", "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestPeriodicityCommand:
     def test_pass(self, capsys):
@@ -244,6 +265,12 @@ class TestPeriodicityCommand:
         assert main(["periodicity", "--k", "1", "--l", "2", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_exit_2_names_seed(self, capsys):
+        assert main(["periodicity", "--k", "1", "--l", "2", "--trials", "5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0, got -1\n"
         assert captured.out == ""
 
 

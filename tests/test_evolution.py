@@ -1,38 +1,40 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from triqubit.evolution import (
-    NonFactorizedInitialStateError,
+    closed_form_spectra,
     evolve,
     evolve_grid,
     evolve_rows,
-    factor_probe,
-    kraus_pair,
     make_plan,
     measure_probe,
+    measure_probe_grid,
     plan_spectra,
-    v_operators,
+    sector_vectors,
 )
 from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, qnd_zz
-from triqubit.linalg import I2, kron
+from triqubit.measures import report
 from triqubit.scenarios import (
     random_axis,
     random_commuting_pair,
     random_qubit_state,
-    random_rotation,
     random_state,
 )
-from triqubit.states import LocalRotation, axis_eigenbasis, basis_matrix, fully_separable, ghz_general
+from triqubit.states import LocalRotation, axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
 
 from oracles import (
-    form_matrices,
     haar_state,
     oracle_concurrence_mixed,
     oracle_evolve,
+    oracle_kraus,
     oracle_rho12,
+    oracle_rho12_kraus,
     oracle_tangle12_pure3,
     oracle_tangle_pure2,
     oracle_unitary,
+    total_hamiltonian,
 )
 
 X = (1.0, 0.0, 0.0)
@@ -41,6 +43,11 @@ INV_SQRT2 = 1 / np.sqrt(2)
 
 def x_product_state():
     return fully_separable(*(LocalRotation(qubit=q) for q in (1, 2, 3)), axes=(X, X, X))
+
+
+def unitary(plan, t: float) -> np.ndarray:
+    """U(t) column by column: ``evolve_grid`` of each of the 8 basis states to the one time t."""
+    return np.stack([evolve_grid(plan, e, (t,))[0] for e in np.eye(8)], axis=1)
 
 
 class TestPlan:
@@ -53,7 +60,7 @@ class TestPlan:
 
     def test_unitary_is_unitary(self):
         plan = make_plan(*heisenberg_chain(0.7))
-        u = plan.unitary(1.3)
+        u = unitary(plan, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
     def test_unitary_group_property_and_pade_oracle(self):
@@ -61,9 +68,9 @@ class TestPlan:
         rng = np.random.default_rng(11)
         for plan in (make_plan(*heisenberg_chain(0.7)), make_plan(*random_commuting_pair(rng, locals_mode="full"))):
             t, s = 0.7, 1.9
-            assert np.max(np.abs(plan.unitary(0.0) - np.eye(8))) <= 1e-12
-            assert np.max(np.abs(plan.unitary(t) @ plan.unitary(s) - plan.unitary(t + s))) <= 1e-10
-            assert np.max(np.abs(plan.unitary(t) - oracle_unitary(plan.h_total, t))) <= 1e-10
+            assert np.max(np.abs(unitary(plan, 0.0) - np.eye(8))) <= 1e-12
+            assert np.max(np.abs(unitary(plan, t) @ unitary(plan, s) - unitary(plan, t + s))) <= 1e-10
+            assert np.max(np.abs(unitary(plan, t) - oracle_unitary(total_hamiltonian(plan), t))) <= 1e-10
 
 
 class TestEvolveExact:
@@ -79,7 +86,7 @@ class TestEvolveExact:
         for t in np.linspace(0, 6, 13):
             out = evolve(plan, psi, t)
             assert abs(np.vdot(out, out).real - 1) <= 1e-12
-            assert np.max(np.abs(out - oracle_evolve(plan.h_total, psi, t))) <= 1e-10
+            assert np.max(np.abs(out - oracle_evolve(total_hamiltonian(plan), psi, t))) <= 1e-10
 
     def test_probe_coupled_product_state_at_bell_time(self):
         # frozen amplitudes of the evolved x-polarized product state at g t = pi,
@@ -109,7 +116,7 @@ class TestFastpath:
             assert plan.commuting
             psi = random_state(rng)
             for t in rng.uniform(0, 7, 4):
-                a = oracle_evolve(plan.h_total, psi, t)
+                a = oracle_evolve(total_hamiltonian(plan), psi, t)
                 b = evolve(plan, psi, t)
                 assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
@@ -126,13 +133,16 @@ class TestFastpath:
         rng = np.random.default_rng(22)
         commuting = make_plan(*random_commuting_pair(rng))
         noncommuting = make_plan(*heisenberg_chain(1.0))
-        closed_form, eigh = commuting.fastpath.spectrum(), np.linalg.eigh(noncommuting.h_total)
+        forms = commuting.forms
+        vecs = sector_vectors(forms.strength, forms.body_axis, forms.self_strength, forms.self_axis)
+        closed_form = closed_form_spectra(vecs, forms.probe_axis, forms.probe_strength[:, 0] + forms.probe_strength[:, 1])
+        closed_form, eigh = [a[0] for a in closed_form], np.linalg.eigh(total_hamiltonian(noncommuting))
         for plan, expected in ((commuting, closed_form), (noncommuting, eigh)):
             for got, want in zip(plan.spectrum(), expected):
                 assert np.array_equal(got, want)
         psi = random_state(rng)
         for plan in (commuting, noncommuting):
-            assert np.max(np.abs(evolve(plan, psi, 0.9) - oracle_evolve(plan.h_total, psi, 0.9))) <= 1e-10
+            assert np.max(np.abs(evolve(plan, psi, 0.9) - oracle_evolve(total_hamiltonian(plan), psi, 0.9))) <= 1e-10
 
 
 class TestSpectrum:
@@ -144,14 +154,15 @@ class TestSpectrum:
         h23 = PauliPairHamiltonian(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z),
                                    local_self=(0.2, 0.4, 0.1), pair=(2, 3))
         plan = make_plan(h13, h23)
-        vecs = plan.fastpath.sector_vectors()
+        forms = plan.forms
+        vecs = sector_vectors(forms.strength, forms.body_axis, forms.self_strength, forms.self_axis)[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
         w, v = plan.spectrum()
-        w_eigh, v_eigh = np.linalg.eigh(plan.h_total)
+        w_eigh, v_eigh = np.linalg.eigh(total_hamiltonian(plan))
         assert np.max(np.abs(np.sort(w) - w_eigh)) <= 1e-12
         assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
-        assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(plan))) <= 1e-12
         psi = random_state(np.random.default_rng(23))
         times = np.linspace(0.0, 6.0, 25)
         exact = (np.exp(-1j * np.outer(times, w_eigh)) * (v_eigh.conj().T @ psi)) @ v_eigh.T
@@ -163,7 +174,7 @@ class TestSpectrum:
             plan = make_plan(*random_commuting_pair(rng, locals_mode="full"))
             w, v = plan.spectrum()
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
-            assert np.max(np.abs((v * w) @ v.conj().T - plan.h_total)) <= 1e-12
+            assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(plan))) <= 1e-12
 
     def test_grid_rows_equal_single_points(self):
         rng = np.random.default_rng(25)
@@ -192,17 +203,22 @@ class TestSpectrum:
             assert np.max(np.abs(rows[i] - evolve(plan, psi0s[i], times[i]))) <= 1e-14
 
     def test_spectrum_cached_per_source(self, monkeypatch):
-        # each plan computes its one source once; a commuting plan never calls eigh
+        # each plan computes its one source once, at build time, and cannot be changed after;
+        # a commuting plan never calls eigh
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-        commuting, noncommuting = make_plan(*qnd_zz(1.0)), make_plan(*heisenberg_chain(1.0))
+        commuting = make_plan(*qnd_zz(1.0))
+        assert not calls
+        noncommuting = make_plan(*heisenberg_chain(1.0))
         psi = random_state(np.random.default_rng(26))
         for plan in (commuting, noncommuting):
             first = plan.spectrum()
             evolve_grid(plan, psi, (0.1, 0.2))
-            plan.unitary(0.3)
-            assert plan.spectrum() is first
+            unitary(plan, 0.3)
+            assert all(now is then for now, then in zip(plan.spectrum(), first))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                plan.w = first[0]
         assert len(calls) == 1
 
 
@@ -216,7 +232,7 @@ class TestClosedForm:
             plan = make_plan(h13, h23)
             psi = random_state(rng)
             t = rng.uniform(0, 7)
-            a = oracle_evolve(plan.h_total, psi, t)
+            a = oracle_evolve(total_hamiltonian(plan), psi, t)
             b = evolve(plan, psi, t)
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
@@ -224,14 +240,14 @@ class TestClosedForm:
         rng = np.random.default_rng(31)
         h13, h23 = random_commuting_pair(rng)
         plan = make_plan(h13, h23)
-        fp = plan.fastpath
-        axes = (*fp.body_axes, fp.probe_axis)
+        forms = plan.forms
+        axes = np.array([*forms.body_axis[0], forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
-        psi0 = basis_matrix(axes) @ amps
+        psi0 = from_axis_basis(amps, axes)
         t = 1.234
         out = evolve(plan, psi0, t)
-        expected = np.exp(-1j * sum(fp.strengths) * t) * psi0
+        expected = np.exp(-1j * (forms.strength[0, 0] + forms.strength[0, 1]) * t) * psi0
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_periodic_return_for_equal_strengths(self):
@@ -251,15 +267,22 @@ class TestClosedForm:
 
 
 class TestKraus:
+    # the Kraus route to rho_12 is an oracle: A_k = <b_k| U(t) |phi>_3 from scipy's U(t), so
+    # rho_12(t) = sum_k A_k |chi><chi| A_k† checks the package's evolution of chi x phi
+
     def test_time_zero_scales_identity(self):
+        # A_k(0) = <b_k|phi> 1, so the package's measured branches of chi x phi at t = 0 are <b_k|phi> chi
         rng = np.random.default_rng(40)
         h13, h23 = random_commuting_pair(rng)
         plan = make_plan(h13, h23)
-        phi = random_qubit_state(rng)
-        pair = kraus_pair(plan, phi, 0.0)
-        plus, minus = axis_eigenbasis(plan.fastpath.probe_axis)
-        assert np.max(np.abs(pair.a_plus - np.vdot(plus, phi) * np.eye(4))) <= 1e-12
-        assert np.max(np.abs(pair.a_minus - np.vdot(minus, phi) * np.eye(4))) <= 1e-12
+        phi, chi = random_qubit_state(rng), haar_state(rng, 4)
+        basis = axis_eigenbasis(plan.forms.probe_axis[0])
+        for a, b in zip(oracle_kraus(total_hamiltonian(plan), phi, basis, 0.0), basis):
+            assert np.max(np.abs(a - np.vdot(b, phi) * np.eye(4))) <= 1e-12
+        probs, _, present, states = measure_probe_grid(evolve_grid(plan, np.kron(chi, phi), (0.0,)), basis)
+        assert present.all()
+        for k, b in enumerate(basis):
+            assert np.max(np.abs(np.sqrt(probs[0, k]) * states[0, k] - np.vdot(b, phi) * chi)) <= 1e-12
 
     def test_completeness_and_reconstruction(self):
         rng = np.random.default_rng(41)
@@ -269,31 +292,12 @@ class TestKraus:
             chi = haar_state(rng, 4)
             phi = random_qubit_state(rng)
             t = rng.uniform(0, 5)
-            pair = kraus_pair(plan, phi, t)
-            assert pair.completeness_defect() <= 1e-10
-            via_kraus = pair.apply(np.outer(chi, chi.conj()))
-            via_trace = oracle_rho12(oracle_evolve(plan.h_total, np.kron(chi, phi), t))
+            basis = axis_eigenbasis(plan.forms.probe_axis[0])
+            kraus = oracle_kraus(total_hamiltonian(plan), phi, basis, t)
+            assert np.max(np.abs(sum(a.conj().T @ a for a in kraus) - np.eye(4))) <= 1e-10
+            via_kraus = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, basis, t)
+            via_trace = oracle_rho12(evolve(plan, np.kron(chi, phi), t))
             assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
-
-    def test_branch_unitary_structure(self):
-        # for a commuting plan without local terms the two Kraus operators are
-        # <±|phi> times a product of single-qubit axis rotations
-        from triqubit.evolution import _axis_rotation
-
-        rng = np.random.default_rng(42)
-        h13, h23 = random_commuting_pair(rng)
-        plan = make_plan(h13, h23)
-        fp = plan.fastpath
-        phi = random_qubit_state(rng)
-        t = 0.83
-        pair = kraus_pair(plan, phi, t)
-        plus, minus = axis_eigenbasis(fp.probe_axis)
-        s13, s23 = fp.strengths
-        a1, a2 = (np.asarray(a) for a in fp.body_axes)
-        expected_plus = np.vdot(plus, phi) * kron(_axis_rotation(s13 * a1, t), _axis_rotation(s23 * a2, t))
-        expected_minus = np.vdot(minus, phi) * kron(_axis_rotation(-s13 * a1, t), _axis_rotation(-s23 * a2, t))
-        assert np.max(np.abs(pair.a_plus - expected_plus)) <= 1e-10
-        assert np.max(np.abs(pair.a_minus - expected_minus)) <= 1e-10
 
     def test_separable_input_stays_separable_through_kraus(self):
         rng = np.random.default_rng(43)
@@ -301,72 +305,24 @@ class TestKraus:
         plan = make_plan(h13, h23)
         chi = np.kron(random_qubit_state(rng), random_qubit_state(rng))
         phi = random_qubit_state(rng)
+        basis = axis_eigenbasis(plan.forms.probe_axis[0])
         for t in np.linspace(0, 4, 9):
-            rho = kraus_pair(plan, phi, t).apply(np.outer(chi, chi.conj()))
+            rho = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, basis, t)
             assert oracle_concurrence_mixed(rho) ** 2 <= 1e-9
+            assert report(evolve(plan, np.kron(chi, phi), t)).tangle_12 <= 1e-9
 
     def test_explicit_basis_for_noncommuting_plan(self):
+        # any orthonormal probe basis gives the same rho_12, also without a shared probe axis
         plan = make_plan(*heisenberg_chain(1.0))
         phi = np.array([INV_SQRT2, INV_SQRT2], dtype=complex)
-        with pytest.raises(ValueError):
-            kraus_pair(plan, phi, 1.0)
         e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-        pair = kraus_pair(plan, phi, 1.0, basis=(e0, e1))
-        assert pair.completeness_defect() <= 1e-10
+        kraus = oracle_kraus(total_hamiltonian(plan), phi, (e0, e1), 1.0)
+        assert np.max(np.abs(sum(a.conj().T @ a for a in kraus) - np.eye(4))) <= 1e-10
         chi = np.zeros(4, dtype=complex)
         chi[0] = 1
-        via_kraus = pair.apply(np.outer(chi, chi.conj()))
+        via_kraus = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, (e0, e1), 1.0)
         via_trace = oracle_rho12(evolve(plan, np.kron(chi, phi), 1.0))
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
-
-    def test_factor_probe(self):
-        chi = haar_state(np.random.default_rng(3), 4)
-        phi = random_qubit_state(np.random.default_rng(4))
-        a, b = factor_probe(np.kron(chi, phi))
-        assert np.max(np.abs(np.kron(a, b) - np.kron(chi, phi))) <= 1e-10
-        with pytest.raises(NonFactorizedInitialStateError):
-            factor_probe(ghz_general(INV_SQRT2, INV_SQRT2))
-
-
-class TestVOperators:
-    def test_time_zero_is_rotation(self):
-        rng = np.random.default_rng(50)
-        h13, h23 = random_commuting_pair(rng)
-        form13 = make_plan(h13, h23).fastpath.form13
-        r = random_rotation(rng, 1)
-        v_plus, v_minus = v_operators(form13, r, 0.0)
-        assert np.allclose(v_plus, r.matrix(), atol=1e-12)
-        assert np.allclose(v_minus, r.matrix(), atol=1e-12)
-
-    def test_half_period_is_minus_rotation(self):
-        rng = np.random.default_rng(51)
-        h13, h23 = random_commuting_pair(rng)
-        form13 = make_plan(h13, h23).fastpath.form13
-        r = random_rotation(rng, 1)
-        t = np.pi / form13.coupling_strength
-        v_plus, v_minus = v_operators(form13, r, t)
-        assert np.allclose(v_plus, -r.matrix(), atol=1e-10)
-        assert np.allclose(v_minus, -r.matrix(), atol=1e-10)
-
-    def test_conjugation_identity(self):
-        # U13(t) (R1 x 1 x 1)|++m> = (V1_m x 1 x 1)|++m> on the interaction eigenbasis
-        rng = np.random.default_rng(52)
-        for _ in range(10):
-            h13, h23 = random_commuting_pair(rng)
-            fp = make_plan(h13, h23).fastpath
-            f13 = fp.form13
-            axes = (*fp.body_axes, fp.probe_axis)
-            b = basis_matrix(axes)
-            r = random_rotation(rng, 1)
-            t = rng.uniform(0, 5)
-            u13 = oracle_unitary(form_matrices(f13)[0], t)
-            r_embedded = kron(r.matrix(), I2, I2)
-            v_plus, v_minus = v_operators(f13, r, t)
-            for column, v in ((0, v_plus), (1, v_minus)):  # |++(+)> and |++(-)>
-                ket = b[:, column]
-                lhs = u13 @ r_embedded @ ket
-                rhs = kron(v, I2, I2) @ ket
-                assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 class TestMeasureProbe:

@@ -5,7 +5,6 @@ from triqubit.hamiltonians import (
     NotCommutingError,
     NotRankOneError,
     PauliPairHamiltonian,
-    canonical_commuting_form,
     canonical_forms,
     heisenberg_chain,
     qnd_zz,
@@ -14,7 +13,14 @@ from triqubit.linalg import I2, SZ, kron
 from triqubit.evolution import evolve, make_plan
 from triqubit.scenarios import random_commuting_pair, random_state
 
-from oracles import commutes, form_matrices, oracle_commutator_norm, oracle_evolve, oracle_tangle12_pure3
+from oracles import (
+    commutes,
+    form_matrices,
+    oracle_commutator_norm,
+    oracle_evolve,
+    oracle_tangle12_pure3,
+    total_hamiltonian,
+)
 
 
 def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
@@ -24,6 +30,13 @@ def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
         local_probe=np.zeros(3) if local_probe is None else local_probe,
         pair=which,
     )
+
+
+def forms_of(h13, h23):
+    """The (1,3) and (2,3) ``CommutingForm`` of a pair that has them: row 0 of the one-row ``canonical_forms``."""
+    forms = canonical_forms((h13,), (h23,))
+    assert forms.error(0) is None, forms.error(0)
+    return forms.forms(0)
 
 
 def zz_pair(g, which):
@@ -139,31 +152,29 @@ class TestCanonicalForm:
     def test_single_term_already_canonical(self):
         c13 = np.zeros((3, 3))
         c13[0, 2] = 2.0  # strength 2, body axis x, probe axis z
-        f13, f23 = canonical_commuting_form(pair(coupling=c13), pair(which=(2, 3)))
+        f13, f23 = forms_of(pair(coupling=c13), pair(which=(2, 3)))
         assert f13.coupling_strength == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(f13.coupling_axis_self, (1, 0, 0), atol=1e-12)
         assert np.allclose(f13.probe_axis, (0, 0, 1), atol=1e-12)
         assert f23.coupling_strength == 0.0
 
     def test_qnd_preset_shares_z_axis(self):
-        f13, f23 = canonical_commuting_form(*qnd_zz(1.0))
+        f13, f23 = forms_of(*qnd_zz(1.0))
         assert np.allclose(f13.probe_axis, (0, 0, 1), atol=1e-12)
         assert np.allclose(f23.probe_axis, (0, 0, 1), atol=1e-12)
         assert f13.coupling_strength == pytest.approx(0.25, abs=1e-12)
 
     def test_heisenberg_raises_not_commuting(self):
-        with pytest.raises(NotCommutingError):
-            canonical_commuting_form(*heisenberg_chain(1.0))
+        assert isinstance(canonical_forms(*zip(heisenberg_chain(1.0))).error(0), NotCommutingError)
 
     def test_rank_two_coupling_raises(self):
         c13 = np.diag([1.0, 2.0, 0.0])  # rank 2, but commutes with a zero partner
         h13, h23 = pair(coupling=c13), pair(which=(2, 3))
         assert commutes(h13, h23)
-        with pytest.raises(NotRankOneError):
-            canonical_commuting_form(h13, h23)
+        assert isinstance(canonical_forms((h13,), (h23,)).error(0), NotRankOneError)
 
     def test_zero_coupling_gets_fixed_axes(self):
-        f13, f23 = canonical_commuting_form(pair(), pair(which=(2, 3)))
+        f13, f23 = forms_of(pair(), pair(which=(2, 3)))
         assert f13.coupling_strength == 0.0
         assert np.allclose(f13.probe_axis, (0, 0, 1))
         assert np.allclose(f13.local_self_axis, (0, 0, 1))
@@ -175,8 +186,8 @@ class TestCanonicalForm:
         h13a = pair(coupling=1.5 * np.outer(u, j))
         h13b = pair(coupling=1.5 * np.outer(-u, -j))
         h23 = pair(coupling=0.7 * np.outer(u, j), which=(2, 3))
-        fa = canonical_commuting_form(h13a, h23)[0]
-        fb = canonical_commuting_form(h13b, h23)[0]
+        fa = forms_of(h13a, h23)[0]
+        fb = forms_of(h13b, h23)[0]
         assert np.allclose(fa.coupling_axis_self, fb.coupling_axis_self, atol=1e-12)
         assert np.allclose(fa.probe_axis, fb.probe_axis, atol=1e-12)
         assert fa.probe_axis[0] > 0  # first nonzero component positive
@@ -190,36 +201,36 @@ class TestCanonicalForm:
         h13 = pair(coupling=scale * 0.9 * np.outer([1, 0, 0], z), local_self=scale * np.array([0.3, 0.1, 0.2]),
                    local_probe=scale * 0.5 * z)
         h23 = pair(coupling=scale * 1.4 * np.outer([0, 1, 0], z), which=(2, 3))
-        f13, f23 = canonical_commuting_form(h13, h23)
+        f13, f23 = forms_of(h13, h23)
         assert f13.probe_axis == (0.0, 0.0, 1.0)
         assert (f13.coupling_strength, f23.coupling_strength) == pytest.approx((0.9 * scale, 1.4 * scale), rel=1e-12, abs=0)
         assert f13.local_self_strength == pytest.approx(scale * np.sqrt(0.14), rel=1e-12, abs=0)
         assert f13.local_probe_strength == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
         # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
         misaligned = pair(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NotCommutingError, match="probe-local term is not aligned"):
-            canonical_commuting_form(misaligned, pair(which=(2, 3)))
+        error = canonical_forms((misaligned,), (pair(which=(2, 3)),)).error(0)
+        assert isinstance(error, NotCommutingError) and "probe-local term is not aligned" in str(error)
         plan = make_plan(misaligned, pair(which=(2, 3)))
         psi0 = random_state(np.random.default_rng(5))
         t = 1.3 / scale
-        assert np.max(np.abs(evolve(plan, psi0, t) - oracle_evolve(plan.h_total, psi0, t))) <= 1e-10
+        assert np.max(np.abs(evolve(plan, psi0, t) - oracle_evolve(total_hamiltonian(plan), psi0, t))) <= 1e-10
 
     @pytest.mark.parametrize("scale", [1.0, 1e-15, 1e-170, 1e155])
     def test_probe_local_axis_is_scale_free(self, scale):
         # probe-local terms only: their common axis is the probe axis, found at the scale of
         # the largest component (squares vanish below ~1e-162 and overflow past ~1e154)
         axis = np.array([0.6, 0.0, -0.8])
-        f13, f23 = canonical_commuting_form(pair(local_probe=-scale * axis), pair(local_probe=scale * 0.5 * axis, which=(2, 3)))
+        f13, f23 = forms_of(pair(local_probe=-scale * axis), pair(local_probe=scale * 0.5 * axis, which=(2, 3)))
         assert f13.probe_axis == pytest.approx(tuple(axis), abs=1e-15)
         assert (f13.local_probe_strength, f23.local_probe_strength) == pytest.approx((-scale, 0.5 * scale), rel=1e-12, abs=0)
-        f13, f23 = canonical_commuting_form(pair(local_probe=np.array([scale, 0.0, 0.0])), pair(which=(2, 3)))
+        f13, f23 = forms_of(pair(local_probe=np.array([scale, 0.0, 0.0])), pair(which=(2, 3)))
         assert (f13.probe_axis, f13.local_probe_strength, f23.local_probe_strength) == ((1.0, 0.0, 0.0), scale, 0.0)
 
     def test_reconstruction_roundtrip_random(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
-            f13, f23 = canonical_commuting_form(h13, h23)
+            f13, f23 = forms_of(h13, h23)
             assert np.max(np.abs(sum(form_matrices(f13)) - h13.to_matrix())) <= 1e-10
             assert np.max(np.abs(sum(form_matrices(f23)) - h23.to_matrix())) <= 1e-10
             assert abs(np.linalg.norm(f13.coupling_axis_self) - 1) <= 1e-12
@@ -228,14 +239,14 @@ class TestCanonicalForm:
     def test_antiparallel_probe_locals_without_coupling(self):
         h13 = pair(local_probe=np.array([0.5, 0, 0]))
         h23 = pair(local_probe=np.array([-0.5, 0, 0]), which=(2, 3))
-        f13, f23 = canonical_commuting_form(h13, h23)
+        f13, f23 = forms_of(h13, h23)
         assert f13.local_probe_strength == pytest.approx(0.5)
         assert f23.local_probe_strength == pytest.approx(-0.5)
 
 
 class TestSplitLocalAndEntangling:
     def test_zero_locals(self):
-        f13, _ = canonical_commuting_form(zz_pair(1.0, (1, 3)), zz_pair(1.0, (2, 3)))
+        f13, _ = forms_of(zz_pair(1.0, (1, 3)), zz_pair(1.0, (2, 3)))
         entangling, local = form_matrices(f13)
         assert np.allclose(local, 0)
         assert np.allclose(entangling, kron(SZ, I2, SZ), atol=1e-12)
@@ -244,7 +255,7 @@ class TestSplitLocalAndEntangling:
         rng = np.random.default_rng(6)
         for _ in range(50):
             h13, h23 = random_commuting_pair(rng, locals_mode="full")
-            for form, h in zip(canonical_commuting_form(h13, h23), (h13, h23)):
+            for form, h in zip(forms_of(h13, h23), (h13, h23)):
                 entangling, local = form_matrices(form)
                 assert np.max(np.abs(entangling + local - h.to_matrix())) <= 1e-10
 
@@ -272,7 +283,7 @@ class TestSplitLocalAndEntangling:
         rng = np.random.default_rng(44)
         for _ in range(25):
             h13, h23 = self._aligned_pair(rng)
-            f13, f23 = canonical_commuting_form(h13, h23)
+            f13, f23 = forms_of(h13, h23)
             (ent13, loc13), (ent23, loc23) = form_matrices(f13), form_matrices(f23)
             ent, loc = ent13 + ent23, loc13 + loc23
             assert np.linalg.norm(ent @ loc - loc @ ent) <= 1e-10
@@ -283,7 +294,7 @@ class TestSplitLocalAndEntangling:
         rng = np.random.default_rng(45)
         for _ in range(25):
             h13, h23 = self._aligned_pair(rng)
-            f13, f23 = canonical_commuting_form(h13, h23)
+            f13, f23 = forms_of(h13, h23)
             ent_only = (
                 PauliPairHamiltonian(coupling=h13.coupling, pair=(1, 3)),
                 PauliPairHamiltonian(coupling=h23.coupling, pair=(2, 3)),
@@ -302,6 +313,6 @@ class TestSplitLocalAndEntangling:
         h13 = pair(coupling=c13, local_self=np.array([0, 0, 0.8]))
         h23 = zz_pair(1.0, (2, 3))
         assert commutes(h13, h23)
-        f13, _ = canonical_commuting_form(h13, h23)
+        f13, _ = forms_of(h13, h23)
         entangling, local = form_matrices(f13)
         assert np.linalg.norm(entangling @ local - local @ entangling) > 0.1

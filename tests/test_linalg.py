@@ -6,9 +6,9 @@ from triqubit.linalg import (
     SX,
     SY,
     SZ,
-    axis_sigma,
     frob,
     kron,
+    unit_axis,
 )
 
 from oracles import commutator
@@ -43,9 +43,9 @@ def test_frob_scales_past_the_range_of_squares():
     assert frob(np.zeros((2, 2))) == 0.0
 
 
-def test_axis_sigma_rejects_zero_axis():
+def test_unit_axis_rejects_zero_axis():
     with pytest.raises(ValueError):
-        axis_sigma((0, 0, 0))
+        unit_axis((0, 0, 0))
 
 
 def test_pauli_commutators():

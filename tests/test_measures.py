@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triqubit import measures
 from triqubit.evolution import measure_probe
 from triqubit.measures import (
     EntanglementReport,
-    binary_entropy,
     concurrence_12,
-    eof_from_tangle,
     report,
     report_batch,
     residual_tangle_poly,
@@ -17,6 +16,7 @@ from triqubit.states import LocalRotation, fully_separable, ghz_general, triple,
 
 from oracles import (
     haar_state,
+    oracle_binary_entropy,
     oracle_concurrence_mixed,
     oracle_concurrence_pure3,
     oracle_residual_tangle_ckw,
@@ -69,33 +69,41 @@ class TestTangle:
                 assert abs(value - oracle_tangle_pure2(chi)) <= 1e-10
 
 
+def eof(tau: float) -> float:
+    """The package's entanglement of formation of one tangle."""
+    return float(measures._eof(np.array([tau]))[0])
+
+
 class TestEof:
     def test_endpoints(self):
-        assert eof_from_tangle(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert eof_from_tangle(0.0) == 0.0
+        assert eof(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert eof(0.0) == 0.0
 
     def test_frozen_value(self):
         # h(0.9) evaluated directly: -0.9 log2 0.9 - 0.1 log2 0.1
-        assert eof_from_tangle(0.36) == pytest.approx(0.46899559358928117, abs=1e-12)
+        assert eof(0.36) == pytest.approx(0.46899559358928117, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            eof_from_tangle(1.1)
+            eof(1.1)
         with pytest.raises(ValueError):
-            eof_from_tangle(-0.1)
+            eof(-0.1)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_monotone_and_bounded(self, tau):
-        value = eof_from_tangle(tau)
+        value = eof(tau)
         assert 0.0 <= value <= 1.0
         if tau >= 1e-6:
-            assert eof_from_tangle(tau - 1e-6) <= value + 1e-12
+            assert eof(tau - 1e-6) <= value + 1e-12
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_binary_entropy_symmetry(self, x):
-        assert binary_entropy(x) == pytest.approx(binary_entropy(1 - x), abs=1e-12)
+        # tau = 4 x (1 - x) puts max(x, 1 - x) into h(1/2 + 1/2 sqrt(1 - tau)), so both sides are h(x)
+        value = eof(4.0 * x * (1.0 - x))
+        assert value == pytest.approx(oracle_binary_entropy(x), abs=1e-12)
+        assert value == pytest.approx(oracle_binary_entropy(1 - x), abs=1e-12)
 
 
 class TestResidualTangle:
@@ -167,7 +175,7 @@ class TestReport:
             rep = report(haar_state(rng))
             assert rep.tangle_12 == pytest.approx(rep.concurrence_12**2, abs=1e-10)
             assert rep.eof_12 == pytest.approx(
-                binary_entropy(0.5 + 0.5 * np.sqrt(1 - rep.tangle_12)), abs=1e-10
+                oracle_binary_entropy(0.5 + 0.5 * np.sqrt(1 - rep.tangle_12)), abs=1e-10
             )
             for value in (rep.tangle_12, rep.concurrence_12, rep.eof_12, rep.residual_tangle):
                 assert -1e-9 <= value <= 1 + 1e-9

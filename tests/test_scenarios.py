@@ -25,7 +25,7 @@ from triqubit.scenarios import (
 from triqubit.evolution import evolve, evolve_grid, make_plan, measure_probe
 from triqubit.measures import report, residual_tangle_poly
 
-from oracles import commutes, oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2
+from oracles import commutes, oracle_concurrence_pure3, oracle_evolve, oracle_tangle_pure2, total_hamiltonian
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -163,7 +163,7 @@ class TestNonFiniteAndMalformedValues:
         assert plan.commuting
         result = run_sweep(cfg)
         for i, t in enumerate(result.times):
-            exact = report(oracle_evolve(plan.h_total, cfg.psi0, t))
+            exact = report(oracle_evolve(total_hamiltonian(plan), cfg.psi0, t))
             for name in REPORT_FIELDS:
                 assert abs(result.table[name][i] - getattr(exact, name)) <= 1e-9
 
@@ -178,9 +178,9 @@ class TestNonFiniteAndMalformedValues:
         )
         cfg = parse_config(raw)
         plan = make_plan(cfg.h13, cfg.h23)
-        assert plan.commuting and plan.fastpath.probe_axis == (0.0, 0.0, 1.0)
+        assert plan.commuting and plan.forms.forms(0)[0].probe_axis == (0.0, 0.0, 1.0)
         for psi, t in zip(evolve_grid(plan, cfg.psi0, cfg.times), cfg.times):
-            assert np.max(np.abs(psi - oracle_evolve(plan.h_total, cfg.psi0, t))) <= 1e-12
+            assert np.max(np.abs(psi - oracle_evolve(total_hamiltonian(plan), cfg.psi0, t))) <= 1e-12
 
     def test_pairwise_non_finite_coupling(self):
         raw = heisenberg_config(hamiltonian={"pairwise": {
@@ -308,7 +308,7 @@ class TestRunSweep:
             assert result.commuting is False
             psi0 = np.zeros(8, dtype=complex)
             psi0[0] = psi0[1] = INV_SQRT2
-            h = make_plan(cfg.h13, cfg.h23).h_total
+            h = total_hamiltonian(make_plan(cfg.h13, cfg.h23))
             for t, tangle in zip(result.times, result.table["tangle_12"]):
                 psi_t = oracle_evolve(h, psi0, t)
                 assert abs(tangle - oracle_concurrence_pure3(psi_t, 3) ** 2) <= 1e-9
@@ -338,7 +338,7 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert result.commuting
         for i, t in enumerate(result.times):
-            exact = report(oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, t))
+            exact = report(oracle_evolve(total_hamiltonian(make_plan(cfg.h13, cfg.h23)), cfg.psi0, t))
             for field in REPORT_FIELDS:
                 assert abs(result.table[field][i] - getattr(exact, field)) <= 1e-9
 
@@ -379,7 +379,7 @@ class TestRunSweep:
             assert result.probabilities[-1] == pytest.approx([0.5, 0.5], abs=1e-9)
             assert result.table["tangle_12"][-1] <= 1e-9
             assert result.conditional_tangles[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
-            psi_t = oracle_evolve(make_plan(cfg.h13, cfg.h23).h_total, cfg.psi0, result.times[-1])
+            psi_t = oracle_evolve(total_hamiltonian(make_plan(cfg.h13, cfg.h23)), cfg.psi0, result.times[-1])
             for outcome in measure_probe(psi_t, cfg.measurement.basis):
                 assert oracle_tangle_pure2(outcome.state) == pytest.approx(1.0, abs=1e-9)
 
@@ -395,7 +395,7 @@ class TestRunSweep:
         assert populated.tolist() == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
         assert np.isnan(np.delete(result.probabilities, 2, axis=0)).all()
 
-    # reference "auto": the package's pointwise evolve; "off": an eigh of h_total built here
+    # reference "auto": the package's pointwise evolve; "off": an eigh of H13 + H23 built here
     @pytest.mark.parametrize("locals_mode, reference", [("full", "auto"), ("full", "off"), (None, "auto")])
     def test_grid_equals_pointwise_evolve_report_and_measure(self, locals_mode, reference):
         rng = np.random.default_rng(14)
@@ -411,7 +411,7 @@ class TestRunSweep:
         cfg = parse_config(raw)
         result = run_sweep(cfg)
         plan = make_plan(cfg.h13, cfg.h23)
-        w, v = np.linalg.eigh(plan.h_total)
+        w, v = np.linalg.eigh(total_hamiltonian(plan))
         for i, t in enumerate(result.times):
             if reference == "off":
                 psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ cfg.psi0)

@@ -4,27 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triqubit import measures
-from triqubit.linalg import axis_sigma
 from triqubit.states import (
     LocalRotation,
     apply_local,
     axis_eigenbasis,
-    basis_matrix,
+    axis_eigenbases,
     bipartite_12,
     bipartite_13,
     bipartite_23,
     from_axis_basis,
     fully_separable,
     ghz_general,
-    probe_components,
     raw_amplitudes,
-    to_axis_basis,
+    rotation_matrices,
     triple,
     zrt,
 )
 from triqubit.scenarios import random_rotation
 
 from oracles import (
+    axis_pauli,
+    embed,
     haar_state,
     oracle_concurrence_pure3,
     oracle_ptrace,
@@ -59,7 +59,7 @@ class TestAxisEigenbasis:
     def test_defining_property(self, theta, phi):
         axis = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
         plus, minus = axis_eigenbasis(axis)
-        sigma = axis_sigma(axis)
+        sigma = axis_pauli(axis)
         assert np.max(np.abs(sigma @ plus - plus)) <= 1e-12
         assert np.max(np.abs(sigma @ minus + minus)) <= 1e-12
         assert abs(np.vdot(plus, minus)) <= 1e-12
@@ -78,7 +78,7 @@ class TestAxisEigenbasis:
         want_plus, want_minus = axis_eigenbasis((1.0, 1.0, 0.0))
         assert np.max(np.abs(plus - want_plus)) <= 1e-15
         assert np.max(np.abs(minus - want_minus)) <= 1e-15
-        assert np.max(np.abs(axis_sigma(axis) - axis_sigma((1.0, 1.0, 0.0)))) <= 1e-15
+        assert np.max(np.abs(rotation_matrices([1.0], [axis]) - rotation_matrices([1.0], [(1.0, 1.0, 0.0)]))) <= 1e-15
 
 
 class TestRotations:
@@ -89,7 +89,7 @@ class TestRotations:
             axis = rng.normal(size=3)
             gamma = rng.uniform(-4, 4)
             r = LocalRotation(qubit=1, angle=gamma, axis=tuple(axis))
-            assert np.max(np.abs(r.matrix() - oracle_unitary(gamma * axis_sigma(axis), 1.0))) <= 1e-12
+            assert np.max(np.abs(r.matrix() - oracle_unitary(gamma * axis_pauli(axis), 1.0))) <= 1e-12
 
     def test_identity_rotation_leaves_state(self):
         psi = haar_state(np.random.default_rng(0))
@@ -232,20 +232,27 @@ class TestConstructors:
 
 class TestBasisChange:
     def test_roundtrip_and_unitarity(self):
+        # the images of the 8 amplitude basis vectors are the columns of a unitary, each an
+        # eigenvector of every qubit's axis Pauli, with sign - where that qubit's bit is 1
         rng = np.random.default_rng(14)
         for _ in range(25):
-            axes = [rng.normal(size=3) for _ in range(3)]
-            b = basis_matrix(axes)
+            axes = np.array([rng.normal(size=3) for _ in range(3)])
+            b = from_axis_basis(np.eye(8), np.broadcast_to(axes, (8, 3, 3))).T
             assert np.max(np.abs(b.conj().T @ b - np.eye(8))) <= 1e-12
+            for q in range(3):
+                signs = 1 - 2 * ((np.arange(8) >> (2 - q)) & 1)
+                assert np.max(np.abs(embed(axis_pauli(axes[q]), q + 1) @ b - b * signs)) <= 1e-12
             psi = haar_state(rng)
-            back = from_axis_basis(to_axis_basis(psi, axes), axes)
+            back = from_axis_basis(b.conj().T @ psi, axes)
             assert np.max(np.abs(back - psi)) <= 1e-12
 
     def test_probe_components(self):
-        c, d = probe_components(np.array([1.0, 0.0]), X)
+        # a qubit state's components (c, d) in an axis eigenbasis, as the triple suites take them
+        basis = axis_eigenbases(np.array([X]))[0]
+        c, d = basis.conj().T @ np.array([1.0, 0.0])
         assert c == pytest.approx(INV_SQRT2)
         assert d == pytest.approx(INV_SQRT2)
-        c, d = probe_components(axis_eigenbasis(X)[0], X)
+        c, d = basis.conj().T @ axis_eigenbasis(X)[0]
         assert c == pytest.approx(1.0)
         assert abs(d) <= 1e-15
 
