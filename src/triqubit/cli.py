@@ -27,6 +27,7 @@ from .scenarios import (
     suite_names,
 )
 from .states import LocalRotation, axis_eigenbasis, fully_separable
+from .tolerances import MAX_PHASE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,7 +129,7 @@ def cmd_classify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     plan = make_plan(cfg.h13, cfg.h23)
-    if not (plan.h13.to_matrix().any() or plan.h23.to_matrix().any()):
+    if not (plan.h13.coefficients.any() or plan.h23.coefficients.any()):
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
     if plan.commuting:
@@ -160,6 +161,9 @@ def cmd_qnd_demo(args) -> int:
         return EXIT_CONFIG
     if gt < 0:
         print("error: gt must be nonnegative", file=sys.stderr)
+        return EXIT_CONFIG
+    if gt > MAX_PHASE:  # ||H_total||_F = 1 at qnd_zz(1)
+        print(f"error: gt = {gt:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}, past which the phases are rounding noise", file=sys.stderr)
         return EXIT_CONFIG
     plan = make_plan(*qnd_zz(1.0))
     rotations = [LocalRotation(qubit=q) for q in (1, 2, 3)]

@@ -8,10 +8,10 @@ diagonal over the probe-axis eigenprojectors, and within each block the body
 qubits see plain axis rotations, so no eigensolver is needed. Otherwise it
 comes from ``eigh``.
 
-``plan_spectra`` builds the stacked spectra of N pairs from one
-``canonical_forms`` call (the closed form over (N, 2, 2, 3) sector vectors,
-one stacked ``eigh`` for the rest), and ``evolve_rows`` evolves N states, one
-time each. ``make_plan`` is its one-row case, and ``evolve_grid`` evolves one
+``plan_spectra`` builds the stacked spectra of N pairs, given as (N, 2, 15)
+Pauli coefficients, from one ``canonical_forms`` call (the closed form over
+(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest), and
+``evolve_rows`` evolves N states, one time each. ``make_plan`` is its one-row case, and ``evolve_grid`` evolves one
 plan over a whole time grid.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import CanonicalForms, PauliPairHamiltonian, canonical_forms
+from .hamiltonians import CanonicalForms, PauliPairHamiltonian, canonical_forms, pair_coefficients, pair_matrices
 from .linalg import kron  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
@@ -56,11 +56,9 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     top = np.abs(vecs).max(axis=-1)
     # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
     far = (top > 1e150) | ((top < 1e-150) & (top > 0.0))
-    if far.any():
-        top = np.where(far, top, 1.0)
-        norms = top * np.linalg.norm(vecs / top[..., None], axis=-1)
-    else:
-        norms = np.linalg.norm(vecs, axis=-1)
+    scale = np.where(far, top, 1.0)
+    scaled = vecs / scale[..., None]
+    norms = scale * np.sqrt(np.add.reduce(scaled * scaled, axis=-1))  # np.linalg.norm(scaled, axis=-1)
     zero = norms == 0.0
     if zero.any():
         vecs = np.where(zero[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
@@ -107,17 +105,18 @@ class EvolutionPlan:
 
 def make_plan(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> EvolutionPlan:
     """Build an evolution plan: the one-row ``plan_spectra``."""
-    forms, w, v = plan_spectra((h13,), (h23,))
+    forms, w, v = plan_spectra(pair_coefficients((h13,), (h23,)))
     return EvolutionPlan(h13=h13, h23=h23, forms=forms, w=w[0], v=v[0])
 
 
-def plan_spectra(h13s, h23s):
-    """Canonical forms and stacked spectra of N pairs: ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
+def plan_spectra(coeffs: np.ndarray):
+    """Canonical forms and stacked spectra of N pairs given as an (N, 2, 15) coefficient array:
+    ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
 
     Rows with a canonical form take the closed form, the others one stacked
     ``eigh`` of their total Hamiltonians.
     """
-    forms = canonical_forms(h13s, h23s)
+    forms = canonical_forms(coeffs)
     n = len(forms.status)
     w, v = np.empty((n, 8)), np.empty((n, 8, 8), dtype=complex)
     ok = forms.ok
@@ -126,7 +125,8 @@ def plan_spectra(h13s, h23s):
         w[ok], v[ok] = closed_form_spectra(vecs, forms.probe_axis[ok], forms.probe_strength[ok, 0] + forms.probe_strength[ok, 1])
     rest = np.flatnonzero(~ok)
     if rest.size:
-        w[rest], v[rest] = np.linalg.eigh(np.array([h13s[i].to_matrix() + h23s[i].to_matrix() for i in rest]))
+        matrices = pair_matrices(coeffs[rest])
+        w[rest], v[rest] = np.linalg.eigh(matrices[:, 0] + matrices[:, 1])
     return forms, w, v
 
 

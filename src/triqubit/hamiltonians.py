@@ -41,22 +41,23 @@ class NotRankOneError(ValueError):
     """A coupling tensor is not an outer product of a body axis and a probe axis."""
 
 
-def _single_table(qubit: int) -> np.ndarray:
-    return np.stack([embed_single(p, qubit) for p in PAULIS])
+# embedding tables, [qubit or pair, Pauli indices, 64 matrix entries]: the matrices are then three products
+_SINGLE = np.array([[embed_single(p, qubit).ravel() for p in PAULIS] for qubit in (1, 2, 3)])
+_COUPLINGS = np.array([[(embed_single(a, body) @ embed_single(b, 3)).ravel() for a in PAULIS for b in PAULIS] for body in (1, 2)])
 
 
-def _coupling_table(body: int) -> np.ndarray:
-    return np.stack(
-        [
-            np.stack([embed_single(PAULIS[i], body) @ embed_single(PAULIS[j], 3) for j in range(3)])
-            for i in range(3)
-        ]
+def pair_matrices(coeffs: np.ndarray) -> np.ndarray:
+    """8x8 Hermitian embeddings of a stacked coefficient array (..., 2, 15), [..., pair], shape (..., 2, 8, 8).
+
+    Pair 0 is (1,3) and 1 is (2,3); each row of 15 is ordered as
+    ``PauliPairHamiltonian.coefficients``. H13 + H23 is the sum over axis -3.
+    """
+    entries = (
+        (coeffs[..., None, :9] @ _COUPLINGS)[..., 0, :]
+        + (coeffs[..., None, 9:12] @ _SINGLE[:2])[..., 0, :]
+        + coeffs[..., 12:] @ _SINGLE[2]
     )
-
-
-# embedding tables, indexed by Pauli indices; to_matrix is then one contraction
-_SINGLE = {q: _single_table(q) for q in (1, 2, 3)}
-_COUPLING = {body: _coupling_table(body) for body in (1, 2)}
+    return entries.reshape(*coeffs.shape[:-1], 8, 8)
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,8 @@ class PauliPairHamiltonian:
         return self._coefficients
 
     def to_matrix(self) -> np.ndarray:
-        """8x8 Hermitian embedding, identity on the absent qubit."""
-        cached = getattr(self, "_matrix", None)
-        if cached is None:
-            body = self.body_qubit
-            cached = (
-                np.einsum("ij,ijab->ab", self.coupling, _COUPLING[body])
-                + np.einsum("k,kab->ab", self.local_self, _SINGLE[body])
-                + np.einsum("k,kab->ab", self.local_probe, _SINGLE[3])
-            )
-            object.__setattr__(self, "_matrix", cached)
-        return cached
+        """8x8 Hermitian embedding, identity on the absent qubit: the one-pair ``pair_matrices``."""
+        return pair_matrices(np.array([self.coefficients] * 2))[self.body_qubit - 1]
 
 
 @dataclass(frozen=True)
@@ -205,11 +197,12 @@ class CanonicalForms:
         )
 
 
-def _ordered(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian):
-    """The pair as ((1,3), (2,3))."""
-    if {tuple(h13.pair), tuple(h23.pair)} != set(PAIRS):
+def pair_coefficients(h13s, h23s) -> np.ndarray:
+    """The (N, 2, 15) coefficients of N pairs, [row, pair], pair 0 being (1,3) and 1 being (2,3)."""
+    pairs = [sorted((h13, h23), key=lambda h: tuple(h.pair)) for h13, h23 in zip(h13s, h23s)]
+    if any(tuple(h.pair) != expected for pair in pairs for h, expected in zip(pair, PAIRS)):
         raise ValueError("expected one Hamiltonian per pair (1,3) and (2,3)")
-    return (h13, h23) if tuple(h13.pair) == (1, 3) else (h23, h13)
+    return np.array([[h.coefficients for h in pair] for pair in pairs]).reshape(-1, 2, 15)
 
 
 # weights that make the sign of a sum over the components that of the first nonzero one
@@ -228,8 +221,9 @@ def _sign_fix(axes: np.ndarray) -> np.ndarray:
     return np.where((np.sign(axes) * (np.abs(axes) > 1e-14)) @ _FIRST_NONZERO < 0.0, -1.0, 1.0)
 
 
-def canonical_forms(h13s, h23s, tol: float = SPECTRAL_TOL) -> CanonicalForms:
-    """Classify N pairs at once and extract their shared-probe-axis canonical forms.
+def canonical_forms(coeffs, tol: float = SPECTRAL_TOL) -> CanonicalForms:
+    """Classify N pairs, given as (N, 2, 15) coefficients (see ``pair_coefficients``), and
+    extract their shared-probe-axis canonical forms.
 
     The checks, in order (the status of a row is its first failure):
     1. commutation: with each pair's coefficients scaled by its largest one,
@@ -246,7 +240,7 @@ def canonical_forms(h13s, h23s, tol: float = SPECTRAL_TOL) -> CanonicalForms:
     are taken on the scaled coefficients, so they do not depend on the scale
     of H; the form itself is computed from the coefficients as given.
     """
-    coeffs = np.array([[h.coefficients for h in _ordered(h13, h23)] for h13, h23 in zip(h13s, h23s)])
+    coeffs = np.asarray(coeffs, dtype=float)
     n = len(coeffs)
     top = np.abs(coeffs).max(axis=-1)
     scale = np.where(top > 0.0, top, 1.0)[..., None]

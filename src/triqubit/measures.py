@@ -28,7 +28,7 @@ def _eof(tau: np.ndarray) -> np.ndarray:
     out_of_range = tau[(tau < -PHYSICS_TOL) | (tau > 1.0 + PHYSICS_TOL)]
     if out_of_range.size:
         raise ValueError(f"tangle out of range [0, 1]: {float(out_of_range[0])!r}")
-    x = 0.5 + 0.5 * np.sqrt(1.0 - np.clip(tau, 0.0, 1.0))
+    x = 0.5 + 0.5 * np.sqrt(1.0 - np.minimum(np.maximum(tau, 0.0), 1.0))
     inside = x < 1.0
     xi = np.where(inside, x, 0.5)
     return np.where(inside, -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi), 0.0)

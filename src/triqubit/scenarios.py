@@ -21,16 +21,16 @@ path in the error message)::
     }
 
 Every matrix entry of the two pair Hamiltonians and of their sum must be
-finite, and so must ``||H13||_F * ||H23||_F`` and, with a time grid,
-``||H_total||_F * max(|t_start|, |t_end|)``.
+finite, and so must ``||H13||_F * ||H23||_F``. With a time grid,
+``||H_total||_F * max(|t_start|, |t_end|)`` must be at most ``MAX_PHASE``.
 
 State classes and parameters (complex entries are numbers or [re, im] pairs):
 fully_separable {rotations?, axes?}, bipartite_12 {a, b, probe?},
 bipartite_23 / bipartite_13 {a, b, spectator?}, ghz_general {a, b},
 zrt {a, b, c, d}, triple {f, g, h}, raw_amplitudes {amplitudes}.
 
-Each property suite is a per-trial draw from the trial's own seeded stream and
-one compute batched over the drawn trials (see "Property suites" below).
+Each property suite fills one row of raw draws per trial from its seeded stream,
+then assembles and checks the trials in batches (see "Property suites" below).
 
 CSV schema: header line 1 with ``t`` plus the selected measure columns (and,
 when a measurement is configured, ``outcome_label_k, outcome_prob_k,
@@ -59,11 +59,11 @@ except ImportError:
 
 from . import states
 from .evolution import evolve_grid, evolve_rows, make_plan, measure_probe_grid, plan_spectra
-from .hamiltonians import PRESETS, PauliPairHamiltonian, heisenberg_chain
+from .hamiltonians import PRESETS, PauliPairHamiltonian, pair_coefficients, pair_matrices
 from .linalg import frob
 from .measures import REPORT_FIELDS, concurrence_12, report_batch, residual_tangle_rows
 from .states import LocalRotation, axis_eigenbasis, from_axis_basis
-from .tolerances import PHYSICS_TOL
+from .tolerances import MAX_PHASE, PHYSICS_TOL
 
 MAX_STEPS = 1_000_000  # a measured sweep peaks near 0.55 KB per row (tracemalloc, 1e5 rows): ~550 MB at the limit
 NAMED_BASES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -156,7 +156,7 @@ def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, pat
     either turns the classification or the eigensolver into NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m13, m23 = h13.to_matrix(), h23.to_matrix()
+        m13, m23 = pair_matrices(pair_coefficients((h13,), (h23,)))[0]
         total = m13 + m23
         norms = frob(m13), frob(m23), frob(total)
     if not all(np.isfinite(m).all() for m in (m13, m23, total)):
@@ -317,8 +317,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         if t_end < t_start:
             raise ConfigError("config.time_grid: t_end must be >= t_start")
         phase = h_norm * max(abs(t_start), abs(t_end))
-        if not math.isfinite(phase):
-            raise ConfigError(f"config.time_grid: ||H_total||_F * max(|t_start|, |t_end|) = {phase} is not finite")
+        if not phase <= MAX_PHASE:  # also inf
+            raise ConfigError(f"config.time_grid: ||H_total||_F * max(|t_start|, |t_end|) = {phase:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}")
         times = np.linspace(t_start, t_end, steps)
 
     measures = tuple(REPORT_FIELDS)
@@ -459,35 +459,102 @@ def _write_csv(result: SweepResult, fh) -> None:
 
 
 # Random sampling ----------------------------------------------------------
+#
+# A draw is a stream layout, the ordered (kind, width) segments of generator
+# calls one trial makes (standard normals, uniforms on [0, 1), integers(0, 2)
+# bits), and an assembly that turns the raw columns of n trials into arrays
+# with the arithmetic numpy applies to one trial (low + (high - low) u for a
+# uniform, v / np.linalg.norm(v)), so every value is bit for bit a per-trial
+# draw's. The random_* helpers are the one-row case.
+
+_NORMAL, _UNIFORM, _BIT = "standard_normal", "random", "integers"
+_AXIS, _ROTATION, _SCALAR = ((_NORMAL, 3),), ((_NORMAL, 4),), ((_UNIFORM, 1),)
+_PAIR = {
+    "none": _AXIS * 3 + ((_UNIFORM, 2),),
+    "probe": _AXIS * 3 + ((_UNIFORM, 4),),
+    "full": _AXIS * 3 + ((_UNIFORM, 5),) + _AXIS + _SCALAR + _AXIS,
+}
+_QUBIT = ((_NORMAL, 4),)  # a state's real parts, then its imaginary parts
+
+
+class _Draws:
+    """Raw draws of n trials: an (n, K) buffer, row k filled by the k-th generator in layout
+    order with one call per run of a kind. Calling it hands out the next ``width`` columns."""
+
+    def __init__(self, rngs, layout):
+        runs, width = [], 0
+        for kind, w in layout:
+            if runs and runs[-1][0] == kind != _BIT:
+                runs[-1][2] += w
+            else:
+                runs.append([kind, width, width + w])
+            width += w
+        self.buf, self.at = np.empty((len(rngs), width)), 0
+        for row, rng in zip(self.buf, rngs):
+            for kind, start, stop in runs:
+                if kind == _BIT:
+                    row[start] = rng.integers(0, 2)
+                else:
+                    getattr(rng, kind)(out=row[start:stop])
+
+    def __call__(self, width: int) -> np.ndarray:
+        self.at += width
+        return self.buf[:, self.at - width : self.at]
+
+
+def _uniform(u, low: float, high: float) -> np.ndarray:
+    return low + (high - low) * u
+
+
+def _unit_rows(v) -> np.ndarray:
+    """Rows over their norms as ``v / np.linalg.norm(v)`` divides. The norm sums re.re + im.im, each
+    dot over the strided real or imaginary parts as BLAS sums them, so ``v`` must be formed first."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+
+
+def _states(take, dim: int) -> np.ndarray:
+    return _unit_rows(take(dim) + 1j * take(dim))
+
+
+def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and axes of Haar-distributed SU(2) rotations from normalized Gaussian quadruples."""
+    q = _unit_rows(take(4))
+    s = np.sqrt(np.vecdot(q[:, 1:], q[:, 1:]))
+    wide = s > 1e-12
+    axes = np.where(wide[:, None], q[:, 1:] / np.where(wide, s, 1.0)[:, None], states.Z_AXIS)
+    return np.arccos(np.minimum(np.maximum(q[:, 0], -1.0), 1.0)), axes
+
+
+def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
+    """(n, 2, 15) coefficients of random commuting pairs (see ``random_commuting_pair``)."""
+    u, w, j = (_unit_rows(take(3)) for _ in range(3))
+    coeffs = np.zeros((len(j), 2, 15))
+    strengths = 2.0 - _uniform(take(2), 0.0, 2.0)
+    coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
+    if locals_mode != "none":
+        coeffs[..., 12:] = _uniform(take(2), -1.0, 1.0)[..., None] * j[:, None, :]
+    if locals_mode == "full":
+        for k in range(2):
+            coeffs[:, k, 9:12] = _uniform(take(1), 0.0, 1.0) * _unit_rows(take(3))
+    return coeffs
+
 
 def random_axis(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return _unit_rows(_Draws([rng], _AXIS)(3))[0]
 
 
 def random_qubit_state(rng) -> np.ndarray:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return v / np.linalg.norm(v)
+    return random_state(rng, 2)
 
 
 def random_state(rng, dim: int = 8) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+    return _states(_Draws([rng], ((_NORMAL, 2 * dim),)), dim)[0]
 
 
 def random_rotation(rng, qubit: int) -> LocalRotation:
     """Haar-distributed SU(2) rotation from a normalized Gaussian quadruple."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    s = float(np.linalg.norm(q[1:]))
-    axis = tuple(q[1:] / s) if s > 1e-12 else (0.0, 0.0, 1.0)
-    return LocalRotation(qubit=qubit, angle=float(np.arccos(np.clip(q[0], -1.0, 1.0))), axis=axis)
-
-
-def random_schmidt(rng) -> tuple[float, float]:
-    """(a, b) with (a^2, b^2) uniform on the 1-simplex."""
-    a2 = rng.uniform(0.0, 1.0)
-    return float(np.sqrt(a2)), float(np.sqrt(1.0 - a2))
+    angles, axes = _rotations(_Draws([rng], _ROTATION))
+    return LocalRotation(qubit=qubit, angle=float(angles[0]), axis=tuple(axes[0].tolist()))
 
 
 def random_commuting_pair(rng, locals_mode: str = "none"):
@@ -496,32 +563,22 @@ def random_commuting_pair(rng, locals_mode: str = "none"):
     ``locals_mode``: 'none' for coupling only, 'probe' to add probe-axis local
     terms, 'full' to also add body-local terms with arbitrary axes.
     """
-    if locals_mode not in ("none", "probe", "full"):
+    if locals_mode not in _PAIR:
         raise ValueError(f"unknown locals_mode {locals_mode!r}")
-    u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
-    s13 = 2.0 - rng.uniform(0.0, 2.0)
-    s23 = 2.0 - rng.uniform(0.0, 2.0)
-    kwargs13, kwargs23 = {}, {}
-    if locals_mode in ("probe", "full"):
-        kwargs13["local_probe"] = rng.uniform(-1.0, 1.0) * j
-        kwargs23["local_probe"] = rng.uniform(-1.0, 1.0) * j
-    if locals_mode == "full":
-        kwargs13["local_self"] = rng.uniform(0.0, 1.0) * random_axis(rng)
-        kwargs23["local_self"] = rng.uniform(0.0, 1.0) * random_axis(rng)
-    return (
-        PauliPairHamiltonian(coupling=s13 * np.outer(u, j), pair=(1, 3), **kwargs13),
-        PauliPairHamiltonian(coupling=s23 * np.outer(w, j), pair=(2, 3), **kwargs23),
+    coeffs = _commuting_pairs(_Draws([rng], _PAIR[locals_mode]), locals_mode)[0]
+    return tuple(
+        PauliPairHamiltonian(coupling=c[:9].reshape(3, 3), local_self=c[9:12], local_probe=c[12:], pair=pair)
+        for c, pair in zip(coeffs, ((1, 3), (2, 3)))
     )
 
 
 # Property suites ----------------------------------------------------------
 #
-# A suite is a per-trial draw and one batched compute. Each trial draws from its
-# own child stream spawned from the seed, in the order the draws were always
-# made, so a --seed replay reproduces every trial. The compute takes a list of
-# draws and returns the (n,) violations with the context columns of each
-# trial; _run_trials feeds it chunks of _CHUNK trials, so memory stays bounded
-# for any trial count.
+# A suite is a stream layout and one batched compute. Each trial fills one row
+# of raw draws from its own generator, default_rng of a child spawned from the
+# seed, in the order the draws were always made, so a --seed replay reproduces
+# every trial. The compute assembles a chunk of _CHUNK rows into coefficient and
+# state arrays and returns the (n,) violations with each trial's context columns.
 
 _CHUNK = 1024
 
@@ -554,14 +611,13 @@ def _sticky_max(current: float, value: float) -> float:
     return value if math.isnan(value) else max(current, value)
 
 
-# name -> (draw, compute): draw(rng) gives one trial's draws, compute(list of draws) gives
-# ((n,) violations, {context key: (n,) column})
+# name -> (layout, compute): compute(_Draws of n trials) gives ((n,) violations, {context key: (n,) column})
 _SUITES: dict[str, tuple] = {}
 
 
-def _suite(name: str, draw):
+def _suite(name: str, layout):
     def register(compute):
-        _SUITES[name] = (draw, compute)
+        _SUITES[name] = (layout, compute)
         return compute
 
     return register
@@ -571,18 +627,21 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def _columns(draws):
-    """The draws of n trials as columns: one tuple per drawn quantity."""
-    return tuple(zip(*draws))
-
-
 def _rotated(psis, rotations) -> np.ndarray:
-    """Apply each trial's rotations (one LocalRotation per qubit column, in order) to the rows of ``psis``."""
-    for column in zip(*rotations):
-        psis = states.rotate(
-            psis, column[0].qubit, states.rotation_matrices([r.angle for r in column], [r.axis for r in column])
-        )
+    """Apply each trial's rotations, {qubit: (angles, axes)}, to the rows of ``psis`` in qubit order."""
+    for qubit in sorted(rotations):
+        psis = states.rotate(psis, qubit, states.rotation_matrices(*rotations[qubit]))
     return psis
+
+
+def _schmidt(take) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with (a^2, b^2) uniform on the 1-simplex."""
+    a2 = _uniform(take(1)[:, 0], 0.0, 1.0)
+    return np.sqrt(a2), np.sqrt(1.0 - a2)
+
+
+def _times(take) -> np.ndarray:
+    return _uniform(take(1)[:, 0], 0.0, 2.0 * np.pi)
 
 
 def _tangle12(psis) -> np.ndarray:
@@ -590,98 +649,72 @@ def _tangle12(psis) -> np.ndarray:
     return c * c
 
 
-def _evolved(h13s, h23s, psi0s, ts) -> np.ndarray:
-    _, w, v = plan_spectra(h13s, h23s)
-    return evolve_rows(w, v, psi0s, np.array(ts))
+def _evolved(coeffs, psi0s, ts) -> np.ndarray:
+    _, w, v = plan_spectra(coeffs)
+    return evolve_rows(w, v, psi0s, ts)
 
 
-def _draw_separable(rng):
-    h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    qubits = random_qubit_state(rng), random_qubit_state(rng), random_qubit_state(rng)
-    return h13, h23, qubits, rng.uniform(0.0, 2.0 * np.pi)
+_BIPARTITE_LAYOUT = _PAIR["full"] + _SCALAR + _QUBIT + _ROTATION * 2 + _SCALAR
 
 
-@_suite("separable_stays_separable", _draw_separable)
-def _separable(draws):
+@_suite("separable_stays_separable", _PAIR["full"] + _QUBIT * 3 + _SCALAR)
+def _separable(take):
     """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
-    h13s, h23s, qubits, ts = _columns(draws)
-    q1, q2, q3 = np.moveaxis(np.array(qubits), 1, 0)
+    coeffs = _commuting_pairs(take, "full")
+    q1, q2, q3 = (_states(take, 2) for _ in range(3))
+    ts = _times(take)
     psi0s = np.einsum("ni,nj,nk->nijk", q1, q2, q3).reshape(-1, 8)
-    return _tangle12(_evolved(h13s, h23s, psi0s, ts)), {"t": ts}
+    return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts}
 
 
-def _draw_bipartite12(rng):
-    h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    a, b = random_schmidt(rng)
-    psi0 = states.bipartite_12(a, b, random_qubit_state(rng))
-    rotations = random_rotation(rng, 1), random_rotation(rng, 2)
-    return h13, h23, a, b, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
-
-
-@_suite("bipartite12_nonincreasing", _draw_bipartite12)
-def _bipartite12(draws):
+@_suite("bipartite12_nonincreasing", _BIPARTITE_LAYOUT)
+def _bipartite12(take):
     """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
-    h13s, h23s, a, b, psi0s, rotations, ts = _columns(draws)
-    psi0s = _rotated(np.array(psi0s), rotations)
+    coeffs = _commuting_pairs(take, "full")
+    a, b = _schmidt(take)
+    psi0s = _rotated(states.bipartite_12(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 2)})
+    ts = _times(take)
     eof0 = report_batch(psi0s)["eof_12"]
-    eof_t = report_batch(_evolved(h13s, h23s, psi0s, ts))["eof_12"]
+    eof_t = report_batch(_evolved(coeffs, psi0s, ts))["eof_12"]
     return eof_t - eof0, {"t": ts, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
 
 
-def _spectator_draw(cls: str, rot_qubits):
-    def draw(rng):
-        h13, h23 = random_commuting_pair(rng, locals_mode="full")
-        a, b = random_schmidt(rng)
-        psi0 = getattr(states, cls)(a, b, random_qubit_state(rng))
-        rotations = tuple(random_rotation(rng, q) for q in rot_qubits)
-        return h13, h23, a, b, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
+def _spectator(cls: str, qubits):
+    def compute(take):
+        """Initial entanglement of qubit 3 with one body qubit never reaches the 1,2 pair under commuting evolution."""
+        coeffs = _commuting_pairs(take, "full")
+        a, b = _schmidt(take)
+        psi0s = _rotated(getattr(states, cls)(a, b, _states(take, 2)), {q: _rotations(take) for q in qubits})
+        ts = _times(take)
+        return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts, "a": a, "b": b}
 
-    return draw
-
-
-def _spectator(draws):
-    """Initial entanglement of qubit 3 with one body qubit never reaches the 1,2 pair under commuting evolution."""
-    h13s, h23s, a, b, psi0s, rotations, ts = _columns(draws)
-    psi0s = _rotated(np.array(psi0s), rotations)
-    return _tangle12(_evolved(h13s, h23s, psi0s, ts)), {"t": ts, "a": a, "b": b}
+    return compute
 
 
-_suite("bipartite23_stays_zero", _spectator_draw("bipartite_23", (2, 3)))(_spectator)
-_suite("bipartite13_stays_zero", _spectator_draw("bipartite_13", (1, 3)))(_spectator)
+_suite("bipartite23_stays_zero", _BIPARTITE_LAYOUT)(_spectator("bipartite_23", (2, 3)))
+_suite("bipartite13_stays_zero", _BIPARTITE_LAYOUT)(_spectator("bipartite_13", (1, 3)))
 
 
-def _draw_ghz(rng):
-    h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    a, b = random_schmidt(rng)
-    rotations = tuple(random_rotation(rng, q) for q in (1, 2, 3))
-    return h13, h23, a, b, rotations, rng.uniform(0.0, 2.0 * np.pi)
-
-
-@_suite("ghz_can_increase", _draw_ghz)
-def _ghz(draws):
+@_suite("ghz_can_increase", _PAIR["full"] + _SCALAR + _ROTATION * 3 + _SCALAR)
+def _ghz(take):
     """GHZ-class inputs start with tangle 0; evolution may only raise it."""
-    h13s, h23s, a, b, rotations, ts = _columns(draws)
-    psi0s = np.zeros((len(draws), 8), dtype=complex)
-    psi0s[:, 0], psi0s[:, 7] = a, b
-    psi0s = _rotated(psi0s, rotations)
+    coeffs = _commuting_pairs(take, "full")
+    a, b = _schmidt(take)
+    psi0s = _rotated(states.ghz_general(a, b), {q: _rotations(take) for q in (1, 2, 3)})
+    ts = _times(take)
     tau0 = _tangle12(psi0s)
-    tau_t = _tangle12(_evolved(h13s, h23s, psi0s, ts))
+    tau_t = _tangle12(_evolved(coeffs, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "a": a, "b": b, "max_tangle": tau_t}
 
 
-def _draw_triple(rng):
-    """One single-excitation (triple-state) trial: the pair, the amplitudes,
-    the rotations of qubits 3, 1 and 2 (drawn in that order) and the time."""
-    h13, h23 = random_commuting_pair(rng, locals_mode="full")
-    amps = random_state(rng, 3)
-    q3 = random_rotation(rng, 3)
-    rotations = random_rotation(rng, 1), random_rotation(rng, 2), q3
-    return h13, h23, amps, rotations, rng.uniform(0.0, 2.0 * np.pi)
+_TRIPLE_LAYOUT = _PAIR["full"] + ((_NORMAL, 6),) + _ROTATION * 3 + _SCALAR
 
 
-def _triple_quantities(draws) -> dict[str, np.ndarray]:
-    """Columns of the triple-state trials: the initial and evolved states and
-    1,2 tangles, the time t, the shared probe axis and the two convexity factors.
+def _triple_quantities(take) -> dict[str, np.ndarray]:
+    """Columns of the triple-state trials: the pair coefficients, the initial and
+    evolved states and 1,2 tangles, the time t, the shared probe axis and the
+    two convexity factors. A trial draws the pair, the amplitudes, the
+    rotations of qubits 3, 1 and 2 (in that order) and the time.
 
     Measuring qubit 3 on the conserved probe axis gives outcome +- with
     probability m+-^2 at every t; (c, d) are the components of qubit 3's
@@ -695,27 +728,30 @@ def _triple_quantities(draws) -> dict[str, np.ndarray]:
     Cauchy-Schwarz with m+^2 + m-^2 = 1 = |c|^2 + |d|^2,
         1 = (|c|^2 + |d|^2)^2 <= (|c|^4/m+^2 + |d|^4/m-^2)(m+^2 + m-^2).
     """
-    h13s, h23s, amps, rotations, ts = _columns(draws)
-    amps = np.array(amps)
-    psi0s = np.zeros((len(draws), 8), dtype=complex)
+    coeffs = _commuting_pairs(take, "full")
+    amps = _states(take, 3)
+    rotations = {q: _rotations(take) for q in (3, 1, 2)}
+    ts = _times(take)
+    psi0s = np.zeros((len(amps), 8), dtype=complex)
     psi0s[:, [1, 2, 4]] = amps
     psi0s = _rotated(psi0s, rotations)
-    forms, w, v = plan_spectra(h13s, h23s)
-    q3 = states.rotation_matrices([r[2].angle for r in rotations], [r[2].axis for r in rotations])
+    forms, w, v = plan_spectra(coeffs)
+    q3 = states.rotation_matrices(*rotations[3])
     plus = states.axis_eigenbases(forms.probe_axis)[..., :, 0]
     c2 = np.abs(np.vecdot(plus, q3[..., :, 0])) ** 2
     a2 = np.abs(amps[:, 0]) ** 2
     m_plus2 = a2 + c2 - 2.0 * a2 * c2
     m_minus2 = a2 + (1.0 - c2) - 2.0 * a2 * (1.0 - c2)
-    factor_weighted = np.zeros(len(draws))
+    factor_weighted = np.zeros(len(amps))
     for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
         kept = numerator > 1e-30
         factor_weighted[kept] += numerator[kept] / denominator[kept]
-    psi_t = evolve_rows(w, v, psi0s, np.array(ts))
+    psi_t = evolve_rows(w, v, psi0s, ts)
     return {
+        "coeffs": coeffs,
         "psi0": psi0s,
         "psi_t": psi_t,
-        "t": np.array(ts),
+        "t": ts,
         "probe_axis": forms.probe_axis,
         "tau0": _tangle12(psi0s),
         "tau_t": _tangle12(psi_t),
@@ -724,8 +760,8 @@ def _triple_quantities(draws) -> dict[str, np.ndarray]:
     }
 
 
-@_suite("triple_convexity_bound", _draw_triple)
-def _triple_stated_bound(draws):
+@_suite("triple_convexity_bound", _TRIPLE_LAYOUT)
+def _triple_stated_bound(take):
     """Single-excitation inputs against the branch-weight-free convexity factor
     tangle(t) <= tangle(0) * (|c|^4 + (1-|c|^2)^2).
 
@@ -735,13 +771,13 @@ def _triple_stated_bound(draws):
     whenever tangle(0) > 0 and 0 < |c| < 1. See triple_nonincreasing for the
     bounds that do hold.
     """
-    q = _triple_quantities(draws)
+    q = _triple_quantities(take)
     violation = q["tau_t"] - q["tau0"] * q["factor_free"]
     return violation, {"t": q["t"], "tau0": q["tau0"], "factor": q["factor_free"], "tau_t": q["tau_t"]}
 
 
-@_suite("triple_nonincreasing", _draw_triple)
-def _triple_true_bounds(draws):
+@_suite("triple_nonincreasing", _TRIPLE_LAYOUT)
+def _triple_true_bounds(take):
     """Single-excitation inputs: the 1,2 tangle never increases under commuting
     evolution.
 
@@ -751,70 +787,62 @@ def _triple_true_bounds(draws):
     (see _triple_quantities), so the bound never binds tighter than
     monotonicity and is not checked separately. The factor is reported with
     each trial."""
-    q = _triple_quantities(draws)
+    q = _triple_quantities(take)
     return q["tau_t"] - q["tau0"], {"t": q["t"], "tau0": q["tau0"], "factor": q["factor_weighted"], "tau_t": q["tau_t"]}
 
 
-def _draw_parity(rng):
-    h13, h23 = random_commuting_pair(rng, locals_mode="probe")
-    even = bool(rng.integers(0, 2))
-    return h13, h23, even, random_state(rng, 4), rng.uniform(0.0, 2.0 * np.pi)
+_PARITY_SECTORS = np.array([(0b111, 0b100, 0b010, 0b001), (0b000, 0b011, 0b101, 0b110)])  # [odd, even]
 
 
-_PARITY_SECTORS = {True: (0b000, 0b011, 0b101, 0b110), False: (0b111, 0b100, 0b010, 0b001)}
-
-
-@_suite("parity_residual_conserved", _draw_parity)
-def _parity(draws):
+@_suite("parity_residual_conserved", _PAIR["probe"] + ((_BIT, 1), (_NORMAL, 8)) + _SCALAR)
+def _parity(take):
     """Definite-parity states keep their residual tangle under commuting evolution,
     with the closed-form value 16|a b c d| of the four sector amplitudes."""
-    h13s, h23s, even, amps4, ts = _columns(draws)
-    amps4 = np.array(amps4)
-    amps8 = np.zeros((len(draws), 8), dtype=complex)
-    np.put_along_axis(amps8, np.array([_PARITY_SECTORS[e] for e in even]), amps4, axis=1)
-    forms, w, v = plan_spectra(h13s, h23s)
+    coeffs = _commuting_pairs(take, "probe")
+    even = take(1)[:, 0] == 1.0
+    amps4 = _states(take, 4)
+    ts = _times(take)
+    amps8 = np.zeros((len(amps4), 8), dtype=complex)
+    np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
+    forms, w, v = plan_spectra(coeffs)
     axes = np.concatenate([forms.body_axis, forms.probe_axis[:, None, :]], axis=1)
     psi0s = from_axis_basis(amps8, axes)
     tau0 = residual_tangle_rows(psi0s)
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
-    tau_t = residual_tangle_rows(evolve_rows(w, v, psi0s, np.array(ts)))
+    tau_t = residual_tangle_rows(evolve_rows(w, v, psi0s, ts))
     violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))
     return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
 
 
-def _draw_heisenberg13(rng):
-    g = 2.0 - rng.uniform(0.0, 2.0)
-    a, b = random_schmidt(rng)
-    psi0 = states.bipartite_13(a, b, random_qubit_state(rng))
-    rotations = random_rotation(rng, 1), random_rotation(rng, 3)
-    return g, psi0, rotations, rng.uniform(0.0, 2.0 * np.pi)
-
-
-@_suite("heisenberg_entangled13_start", _draw_heisenberg13)
-def _heisenberg13(draws):
+@_suite("heisenberg_entangled13_start", _SCALAR * 2 + _QUBIT + _ROTATION * 2 + _SCALAR)
+def _heisenberg13(take):
     """Under the isotropic chain, initial 1,3 entanglement can only raise the 1,2 tangle."""
-    gs, psi0s, rotations, ts = _columns(draws)
-    psi0s = _rotated(np.array(psi0s), rotations)
+    gs = 2.0 - _uniform(take(1)[:, 0], 0.0, 2.0)
+    a, b = _schmidt(take)
+    psi0s = _rotated(states.bipartite_13(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 3)})
+    ts = _times(take)
+    coeffs = np.zeros((len(gs), 2, 15))
+    coeffs[:, :, [0, 4, 8]] = gs[:, None, None]  # heisenberg_chain(g): g * identity coupling
     tau0 = _tangle12(psi0s)
-    tau_t = _tangle12(_evolved(*zip(*map(heisenberg_chain, gs)), psi0s, ts))
+    tau_t = _tangle12(_evolved(coeffs, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 
 def _run_trials(name: str, suite: tuple, trials: int, seed: int, slack: float) -> SuiteResult:
-    """Fold ``trials`` trials of the (draw, compute) ``suite`` into a SuiteResult,
-    one ``record`` per trial in index order. Each trial draws from its own
-    child stream spawned from ``seed``; the draws are computed in chunks of
-    ``_CHUNK``."""
+    """Fold ``trials`` trials of the (layout, compute) ``suite`` into a SuiteResult,
+    one ``record`` per trial in index order. Each trial fills its row of raw
+    draws from its own child stream spawned from ``seed``; the rows are
+    computed in chunks of ``_CHUNK``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    draw, compute = suite
+    layout, compute = suite
     result = SuiteResult(name=name, trials=trials, seed=seed)
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, _CHUNK):
-        children = root.spawn(min(_CHUNK, trials - start))
-        violations, context = compute([draw(np.random.default_rng(child)) for child in children])
+        rngs = [np.random.default_rng(child) for child in root.spawn(min(_CHUNK, trials - start))]
+        violations, context = compute(_Draws(rngs, layout))
         violations = np.asarray(violations).tolist()
         columns = {key: np.asarray(column).tolist() for key, column in context.items()}
         rows = zip(*columns.values()) if columns else [()] * len(violations)
@@ -833,30 +861,32 @@ def property_suite(name: str, trials: int, seed: int, slack: float = PHYSICS_TOL
     return _run_trials(name, _SUITES[name], trials, seed, slack)
 
 
-def _periodicity_draw(k: int, l: int):
-    def draw(rng):
-        u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
-        s13 = 2.0 - rng.uniform(0.0, 2.0)
-        s23 = s13 * l / k
-        h13 = PauliPairHamiltonian(coupling=s13 * np.outer(u, j), pair=(1, 3), local_probe=rng.uniform(-1, 1) * j)
-        h23 = PauliPairHamiltonian(coupling=s23 * np.outer(w, j), pair=(2, 3), local_probe=rng.uniform(-1, 1) * j)
-        return h13, h23, random_state(rng), k * np.pi / (2.0 * s13)
-
-    return draw
+_PERIODICITY_LAYOUT = _AXIS * 3 + ((_UNIFORM, 3), (_NORMAL, 16))
 
 
-def _periodicity(draws):
-    h13s, h23s, psi0s, t_star = _columns(draws)
-    psi0s = np.array(psi0s)
-    tau0 = residual_tangle_rows(psi0s)
-    tau_star = residual_tangle_rows(_evolved(h13s, h23s, psi0s, t_star))
-    return np.abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
+def _periodicity(k: int, l: int):
+    def compute(take):
+        u, w, j = (_unit_rows(take(3)) for _ in range(3))
+        s13 = 2.0 - _uniform(take(1)[:, 0], 0.0, 2.0)
+        strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
+        coeffs = np.zeros((len(s13), 2, 15))
+        coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
+        coeffs[..., 12:] = _uniform(take(2), -1, 1)[..., None] * j[:, None, :]
+        psi0s = _states(take, 8)
+        t_star = k * np.pi / (2.0 * s13)
+        tau0 = residual_tangle_rows(psi0s)
+        tau_star = residual_tangle_rows(_evolved(coeffs, psi0s, t_star))
+        return np.abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
+
+    return compute
 
 
 def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
     """Residual tangle returns to its initial value at t = k*pi/(2|a|) when |a|/|b| = k/l."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
+    if max(k, l) > 2**53:
+        raise ValueError("k and l must be at most 2**53, so that the ratio k/l is exact in floats")
     if math.gcd(k, l) != 1:
         raise ValueError(f"k/l must be in lowest terms, got {k}/{l}")
-    return _run_trials(f"residual_periodicity_{k}_{l}", (_periodicity_draw(k, l), _periodicity), trials, seed, slack)
+    return _run_trials(f"residual_periodicity_{k}_{l}", (_PERIODICITY_LAYOUT, _periodicity(k, l)), trials, seed, slack)

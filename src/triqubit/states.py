@@ -1,7 +1,8 @@
 """Three-qubit pure states: the analyzed initial-state classes and local rotations.
 
 States are plain complex 8-vectors in the logical basis, index b = 4*b1 +
-2*b2 + b3. Constructors validate normalization to the structural tolerance.
+2*b2 + b3. Constructors validate normalization to the structural tolerance;
+the bipartite and GHZ constructors also build stacks of states, one per row.
 Axis eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis`` also
 take stacked inputs, one row per state; a rotation is contracted on the
 (N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
@@ -27,17 +28,31 @@ def _as_vector(v, dim: int, what: str) -> np.ndarray:
 
 
 def _check_normalized(v: np.ndarray, what: str) -> np.ndarray:
-    n2 = float(np.vdot(v, v).real)
-    if abs(n2 - 1.0) > STRUCTURAL_TOL:
-        raise ValueError(f"{what} must be normalized: |norm^2 - 1| = {abs(n2 - 1.0):.3e}")
+    deviation = np.abs(np.vecdot(v, v).real - 1.0)
+    if (deviation > STRUCTURAL_TOL).any():
+        raise ValueError(f"{what} must be normalized: |norm^2 - 1| = {np.max(deviation):.3e}")
     return v
 
 
-def _check_schmidt(a: float, b: float):
-    if a < 0 or b < 0:
+def _check_schmidt(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("Schmidt coefficients must be real and nonnegative")
-    if abs(a * a + b * b - 1.0) > STRUCTURAL_TOL:
-        raise ValueError(f"Schmidt coefficients must satisfy a^2 + b^2 = 1, got {a * a + b * b!r}")
+    norm2 = np.ravel(a * a + b * b)
+    off = norm2[np.abs(norm2 - 1.0) > STRUCTURAL_TOL]
+    if off.size:
+        raise ValueError(f"Schmidt coefficients must satisfy a^2 + b^2 = 1, got {float(off[0])!r}")
+
+
+def _schmidt_states(a, b, vec, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked a|00> + b|11>, shape (..., 4), and single-qubit states ``vec`` (..., 2): one or stacked rows."""
+    _check_schmidt(a, b)
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape[-1:] != (2,):
+        raise ValueError(f"{what} must have dimension 2, got {vec.shape}")
+    chi = np.zeros((*np.shape(a), 4), dtype=complex)
+    chi[..., 0], chi[..., 3] = a, b
+    return chi, _check_normalized(vec, what)
 
 
 def axis_eigenbases(axes) -> np.ndarray:
@@ -139,40 +154,33 @@ def fully_separable(
     return kron(*singles)
 
 
-def bipartite_12(a: float, b: float, probe) -> np.ndarray:
-    """(a|00> + b|11>) on qubits 1,2 with an arbitrary probe state on qubit 3."""
-    _check_schmidt(a, b)
-    probe = _check_normalized(_as_vector(probe, 2, "probe state"), "probe state")
-    chi = np.zeros(4, dtype=complex)
-    chi[0], chi[3] = a, b
-    return kron(chi, probe)
+def bipartite_12(a, b, probe) -> np.ndarray:
+    """(a|00> + b|11>) on qubits 1,2 with an arbitrary probe state on qubit 3; stacked (N,) a, b
+    and (N, 2) probes give (N, 8) states."""
+    chi, probe = _schmidt_states(a, b, probe, "probe state")
+    return (chi[..., :, None] * probe[..., None, :]).reshape(*chi.shape[:-1], 8)
 
 
-def bipartite_23(a: float, b: float, spectator) -> np.ndarray:
-    """Qubit 1 spectator, (a|00> + b|11>) on qubits 2,3."""
-    _check_schmidt(a, b)
-    spectator = _check_normalized(_as_vector(spectator, 2, "spectator state"), "spectator state")
-    chi = np.zeros(4, dtype=complex)
-    chi[0], chi[3] = a, b
-    return kron(spectator, chi)
+def bipartite_23(a, b, spectator) -> np.ndarray:
+    """Qubit 1 spectator, (a|00> + b|11>) on qubits 2,3; stacks like ``bipartite_12``."""
+    chi, spectator = _schmidt_states(a, b, spectator, "spectator state")
+    return (spectator[..., :, None] * chi[..., None, :]).reshape(*chi.shape[:-1], 8)
 
 
-def bipartite_13(a: float, b: float, spectator) -> np.ndarray:
-    """(a|00> + b|11>) across qubits 1 and 3, with qubit 2 a spectator."""
-    _check_schmidt(a, b)
-    spectator = _check_normalized(_as_vector(spectator, 2, "spectator state"), "spectator state")
-    psi = np.zeros(8, dtype=complex)
-    for b2 in (0, 1):
-        psi[4 * 0 + 2 * b2 + 0] += a * spectator[b2]
-        psi[4 * 1 + 2 * b2 + 1] += b * spectator[b2]
+def bipartite_13(a, b, spectator) -> np.ndarray:
+    """(a|00> + b|11>) across qubits 1 and 3, with qubit 2 a spectator; stacks like ``bipartite_12``."""
+    chi, spectator = _schmidt_states(a, b, spectator, "spectator state")
+    psi = np.zeros((*chi.shape[:-1], 8), dtype=complex)
+    psi[..., [0, 2]] += chi[..., :1] * spectator
+    psi[..., [5, 7]] += chi[..., 3:] * spectator
     return psi
 
 
-def ghz_general(a: float, b: float) -> np.ndarray:
-    """a|000> + b|111>; every two-qubit marginal is unentangled."""
+def ghz_general(a, b) -> np.ndarray:
+    """a|000> + b|111>; every two-qubit marginal is unentangled. Stacked (N,) a, b give (N, 8) states."""
     _check_schmidt(a, b)
-    psi = np.zeros(8, dtype=complex)
-    psi[0], psi[7] = a, b
+    psi = np.zeros((*np.shape(a), 8), dtype=complex)
+    psi[..., 0], psi[..., 7] = a, b
     return psi
 
 

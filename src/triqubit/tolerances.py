@@ -12,3 +12,7 @@ PHYSICS_TOL = 1e-9
 # Conditional states with outcome probability below this are reported as
 # absent instead of being normalized out of rounding noise.
 DEGENERATE_OUTCOME_PROB = 1e-14
+
+# Largest ||H_total||_F * |t| at which rounding t to a float (relative spacing
+# 2**-52) moves every phase w t, |w| <= ||H_total||_F, by at most PHYSICS_TOL.
+MAX_PHASE = PHYSICS_TOL / 2**-52  # about 4.5e6

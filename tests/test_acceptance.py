@@ -17,8 +17,10 @@ from triqubit.evolution import (
 )
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
 from triqubit.measures import report, residual_tangle_poly
+from triqubit.hamiltonians import pair_matrices
 from triqubit.scenarios import (
-    _draw_triple,
+    _TRIPLE_LAYOUT,
+    _Draws,
     _triple_quantities,
     property_suite,
     random_commuting_pair,
@@ -208,12 +210,11 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     stated = property_suite("triple_convexity_bound", trials=trials, seed=seed)
     oracle_excess = np.empty(trials)
     worst_identity, least_gap, least_t0_excess = 0.0, np.inf, np.inf
-    draws = [_draw_triple(np.random.default_rng(child)) for child in np.random.SeedSequence(seed).spawn(trials)]
-    q = _triple_quantities(draws)
-    for index, (draw, psi0, psi_t, t, probe_axis, factor_free, factor_weighted) in enumerate(
-        zip(draws, q["psi0"], q["psi_t"], q["t"], q["probe_axis"], q["factor_free"], q["factor_weighted"])
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
+    q = _triple_quantities(_Draws(rngs, _TRIPLE_LAYOUT))
+    for index, (coeffs, psi0, psi_t, t, probe_axis, factor_free, factor_weighted) in enumerate(
+        zip(q["coeffs"], q["psi0"], q["psi_t"], q["t"], q["probe_axis"], q["factor_free"], q["factor_weighted"])
     ):
-        plan = make_plan(*draw[:2])
         tau0 = oracle_tangle12_pure3(psi0)
         tau_t = oracle_tangle12_pure3(psi_t)
         branches = measure_probe(psi_t, axis_eigenbasis(probe_axis))
@@ -235,7 +236,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
             t0_excess = tau0 - tau0 * factor_free
             assert t0_excess > TOL, f"FAIL [6e] trial {index}: stated factor holds at t = 0 ({t0_excess:.3e})"
             least_t0_excess = min(least_t0_excess, t0_excess)
-        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(total_hamiltonian(plan), psi0, t)) - tau0 * factor_free
+        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(pair_matrices(coeffs).sum(axis=0), psi0, t)) - tau0 * factor_free
     reported = [failure["trial"] for failure in stated.failures]
     assert reported, "the stated factor is violated at t = 0, yet the suite found no counterexample"
     unconfirmed = [i for i in reported if oracle_excess[i] <= TOL]

@@ -148,7 +148,9 @@ class TestClassifyCommand:
         # an absolute commutation floor calls g = 1e-15 commuting and blames the coupling tensor at 1e-6;
         # at g = 1e-170 the commutator's ~1e-339 entries underflow to 0, but the commutator of
         # the normalised matrices does not
-        cfg = write_config(tmp_path, heisenberg_raw(hamiltonian={"preset": "heisenberg_chain", "g": g}))
+        # the grid keeps g t <= pi, so ||H_total||_F * t stays within MAX_PHASE at g = 1e100
+        time_grid = {"t_start": 0.0, "t_end": float(np.pi / max(g, 1.0)), "steps": 16}
+        cfg = write_config(tmp_path, heisenberg_raw(hamiltonian={"preset": "heisenberg_chain", "g": g}, time_grid=time_grid))
         argv = [command, "--config", cfg] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -252,6 +254,20 @@ class TestQndDemoCommand:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("argv", [["--gt", "1e17"], ["--gt", "4.6e6"], ["--m", "10000000"]])
+    def test_phase_past_max_phase_exit_2(self, capsys, argv):
+        # at qnd_zz(1) ||H_total||_F = 1, so gt itself is the phase bound; past it the
+        # rounding of t moves exp(-i w t) by more than PHYSICS_TOL
+        assert main(["qnd-demo", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "exceeds MAX_PHASE" in captured.err
+        assert captured.out == ""
+
+    def test_phase_below_max_phase_runs(self, capsys):
+        assert main(["qnd-demo", "--gt", "4e6"]) == 0
+        assert capsys.readouterr().out.startswith("gt = 4000000\n")
+
+
 class TestPeriodicityCommand:
     def test_pass(self, capsys):
         assert main(["periodicity", "--k", "1", "--l", "1", "--trials", "40", "--seed", "2"]) == 0
@@ -265,6 +281,14 @@ class TestPeriodicityCommand:
         assert main(["periodicity", "--k", "1", "--l", "2", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert "trials must be >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k, l", [(1, 10**400), (10**308, 1), (1, 2**53 + 1)], ids=["l=1e400", "k=1e308", "l=2**53+1"])
+    def test_ratio_past_float_precision_exit_2_names_k_and_l(self, capsys, k, l):
+        # l = 1e400 raised OverflowError converting to float; k = 1e308 made t* = k pi / (2|a|) infinite
+        assert main(["periodicity", "--k", str(k), "--l", str(l), "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: k and l must be at most 2**53, so that the ratio k/l is exact in floats\n"
         assert captured.out == ""
 
     def test_negative_seed_exit_2_names_seed(self, capsys):

@@ -14,7 +14,7 @@ from triqubit.evolution import (
     plan_spectra,
     sector_vectors,
 )
-from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, qnd_zz
+from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, pair_coefficients, qnd_zz
 from triqubit.measures import report
 from triqubit.scenarios import (
     random_axis,
@@ -192,7 +192,7 @@ class TestSpectrum:
         rng = np.random.default_rng(27)
         pairs = [random_commuting_pair(rng, locals_mode="full") for _ in range(4)] + [heisenberg_chain(0.7)]
         pairs += [(PauliPairHamiltonian(coupling=np.diag([1.0, 2.0, 0.0]), pair=(1, 3)), PauliPairHamiltonian(coupling=np.zeros((3, 3)), pair=(2, 3)))]
-        forms, w, v = plan_spectra(*zip(*pairs))
+        forms, w, v = plan_spectra(pair_coefficients(*zip(*pairs)))
         psi0s, times = np.array([random_state(rng) for _ in pairs]), rng.uniform(0.0, 5.0, len(pairs))
         rows = evolve_rows(w, v, psi0s, times)
         for i, (h13, h23) in enumerate(pairs):

@@ -7,6 +7,7 @@ from triqubit.hamiltonians import (
     PauliPairHamiltonian,
     canonical_forms,
     heisenberg_chain,
+    pair_coefficients,
     qnd_zz,
 )
 from triqubit.linalg import I2, SZ, kron
@@ -34,7 +35,7 @@ def pair(coupling=None, local_self=None, local_probe=None, which=(1, 3)):
 
 def forms_of(h13, h23):
     """The (1,3) and (2,3) ``CommutingForm`` of a pair that has them: row 0 of the one-row ``canonical_forms``."""
-    forms = canonical_forms((h13,), (h23,))
+    forms = canonical_forms(pair_coefficients((h13,), (h23,)))
     assert forms.error(0) is None, forms.error(0)
     return forms.forms(0)
 
@@ -112,7 +113,7 @@ class TestCommutes:
                            local_probe=rng.normal(size=3), which=(2, 3))
             m13, m23 = h13.to_matrix(), h23.to_matrix()
             direct = np.linalg.norm(m13 @ m23 - m23 @ m13) <= tol * np.linalg.norm(m13) * np.linalg.norm(m23)
-            assert (canonical_forms((h13,), (h23,), tol=tol).status[0] != 1) == direct  # status 1: not commuting
+            assert (canonical_forms(pair_coefficients((h13,), (h23,)), tol=tol).status[0] != 1) == direct  # status 1: not commuting
             assert commutes(h13, h23, tol=tol) == direct
 
 
@@ -126,14 +127,14 @@ class TestCoefficientSpaceCommutator:
              pair(coupling=rng.normal(size=(3, 3)), local_self=rng.normal(size=3), local_probe=rng.normal(size=3), which=(2, 3)))
             for _ in range(300)
         ]
-        norms = canonical_forms(*zip(*pairs)).commutator_norm
+        norms = canonical_forms(pair_coefficients(*zip(*pairs))).commutator_norm
         oracle = np.array([oracle_commutator_norm(h13, h23) for h13, h23 in pairs])
         assert np.max(np.abs(norms - oracle) / oracle) <= 1e-13
 
     def test_commuting_pairs_give_rounding_noise(self):
         rng = np.random.default_rng(42)
         pairs = [random_commuting_pair(rng, locals_mode="full") for _ in range(300)]
-        forms = canonical_forms(*zip(*pairs))
+        forms = canonical_forms(pair_coefficients(*zip(*pairs)))
         oracle = np.array([oracle_commutator_norm(h13, h23) for h13, h23 in pairs])
         assert forms.ok.all()
         assert np.max(forms.commutator_norm) <= 1e-14 and np.max(oracle) <= 1e-14
@@ -141,7 +142,7 @@ class TestCoefficientSpaceCommutator:
     @pytest.mark.parametrize("g, norm", [(1e-170, 0.0), (1.0, np.sqrt(192.0)), (1e155, np.inf)])
     def test_scale(self, g, norm):
         # sqrt(192) g^2 underflows at 1e-170 and overflows at 1e155; the classification does neither
-        forms = canonical_forms(*zip(heisenberg_chain(g), qnd_zz(g)))  # row 0 the chain, row 1 the zz coupling
+        forms = canonical_forms(pair_coefficients(*zip(heisenberg_chain(g), qnd_zz(g))))  # row 0 the chain, row 1 the zz coupling
         assert forms.commutator_norm[0] == pytest.approx(norm, rel=1e-13)
         assert forms.commutator_norm[1] == 0.0
         assert list(forms.status) == [1, 0]
@@ -165,13 +166,13 @@ class TestCanonicalForm:
         assert f13.coupling_strength == pytest.approx(0.25, abs=1e-12)
 
     def test_heisenberg_raises_not_commuting(self):
-        assert isinstance(canonical_forms(*zip(heisenberg_chain(1.0))).error(0), NotCommutingError)
+        assert isinstance(canonical_forms(pair_coefficients(*zip(heisenberg_chain(1.0)))).error(0), NotCommutingError)
 
     def test_rank_two_coupling_raises(self):
         c13 = np.diag([1.0, 2.0, 0.0])  # rank 2, but commutes with a zero partner
         h13, h23 = pair(coupling=c13), pair(which=(2, 3))
         assert commutes(h13, h23)
-        assert isinstance(canonical_forms((h13,), (h23,)).error(0), NotRankOneError)
+        assert isinstance(canonical_forms(pair_coefficients((h13,), (h23,))).error(0), NotRankOneError)
 
     def test_zero_coupling_gets_fixed_axes(self):
         f13, f23 = forms_of(pair(), pair(which=(2, 3)))
@@ -208,7 +209,7 @@ class TestCanonicalForm:
         assert f13.local_probe_strength == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
         # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
         misaligned = pair(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0]))
-        error = canonical_forms((misaligned,), (pair(which=(2, 3)),)).error(0)
+        error = canonical_forms(pair_coefficients((misaligned,), (pair(which=(2, 3)),))).error(0)
         assert isinstance(error, NotCommutingError) and "probe-local term is not aligned" in str(error)
         plan = make_plan(misaligned, pair(which=(2, 3)))
         psi0 = random_state(np.random.default_rng(5))
