@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,3 +332,81 @@ class TestParserReuse:
         parser = cli._build_parser()
         assert outputs(fresh=False) == fresh
         assert cli._build_parser() is parser
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+HEISENBERG_CLASSIFY = (
+    "noncommuting (commutator norm 1.385641e+01)\n"
+    "reason: pair Hamiltonians do not commute (commutator norm 1.386e+01)\n"
+    "total Hamiltonian eigenvalues: -4 (x2), 0 (x2), 2 (x4)\n"
+)
+# body axes and strengths chosen so every printed digit is exact: (0.6, 0, 0.8) is a unit axis
+PAIRWISE_LOCALS = {"hamiltonian": {"pairwise": {
+    "h13": {"coupling": [[0, 0, 0.6], [0, 0, 0], [0, 0, 0.8]], "local_self": [0.3, 0, 0.4], "local_probe": [0, 0, 0.25]},
+    "h23": {"coupling": [[0, 0, 0], [0, 0, 1.5], [0, 0, 0]], "local_self": [0, 0, -2], "local_probe": [0, 0, -0.75]},
+}}}
+
+
+class TestGoldenStdout:
+    """The exact stdout of ``classify`` and ``qnd-demo``, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            ("ghz_heisenberg.json", HEISENBERG_CLASSIFY),
+            ("heisenberg_00plus.json", HEISENBERG_CLASSIFY),
+            (
+                "qnd_x.json",
+                "commuting (commutator norm 0.000000e+00)\n"
+                "shared probe axis: [0.0, 0.0, 1.0]\n"
+                "pair (1,3): coupling strength 0.25, body axis [0.0, 0.0, 1.0], local self strength 0, local probe coefficient 0\n"
+                "pair (2,3): coupling strength 0.25, body axis [0.0, 0.0, 1.0], local self strength 0, local probe coefficient 0\n",
+            ),
+            (
+                PAIRWISE_LOCALS,
+                "commuting (commutator norm 0.000000e+00)\n"
+                "shared probe axis: [0.0, 0.0, 1.0]\n"
+                "pair (1,3): coupling strength 1, body axis [0.6, 0.0, 0.8], local self strength 0.5, local probe coefficient 0.25\n"
+                "pair (2,3): coupling strength 1.5, body axis [0.0, 1.0, 0.0], local self strength 2, local probe coefficient -0.75\n",
+            ),
+        ],
+        ids=["ghz_heisenberg", "heisenberg_00plus", "qnd_x", "pairwise_locals"],
+    )
+    def test_classify(self, tmp_path, capsys, config, expected):
+        path = str(CONFIGS / config) if isinstance(config, str) else write_config(tmp_path, config)
+        assert main(["classify", "--config", path]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["--gt", "1"],
+                "gt = 1\n"
+                "pre-measurement tangle_12 = 0.0000000000\n"
+                "outcome  probability    conditional_tangle_12\n"
+                "+x       0.8850755765   0.0168602479\n"
+                "-x       0.1149244235   1.0000000000\n",
+            ),
+            (
+                ["--m", "1"],
+                "gt = 9.42477796077\n"
+                "pre-measurement tangle_12 = 0.0000000000\n"
+                "outcome  probability    conditional_tangle_12\n"
+                "+x       0.5000000000   1.0000000000\n"
+                "-x       0.5000000000   1.0000000000\n",
+            ),
+            (
+                ["--gt", "0"],
+                "gt = 0\n"
+                "pre-measurement tangle_12 = 0.0000000000\n"
+                "outcome  probability    conditional_tangle_12\n"
+                "+x       1.0000000000   0.0000000000\n"
+                "-x       0.0000000000   (degenerate outcome)\n",
+            ),
+        ],
+        ids=["gt=1", "m=1", "gt=0"],
+    )
+    def test_qnd_demo(self, capsys, argv, expected):
+        assert main(["qnd-demo", *argv]) == 0
+        assert capsys.readouterr() == (expected, "")
