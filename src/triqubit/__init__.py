@@ -7,31 +7,21 @@ formation and the residual three-way tangle of the non-interacting pair.
 """
 
 from .evolution import (
-    EvolutionPlan,
-    MeasurementOutcome,
-    evolve,
     evolve_grid,
     evolve_rows,
-    make_plan,
-    measure_probe,
     measure_probe_grid,
     plan_spectra,
 )
 from .hamiltonians import (
-    CommutingForm,
     NotCommutingError,
     NotRankOneError,
-    PauliPairHamiltonian,
     canonical_forms,
     heisenberg_chain,
     qnd_zz,
 )
 from .measures import (
-    EntanglementReport,
     concurrence_12,
-    report,
     report_batch,
-    residual_tangle_poly,
 )
 from .scenarios import (
     ConfigError,
@@ -46,8 +36,6 @@ from .scenarios import (
     suite_names,
 )
 from .states import (
-    LocalRotation,
-    apply_local,
     axis_eigenbasis,
     bipartite_12,
     bipartite_13,

@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .evolution import evolve, make_plan, measure_probe
+from .evolution import evolve_grid, measure_probe_grid, plan_spectra
 from .hamiltonians import qnd_zz
-from .measures import report
+from .measures import report_batch
 from .scenarios import (
     ConfigError,
     emit_csv,
@@ -26,7 +26,7 @@ from .scenarios import (
     run_sweep,
     suite_names,
 )
-from .states import LocalRotation, axis_eigenbasis, fully_separable
+from .states import Z_AXIS, axis_eigenbasis, fully_separable
 from .tolerances import MAX_PHASE
 
 EXIT_OK = 0
@@ -128,25 +128,24 @@ def cmd_classify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    plan = make_plan(cfg.h13, cfg.h23)
-    if not (plan.h13.coefficients.any() or plan.h23.coefficients.any()):
+    if not cfg.coeffs.any():
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
-    if plan.commuting:
-        forms = plan.forms.forms(0)
-        print(f"commuting (commutator norm {plan.commutator_norm:.6e})")
-        print(f"shared probe axis: {np.round(forms[0].probe_axis, 12).tolist()}")
-        for label, form in zip(("pair (1,3)", "pair (2,3)"), forms):
+    forms, w, _ = plan_spectra(cfg.coeffs)
+    if forms.ok[0]:
+        print(f"commuting (commutator norm {forms.commutator_norm[0]:.6e})")
+        print(f"shared probe axis: {np.round(forms.probe_axis[0], 12).tolist()}")
+        for k, label in enumerate(("pair (1,3)", "pair (2,3)")):
             print(
-                f"{label}: coupling strength {form.coupling_strength:.12g}, "
-                f"body axis {np.round(form.coupling_axis_self, 12).tolist()}, "
-                f"local self strength {form.local_self_strength:.12g}, "
-                f"local probe coefficient {form.local_probe_strength:.12g}"
+                f"{label}: coupling strength {forms.strength[0, k]:.12g}, "
+                f"body axis {np.round(forms.body_axis[0, k], 12).tolist()}, "
+                f"local self strength {forms.self_strength[0, k]:.12g}, "
+                f"local probe coefficient {forms.probe_strength[0, k]:.12g}"
             )
     else:
-        print(f"noncommuting (commutator norm {plan.commutator_norm:.6e})")
-        print(f"reason: {plan.fastpath_error}")
-        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(plan.spectrum()[0])}")
+        print(f"noncommuting (commutator norm {forms.commutator_norm[0]:.6e})")
+        print(f"reason: {forms.error(0)}")
+        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(w[0])}")
     return EXIT_OK
 
 
@@ -165,19 +164,15 @@ def cmd_qnd_demo(args) -> int:
     if gt > MAX_PHASE:  # ||H_total||_F = 1 at qnd_zz(1)
         print(f"error: gt = {gt:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}, past which the phases are rounding noise", file=sys.stderr)
         return EXIT_CONFIG
-    plan = make_plan(*qnd_zz(1.0))
-    rotations = [LocalRotation(qubit=q) for q in (1, 2, 3)]
-    psi0 = fully_separable(*rotations, axes=(X_AXIS, X_AXIS, X_AXIS))
-    psi_t = evolve(plan, psi0, gt)
-    pre = report(psi_t)
+    _, w, v = plan_spectra(qnd_zz(1.0))
+    psi0 = fully_separable([0.0] * 3, [Z_AXIS] * 3, axes=(X_AXIS, X_AXIS, X_AXIS))
+    psi_t = evolve_grid(w[0], v[0], psi0, (gt,))
     print(f"gt = {gt:.12g}")
-    print(f"pre-measurement tangle_12 = {pre.tangle_12:.10f}")
+    print(f"pre-measurement tangle_12 = {report_batch(psi_t)['tangle_12'][0]:.10f}")
     print("outcome  probability    conditional_tangle_12")
-    for outcome in measure_probe(psi_t, axis_eigenbasis(X_AXIS), labels=("+x", "-x")):
-        if outcome.state is None:
-            print(f"{outcome.label:<8} {outcome.probability:<14.10f} (degenerate outcome)")
-        else:
-            print(f"{outcome.label:<8} {outcome.probability:<14.10f} {outcome.tangle:.10f}")
+    probs, tangles, present, _ = measure_probe_grid(psi_t, axis_eigenbasis(X_AXIS))
+    for label, p, tangle, ok in zip(("+x", "-x"), probs[0].tolist(), tangles[0].tolist(), present[0].tolist()):
+        print(f"{label:<8} {p:<14.10f} {tangle:.10f}" if ok else f"{label:<8} {p:<14.10f} (degenerate outcome)")
     return EXIT_OK
 
 

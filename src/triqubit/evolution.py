@@ -1,6 +1,6 @@
 """Spectral unitary evolution and probe measurement with post-selection.
 
-Every evolution goes through one spectral core: a plan's ``(w, V)`` with
+Every evolution goes through one spectral core: a spectrum ``(w, V)`` with
 H13 + H23 = V diag(w) V† and psi(t) = V exp(-i w t) V† psi0. The spectrum's
 source follows from the pair. When the two pair Hamiltonians commute, the
 canonical form gives it in closed form: the total Hamiltonian is block
@@ -10,18 +10,17 @@ comes from ``eigh``.
 
 ``plan_spectra`` builds the stacked spectra of N pairs, given as (N, 2, 15)
 Pauli coefficients, from one ``canonical_forms`` call (the closed form over
-(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest), and
-``evolve_rows`` evolves N states, one time each. ``make_plan`` is its one-row case, and ``evolve_grid`` evolves one
-plan over a whole time grid.
+(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest).
+``evolve_rows`` evolves N states, one time each, and ``evolve_grid`` evolves
+one state under one row's spectrum over a whole time grid.
+``measure_probe_grid`` measures qubit 3 of every row in one basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .hamiltonians import CanonicalForms, PauliPairHamiltonian, canonical_forms, pair_coefficients, pair_matrices
+from .hamiltonians import canonical_forms, pair_matrices
 from .linalg import kron  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
@@ -74,41 +73,6 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     return w.reshape(n, 8), v
 
 
-@dataclass(frozen=True)
-class EvolutionPlan:
-    """A pair with its one-row ``CanonicalForms`` and spectrum ``(w, V)``, all computed at build time."""
-
-    h13: PauliPairHamiltonian
-    h23: PauliPairHamiltonian
-    forms: CanonicalForms
-    w: np.ndarray
-    v: np.ndarray
-
-    @property
-    def commuting(self) -> bool:
-        return bool(self.forms.ok[0])
-
-    @property
-    def commutator_norm(self) -> float:
-        return float(self.forms.commutator_norm[0])
-
-    @property
-    def fastpath_error(self) -> str | None:
-        """Why the pair has no closed form, None when it has one."""
-        error = self.forms.error(0)
-        return None if error is None else str(error)
-
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, V)`` with H13 + H23 = V diag(w) V†: the closed form when the pair commutes, ``eigh`` otherwise."""
-        return self.w, self.v
-
-
-def make_plan(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian) -> EvolutionPlan:
-    """Build an evolution plan: the one-row ``plan_spectra``."""
-    forms, w, v = plan_spectra(pair_coefficients((h13,), (h23,)))
-    return EvolutionPlan(h13=h13, h23=h23, forms=forms, w=w[0], v=v[0])
-
-
 def plan_spectra(coeffs: np.ndarray):
     """Canonical forms and stacked spectra of N pairs given as an (N, 2, 15) coefficient array:
     ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
@@ -137,36 +101,12 @@ def evolve_rows(w, v, psi0s, times) -> np.ndarray:
     return (v @ (phases * coeffs)[..., None])[..., 0]
 
 
-def evolve_grid(plan: EvolutionPlan, psi0, times) -> np.ndarray:
-    """Evolve one state to every time of a grid at once: (exp(-i t (x) w) * (V† psi0)) @ V^T, shape (T, 8)."""
-    w, v = plan.spectrum()
+def evolve_grid(w, v, psi0, times) -> np.ndarray:
+    """Evolve one state under one spectrum ``(w, V)`` to every time of a grid at once:
+    (exp(-i t (x) w) * (V† psi0)) @ V^T, shape (T, 8)."""
     psi0 = np.asarray(psi0, dtype=complex).reshape(8)
     times = np.asarray(times, dtype=float).reshape(-1)
     return (np.exp(-1j * np.multiply.outer(times, w)) * (v.conj().T @ psi0)) @ v.T
-
-
-def evolve(plan: EvolutionPlan, psi0, t: float) -> np.ndarray:
-    """Evolve to one time: the one-point grid."""
-    return evolve_grid(plan, psi0, (t,))[0]
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One projective outcome on qubit 3: label, Born probability, conditional state.
-
-    ``state`` is the normalized conditional pure state of qubits 1,2 and
-    ``tangle`` its tangle 4|a00 a11 - a01 a10|^2; both are None when the
-    probability is below the degenerate-outcome threshold.
-    """
-
-    label: str
-    probability: float
-    state: np.ndarray | None
-    tangle: float | None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.state is None
 
 
 def measure_probe_grid(psis, basis):
@@ -184,11 +124,3 @@ def measure_probe_grid(psis, basis):
     det = states[..., 0] * states[..., 3] - states[..., 1] * states[..., 2]
     return probs, 4.0 * (det.real**2 + det.imag**2), present, states
 
-
-def measure_probe(psi, basis, labels=("plus", "minus")) -> list[MeasurementOutcome]:
-    """Projective measurement of qubit 3 in an orthonormal basis pair: the one-row grid."""
-    probs, tangles, present, states = measure_probe_grid(np.asarray(psi, dtype=complex).reshape(1, 8), basis)
-    return [
-        MeasurementOutcome(label, p, state if ok else None, tau if ok else None)
-        for label, p, tau, ok, state in zip(labels, probs[0].tolist(), tangles[0].tolist(), present[0].tolist(), states[0])
-    ]

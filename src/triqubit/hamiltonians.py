@@ -1,12 +1,14 @@
 """Pairwise Pauli Hamiltonians on qubit pairs (1,3) and (2,3), and the commuting classifier.
 
-A pair Hamiltonian is stored in coefficient form: a 3x3 real coupling tensor
-contracting Pauli operators of the non-probe qubit against those of qubit 3,
-plus single-body coefficient vectors on each qubit. When the two pair
-Hamiltonians commute, each coupling tensor is rank one and both share a single
-probe axis; ``canonical_forms`` extracts that structure for N pairs at once,
-as arrays, and ``CanonicalForms.forms`` and ``.error`` read one row back as a
-pair of ``CommutingForm`` or as the reason it has none.
+N pairs are an (N, 2, 15) array of real Pauli coefficients (hbar = 1),
+indexed [row, pair] with pair 0 being (1,3) and 1 being (2,3). The 15
+coefficients of one pair Hamiltonian are its 3x3 coupling tensor row by row,
+``coupling[i, j]`` multiplying (pauli_i on the body qubit) x (pauli_j on
+qubit 3), then the body-local and the probe-local coefficient vectors. When
+the two pair Hamiltonians commute, each coupling tensor is rank one and both
+share a single probe axis; ``canonical_forms`` extracts that structure for N
+pairs at once, as arrays, and ``CanonicalForms.error`` names the reason a row
+has none.
 
 The classifier works in coefficient space and builds no 8x8 matrix. Write each
 pair as body-Pauli-indexed probe vectors, C = [local_probe; coupling rows]
@@ -22,15 +24,12 @@ orthogonal with squared norm 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import PAULIS, embed_single, norms, unit_axis
 from .tolerances import SPECTRAL_TOL
-
-PAIRS = ((1, 3), (2, 3))
-Z_AXIS = (0.0, 0.0, 1.0)
 
 
 class NotCommutingError(ValueError):
@@ -49,8 +48,7 @@ _COUPLINGS = np.array([[(embed_single(a, body) @ embed_single(b, 3)).ravel() for
 def pair_matrices(coeffs: np.ndarray) -> np.ndarray:
     """8x8 Hermitian embeddings of a stacked coefficient array (..., 2, 15), [..., pair], shape (..., 2, 8, 8).
 
-    Pair 0 is (1,3) and 1 is (2,3); each row of 15 is ordered as
-    ``PauliPairHamiltonian.coefficients``. H13 + H23 is the sum over axis -3.
+    Pair 0 is (1,3) and 1 is (2,3); H13 + H23 is the sum over axis -3.
     """
     entries = (
         (coeffs[..., None, :9] @ _COUPLINGS)[..., 0, :]
@@ -58,70 +56,6 @@ def pair_matrices(coeffs: np.ndarray) -> np.ndarray:
         + coeffs[..., 12:] @ _SINGLE[2]
     )
     return entries.reshape(*coeffs.shape[:-1], 8, 8)
-
-
-@dataclass(frozen=True)
-class PauliPairHamiltonian:
-    """Two-body Hamiltonian on one qubit pair, in Pauli coefficient form.
-
-    ``coupling[i, j]`` multiplies (pauli_i on the body qubit) x (pauli_j on
-    qubit 3); ``local_self`` and ``local_probe`` are the single-body
-    coefficient vectors. All coefficients are real (hbar = 1).
-    """
-
-    coupling: np.ndarray
-    local_self: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    local_probe: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    pair: tuple[int, int] = (1, 3)
-
-    def __post_init__(self):
-        coupling = np.asarray(self.coupling, dtype=float)
-        if coupling.shape != (3, 3):
-            raise ValueError(f"coupling tensor must be 3x3, got {coupling.shape}")
-        object.__setattr__(self, "coupling", coupling)
-        for name in ("local_self", "local_probe"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector, got {vec.shape}")
-            object.__setattr__(self, name, vec)
-        coefficients = np.concatenate((coupling.ravel(), self.local_self, self.local_probe))
-        if not np.isfinite(coefficients).all():
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "_coefficients", coefficients)
-        if tuple(self.pair) not in PAIRS:
-            raise ValueError(f"pair must be (1,3) or (2,3), got {self.pair}")
-
-    @property
-    def body_qubit(self) -> int:
-        return self.pair[0]
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """All 15 coefficients: the coupling tensor row by row, then ``local_self`` and ``local_probe``."""
-        return self._coefficients
-
-    def to_matrix(self) -> np.ndarray:
-        """8x8 Hermitian embedding, identity on the absent qubit: the one-pair ``pair_matrices``."""
-        return pair_matrices(np.array([self.coefficients] * 2))[self.body_qubit - 1]
-
-
-@dataclass(frozen=True)
-class CommutingForm:
-    """Canonical decomposition of one pair Hamiltonian from a commuting pair.
-
-    The coupling is ``coupling_strength * sigma_(coupling_axis_self) (x)
-    sigma_(probe_axis)``; the body-local term is ``local_self_strength *
-    sigma_(local_self_axis)``; the probe-local term is constrained to the
-    shared probe axis with signed coefficient ``local_probe_strength``.
-    """
-
-    pair: tuple[int, int]
-    coupling_axis_self: tuple[float, float, float]
-    coupling_strength: float
-    probe_axis: tuple[float, float, float]
-    local_self_axis: tuple[float, float, float] = Z_AXIS
-    local_self_strength: float = 0.0
-    local_probe_strength: float = 0.0
 
 
 # (error, message) of each check of ``canonical_forms``, in the order they are made: status
@@ -180,30 +114,6 @@ class CanonicalForms:
         error, message = _FAILURES[status]
         return error(message.format(*numbers))
 
-    def forms(self, row: int) -> tuple[CommutingForm, CommutingForm]:
-        """The (1,3) and (2,3) ``CommutingForm`` of a row with a form."""
-        probe_axis = tuple(self.probe_axis[row])
-        return tuple(
-            CommutingForm(
-                pair=PAIRS[k],
-                coupling_axis_self=tuple(self.body_axis[row, k]),
-                coupling_strength=float(self.strength[row, k]),
-                probe_axis=probe_axis,
-                local_self_axis=tuple(self.self_axis[row, k]),
-                local_self_strength=float(self.self_strength[row, k]),
-                local_probe_strength=float(self.probe_strength[row, k]),
-            )
-            for k in range(2)
-        )
-
-
-def pair_coefficients(h13s, h23s) -> np.ndarray:
-    """The (N, 2, 15) coefficients of N pairs, [row, pair], pair 0 being (1,3) and 1 being (2,3)."""
-    pairs = [sorted((h13, h23), key=lambda h: tuple(h.pair)) for h13, h23 in zip(h13s, h23s)]
-    if any(tuple(h.pair) != expected for pair in pairs for h, expected in zip(pair, PAIRS)):
-        raise ValueError("expected one Hamiltonian per pair (1,3) and (2,3)")
-    return np.array([[h.coefficients for h in pair] for pair in pairs]).reshape(-1, 2, 15)
-
 
 # weights that make the sign of a sum over the components that of the first nonzero one
 _FIRST_NONZERO = np.array([4.0, 2.0, 1.0])
@@ -213,7 +123,7 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 # C = [local_probe; coupling rows] as an index into the 15 coefficients
 _PROBE_ROWS = np.r_[12:15, 0:9]
-_Z = np.array(Z_AXIS)
+_Z = np.array([0.0, 0.0, 1.0])
 
 
 def _sign_fix(axes: np.ndarray) -> np.ndarray:
@@ -221,20 +131,20 @@ def _sign_fix(axes: np.ndarray) -> np.ndarray:
     return np.where((np.sign(axes) * (np.abs(axes) > 1e-14)) @ _FIRST_NONZERO < 0.0, -1.0, 1.0)
 
 
-def canonical_forms(coeffs, tol: float = SPECTRAL_TOL) -> CanonicalForms:
-    """Classify N pairs, given as (N, 2, 15) coefficients (see ``pair_coefficients``), and
-    extract their shared-probe-axis canonical forms.
+def canonical_forms(coeffs) -> CanonicalForms:
+    """Classify N pairs, given as (N, 2, 15) coefficients, and extract their
+    shared-probe-axis canonical forms.
 
     The checks, in order (the status of a row is its first failure):
     1. commutation: with each pair's coefficients scaled by its largest one,
        the commutator of the unit-Frobenius-norm matrices has norm
        sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)), q the sums of squared scaled
-       coefficients, against ``tol``;
+       coefficients, against ``SPECTRAL_TOL``;
     2, 3. each nonzero coupling tensor is rank one (one stacked SVD);
     4. two nonzero couplings share their probe axis;
     5, 6. each probe-local term lies on the shared probe axis;
     7, 8. each form reconstructs its coefficients: the Frobenius norm of the
-       8x8 difference is at most ``tol`` ||H||_F (so every entry is too).
+       8x8 difference is at most ``SPECTRAL_TOL`` ||H||_F (so every entry is too).
     A pair that commutes without a canonical form, such as a rank-2 coupling
     against a partner with no probe part, fails check 2 or 3. The decisions
     are taken on the scaled coefficients, so they do not depend on the scale
@@ -249,7 +159,7 @@ def canonical_forms(coeffs, tol: float = SPECTRAL_TOL) -> CanonicalForms:
     cross = np.einsum("abc,nib,nkc->nika", _EPS, rows[:, 0], rows[:, 1])
     sq = np.einsum("nikc,nikc->n", cross, cross)
     q = np.vecdot(unit, unit) + (top == 0.0)  # >= 1 for a nonzero pair
-    commutes = (top == 0.0).any(axis=-1) | (np.sqrt(sq / (2.0 * q[:, 0] * q[:, 1])) <= tol)
+    commutes = (top == 0.0).any(axis=-1) | (np.sqrt(sq / (2.0 * q[:, 0] * q[:, 1])) <= SPECTRAL_TOL)
     with np.errstate(over="ignore"):  # inf only where the norm itself passes float range
         commutator_norm = np.sqrt(32.0 * sq) * top[:, 0] * top[:, 1]
     if not commutes.any():  # no form to extract
@@ -303,10 +213,10 @@ def canonical_forms(coeffs, tol: float = SPECTRAL_TOL) -> CanonicalForms:
     failed = np.concatenate(
         [
             ~commutes[:, None],
-            nonzero & (s[..., 1] > tol * strength),
+            nonzero & (s[..., 1] > SPECTRAL_TOL * strength),
             mismatch[:, None],
             residual2 > 1e-16 * np.vecdot(unit[..., 12:], unit[..., 12:]),
-            deviation2 > tol * tol * q,
+            deviation2 > SPECTRAL_TOL * SPECTRAL_TOL * q,
         ],
         axis=1,
     )
@@ -327,27 +237,23 @@ def canonical_forms(coeffs, tol: float = SPECTRAL_TOL) -> CanonicalForms:
 
 # Named presets ----------------------------------------------------------
 
-def heisenberg_chain(g: float) -> tuple[PauliPairHamiltonian, PauliPairHamiltonian]:
-    """Isotropic chain 1-3-2: g * sigma1.sigma3 + g * sigma2.sigma3 (noncommuting)."""
-    return (
-        PauliPairHamiltonian(coupling=g * np.eye(3), pair=(1, 3)),
-        PauliPairHamiltonian(coupling=g * np.eye(3), pair=(2, 3)),
-    )
+def heisenberg_chain(g: float) -> np.ndarray:
+    """Isotropic chain 1-3-2: g * sigma1.sigma3 + g * sigma2.sigma3 (noncommuting), shape (1, 2, 15)."""
+    coeffs = np.zeros((1, 2, 15))
+    coeffs[..., [0, 4, 8]] = g
+    return coeffs
 
 
-def qnd_zz(g: float) -> tuple[PauliPairHamiltonian, PauliPairHamiltonian]:
-    """Probe-mediated zz coupling, (g/4) sigma_z x sigma_z per pair.
+def qnd_zz(g: float) -> np.ndarray:
+    """Probe-mediated zz coupling, (g/4) sigma_z x sigma_z per pair, shape (1, 2, 15).
 
     The g/4 prefactor comes from writing both the probe's and each body
     qubit's angular momentum in spin-1/2 units (sigma_z / 2), so the total is
     g * (sz1/2 + sz2/2) * (sz3/2).
     """
-    coupling = np.zeros((3, 3))
-    coupling[2, 2] = g / 4.0
-    return (
-        PauliPairHamiltonian(coupling=coupling.copy(), pair=(1, 3)),
-        PauliPairHamiltonian(coupling=coupling.copy(), pair=(2, 3)),
-    )
+    coeffs = np.zeros((1, 2, 15))
+    coeffs[..., 8] = g / 4.0
+    return coeffs
 
 
 PRESETS = {"heisenberg_chain": heisenberg_chain, "qnd_zz": qnd_zz}

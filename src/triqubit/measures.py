@@ -2,18 +2,15 @@
 tangle, entanglement of formation, purity of rho_12 and the residual
 three-way tangle.
 
-``report_batch`` measures a whole (T, 8) array of states at once; ``report``
-is its one-row case. The 1,2 concurrence comes from the 2x2 cross matrix
-phi_j^T (sigma_y x sigma_y) phi_k of the branches psi = sum_j phi_j x |j>_3
-(Wootters, PRL 80, 2245, 1998), exact at structural zeros. The residual
-tangle comes from the degree-4 amplitude polynomials (Coffman, Kundu and
-Wootters, PRA 61, 052306, 2000). Independent routes for both live in the
+``report_batch`` measures a whole (T, 8) array of states at once. The 1,2
+concurrence comes from the 2x2 cross matrix phi_j^T (sigma_y x sigma_y) phi_k
+of the branches psi = sum_j phi_j x |j>_3 (Wootters, PRL 80, 2245, 1998),
+exact at structural zeros. The residual tangle comes from the degree-4
+amplitude polynomials (Coffman, Kundu and Wootters, PRA 61, 052306, 2000). Independent routes for both live in the
 test oracles, not here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,27 +55,7 @@ def residual_tangle_rows(psis) -> np.ndarray:
     return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def residual_tangle_poly(psi) -> float:
-    """Residual tangle from the degree-4 amplitude polynomials.
-
-    The three invariants are built from squares of the complex amplitudes
-    verbatim; the only modulus is the final one.
-    """
-    return float(residual_tangle_rows(np.asarray(psi, dtype=complex).reshape(1, 8))[0])
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """All measures of one state at one time point."""
-
-    tangle_12: float
-    concurrence_12: float
-    eof_12: float
-    residual_tangle: float
-    purity_12: float
-
-
-REPORT_FIELDS = tuple(f.name for f in fields(EntanglementReport))
+REPORT_FIELDS = ("tangle_12", "concurrence_12", "eof_12", "residual_tangle", "purity_12")
 
 
 def _branches(psis) -> np.ndarray:
@@ -117,8 +94,3 @@ def report_batch(psis) -> dict[str, np.ndarray]:
         "purity_12": np.einsum("tij,tij->t", gram, gram.conj()).real,
     }
 
-
-def report(psi) -> EntanglementReport:
-    """Full entanglement report for one normalized three-qubit pure state."""
-    table = report_batch(np.asarray(psi, dtype=complex).reshape(1, 8))
-    return EntanglementReport(**{name: float(values[0]) for name, values in table.items()})

@@ -15,17 +15,20 @@ path in the error message)::
       },
       "initial_state": {"class": "<name>", "params": {...}},
       "time_grid": {"t_start": 0.0, "t_end": 3.14159, "steps": 64},
-      "measures": ["tangle_12", ...],                # optional, default all
+      "measures": ["tangle_12", ...],                # optional, default all, each once
       "measurement": {"basis": "x"|"y"|"z"|{"axis": [..3..]},
                       "at_time": <float> | null}     # optional
     }
 
-Every matrix entry of the two pair Hamiltonians and of their sum must be
-finite, and so must ``||H13||_F * ||H23||_F``. With a time grid,
+Either form of ``hamiltonian`` parses straight into the (1, 2, 15) Pauli
+coefficients of ``hamiltonians``, the one Hamiltonian type from parsing to
+output. Every matrix entry of the two pair Hamiltonians and of their sum must
+be finite, and so must ``||H13||_F * ||H23||_F``. With a time grid,
 ``||H_total||_F * max(|t_start|, |t_end|)`` must be at most ``MAX_PHASE``.
 
 State classes and parameters (complex entries are numbers or [re, im] pairs):
-fully_separable {rotations?, axes?}, bipartite_12 {a, b, probe?},
+fully_separable {rotations?, axes?} (rotations: one {qubit, angle?, axis?} per
+qubit 1, 2 and 3, in any order), bipartite_12 {a, b, probe?},
 bipartite_23 / bipartite_13 {a, b, spectator?}, ghz_general {a, b},
 zrt {a, b, c, d}, triple {f, g, h}, raw_amplitudes {amplitudes}.
 
@@ -58,12 +61,12 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import evolve_grid, evolve_rows, make_plan, measure_probe_grid, plan_spectra
-from .hamiltonians import PRESETS, PauliPairHamiltonian, pair_coefficients, pair_matrices
+from .evolution import evolve_grid, evolve_rows, measure_probe_grid, plan_spectra
+from .hamiltonians import PRESETS, pair_matrices
 from .linalg import frob
 from .measures import REPORT_FIELDS, concurrence_12, report_batch, residual_tangle_rows
-from .states import LocalRotation, axis_eigenbasis, from_axis_basis
-from .tolerances import MAX_PHASE, PHYSICS_TOL
+from .states import axis_eigenbasis, from_axis_basis
+from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
 
 MAX_STEPS = 1_000_000  # a measured sweep peaks near 0.55 KB per row (tracemalloc, 1e5 rows): ~550 MB at the limit
 NAMED_BASES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
@@ -112,23 +115,20 @@ def _as_vec3(value, path: str) -> tuple[float, float, float]:
     return tuple(_as_float(v, path) for v in value)
 
 
-def _parse_pair(section: dict, pair: tuple[int, int], path: str) -> PauliPairHamiltonian:
+def _parse_pair(section: dict, path: str) -> list[float]:
+    """The 15 coefficients of one pair Hamiltonian: coupling rows, then local_self and local_probe."""
     _check_keys(section, {"coupling", "local_self", "local_probe"}, {"coupling"}, path)
     coupling = section["coupling"]
     if not (isinstance(coupling, list) and len(coupling) == 3):
         raise ConfigError(f"{path}.coupling: expected a 3x3 array")
-    rows = [_as_vec3(row, f"{path}.coupling") for row in coupling]
-    kwargs = {}
+    row = [c for entry in coupling for c in _as_vec3(entry, f"{path}.coupling")]
     for key in ("local_self", "local_probe"):
-        if key in section:
-            kwargs[key] = np.array(_as_vec3(section[key], f"{path}.{key}"))
-    try:
-        return PauliPairHamiltonian(coupling=np.array(rows), pair=pair, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        row += _as_vec3(section.get(key, (0.0, 0.0, 0.0)), f"{path}.{key}")
+    return row
 
 
-def _parse_hamiltonian(section: dict, path: str) -> tuple[PauliPairHamiltonian, PauliPairHamiltonian]:
+def _parse_hamiltonian(section: dict, path: str) -> np.ndarray:
+    """The (1, 2, 15) coefficients of the pair, from a preset or from both pair Hamiltonians."""
     _check_keys(section, {"preset", "g", "pairwise"}, set(), path)
     if ("preset" in section) == ("pairwise" in section):
         raise ConfigError(f"{path}: give exactly one of 'preset' or 'pairwise'")
@@ -142,13 +142,10 @@ def _parse_hamiltonian(section: dict, path: str) -> tuple[PauliPairHamiltonian, 
         raise ConfigError(f"{path}.g: only valid together with a preset")
     pairwise = section["pairwise"]
     _check_keys(pairwise, {"h13", "h23"}, {"h13", "h23"}, f"{path}.pairwise")
-    return (
-        _parse_pair(pairwise["h13"], (1, 3), f"{path}.pairwise.h13"),
-        _parse_pair(pairwise["h23"], (2, 3), f"{path}.pairwise.h23"),
-    )
+    return np.array([[_parse_pair(pairwise[key], f"{path}.pairwise.{key}") for key in ("h13", "h23")]])
 
 
-def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, path: str) -> float:
+def _hamiltonian_scale(coeffs: np.ndarray, path: str) -> float:
     """``||H_total||_F``, after rejecting Hamiltonians whose evolution would overflow.
 
     Finite coefficients can still sum to an infinite matrix entry, and the
@@ -156,7 +153,7 @@ def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, pat
     either turns the classification or the eigensolver into NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m13, m23 = pair_matrices(pair_coefficients((h13,), (h23,)))[0]
+        m13, m23 = pair_matrices(coeffs)[0]
         total = m13 + m23
         norms = frob(m13), frob(m23), frob(total)
     if not all(np.isfinite(m).all() for m in (m13, m23, total)):
@@ -167,19 +164,26 @@ def _hamiltonian_scale(h13: PauliPairHamiltonian, h23: PauliPairHamiltonian, pat
     return norms[2]
 
 
-def _parse_rotation(entry: dict, path: str) -> LocalRotation:
-    _check_keys(entry, {"qubit", "angle", "axis"}, {"qubit"}, path)
-    qubit = entry["qubit"]
-    if qubit not in (1, 2, 3):
-        raise ConfigError(f"{path}.qubit: expected 1, 2 or 3, got {qubit!r}")
-    return LocalRotation(
-        qubit=qubit,
-        angle=_as_float(entry.get("angle", 0.0), f"{path}.angle"),
-        axis=_as_vec3(entry.get("axis", (0.0, 0.0, 1.0)), f"{path}.axis"),
-    )
+def _parse_rotations(entries, path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """(angles, axes) of the three rotations, each placed at its qubit's row."""
+    if not isinstance(entries, list) or len(entries) != 3:
+        raise ConfigError(f"{path}: expected three entries")
+    angles, axes = [0.0] * 3, [states.Z_AXIS] * 3
+    seen = {}
+    for i, entry in enumerate(entries):
+        _check_keys(entry, {"qubit", "angle", "axis"}, {"qubit"}, f"{path}[{i}]")
+        qubit = entry["qubit"]
+        if isinstance(qubit, bool) or not isinstance(qubit, int) or qubit not in (1, 2, 3):
+            raise ConfigError(f"{path}[{i}].qubit: expected 1, 2 or 3, got {qubit!r}")
+        if qubit in seen:
+            raise ConfigError(f"{path}[{i}].qubit: qubit {qubit} is already rotated by {path}[{seen[qubit]}]")
+        seen[qubit] = i
+        angles[qubit - 1] = _as_float(entry.get("angle", 0.0), f"{path}[{i}].angle")
+        axes[qubit - 1] = _as_vec3(entry.get("axis", states.Z_AXIS), f"{path}[{i}].axis")
+    return angles, axes
 
 
-def _parse_state(section: dict, path: str) -> tuple[str, np.ndarray]:
+def _parse_state(section: dict, path: str) -> np.ndarray:
     _check_keys(section, {"class", "params"}, {"class"}, path)
     cls = section["class"]
     params = section.get("params", {})
@@ -198,19 +202,16 @@ def _parse_state(section: dict, path: str) -> tuple[str, np.ndarray]:
     try:
         if cls == "fully_separable":
             _check_keys(params, {"rotations", "axes"}, set(), ppath)
-            rotations = [LocalRotation(qubit=q) for q in (1, 2, 3)]
+            angles, rotation_axes = [0.0] * 3, [states.Z_AXIS] * 3
             if "rotations" in params:
-                entries = params["rotations"]
-                if not isinstance(entries, list) or len(entries) != 3:
-                    raise ConfigError(f"{ppath}.rotations: expected three entries")
-                rotations = [_parse_rotation(e, f"{ppath}.rotations[{i}]") for i, e in enumerate(entries)]
+                angles, rotation_axes = _parse_rotations(params["rotations"], f"{ppath}.rotations")
             axes = (states.Z_AXIS,) * 3
             if "axes" in params:
                 entries = params["axes"]
                 if not isinstance(entries, list) or len(entries) != 3:
                     raise ConfigError(f"{ppath}.axes: expected three axes")
                 axes = tuple(_as_vec3(a, f"{ppath}.axes") for a in entries)
-            psi = states.fully_separable(*rotations, axes=axes)
+            psi = states.fully_separable(angles, rotation_axes, axes=axes)
         elif cls in ("bipartite_12", "bipartite_23", "bipartite_13"):
             other = "probe" if cls == "bipartite_12" else "spectator"
             _check_keys(params, {"a", "b", other}, {"a", "b"}, ppath)
@@ -236,7 +237,7 @@ def _parse_state(section: dict, path: str) -> tuple[str, np.ndarray]:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cls, psi
+    return psi
 
 
 @dataclass(frozen=True)
@@ -270,12 +271,10 @@ def _parse_measurement(section: dict, path: str) -> MeasurementSpec:
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario: Hamiltonians, initial state, time grid and output selection."""
+    """Parsed scenario: the (1, 2, 15) pair coefficients, initial state, time grid and output selection."""
 
     name: str
-    h13: PauliPairHamiltonian
-    h23: PauliPairHamiltonian
-    state_class: str | None
+    coeffs: np.ndarray
     psi0: np.ndarray | None
     times: np.ndarray | None
     measures: tuple[str, ...]
@@ -298,12 +297,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
     name = raw.get("name", "scenario")
     if not isinstance(name, str):
         raise ConfigError(f"config.name: expected a string, got {name!r}")
-    h13, h23 = _parse_hamiltonian(raw["hamiltonian"], "config.hamiltonian")
-    h_norm = _hamiltonian_scale(h13, h23, "config.hamiltonian")
+    coeffs = _parse_hamiltonian(raw["hamiltonian"], "config.hamiltonian")
+    h_norm = _hamiltonian_scale(coeffs, "config.hamiltonian")
 
-    state_class, psi0 = (None, None)
+    psi0 = None
     if "initial_state" in raw:
-        state_class, psi0 = _parse_state(raw["initial_state"], "config.initial_state")
+        psi0 = _parse_state(raw["initial_state"], "config.initial_state")
 
     times = None
     if "time_grid" in raw:
@@ -326,9 +325,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
         entries = raw["measures"]
         if not isinstance(entries, list) or not entries:
             raise ConfigError("config.measures: expected a non-empty list")
-        for entry in entries:
+        for i, entry in enumerate(entries):
             if entry not in REPORT_FIELDS:
                 raise ConfigError(f"config.measures: unknown measure {entry!r}, known: {list(REPORT_FIELDS)}")
+            if entry in entries[:i]:
+                raise ConfigError(f"config.measures: measure {entry!r} is listed more than once")
         measures = tuple(entries)
 
     measurement = None
@@ -338,9 +339,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     digest = sha256(json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     return ScenarioConfig(
         name=name,
-        h13=h13,
-        h23=h23,
-        state_class=state_class,
+        coeffs=coeffs,
         psi0=psi0,
         times=times,
         measures=measures,
@@ -408,15 +407,15 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         raise ConfigError("config.initial_state: required to run a sweep")
     if cfg.times is None:
         raise ConfigError("config.time_grid: required to run a sweep")
-    plan = make_plan(cfg.h13, cfg.h23)
-    psis = evolve_grid(plan, cfg.psi0, cfg.times)
+    forms, w, v = plan_spectra(cfg.coeffs)
+    psis = evolve_grid(w[0], v[0], cfg.psi0, cfg.times)
     result = SweepResult(
         name=cfg.name,
         times=cfg.times,
         table=report_batch(psis),
         measures=cfg.measures,
-        commuting=plan.commuting,
-        commutator_norm=plan.commutator_norm,
+        commuting=bool(forms.ok[0]),
+        commutator_norm=float(forms.commutator_norm[0]),
         config_hash=cfg.config_hash,
         seed=seed,
     )
@@ -465,7 +464,7 @@ def _write_csv(result: SweepResult, fh) -> None:
 # bits), and an assembly that turns the raw columns of n trials into arrays
 # with the arithmetic numpy applies to one trial (low + (high - low) u for a
 # uniform, v / np.linalg.norm(v)), so every value is bit for bit a per-trial
-# draw's. The random_* helpers are the one-row case.
+# draw's.
 
 _NORMAL, _UNIFORM, _BIT = "standard_normal", "random", "integers"
 _AXIS, _ROTATION, _SCALAR = ((_NORMAL, 3),), ((_NORMAL, 4),), ((_UNIFORM, 1),)
@@ -526,7 +525,9 @@ def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
-    """(n, 2, 15) coefficients of random commuting pairs (see ``random_commuting_pair``)."""
+    """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
+    shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
+    terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
     u, w, j = (_unit_rows(take(3)) for _ in range(3))
     coeffs = np.zeros((len(j), 2, 15))
     strengths = 2.0 - _uniform(take(2), 0.0, 2.0)
@@ -537,39 +538,6 @@ def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
         for k in range(2):
             coeffs[:, k, 9:12] = _uniform(take(1), 0.0, 1.0) * _unit_rows(take(3))
     return coeffs
-
-
-def random_axis(rng) -> np.ndarray:
-    return _unit_rows(_Draws([rng], _AXIS)(3))[0]
-
-
-def random_qubit_state(rng) -> np.ndarray:
-    return random_state(rng, 2)
-
-
-def random_state(rng, dim: int = 8) -> np.ndarray:
-    return _states(_Draws([rng], ((_NORMAL, 2 * dim),)), dim)[0]
-
-
-def random_rotation(rng, qubit: int) -> LocalRotation:
-    """Haar-distributed SU(2) rotation from a normalized Gaussian quadruple."""
-    angles, axes = _rotations(_Draws([rng], _ROTATION))
-    return LocalRotation(qubit=qubit, angle=float(angles[0]), axis=tuple(axes[0].tolist()))
-
-
-def random_commuting_pair(rng, locals_mode: str = "none"):
-    """Random commuting pair Hamiltonians: random axes, strengths uniform in (0, 2].
-
-    ``locals_mode``: 'none' for coupling only, 'probe' to add probe-axis local
-    terms, 'full' to also add body-local terms with arbitrary axes.
-    """
-    if locals_mode not in _PAIR:
-        raise ValueError(f"unknown locals_mode {locals_mode!r}")
-    coeffs = _commuting_pairs(_Draws([rng], _PAIR[locals_mode]), locals_mode)[0]
-    return tuple(
-        PauliPairHamiltonian(coupling=c[:9].reshape(3, 3), local_self=c[9:12], local_probe=c[12:], pair=pair)
-        for c, pair in zip(coeffs, ((1, 3), (2, 3)))
-    )
 
 
 # Property suites ----------------------------------------------------------
@@ -585,7 +553,7 @@ _CHUNK = 1024
 
 @dataclass
 class SuiteResult:
-    """Outcome of a randomized suite: violations above the slack are failures."""
+    """Outcome of a randomized suite: violations above ``PHYSICS_TOL`` are failures."""
 
     name: str
     trials: int
@@ -598,11 +566,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, index: int, violation: float, slack: float, context: dict) -> None:
-        """Fold one trial in. A violation above ``slack`` or not finite is a
+    def record(self, index: int, violation: float, context: dict) -> None:
+        """Fold one trial in. A violation above ``PHYSICS_TOL`` or not finite is a
         failure; a NaN violation makes ``max_violation`` NaN for good."""
         self.max_violation = _sticky_max(self.max_violation, violation)
-        if not (math.isfinite(violation) and violation <= slack):
+        if not (math.isfinite(violation) and violation <= PHYSICS_TOL):
             self.failures.append({"trial": index, "violation": violation, **context})
 
 
@@ -828,7 +796,7 @@ def _heisenberg13(take):
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 
-def _run_trials(name: str, suite: tuple, trials: int, seed: int, slack: float) -> SuiteResult:
+def _run_trials(name: str, suite: tuple, trials: int, seed: int) -> SuiteResult:
     """Fold ``trials`` trials of the (layout, compute) ``suite`` into a SuiteResult,
     one ``record`` per trial in index order. Each trial fills its row of raw
     draws from its own child stream spawned from ``seed``; the rows are
@@ -847,18 +815,18 @@ def _run_trials(name: str, suite: tuple, trials: int, seed: int, slack: float) -
         columns = {key: np.asarray(column).tolist() for key, column in context.items()}
         rows = zip(*columns.values()) if columns else [()] * len(violations)
         for index, violation, row in zip(range(start, trials), violations, rows):
-            result.record(index, violation, slack, dict(zip(columns, row)))
+            result.record(index, violation, dict(zip(columns, row)))
         for key, column in columns.items():
             if key.startswith("max_"):
                 result.stats[key] = _sticky_max(result.stats.get(key, -np.inf), float(np.max(column)))
     return result
 
 
-def property_suite(name: str, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
+def property_suite(name: str, trials: int, seed: int) -> SuiteResult:
     """Run a registered randomized suite."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; known suites: {', '.join(suite_names())}")
-    return _run_trials(name, _SUITES[name], trials, seed, slack)
+    return _run_trials(name, _SUITES[name], trials, seed)
 
 
 _PERIODICITY_LAYOUT = _AXIS * 3 + ((_UNIFORM, 3), (_NORMAL, 16))
@@ -881,12 +849,15 @@ def _periodicity(k: int, l: int):
     return compute
 
 
-def residual_periodicity_check(k: int, l: int, trials: int, seed: int, slack: float = PHYSICS_TOL) -> SuiteResult:
+def residual_periodicity_check(k: int, l: int, trials: int, seed: int) -> SuiteResult:
     """Residual tangle returns to its initial value at t = k*pi/(2|a|) when |a|/|b| = k/l."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    if max(k, l) > 2**53:
-        raise ValueError("k and l must be at most 2**53, so that the ratio k/l is exact in floats")
+    if k * k + l * l > MAX_PERIODICITY_NORM**2:  # int against float compares exactly, at any size
+        raise ValueError(
+            f"k and l must satisfy sqrt(k^2 + l^2) <= {MAX_PERIODICITY_NORM:.4g}, past which the rounding "
+            "of the phases at t* exceeds the budget of the check"
+        )
     if math.gcd(k, l) != 1:
         raise ValueError(f"k/l must be in lowest terms, got {k}/{l}")
-    return _run_trials(f"residual_periodicity_{k}_{l}", (_PERIODICITY_LAYOUT, _periodicity(k, l)), trials, seed, slack)
+    return _run_trials(f"residual_periodicity_{k}_{l}", (_PERIODICITY_LAYOUT, _periodicity(k, l)), trials, seed)

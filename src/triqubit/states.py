@@ -3,14 +3,13 @@
 States are plain complex 8-vectors in the logical basis, index b = 4*b1 +
 2*b2 + b3. Constructors validate normalization to the structural tolerance;
 the bipartite and GHZ constructors also build stacks of states, one per row.
-Axis eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis`` also
-take stacked inputs, one row per state; a rotation is contracted on the
-(N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
+A rotation exp(-i angle sigma_axis) is an (angle, axis) row for
+``rotation_matrices``. Axis eigenbases, rotation matrices, ``rotate`` and
+``from_axis_basis`` take stacked inputs, one row per state; a rotation is
+contracted on the (N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,8 @@ def _as_vector(v, dim: int, what: str) -> np.ndarray:
 
 
 def _check_normalized(v: np.ndarray, what: str) -> np.ndarray:
-    deviation = np.abs(np.vecdot(v, v).real - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past ~1e154 give an infinite deviation
+        deviation = np.abs(np.vecdot(v, v).real - 1.0)
     if (deviation > STRUCTURAL_TOL).any():
         raise ValueError(f"{what} must be normalized: |norm^2 - 1| = {np.max(deviation):.3e}")
     return v
@@ -38,7 +38,8 @@ def _check_schmidt(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if (a < 0).any() or (b < 0).any():
         raise ValueError("Schmidt coefficients must be real and nonnegative")
-    norm2 = np.ravel(a * a + b * b)
+    with np.errstate(over="ignore"):  # past ~1e154 the sum is infinite, and rejected
+        norm2 = np.ravel(a * a + b * b)
     off = norm2[np.abs(norm2 - 1.0) > STRUCTURAL_TOL]
     if off.size:
         raise ValueError(f"Schmidt coefficients must satisfy a^2 + b^2 = 1, got {float(off[0])!r}")
@@ -92,22 +93,6 @@ def rotation_matrices(angles, axes) -> np.ndarray:
     return np.cos(angles) * I2 - 1j * np.sin(angles) * (x * SX + y * SY + z * SZ)
 
 
-@dataclass(frozen=True)
-class LocalRotation:
-    """Single-qubit rotation exp(-i angle sigma_axis) on one qubit."""
-
-    qubit: int
-    angle: float = 0.0
-    axis: tuple[float, float, float] = Z_AXIS
-
-    def __post_init__(self):
-        if self.qubit not in (1, 2, 3):
-            raise ValueError(f"qubit index must be 1, 2 or 3, got {self.qubit}")
-
-    def matrix(self) -> np.ndarray:
-        return rotation_matrices([self.angle], [self.axis])[0]
-
-
 _ROTATE = {1: "nab,nbjk->najk", 2: "nab,nibk->niak", 3: "nab,nijb->nija"}
 
 
@@ -115,12 +100,6 @@ def rotate(psis, qubit: int, matrices) -> np.ndarray:
     """Apply one (N, 2, 2) single-qubit matrix per row to qubit 1, 2 or 3 of N states, shape (N, 8)."""
     psis = np.asarray(psis, dtype=complex).reshape(-1, 2, 2, 2)
     return np.einsum(_ROTATE[qubit], matrices, psis).reshape(-1, 8)
-
-
-def apply_local(rotation: LocalRotation, psi) -> np.ndarray:
-    """Apply a single-qubit rotation; norm and every entanglement measure are preserved."""
-    psi = _as_vector(psi, 8, "state")
-    return rotate(psi, rotation.qubit, rotation.matrix()[None])[0]
 
 
 def from_axis_basis(amps, axes) -> np.ndarray:
@@ -137,21 +116,11 @@ def from_axis_basis(amps, axes) -> np.ndarray:
 
 # State-class constructors -------------------------------------------------
 
-def fully_separable(
-    r1: LocalRotation,
-    r2: LocalRotation,
-    r3: LocalRotation,
-    axes=(Z_AXIS, Z_AXIS, Z_AXIS),
-) -> np.ndarray:
-    """Product state (R1 x R2 x R3) |+++> on the plus eigenvectors of the reference axes."""
-    rotations = (r1, r2, r3)
-    if sorted(r.qubit for r in rotations) != [1, 2, 3]:
-        raise ValueError("rotations must target distinct qubits 1, 2 and 3")
-    singles = []
-    for rotation, axis in zip(sorted(rotations, key=lambda r: r.qubit), axes):
-        plus, _ = axis_eigenbasis(axis)
-        singles.append(rotation.matrix() @ plus)
-    return kron(*singles)
+def fully_separable(angles, rotation_axes, axes=(Z_AXIS, Z_AXIS, Z_AXIS)) -> np.ndarray:
+    """Product state (R1 x R2 x R3) |+++> on the plus eigenvectors of the reference ``axes``, with
+    R_k = exp(-i angles[k] sigma_(rotation_axes[k])) on qubit k + 1."""
+    plus = axis_eigenbases(axes)[..., :, 0]
+    return kron(*(rotation @ p for rotation, p in zip(rotation_matrices(angles, rotation_axes), plus)))
 
 
 def bipartite_12(a, b, probe) -> np.ndarray:

@@ -2,13 +2,17 @@
 
 Deliberately different code paths from the package, which measures only pure
 three-qubit states through one route per measure and classifies pairs in
-Pauli-coefficient space: the 8x8 commutator for the commutation test, Pade-approximant matrix
-exponentials (scipy) instead of spectral ones, einsum reductions, a
-branch-cross-matrix concurrence for marginals of pure states, the plain
-nonsymmetric-eigenvalue Wootters route for mixed two-qubit states, the Kraus
-route to rho_12 of a state chi x phi through the probe's conditional
-operators, and two residual-tangle routes (Wootters lambdas, CKW subtraction)
-built from the cross matrix instead of the package's amplitude polynomials.
+Pauli-coefficient space: 8x8 matrices summed here from kron embeddings of the
+coefficient rows, the 8x8 commutator for the commutation test,
+Pade-approximant matrix exponentials (scipy) instead of spectral ones, einsum
+reductions, a branch-cross-matrix concurrence for marginals of pure states,
+the plain nonsymmetric-eigenvalue Wootters route for mixed two-qubit states,
+the Kraus route to rho_12 of a state chi x phi through the probe's
+conditional operators, and two residual-tangle routes (Wootters lambdas, CKW
+subtraction) built from the cross matrix instead of the package's amplitude
+polynomials.
+Random draws are numpy's per-trial calls, the reference for the package's
+stacked draw assembly.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+PAULIS = (SX, SY, SZ)
 YY = np.kron(SY, SY).real
 
 
@@ -33,25 +38,58 @@ def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
     return m / top, top
 
 
-def oracle_commutator_norm(h13, h23) -> float:
-    """||[H13, H23]||_F from the two 8x8 matrices, each scaled by its largest entry first."""
-    (m13, t13), (m23, t23) = _scaled(h13.to_matrix()), _scaled(h23.to_matrix())
-    return float(np.linalg.norm(commutator(m13, m23))) * (t13 * t23)
-
-
-def commutes(h13, h23, tol: float = 1e-10) -> bool:
-    """Whether the 8x8 embeddings commute: the commutator of the unit-Frobenius-norm matrices against ``tol``."""
-    m13, m23 = _scaled(h13.to_matrix())[0], _scaled(h23.to_matrix())[0]
-    if not (m13.any() and m23.any()):
-        return True
-    return float(np.linalg.norm(commutator(m13 / np.linalg.norm(m13), m23 / np.linalg.norm(m23)))) <= tol
-
-
 def embed(op: np.ndarray, qubit: int) -> np.ndarray:
     """A one-qubit operator on qubit 1, 2 or 3, identity on the others."""
     ops = [I2, I2, I2]
     ops[qubit - 1] = op
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
+def row(coupling=((0.0,) * 3,) * 3, local_self=(0.0,) * 3, local_probe=(0.0,) * 3) -> np.ndarray:
+    """The 15 coefficients of one pair Hamiltonian: the coupling tensor row by row, then local_self and local_probe."""
+    return np.concatenate([np.ravel(coupling), local_self, local_probe]).astype(float)
+
+
+def one_pair(r13, r23) -> np.ndarray:
+    """The (1, 2, 15) coefficient array of one pair: H13 from row ``r13``, H23 from ``r23``."""
+    return np.array([[r13, r23]], dtype=float)
+
+
+# [body qubit - 1, coefficient]: the 15 Pauli strings of a pair Hamiltonian on (body, 3), in coefficient order
+_PAIR_TERMS = np.array([
+    [embed(a, body) @ embed(b, 3) for a in PAULIS for b in PAULIS] + [embed(a, body) for a in PAULIS] + [embed(a, 3) for a in PAULIS]
+    for body in (1, 2)
+])
+
+
+def pair_matrix(coefficients, body: int) -> np.ndarray:
+    """8x8 matrix of one pair Hamiltonian on (body, 3) from its 15 coefficients, summed term by term."""
+    return sum(c * term for c, term in zip(np.asarray(coefficients, dtype=float), _PAIR_TERMS[body - 1]))
+
+
+def matrices(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(H13, H23) of one pair's (2, 15) or (1, 2, 15) coefficients."""
+    c = np.reshape(coeffs, (2, 15))
+    return pair_matrix(c[0], 1), pair_matrix(c[1], 2)
+
+
+def total_hamiltonian(coeffs) -> np.ndarray:
+    """H13 + H23 of one pair's coefficients."""
+    return sum(matrices(coeffs))
+
+
+def oracle_commutator_norm(coeffs) -> float:
+    """||[H13, H23]||_F from the two 8x8 matrices, each scaled by its largest entry first."""
+    (m13, t13), (m23, t23) = map(_scaled, matrices(coeffs))
+    return float(np.linalg.norm(commutator(m13, m23))) * (t13 * t23)
+
+
+def commutes(coeffs, tol: float = 1e-10) -> bool:
+    """Whether the 8x8 embeddings commute: the commutator of the unit-Frobenius-norm matrices against ``tol``."""
+    m13, m23 = (_scaled(m)[0] for m in matrices(coeffs))
+    if not (m13.any() and m23.any()):
+        return True
+    return float(np.linalg.norm(commutator(m13 / np.linalg.norm(m13), m23 / np.linalg.norm(m23)))) <= tol
 
 
 def _sigma(axis) -> np.ndarray:
@@ -66,17 +104,13 @@ def axis_pauli(axis) -> np.ndarray:
     return _sigma(a / np.linalg.norm(a))
 
 
-def form_matrices(form) -> tuple[np.ndarray, np.ndarray]:
-    """(entangling, local) 8x8 matrices of a CommutingForm, built from kron embeddings."""
-    body = form.pair[0]
-    entangling = form.coupling_strength * embed(_sigma(form.coupling_axis_self), body) @ embed(_sigma(form.probe_axis), 3)
-    local = form.local_self_strength * embed(_sigma(form.local_self_axis), body)
-    return entangling, local + form.local_probe_strength * embed(_sigma(form.probe_axis), 3)
-
-
-def total_hamiltonian(plan) -> np.ndarray:
-    """H13 + H23 of a plan, summed from the pair's own 8x8 embeddings."""
-    return plan.h13.to_matrix() + plan.h23.to_matrix()
+def form_matrices(forms, index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(entangling, local) 8x8 matrices of pair k (0 for (1,3), 1 for (2,3)) of row ``index`` of a
+    ``CanonicalForms``, built from kron embeddings."""
+    body, probe = k + 1, embed(_sigma(forms.probe_axis[index]), 3)
+    entangling = forms.strength[index, k] * embed(_sigma(forms.body_axis[index, k]), body) @ probe
+    local = forms.self_strength[index, k] * embed(_sigma(forms.self_axis[index, k]), body)
+    return entangling, local + forms.probe_strength[index, k] * probe
 
 
 def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -184,3 +218,32 @@ def oracle_binary_entropy(x: float) -> float:
 def haar_state(rng, dim: int = 8) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def reference_axis(rng) -> np.ndarray:
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def reference_rotation(q) -> tuple[float, tuple]:
+    """(angle, axis) of exp(-i angle sigma_axis) from a Gaussian quadruple q: Haar-distributed on SU(2)."""
+    q = q / np.linalg.norm(q)
+    s = float(np.linalg.norm(q[1:]))
+    axis = tuple(q[1:] / s) if s > 1e-12 else (0.0, 0.0, 1.0)
+    return float(np.arccos(np.clip(q[0], -1.0, 1.0))), axis
+
+
+def reference_pair(rng, locals_mode: str = "none") -> np.ndarray:
+    """(2, 15) coefficients of a random commuting pair: rank-one couplings through one probe axis j,
+    strengths in (0, 2]; 'probe' adds probe-local terms on j, 'full' also body-local terms."""
+    u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
+    coeffs = np.zeros((2, 15))
+    coeffs[0, :9] = ((2.0 - rng.uniform(0.0, 2.0)) * np.outer(u, j)).ravel()
+    coeffs[1, :9] = ((2.0 - rng.uniform(0.0, 2.0)) * np.outer(w, j)).ravel()
+    if locals_mode != "none":
+        coeffs[0, 12:] = rng.uniform(-1.0, 1.0) * j
+        coeffs[1, 12:] = rng.uniform(-1.0, 1.0) * j
+    if locals_mode == "full":
+        coeffs[0, 9:12] = rng.uniform(0.0, 1.0) * reference_axis(rng)
+        coeffs[1, 9:12] = rng.uniform(0.0, 1.0) * reference_axis(rng)
+    return coeffs

@@ -10,24 +10,17 @@ import json
 import numpy as np
 
 from triqubit.cli import main as cli_main
-from triqubit.evolution import (
-    evolve,
-    make_plan,
-    measure_probe,
-)
+from triqubit.evolution import evolve_grid, measure_probe_grid, plan_spectra
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
-from triqubit.measures import report, residual_tangle_poly
-from triqubit.hamiltonians import pair_matrices
+from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.scenarios import (
     _TRIPLE_LAYOUT,
     _Draws,
     _triple_quantities,
     property_suite,
-    random_commuting_pair,
-    random_state,
     residual_periodicity_check,
 )
-from triqubit.states import LocalRotation, axis_eigenbasis, fully_separable, ghz_general, triple, zrt
+from triqubit.states import axis_eigenbasis, fully_separable, ghz_general, triple, zrt
 
 from oracles import (
     haar_state,
@@ -38,6 +31,7 @@ from oracles import (
     oracle_rho12,
     oracle_tangle12_pure3,
     oracle_tangle_pure2,
+    reference_pair,
     total_hamiltonian,
 )
 
@@ -46,27 +40,23 @@ INV_SQRT2 = 1 / np.sqrt(2)
 TOL = 1e-9
 
 
-def x_product_state():
-    return fully_separable(*(LocalRotation(qubit=q) for q in (1, 2, 3)), axes=(X, X, X))
-
-
 def heisenberg_00plus_grid(g=1.0):
-    plan = make_plan(*heisenberg_chain(g))
     psi0 = np.zeros(8, dtype=complex)
     psi0[0] = psi0[1] = INV_SQRT2  # |00> x |+>
-    return plan, psi0, np.linspace(0.0, np.pi, 64) / g
+    grid = np.linspace(0.0, np.pi, 64) / g
+    _, (w,), (v,) = plan_spectra(heisenberg_chain(g))
+    return psi0, grid, evolve_grid(w, v, psi0, grid)
 
 
 def test_criterion_01_probe_measurement_prepares_bell_pairs():
-    psi0 = x_product_state()
+    psi0 = fully_separable([0.0] * 3, [(0.0, 0.0, 1.0)] * 3, axes=(X, X, X))
     for g in (1.0, 1e-15):  # the claim is on g t alone
-        plan = make_plan(*qnd_zz(g))
-        for m in (0, 1):  # g t = pi and 3 pi
-            gt = np.pi * (2 * m + 1)
-            outcomes = measure_probe(evolve(plan, psi0, gt / g), axis_eigenbasis(X), labels=("+x", "-x"))
-            plus = outcomes[0]
-            assert abs(plus.probability - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={plus.probability!r}"
-            conditional = oracle_tangle_pure2(plus.state)
+        gts = np.pi * np.array([1.0, 3.0])  # g t = pi (2m + 1), m = 0 and 1
+        _, (w,), (v,) = plan_spectra(qnd_zz(g))
+        probs, _, _, states = measure_probe_grid(evolve_grid(w, v, psi0, gts / g), axis_eigenbasis(X))
+        for gt, p_plus, plus in zip(gts, probs[:, 0], states[:, 0]):
+            assert abs(p_plus - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={p_plus!r}"
+            conditional = oracle_tangle_pure2(plus)
             assert abs(conditional - 1.0) <= TOL, f"g={g}, gt={gt}: conditional tangle {conditional!r}"
     print("ACCEPTANCE PASS [1] probe measurement at gt=pi(2m+1): p(+x)=1/2, conditional tangle 1")
 
@@ -77,26 +67,28 @@ def test_criterion_02_closed_form_evolution_matches_exact():
     for index, child in enumerate(root.spawn(200)):
         rng = np.random.default_rng(child)
         locals_mode = "full" if index % 2 else "none"
-        plan = make_plan(*random_commuting_pair(rng, locals_mode=locals_mode))
-        psi0 = random_state(rng)
-        assert plan.commuting
-        for t in rng.uniform(0.0, 4.0 * np.pi, 100):
-            exact = oracle_evolve(total_hamiltonian(plan), psi0, t)
-            fast = evolve(plan, psi0, t)
+        coeffs = reference_pair(rng, locals_mode=locals_mode)
+        forms, w, v = plan_spectra(coeffs[None])
+        psi0 = haar_state(rng)
+        assert forms.ok[0]
+        times = rng.uniform(0.0, 4.0 * np.pi, 100)
+        h = total_hamiltonian(coeffs)
+        for t, fast in zip(times, evolve_grid(w[0], v[0], psi0, times)):
+            exact = oracle_evolve(h, psi0, t)
             worst = max(worst, 1.0 - abs(np.vdot(exact, fast)) ** 2)
     assert worst <= 1e-10, f"worst infidelity {worst:.3e}"
     print(f"ACCEPTANCE PASS [2] closed-form vs scipy expm: worst infidelity {worst:.3e} over 200x100 draws")
 
 
 def test_criterion_03_heisenberg_reduced_state_closed_form():
-    plan, psi0, grid = heisenberg_00plus_grid()
+    _, grid, psis = heisenberg_00plus_grid()
     e00 = np.zeros(4, dtype=complex)
     e00[0] = 1
     psi_plus = np.zeros(4, dtype=complex)
     psi_plus[1] = psi_plus[2] = INV_SQRT2
     worst = 0.0
-    for t in grid:
-        rho = oracle_rho12(evolve(plan, psi0, t))
+    for t, psi in zip(grid, psis):
+        rho = oracle_rho12(psi)
         weight_00 = (2 / 9) * (1 + np.cos(6 * t)) + 5 / 9
         weight_bell = (2 / 9) * (1 - np.cos(6 * t))
         coherence = (np.sqrt(2) / 3) * 1j * np.sin(3 * t) * np.exp(-3j * t)
@@ -116,10 +108,9 @@ def test_criterion_04_heisenberg_tangle_matches_brute_force_oracle():
     worst_quartic = 0.0
     worst_cubic_sine = 0.0
     for g in (1.0, 1e-15):  # the claim is on g t alone
-        plan, psi0, grid = heisenberg_00plus_grid(g)
-        for t in grid:
-            computed = report(evolve(plan, psi0, t)).tangle_12
-            oracle = oracle_concurrence_pure3(oracle_evolve(total_hamiltonian(plan), psi0, t), 3) ** 2
+        psi0, grid, psis = heisenberg_00plus_grid(g)
+        for t, computed in zip(grid, report_batch(psis)["tangle_12"]):
+            oracle = oracle_concurrence_pure3(oracle_evolve(total_hamiltonian(heisenberg_chain(g)), psi0, t), 3) ** 2
             worst_oracle = max(worst_oracle, abs(computed - oracle))
             worst_quartic = max(worst_quartic, abs(oracle - (16 / 81) * np.sin(3 * g * t) ** 4))
             worst_cubic_sine = max(worst_cubic_sine, abs(oracle - (4 / 9) * np.sin(3 * g * t) ** 3))
@@ -143,8 +134,7 @@ def test_criterion_05_heisenberg_eigenstructure_and_swap_parity():
         swap_12[(b2 << 2) | (b1 << 1) | b3, b] = 1
         swap_13[(b3 << 2) | (b2 << 1) | b1, b] = 1
     for g in (1.0, 0.6):
-        plan = make_plan(*heisenberg_chain(g))
-        w, v = np.linalg.eigh(total_hamiltonian(plan))
+        w, v = np.linalg.eigh(total_hamiltonian(heisenberg_chain(g)))
         expected = np.sort([-4 * g] * 2 + [0.0] * 2 + [2 * g] * 4)
         assert np.allclose(np.sort(w), expected, atol=1e-10), f"g={g}: spectrum {np.sort(w)}"
         # swap parity per eigenspace: E=0 pair-antisymmetric, E=-4g pair-symmetric,
@@ -217,9 +207,9 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     ):
         tau0 = oracle_tangle12_pure3(psi0)
         tau_t = oracle_tangle12_pure3(psi_t)
-        branches = measure_probe(psi_t, axis_eigenbasis(probe_axis))
-        probs = [b.probability for b in branches]
-        taus = [oracle_tangle_pure2(b.state) for b in branches]
+        branch_probs, _, _, branch_states = measure_probe_grid(psi_t, axis_eigenbasis(probe_axis))
+        probs = branch_probs[0].tolist()
+        taus = [oracle_tangle_pure2(state) for state in branch_states[0]]
         weighted_sum = sum(p * tau for p, tau in zip(probs, taus))
         stated_sum = sum(p**2 * tau for p, tau in zip(probs, taus))
         identity = max(abs(weighted_sum - tau0 * factor_weighted), abs(stated_sum - tau0 * factor_free))
@@ -236,7 +226,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
             t0_excess = tau0 - tau0 * factor_free
             assert t0_excess > TOL, f"FAIL [6e] trial {index}: stated factor holds at t = 0 ({t0_excess:.3e})"
             least_t0_excess = min(least_t0_excess, t0_excess)
-        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(pair_matrices(coeffs).sum(axis=0), psi0, t)) - tau0 * factor_free
+        oracle_excess[index] = oracle_tangle12_pure3(oracle_evolve(total_hamiltonian(coeffs), psi0, t)) - tau0 * factor_free
     reported = [failure["trial"] for failure in stated.failures]
     assert reported, "the stated factor is violated at t = 0, yet the suite found no counterexample"
     unconfirmed = [i for i in reported if oracle_excess[i] <= TOL]
@@ -254,18 +244,19 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
 def test_criterion_07_residual_tangle_routes_cross_validate():
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(500):
-        psi = haar_state(rng)
-        base = residual_tangle_poly(psi)
+    states = [haar_state(rng) for _ in range(500)]
+    for psi, base in zip(states, residual_tangle_rows(states)):
         worst = max(worst, abs(oracle_residual_tangle_lambda(psi) - base))
         worst = max(worst, abs(oracle_residual_tangle_ckw(psi) - base))
     assert worst <= TOL, f"route disagreement {worst:.3e}"
     ghz = ghz_general(INV_SQRT2, INV_SQRT2)
     w_state = triple(*(np.ones(3) / np.sqrt(3)))
-    for route in (oracle_residual_tangle_lambda, residual_tangle_poly, oracle_residual_tangle_ckw):
+    zrt_state = zrt(*haar_state(rng, 4))
+    assert np.max(np.abs(residual_tangle_rows([ghz, w_state, zrt_state]) - (1.0, 0.0, 0.0))) <= TOL
+    for route in (oracle_residual_tangle_lambda, oracle_residual_tangle_ckw):
         assert abs(route(ghz) - 1.0) <= TOL
         assert route(w_state) <= TOL
-        assert route(zrt(*haar_state(rng, 4))) <= TOL
+        assert route(zrt_state) <= TOL
     print(f"ACCEPTANCE PASS [7] three residual-tangle routes agree on 500 states ({worst:.3e})")
 
 
@@ -286,7 +277,7 @@ def test_criterion_09_residual_tangle_periodicity():
 
 def test_criterion_10_heisenberg_ghz_and_triple_invariance():
     rng = np.random.default_rng(10)
-    plan = make_plan(*heisenberg_chain(1.0))
+    _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
     grid = np.linspace(0.0, np.pi, 32)
 
     ghz_states = [ghz_general(INV_SQRT2, INV_SQRT2)]
@@ -294,20 +285,18 @@ def test_criterion_10_heisenberg_ghz_and_triple_invariance():
         a2 = rng.uniform(0.05, 0.95)
         ghz_states.append(ghz_general(np.sqrt(a2), np.sqrt(1 - a2)))
     for psi0 in ghz_states:
-        tau0 = residual_tangle_poly(psi0)
-        for t in grid:
-            rep = report(evolve(plan, psi0, t))
-            assert rep.tangle_12 <= TOL, f"GHZ-class tangle {rep.tangle_12:.3e} at t={t}"
-            assert abs(rep.residual_tangle - tau0) <= TOL
+        tau0 = residual_tangle_rows(psi0)[0]
+        table = report_batch(evolve_grid(w, v, psi0, grid))
+        for t, tangle, residual in zip(grid, table["tangle_12"], table["residual_tangle"]):
+            assert tangle <= TOL, f"GHZ-class tangle {tangle:.3e} at t={t}"
+            assert abs(residual - tau0) <= TOL
 
     standard = ghz_states[0]
-    for t in grid:
-        assert abs(report(evolve(plan, standard, t)).residual_tangle - 1.0) <= TOL
+    assert np.max(np.abs(residual_tangle_rows(evolve_grid(w, v, standard, grid)) - 1.0)) <= TOL
 
     for _ in range(5):
         psi0 = triple(*haar_state(rng, 3))
-        for t in grid:
-            assert report(evolve(plan, psi0, t)).residual_tangle <= TOL
+        assert np.max(residual_tangle_rows(evolve_grid(w, v, psi0, grid))) <= TOL
     print("ACCEPTANCE PASS [10] isotropic chain: GHZ class keeps tangle 0 and residual 4a^2b^2 (1 for standard); triple class keeps residual 0")
 
 

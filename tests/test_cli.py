@@ -71,6 +71,21 @@ class TestSweepCommand:
             main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--fastpath", "on"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"initial_state": {"class": "fully_separable", "params": {"rotations": [{"qubit": True}, {"qubit": 2}, {"qubit": 3}]}}},
+             "config.initial_state.params.rotations[0].qubit: expected 1, 2 or 3, got True"),
+            ({"measures": ["tangle_12", "tangle_12"]}, "config.measures: measure 'tangle_12' is listed more than once"),
+        ],
+        ids=["bool qubit", "repeated measure"],
+    )
+    def test_sweep_of_malformed_config_exit_2(self, tmp_path, capsys, overrides, error):
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, heisenberg_raw(**overrides)), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {error}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, path", OVERFLOW_CASES)
     @pytest.mark.parametrize("command", ["sweep", "classify"])
     def test_overflowing_hamiltonian_exit_2_names_path(self, tmp_path, capsys, command, overrides, path):
@@ -284,13 +299,26 @@ class TestPeriodicityCommand:
         assert "trials must be >= 1" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("k, l", [(1, 10**400), (10**308, 1), (1, 2**53 + 1)], ids=["l=1e400", "k=1e308", "l=2**53+1"])
+    @pytest.mark.parametrize(
+        "k, l", [(1, 10**400), (10**308, 1), (1, 2**53 + 1), (1, 2_000_000), (1, 260_000)],
+        ids=["l=1e400", "k=1e308", "l=2**53+1", "l=2e6", "l=2.6e5"],
+    )
     def test_ratio_past_float_precision_exit_2_names_k_and_l(self, capsys, k, l):
-        # l = 1e400 raised OverflowError converting to float; k = 1e308 made t* = k pi / (2|a|) infinite
-        assert main(["periodicity", "--k", str(k), "--l", str(l), "--trials", "5"]) == 2
+        # l = 1e400 raised OverflowError converting to float; k = 1e308 made t* = k pi / (2|a|) infinite;
+        # at l = 2e6 the phase rounding alone failed 8 of 200 trials at seed 0
+        assert main(["periodicity", "--k", str(k), "--l", str(l), "--trials", "200"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: k and l must be at most 2**53, so that the ratio k/l is exact in floats\n"
+        assert captured.err == (
+            "error: k and l must satisfy sqrt(k^2 + l^2) <= 2.534e+05, past which the rounding "
+            "of the phases at t* exceeds the budget of the check\n"
+        )
         assert captured.out == ""
+
+    def test_ratio_inside_the_phase_budget_passes(self, capsys):
+        # sqrt(k^2 + l^2) = 2e5 is inside the cut of ~2.53e5
+        assert main(["periodicity", "--k", "1", "--l", "200000", "--trials", "2000", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("ratio 1/200000: 2000 trials") and out.endswith("all trials passed\n")
 
     def test_negative_seed_exit_2_names_seed(self, capsys):
         assert main(["periodicity", "--k", "1", "--l", "2", "--trials", "5", "--seed", "-1"]) == 2

@@ -1,31 +1,21 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from triqubit.evolution import (
     closed_form_spectra,
-    evolve,
     evolve_grid,
     evolve_rows,
-    make_plan,
-    measure_probe,
     measure_probe_grid,
     plan_spectra,
     sector_vectors,
 )
-from triqubit.hamiltonians import PauliPairHamiltonian, heisenberg_chain, pair_coefficients, qnd_zz
-from triqubit.measures import report
-from triqubit.scenarios import (
-    random_axis,
-    random_commuting_pair,
-    random_qubit_state,
-    random_state,
-)
-from triqubit.states import LocalRotation, axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
+from triqubit.hamiltonians import heisenberg_chain, qnd_zz
+from triqubit.measures import concurrence_12
+from triqubit.states import axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
 
 from oracles import (
     haar_state,
+    one_pair,
     oracle_concurrence_mixed,
     oracle_evolve,
     oracle_kraus,
@@ -34,236 +24,218 @@ from oracles import (
     oracle_tangle12_pure3,
     oracle_tangle_pure2,
     oracle_unitary,
+    reference_axis,
+    reference_pair,
+    row,
     total_hamiltonian,
 )
 
 X = (1.0, 0.0, 0.0)
+Z = (0.0, 0.0, 1.0)
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
 def x_product_state():
-    return fully_separable(*(LocalRotation(qubit=q) for q in (1, 2, 3)), axes=(X, X, X))
+    return fully_separable([0.0] * 3, [Z] * 3, axes=(X, X, X))
 
 
-def unitary(plan, t: float) -> np.ndarray:
+def unitary(w, v, t: float) -> np.ndarray:
     """U(t) column by column: ``evolve_grid`` of each of the 8 basis states to the one time t."""
-    return np.stack([evolve_grid(plan, e, (t,))[0] for e in np.eye(8)], axis=1)
+    return np.stack([evolve_grid(w, v, e, (t,))[0] for e in np.eye(8)], axis=1)
 
 
 class TestPlan:
     def test_commuting_detection(self):
-        assert make_plan(*qnd_zz(1.0)).commuting
-        plan = make_plan(*heisenberg_chain(1.0))
-        assert not plan.commuting
-        assert plan.commutator_norm > 1
-        assert "commut" in plan.fastpath_error
+        forms, _, _ = plan_spectra(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0)]))
+        assert forms.ok.tolist() == [True, False]
+        assert forms.commutator_norm[1] > 1
+        assert "commut" in str(forms.error(1))
 
     def test_unitary_is_unitary(self):
-        plan = make_plan(*heisenberg_chain(0.7))
-        u = unitary(plan, 1.3)
+        _, (w,), (v,) = plan_spectra(heisenberg_chain(0.7))
+        u = unitary(w, v, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
     def test_unitary_group_property_and_pade_oracle(self):
         # U(0) = 1, U(t) U(s) = U(t + s), and U(t) = expm(-i H t) from either spectrum source
         rng = np.random.default_rng(11)
-        for plan in (make_plan(*heisenberg_chain(0.7)), make_plan(*random_commuting_pair(rng, locals_mode="full"))):
+        for coeffs in (heisenberg_chain(0.7), reference_pair(rng, locals_mode="full")[None]):
+            _, (w,), (v,) = plan_spectra(coeffs)
             t, s = 0.7, 1.9
-            assert np.max(np.abs(unitary(plan, 0.0) - np.eye(8))) <= 1e-12
-            assert np.max(np.abs(unitary(plan, t) @ unitary(plan, s) - unitary(plan, t + s))) <= 1e-10
-            assert np.max(np.abs(unitary(plan, t) - oracle_unitary(total_hamiltonian(plan), t))) <= 1e-10
+            assert np.max(np.abs(unitary(w, v, 0.0) - np.eye(8))) <= 1e-12
+            assert np.max(np.abs(unitary(w, v, t) @ unitary(w, v, s) - unitary(w, v, t + s))) <= 1e-10
+            assert np.max(np.abs(unitary(w, v, t) - oracle_unitary(total_hamiltonian(coeffs), t))) <= 1e-10
 
 
 class TestEvolveExact:
     def test_time_zero_identity(self):
-        plan = make_plan(*heisenberg_chain(1.0))
+        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
         psi = haar_state(np.random.default_rng(0))
-        assert np.max(np.abs(evolve(plan, psi, 0.0) - psi)) <= 1e-12
+        assert np.max(np.abs(evolve_grid(w, v, psi, (0.0,))[0] - psi)) <= 1e-12
 
     def test_norm_preserved_and_matches_pade_oracle(self):
         rng = np.random.default_rng(10)
-        plan = make_plan(*heisenberg_chain(1.0))
         psi = haar_state(rng)
-        for t in np.linspace(0, 6, 13):
-            out = evolve(plan, psi, t)
+        times = np.linspace(0, 6, 13)
+        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        for t, out in zip(times, evolve_grid(w, v, psi, times)):
             assert abs(np.vdot(out, out).real - 1) <= 1e-12
-            assert np.max(np.abs(out - oracle_evolve(total_hamiltonian(plan), psi, t))) <= 1e-10
+            assert np.max(np.abs(out - oracle_evolve(total_hamiltonian(heisenberg_chain(1.0)), psi, t))) <= 1e-10
 
     def test_probe_coupled_product_state_at_bell_time(self):
         # frozen amplitudes of the evolved x-polarized product state at g t = pi,
         # derived by phase bookkeeping on the zz eigenbasis
-        plan = make_plan(*qnd_zz(1.0))
-        out = evolve(plan, x_product_state(), np.pi)
+        _, (w,), (v,) = plan_spectra(qnd_zz(1.0))
+        out = evolve_grid(w, v, x_product_state(), (np.pi,))[0]
         s = 1 / (2 * np.sqrt(2))
         expected = s * np.array([-1j, 1j, 1, 1, 1, 1, 1j, -1j])
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_permutation_symmetric_state_is_stationary(self):
-        plan = make_plan(*heisenberg_chain(1.0))
         psi0 = np.zeros(8, dtype=complex)
         psi0[0] = 1  # product of three identical states
         rho0 = oracle_rho12(psi0)
-        for t in (0.3, 1.1, 2.9):
-            rho_t = oracle_rho12(evolve(plan, psi0, t))
-            assert np.max(np.abs(rho_t - rho0)) <= 1e-10
+        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        for psi in evolve_grid(w, v, psi0, (0.3, 1.1, 2.9)):
+            assert np.max(np.abs(oracle_rho12(psi) - rho0)) <= 1e-10
 
 
 class TestFastpath:
     def test_fastpath_matches_exact_with_full_locals(self):
         rng = np.random.default_rng(20)
         for _ in range(60):
-            h13, h23 = random_commuting_pair(rng, locals_mode="full")
-            plan = make_plan(h13, h23)
-            assert plan.commuting
-            psi = random_state(rng)
-            for t in rng.uniform(0, 7, 4):
-                a = oracle_evolve(total_hamiltonian(plan), psi, t)
-                b = evolve(plan, psi, t)
+            coeffs = reference_pair(rng, locals_mode="full")
+            forms, w, v = plan_spectra(coeffs[None])
+            assert forms.ok[0]
+            psi = haar_state(rng)
+            times = rng.uniform(0, 7, 4)
+            for t, b in zip(times, evolve_grid(w[0], v[0], psi, times)):
+                a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
                 assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_fastpath_unitary_is_unitary(self):
         # U(t) from the closed-form spectrum of the commuting fast path
-        rng = np.random.default_rng(21)
-        h13, h23 = random_commuting_pair(rng, locals_mode="full")
-        w, v = make_plan(h13, h23).spectrum()
+        _, (w,), (v,) = plan_spectra(reference_pair(np.random.default_rng(21), locals_mode="full")[None])
         u = (v * np.exp(-1.7j * w)) @ v.conj().T
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
     def test_evolve_mode_dispatch(self):
-        # the plan picks the spectrum: closed form when the pair commutes, eigh otherwise
+        # each row picks its spectrum: closed form when the pair commutes, eigh otherwise
         rng = np.random.default_rng(22)
-        commuting = make_plan(*random_commuting_pair(rng))
-        noncommuting = make_plan(*heisenberg_chain(1.0))
-        forms = commuting.forms
-        vecs = sector_vectors(forms.strength, forms.body_axis, forms.self_strength, forms.self_axis)
-        closed_form = closed_form_spectra(vecs, forms.probe_axis, forms.probe_strength[:, 0] + forms.probe_strength[:, 1])
-        closed_form, eigh = [a[0] for a in closed_form], np.linalg.eigh(total_hamiltonian(noncommuting))
-        for plan, expected in ((commuting, closed_form), (noncommuting, eigh)):
-            for got, want in zip(plan.spectrum(), expected):
-                assert np.array_equal(got, want)
-        psi = random_state(rng)
-        for plan in (commuting, noncommuting):
-            assert np.max(np.abs(evolve(plan, psi, 0.9) - oracle_evolve(total_hamiltonian(plan), psi, 0.9))) <= 1e-10
+        coeffs = np.concatenate([reference_pair(rng)[None], heisenberg_chain(1.0)])
+        forms, w, v = plan_spectra(coeffs)
+        vecs = sector_vectors(forms.strength[:1], forms.body_axis[:1], forms.self_strength[:1], forms.self_axis[:1])
+        closed_form = closed_form_spectra(vecs, forms.probe_axis[:1], forms.probe_strength[:1, 0] + forms.probe_strength[:1, 1])
+        eigh = np.linalg.eigh(total_hamiltonian(coeffs[1]))
+        for got, want in zip((w[0], v[0], w[1], v[1]), (closed_form[0][0], closed_form[1][0], *eigh)):
+            assert np.array_equal(got, want)
+        psi = haar_state(rng)
+        for c, psi_t in zip(coeffs, evolve_rows(w, v, [psi, psi], [0.9, 0.9])):
+            assert np.max(np.abs(psi_t - oracle_evolve(total_hamiltonian(c), psi, 0.9))) <= 1e-10
 
 
 class TestSpectrum:
     def test_closed_form_matches_eigh_with_a_zero_sector_vector(self):
         # local_self cancels the coupling of qubit 1 in the m = -1 probe sector
         z = np.array([0.0, 0.0, 1.0])
-        h13 = PauliPairHamiltonian(coupling=0.8 * np.outer(z, z), local_self=0.8 * z,
-                                   local_probe=0.3 * z, pair=(1, 3))
-        h23 = PauliPairHamiltonian(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z),
-                                   local_self=(0.2, 0.4, 0.1), pair=(2, 3))
-        plan = make_plan(h13, h23)
-        forms = plan.forms
+        coeffs = one_pair(row(coupling=0.8 * np.outer(z, z), local_self=0.8 * z, local_probe=0.3 * z),
+                          row(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z), local_self=(0.2, 0.4, 0.1)))
+        forms, w, v = plan_spectra(coeffs)
         vecs = sector_vectors(forms.strength, forms.body_axis, forms.self_strength, forms.self_axis)[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
-        w, v = plan.spectrum()
-        w_eigh, v_eigh = np.linalg.eigh(total_hamiltonian(plan))
+        w, v = w[0], v[0]
+        h = total_hamiltonian(coeffs)
+        w_eigh, v_eigh = np.linalg.eigh(h)
         assert np.max(np.abs(np.sort(w) - w_eigh)) <= 1e-12
         assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
-        assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(plan))) <= 1e-12
-        psi = random_state(np.random.default_rng(23))
+        assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-12
+        psi = haar_state(np.random.default_rng(23))
         times = np.linspace(0.0, 6.0, 25)
         exact = (np.exp(-1j * np.outer(times, w_eigh)) * (v_eigh.conj().T @ psi)) @ v_eigh.T
-        assert np.max(np.abs(evolve_grid(plan, psi, times) - exact)) <= 1e-12
+        assert np.max(np.abs(evolve_grid(w, v, psi, times) - exact)) <= 1e-12
 
     def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
         rng = np.random.default_rng(24)
-        for _ in range(100):
-            plan = make_plan(*random_commuting_pair(rng, locals_mode="full"))
-            w, v = plan.spectrum()
+        coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(100)])
+        forms, ws, vs = plan_spectra(coeffs)
+        assert forms.ok.all()
+        for c, w, v in zip(coeffs, ws, vs):
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
-            assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(plan))) <= 1e-12
+            assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(c))) <= 1e-12
 
     def test_grid_rows_equal_single_points(self):
         rng = np.random.default_rng(25)
-        plans = [make_plan(*random_commuting_pair(rng, locals_mode="full")), make_plan(*heisenberg_chain(0.9))]
-        psi = random_state(rng)
+        coeffs = np.concatenate([reference_pair(rng, locals_mode="full")[None], heisenberg_chain(0.9)])
+        _, ws, vs = plan_spectra(coeffs)
+        psi = haar_state(rng)
         times = rng.uniform(0.0, 7.0, 17)
-        for plan in plans:
-            grid = evolve_grid(plan, psi, times)
+        for w, v in zip(ws, vs):
+            grid = evolve_grid(w, v, psi, times)
             assert grid.shape == (17, 8)
-            for row, t in zip(grid, times):
-                assert np.max(np.abs(row - evolve(plan, psi, t))) <= 1e-12
+            for row_t, t in zip(grid, times):
+                assert np.max(np.abs(row_t - evolve_grid(w, v, psi, (t,))[0])) <= 1e-12
 
     def test_stacked_plans_equal_one_row_plans(self):
-        # closed-form and eigh rows in one batch, each bit for bit its own plan's; then one state per row and time
+        # closed-form and eigh rows in one batch, each bit for bit its own one-row plan's; then one state per row and time
         rng = np.random.default_rng(27)
-        pairs = [random_commuting_pair(rng, locals_mode="full") for _ in range(4)] + [heisenberg_chain(0.7)]
-        pairs += [(PauliPairHamiltonian(coupling=np.diag([1.0, 2.0, 0.0]), pair=(1, 3)), PauliPairHamiltonian(coupling=np.zeros((3, 3)), pair=(2, 3)))]
-        forms, w, v = plan_spectra(pair_coefficients(*zip(*pairs)))
-        psi0s, times = np.array([random_state(rng) for _ in pairs]), rng.uniform(0.0, 5.0, len(pairs))
+        coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(4)])
+        coeffs = np.concatenate([coeffs, heisenberg_chain(0.7), one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())])
+        forms, w, v = plan_spectra(coeffs)
+        psi0s, times = np.array([haar_state(rng) for _ in coeffs]), rng.uniform(0.0, 5.0, len(coeffs))
         rows = evolve_rows(w, v, psi0s, times)
-        for i, (h13, h23) in enumerate(pairs):
-            plan = make_plan(h13, h23)
-            assert forms.ok[i] == plan.commuting and str(forms.error(i)) == str(plan.fastpath_error)
-            w1, v1 = plan.spectrum()
-            assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
-            assert np.max(np.abs(rows[i] - evolve(plan, psi0s[i], times[i]))) <= 1e-14
+        for i in range(len(coeffs)):
+            forms1, w1, v1 = plan_spectra(coeffs[i : i + 1])
+            assert forms.ok[i] == forms1.ok[0] and str(forms.error(i)) == str(forms1.error(0))
+            assert np.array_equal(w[i], w1[0]) and np.array_equal(v[i], v1[0])
+            assert np.max(np.abs(rows[i] - evolve_grid(w1[0], v1[0], psi0s[i], (times[i],))[0])) <= 1e-14
 
-    def test_spectrum_cached_per_source(self, monkeypatch):
-        # each plan computes its one source once, at build time, and cannot be changed after;
-        # a commuting plan never calls eigh
+    def test_eigh_only_for_rows_without_closed_form(self, monkeypatch):
+        # commuting rows never call eigh; the others share one stacked call
         calls = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
-        commuting = make_plan(*qnd_zz(1.0))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+        plan_spectra(qnd_zz(1.0))
         assert not calls
-        noncommuting = make_plan(*heisenberg_chain(1.0))
-        psi = random_state(np.random.default_rng(26))
-        for plan in (commuting, noncommuting):
-            first = plan.spectrum()
-            evolve_grid(plan, psi, (0.1, 0.2))
-            unitary(plan, 0.3)
-            assert all(now is then for now, then in zip(plan.spectrum(), first))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                plan.w = first[0]
-        assert len(calls) == 1
+        forms, _, _ = plan_spectra(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0), heisenberg_chain(0.5), qnd_zz(2.0)]))
+        assert forms.ok.tolist() == [True, False, False, True] and calls == [2]
 
 
 class TestClosedForm:
-    # entangling-only plans: random commuting pairs without local terms
+    # entangling-only pairs: random commuting pairs without local terms
 
     def test_matches_exact_entangling_evolution(self):
         rng = np.random.default_rng(30)
         for _ in range(40):
-            h13, h23 = random_commuting_pair(rng)  # no local terms
-            plan = make_plan(h13, h23)
-            psi = random_state(rng)
+            coeffs = reference_pair(rng)  # no local terms
+            psi = haar_state(rng)
             t = rng.uniform(0, 7)
-            a = oracle_evolve(total_hamiltonian(plan), psi, t)
-            b = evolve(plan, psi, t)
+            a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
+            _, (w,), (v,) = plan_spectra(coeffs[None])
+            b = evolve_grid(w, v, psi, (t,))[0]
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_plus_plus_plus_only_picks_global_phase(self):
-        rng = np.random.default_rng(31)
-        h13, h23 = random_commuting_pair(rng)
-        plan = make_plan(h13, h23)
-        forms = plan.forms
+        forms, w, v = plan_spectra(reference_pair(np.random.default_rng(31))[None])
         axes = np.array([*forms.body_axis[0], forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
         psi0 = from_axis_basis(amps, axes)
         t = 1.234
-        out = evolve(plan, psi0, t)
+        out = evolve_grid(w[0], v[0], psi0, (t,))[0]
         expected = np.exp(-1j * (forms.strength[0, 0] + forms.strength[0, 1]) * t) * psi0
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_periodic_return_for_equal_strengths(self):
         rng = np.random.default_rng(32)
-        u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
+        u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
         s = 1.1
-        h13 = PauliPairHamiltonian(coupling=s * np.outer(u, j), pair=(1, 3))
-        h23 = PauliPairHamiltonian(coupling=s * np.outer(w, j), pair=(2, 3))
-        plan = make_plan(h13, h23)
-        psi = random_state(rng)
+        _, ws, vs = plan_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
+        psi = haar_state(rng)
         period = np.pi / s
-        revived = evolve(plan, psi, period)
+        revived, rho_a, rho_b = evolve_grid(ws[0], vs[0], psi, (period, 0.4, 0.4 + period))
         assert np.max(np.abs(revived - psi)) <= 1e-10
-        rho_a = oracle_rho12(evolve(plan, psi, 0.4))
-        rho_b = oracle_rho12(evolve(plan, psi, 0.4 + period))
-        assert np.max(np.abs(rho_a - rho_b)) <= 1e-10
+        assert np.max(np.abs(oracle_rho12(rho_a) - oracle_rho12(rho_b))) <= 1e-10
 
 
 class TestKraus:
@@ -273,13 +245,13 @@ class TestKraus:
     def test_time_zero_scales_identity(self):
         # A_k(0) = <b_k|phi> 1, so the package's measured branches of chi x phi at t = 0 are <b_k|phi> chi
         rng = np.random.default_rng(40)
-        h13, h23 = random_commuting_pair(rng)
-        plan = make_plan(h13, h23)
-        phi, chi = random_qubit_state(rng), haar_state(rng, 4)
-        basis = axis_eigenbasis(plan.forms.probe_axis[0])
-        for a, b in zip(oracle_kraus(total_hamiltonian(plan), phi, basis, 0.0), basis):
+        coeffs = reference_pair(rng)
+        forms, w, v = plan_spectra(coeffs[None])
+        phi, chi = haar_state(rng, 2), haar_state(rng, 4)
+        basis = axis_eigenbasis(forms.probe_axis[0])
+        for a, b in zip(oracle_kraus(total_hamiltonian(coeffs), phi, basis, 0.0), basis):
             assert np.max(np.abs(a - np.vdot(b, phi) * np.eye(4))) <= 1e-12
-        probs, _, present, states = measure_probe_grid(evolve_grid(plan, np.kron(chi, phi), (0.0,)), basis)
+        probs, _, present, states = measure_probe_grid(evolve_grid(w[0], v[0], np.kron(chi, phi), (0.0,)), basis)
         assert present.all()
         for k, b in enumerate(basis):
             assert np.max(np.abs(np.sqrt(probs[0, k]) * states[0, k] - np.vdot(b, phi) * chi)) <= 1e-12
@@ -287,41 +259,43 @@ class TestKraus:
     def test_completeness_and_reconstruction(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
-            h13, h23 = random_commuting_pair(rng, locals_mode="full")
-            plan = make_plan(h13, h23)
+            coeffs = reference_pair(rng, locals_mode="full")
+            forms, w, v = plan_spectra(coeffs[None])
             chi = haar_state(rng, 4)
-            phi = random_qubit_state(rng)
+            phi = haar_state(rng, 2)
             t = rng.uniform(0, 5)
-            basis = axis_eigenbasis(plan.forms.probe_axis[0])
-            kraus = oracle_kraus(total_hamiltonian(plan), phi, basis, t)
+            basis = axis_eigenbasis(forms.probe_axis[0])
+            kraus = oracle_kraus(total_hamiltonian(coeffs), phi, basis, t)
             assert np.max(np.abs(sum(a.conj().T @ a for a in kraus) - np.eye(4))) <= 1e-10
-            via_kraus = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, basis, t)
-            via_trace = oracle_rho12(evolve(plan, np.kron(chi, phi), t))
+            via_kraus = oracle_rho12_kraus(total_hamiltonian(coeffs), chi, phi, basis, t)
+            via_trace = oracle_rho12(evolve_grid(w[0], v[0], np.kron(chi, phi), (t,))[0])
             assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_separable_input_stays_separable_through_kraus(self):
         rng = np.random.default_rng(43)
-        h13, h23 = random_commuting_pair(rng, locals_mode="full")
-        plan = make_plan(h13, h23)
-        chi = np.kron(random_qubit_state(rng), random_qubit_state(rng))
-        phi = random_qubit_state(rng)
-        basis = axis_eigenbasis(plan.forms.probe_axis[0])
-        for t in np.linspace(0, 4, 9):
-            rho = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, basis, t)
+        coeffs = reference_pair(rng, locals_mode="full")
+        forms, w, v = plan_spectra(coeffs[None])
+        chi = np.kron(haar_state(rng, 2), haar_state(rng, 2))
+        phi = haar_state(rng, 2)
+        basis = axis_eigenbasis(forms.probe_axis[0])
+        times = np.linspace(0, 4, 9)
+        for t, tangle in zip(times, concurrence_12(evolve_grid(w[0], v[0], np.kron(chi, phi), times)) ** 2):
+            rho = oracle_rho12_kraus(total_hamiltonian(coeffs), chi, phi, basis, t)
             assert oracle_concurrence_mixed(rho) ** 2 <= 1e-9
-            assert report(evolve(plan, np.kron(chi, phi), t)).tangle_12 <= 1e-9
+            assert tangle <= 1e-9
 
     def test_explicit_basis_for_noncommuting_plan(self):
         # any orthonormal probe basis gives the same rho_12, also without a shared probe axis
-        plan = make_plan(*heisenberg_chain(1.0))
+        h = total_hamiltonian(heisenberg_chain(1.0))
         phi = np.array([INV_SQRT2, INV_SQRT2], dtype=complex)
         e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-        kraus = oracle_kraus(total_hamiltonian(plan), phi, (e0, e1), 1.0)
+        kraus = oracle_kraus(h, phi, (e0, e1), 1.0)
         assert np.max(np.abs(sum(a.conj().T @ a for a in kraus) - np.eye(4))) <= 1e-10
         chi = np.zeros(4, dtype=complex)
         chi[0] = 1
-        via_kraus = oracle_rho12_kraus(total_hamiltonian(plan), chi, phi, (e0, e1), 1.0)
-        via_trace = oracle_rho12(evolve(plan, np.kron(chi, phi), 1.0))
+        via_kraus = oracle_rho12_kraus(h, chi, phi, (e0, e1), 1.0)
+        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        via_trace = oracle_rho12(evolve_grid(w, v, np.kron(chi, phi), (1.0,))[0])
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
 
@@ -330,48 +304,46 @@ class TestMeasureProbe:
         rng = np.random.default_rng(60)
         chi = haar_state(rng, 4)
         phi = np.array([0.6, 0.8j], dtype=complex)
-        outcomes = measure_probe(np.kron(chi, phi), axis_eigenbasis(X))
-        assert abs(sum(o.probability for o in outcomes) - 1) <= 1e-12
-        overlap = abs(np.vdot(outcomes[0].state, outcomes[1].state))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
+        probs, _, _, states = measure_probe_grid(np.kron(chi, phi), axis_eigenbasis(X))
+        assert abs(probs[0].sum() - 1) <= 1e-12
+        assert abs(np.vdot(states[0, 0], states[0, 1])) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_pair_preparation(self):
         # the same g t = pi far below unit scale, where squared rotation vectors underflow at 1e-170
         for g in (1.0, 1e-15, 1e-170):
-            plan = make_plan(*qnd_zz(g))
-            psi = evolve(plan, x_product_state(), np.pi / g)
-            outcomes = measure_probe(psi, axis_eigenbasis(X), labels=("+x", "-x"))
-            assert outcomes[0].label == "+x"
-            assert outcomes[0].probability == pytest.approx(0.5, abs=1e-12)
-            assert oracle_tangle_pure2(outcomes[0].state) == pytest.approx(1.0, abs=1e-9)
+            _, (w,), (v,) = plan_spectra(qnd_zz(g))
+            psi = evolve_grid(w, v, x_product_state(), (np.pi / g,))
+            probs, tangles, present, states = measure_probe_grid(psi, axis_eigenbasis(X))
+            assert present[0, 0] and probs[0, 0] == pytest.approx(0.5, abs=1e-12)
+            assert oracle_tangle_pure2(states[0, 0]) == pytest.approx(1.0, abs=1e-9)
+            assert tangles[0, 0] == pytest.approx(1.0, abs=1e-9)
             # the +x conditional is (|01> + |10>)/sqrt(2) up to a global phase
             bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-            assert abs(np.vdot(bell, outcomes[0].state)) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(bell, states[0, 0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_z_basis(self):
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
-        outcomes = measure_probe(ghz_general(INV_SQRT2, INV_SQRT2), (e0, e1), labels=("0", "1"))
-        for outcome, index in zip(outcomes, (0, 3)):
-            assert outcome.probability == pytest.approx(0.5, abs=1e-12)
+        probs, _, _, states = measure_probe_grid(ghz_general(INV_SQRT2, INV_SQRT2), (e0, e1))
+        for k, index in enumerate((0, 3)):
+            assert probs[0, k] == pytest.approx(0.5, abs=1e-12)
             expected = np.zeros(4)
             expected[index] = 1
-            assert np.max(np.abs(np.abs(outcome.state) - expected)) <= 1e-12
+            assert np.max(np.abs(np.abs(states[0, k]) - expected)) <= 1e-12
 
     def test_degenerate_outcome_reported_absent(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1  # |000>, the |1> outcome on qubit 3 never occurs
         e0 = np.array([1, 0], dtype=complex)
         e1 = np.array([0, 1], dtype=complex)
-        outcomes = measure_probe(psi, (e0, e1))
-        assert outcomes[1].probability <= 1e-14
-        assert outcomes[1].state is None
-        assert outcomes[1].degenerate
+        probs, _, present, _ = measure_probe_grid(psi, (e0, e1))
+        assert probs[0, 1] <= 1e-14
+        assert present.tolist() == [[True, False]]
 
     def test_rejects_non_orthonormal_basis(self):
         psi = ghz_general(INV_SQRT2, INV_SQRT2)
         with pytest.raises(ValueError):
-            measure_probe(psi, (np.array([1, 0]), np.array([1, 1]) * INV_SQRT2))
+            measure_probe_grid(psi, (np.array([1, 0]), np.array([1, 1]) * INV_SQRT2))
 
 
 def test_local_terms_do_not_change_tangle_when_aligned():
@@ -379,20 +351,14 @@ def test_local_terms_do_not_change_tangle_when_aligned():
     # identical 1,2 tangle when body-local axes ride the coupling axes
     rng = np.random.default_rng(70)
     for _ in range(20):
-        u, w, j = random_axis(rng), random_axis(rng), random_axis(rng)
+        u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
         s13, s23 = rng.uniform(0.2, 2, size=2)
-        full = (
-            PauliPairHamiltonian(coupling=s13 * np.outer(u, j), local_self=rng.uniform(0, 1) * u,
-                                 local_probe=rng.uniform(-1, 1) * j, pair=(1, 3)),
-            PauliPairHamiltonian(coupling=s23 * np.outer(w, j), local_self=rng.uniform(0, 1) * w,
-                                 local_probe=rng.uniform(-1, 1) * j, pair=(2, 3)),
-        )
-        entangling_only = (
-            PauliPairHamiltonian(coupling=s13 * np.outer(u, j), pair=(1, 3)),
-            PauliPairHamiltonian(coupling=s23 * np.outer(w, j), pair=(2, 3)),
-        )
-        psi0 = random_state(rng)
+        full = one_pair(row(coupling=s13 * np.outer(u, j), local_self=rng.uniform(0, 1) * u, local_probe=rng.uniform(-1, 1) * j),
+                        row(coupling=s23 * np.outer(w, j), local_self=rng.uniform(0, 1) * w, local_probe=rng.uniform(-1, 1) * j))
+        entangling_only = full.copy()
+        entangling_only[..., 9:] = 0.0
+        psi0 = haar_state(rng)
         t = rng.uniform(0, 2 * np.pi)
-        tau_full = oracle_tangle12_pure3(evolve(make_plan(*full), psi0, t))
-        tau_ent = oracle_tangle12_pure3(evolve(make_plan(*entangling_only), psi0, t))
+        _, ws, vs = plan_spectra(np.concatenate([full, entangling_only]))
+        tau_full, tau_ent = (oracle_tangle12_pure3(evolve_grid(w, v, psi0, (t,))[0]) for w, v in zip(ws, vs))
         assert abs(tau_full - tau_ent) <= 1e-9

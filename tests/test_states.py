@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triqubit import measures
+from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import (
-    LocalRotation,
-    apply_local,
     axis_eigenbasis,
     axis_eigenbases,
     bipartite_12,
@@ -16,11 +14,11 @@ from triqubit.states import (
     fully_separable,
     ghz_general,
     raw_amplitudes,
+    rotate,
     rotation_matrices,
     triple,
     zrt,
 )
-from triqubit.scenarios import random_rotation
 
 from oracles import (
     axis_pauli,
@@ -32,6 +30,7 @@ from oracles import (
     oracle_residual_tangle_lambda,
     oracle_tangle_pure2,
     oracle_unitary,
+    reference_rotation,
 )
 
 X = (1.0, 0.0, 0.0)
@@ -39,8 +38,9 @@ Z = (0.0, 0.0, 1.0)
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
-def identity_rotations():
-    return tuple(LocalRotation(qubit=q) for q in (1, 2, 3))
+def unrotated(axes=(Z, Z, Z)):
+    """``fully_separable`` with identity rotations: the product of the reference axes' plus states."""
+    return fully_separable([0.0] * 3, [Z] * 3, axes=axes)
 
 
 class TestAxisEigenbasis:
@@ -88,17 +88,17 @@ class TestRotations:
         for _ in range(30):
             axis = rng.normal(size=3)
             gamma = rng.uniform(-4, 4)
-            r = LocalRotation(qubit=1, angle=gamma, axis=tuple(axis))
-            assert np.max(np.abs(r.matrix() - oracle_unitary(gamma * axis_pauli(axis), 1.0))) <= 1e-12
+            r = rotation_matrices([gamma], [axis])[0]
+            assert np.max(np.abs(r - oracle_unitary(gamma * axis_pauli(axis), 1.0))) <= 1e-12
 
     def test_identity_rotation_leaves_state(self):
         psi = haar_state(np.random.default_rng(0))
-        assert np.allclose(apply_local(LocalRotation(qubit=2), psi), psi)
+        assert np.allclose(rotate(psi, 2, rotation_matrices([0.0], [Z])), psi)
 
     def test_rotation_preserves_all_measures(self):
         rng = np.random.default_rng(77)
         constructors = [
-            lambda: fully_separable(*identity_rotations(), axes=(X, X, X)),
+            lambda: unrotated(axes=(X, X, X)),
             lambda: bipartite_12(0.8, 0.6, np.array([0.6, 0.8j])),
             lambda: bipartite_23(INV_SQRT2, INV_SQRT2, np.array([1.0, 0])),
             lambda: bipartite_13(0.9, np.sqrt(1 - 0.81), np.array([0, 1.0])),
@@ -110,24 +110,24 @@ class TestRotations:
         trials_per = 63  # ~500 rotations in total across the constructors
         for build in constructors:
             psi = build()
-            before = measures.report(psi)
+            rotated = []
             for _ in range(trials_per):
-                rotated = apply_local(random_rotation(rng, int(rng.integers(1, 4))), psi)
-                after = measures.report(rotated)
-                assert abs(after.tangle_12 - before.tangle_12) <= 1e-9
-                assert abs(after.eof_12 - before.eof_12) <= 1e-9
-                assert abs(after.residual_tangle - before.residual_tangle) <= 1e-9
+                qubit = int(rng.integers(1, 4))
+                rotated.append(rotate(psi, qubit, rotation_matrices(*zip(reference_rotation(rng.normal(size=4))))))
+            before, after = report_batch(psi), report_batch(np.concatenate(rotated))
+            for name in ("tangle_12", "eof_12", "residual_tangle"):
+                assert np.max(np.abs(after[name] - before[name])) <= 1e-9
         # tangle of rho_12 is also invariant under rotations of qubit 3 only
         psi = ghz_general(INV_SQRT2, INV_SQRT2)
-        rotated = apply_local(random_rotation(rng, 3), psi)
-        assert measures.residual_tangle_poly(rotated) == pytest.approx(1.0, abs=1e-9)
+        rotated = rotate(psi, 3, rotation_matrices(*zip(reference_rotation(rng.normal(size=4)))))
+        assert residual_tangle_rows(rotated)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestConstructors:
     def test_all_outputs_normalized(self):
         rng = np.random.default_rng(5)
         outputs = [
-            fully_separable(*identity_rotations()),
+            unrotated(),
             bipartite_12(np.sqrt(0.9), np.sqrt(0.1), np.array([1, 0])),
             bipartite_23(0.8, 0.6, np.array([INV_SQRT2, INV_SQRT2])),
             bipartite_13(0.8, 0.6, np.array([1, 0])),
@@ -141,8 +141,8 @@ class TestConstructors:
 
     def test_fully_separable_purities(self):
         rng = np.random.default_rng(21)
-        rots = tuple(random_rotation(rng, q) for q in (1, 2, 3))
-        psi = fully_separable(*rots, axes=(X, Z, (0, 1, 0)))
+        angles, axes = zip(*(reference_rotation(rng.normal(size=4)) for _ in range(3)))
+        psi = fully_separable(angles, axes, axes=(X, Z, (0, 1, 0)))
         rho = np.outer(psi, psi.conj())
         assert oracle_concurrence_pure3(psi, 3) ** 2 <= 1e-12
         for which in (1, 2, 3):
@@ -150,14 +150,9 @@ class TestConstructors:
             assert abs(np.trace(rho4 @ rho4).real - 1) <= 1e-12
 
     def test_fully_separable_x_reference_matches_hand_built_product(self):
-        psi = fully_separable(*identity_rotations(), axes=(X, X, X))
+        psi = unrotated(axes=(X, X, X))
         xp = np.array([1, 1]) * INV_SQRT2
         assert np.allclose(psi, np.kron(np.kron(xp, xp), xp), atol=1e-12)
-
-    def test_fully_separable_rejects_duplicate_qubits(self):
-        r = LocalRotation(qubit=1)
-        with pytest.raises(ValueError):
-            fully_separable(r, r, LocalRotation(qubit=3))
 
     @pytest.mark.parametrize(
         "a,b,expected",
@@ -165,23 +160,21 @@ class TestConstructors:
     )
     def test_bipartite_12_tangle(self, a, b, expected):
         psi = bipartite_12(a, b, np.array([0.28, 0.96j]))
-        assert measures.report(psi).tangle_12 == pytest.approx(expected, abs=1e-9)
+        assert report_batch(psi)["tangle_12"][0] == pytest.approx(expected, abs=1e-9)
 
     def test_bipartite_23_tangles(self):
         psi = bipartite_23(INV_SQRT2, INV_SQRT2, np.array([1.0, 0]))
-        rep = measures.report(psi)
-        assert rep.tangle_12 <= 1e-12
+        assert report_batch(psi)["tangle_12"][0] <= 1e-12
         assert oracle_concurrence_pure3(psi, 1) ** 2 == pytest.approx(1.0, abs=1e-9)
         # derived from the pure-state shortcut: 4*(0.8*0.6)^2 = 0.9216
         psi = bipartite_23(0.8, 0.6, np.array([1.0, 0]))
         assert oracle_concurrence_pure3(psi, 1) ** 2 == pytest.approx(0.9216, abs=1e-9)
 
     def test_bipartite_23_of_zero_b_is_fully_separable(self):
-        psi = bipartite_23(1.0, 0.0, np.array([0.6, 0.8]))
-        rep = measures.report(psi)
-        assert rep.tangle_12 <= 1e-12
-        assert rep.residual_tangle <= 1e-12
-        assert rep.purity_12 == pytest.approx(1.0, abs=1e-12)
+        table = report_batch(bipartite_23(1.0, 0.0, np.array([0.6, 0.8])))
+        assert table["tangle_12"][0] <= 1e-12
+        assert table["residual_tangle"][0] <= 1e-12
+        assert table["purity_12"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_marginals_unentangled(self):
         for a2 in (0.5, 0.8, 1.0):
@@ -193,15 +186,15 @@ class TestConstructors:
     def test_ghz_residual_tangle(self, a2, expected):
         # 4 a^2 b^2, checked against all three residual-tangle routes
         psi = ghz_general(np.sqrt(a2), np.sqrt(1 - a2))
-        assert measures.residual_tangle_poly(psi) == pytest.approx(expected, abs=1e-9)
+        assert residual_tangle_rows(psi)[0] == pytest.approx(expected, abs=1e-9)
         assert oracle_residual_tangle_lambda(psi) == pytest.approx(expected, abs=1e-9)
         assert oracle_residual_tangle_ckw(psi) == pytest.approx(expected, abs=1e-9)
 
     def test_zrt_class_has_zero_residual_tangle(self):
         rng = np.random.default_rng(99)
-        assert measures.residual_tangle_poly(zrt(1, 0, 0, 0)) == 0.0
+        assert residual_tangle_rows(zrt(1, 0, 0, 0))[0] == 0.0
         w = zrt(0, *(np.ones(3) / np.sqrt(3)))
-        assert measures.residual_tangle_poly(w) <= 1e-12
+        assert residual_tangle_rows(w)[0] <= 1e-12
         for _ in range(100):
             amps = haar_state(rng, 4)
             assert oracle_residual_tangle_lambda(zrt(*amps)) <= 1e-9
@@ -211,7 +204,7 @@ class TestConstructors:
         [((1, 0, 0), 0.0), ((0, INV_SQRT2, INV_SQRT2), 1.0), (tuple(np.ones(3) / np.sqrt(3)), 4 / 9)],
     )
     def test_triple_initial_tangle(self, amps, expected):
-        assert measures.report(triple(*amps)).tangle_12 == pytest.approx(expected, abs=1e-9)
+        assert report_batch(triple(*amps))["tangle_12"][0] == pytest.approx(expected, abs=1e-9)
 
     def test_unnormalized_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -264,5 +257,4 @@ def test_pure_marginal_tangle_shortcut():
     for _ in range(50):
         chi = haar_state(rng, 4)
         psi = np.kron(chi, haar_state(rng, 2))
-        rep = measures.report(psi)
-        assert abs(rep.tangle_12 - oracle_tangle_pure2(chi)) <= 1e-10
+        assert abs(report_batch(psi)["tangle_12"][0] - oracle_tangle_pure2(chi)) <= 1e-10
