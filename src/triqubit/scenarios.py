@@ -115,6 +115,14 @@ def _as_vec3(value, path: str) -> tuple[float, float, float]:
     return tuple(_as_float(v, path) for v in value)
 
 
+def _as_axis(value, path: str) -> tuple[float, float, float]:
+    """A 3-vector that names a direction: not all zero."""
+    axis = _as_vec3(value, path)
+    if not any(axis):
+        raise ConfigError(f"{path}: zero axis has no direction")
+    return axis
+
+
 def _parse_pair(section: dict, path: str) -> list[float]:
     """The 15 coefficients of one pair Hamiltonian: coupling rows, then local_self and local_probe."""
     _check_keys(section, {"coupling", "local_self", "local_probe"}, {"coupling"}, path)
@@ -179,7 +187,7 @@ def _parse_rotations(entries, path: str) -> tuple[list[float], list[tuple[float,
             raise ConfigError(f"{path}[{i}].qubit: qubit {qubit} is already rotated by {path}[{seen[qubit]}]")
         seen[qubit] = i
         angles[qubit - 1] = _as_float(entry.get("angle", 0.0), f"{path}[{i}].angle")
-        axes[qubit - 1] = _as_vec3(entry.get("axis", states.Z_AXIS), f"{path}[{i}].axis")
+        axes[qubit - 1] = _as_axis(entry.get("axis", states.Z_AXIS), f"{path}[{i}].axis")
     return angles, axes
 
 
@@ -210,7 +218,7 @@ def _parse_state(section: dict, path: str) -> np.ndarray:
                 entries = params["axes"]
                 if not isinstance(entries, list) or len(entries) != 3:
                     raise ConfigError(f"{ppath}.axes: expected three axes")
-                axes = tuple(_as_vec3(a, f"{ppath}.axes") for a in entries)
+                axes = tuple(_as_axis(a, f"{ppath}.axes[{i}]") for i, a in enumerate(entries))
             psi = states.fully_separable(angles, rotation_axes, axes=axes)
         elif cls in ("bipartite_12", "bipartite_23", "bipartite_13"):
             other = "probe" if cls == "bipartite_12" else "spectator"
@@ -256,17 +264,13 @@ def _parse_measurement(section: dict, path: str) -> MeasurementSpec:
         axis, labels = NAMED_BASES[basis], (f"+{basis}", f"-{basis}")
     elif isinstance(basis, dict):
         _check_keys(basis, {"axis"}, {"axis"}, f"{path}.basis")
-        axis, labels = _as_vec3(basis["axis"], f"{path}.basis.axis"), ("+n", "-n")
+        axis, labels = _as_axis(basis["axis"], f"{path}.basis.axis"), ("+n", "-n")
     else:
         raise ConfigError(f"{path}.basis: expected a basis name or an axis object")
     at_time = section.get("at_time")
     if at_time is not None:
         at_time = _as_float(at_time, f"{path}.at_time")
-    try:
-        basis = axis_eigenbasis(axis)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.basis: {exc}") from exc
-    return MeasurementSpec(basis=basis, labels=labels, at_time=at_time)
+    return MeasurementSpec(basis=axis_eigenbasis(axis), labels=labels, at_time=at_time)
 
 
 @dataclass

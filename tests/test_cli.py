@@ -77,8 +77,14 @@ class TestSweepCommand:
             ({"initial_state": {"class": "fully_separable", "params": {"rotations": [{"qubit": True}, {"qubit": 2}, {"qubit": 3}]}}},
              "config.initial_state.params.rotations[0].qubit: expected 1, 2 or 3, got True"),
             ({"measures": ["tangle_12", "tangle_12"]}, "config.measures: measure 'tangle_12' is listed more than once"),
+            ({"initial_state": {"class": "fully_separable", "params": {"rotations": [
+                {"qubit": 2}, {"qubit": 1, "angle": 0.5, "axis": [0, 0, 0]}, {"qubit": 3}]}}},
+             "config.initial_state.params.rotations[1].axis: zero axis has no direction"),
+            ({"initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0], [0, 0, 1], [0, 0, 0]]}}},
+             "config.initial_state.params.axes[2]: zero axis has no direction"),
+            ({"measurement": {"basis": {"axis": [0, -0.0, 0]}}}, "config.measurement.basis.axis: zero axis has no direction"),
         ],
-        ids=["bool qubit", "repeated measure"],
+        ids=["bool qubit", "repeated measure", "zero rotation axis", "zero reference axis", "zero measurement axis"],
     )
     def test_sweep_of_malformed_config_exit_2(self, tmp_path, capsys, overrides, error):
         out = tmp_path / "o.csv"

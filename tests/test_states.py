@@ -55,7 +55,7 @@ class TestAxisEigenbasis:
         assert np.allclose(minus, [INV_SQRT2, -INV_SQRT2])
 
     @given(st.floats(0, np.pi), st.floats(-np.pi, np.pi))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_defining_property(self, theta, phi):
         axis = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
         plus, minus = axis_eigenbasis(axis)
