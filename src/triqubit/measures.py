@@ -28,9 +28,9 @@ def _eof(tau: np.ndarray) -> np.ndarray:
     if out_of_range.size:
         raise ValueError(f"tangle out of range [0, 1]: {float(out_of_range[0])!r}")
     x = 0.5 + 0.5 * np.sqrt(1.0 - np.minimum(np.maximum(tau, 0.0), 1.0))
-    inside = x < 1.0
-    xi = np.where(inside, x, 0.5)
-    return np.where(inside, -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi), 0.0)
+    at_one = x == 1.0  # x <= 1, and a NaN tangle gives x = NaN, which stays NaN
+    xi = np.where(at_one, 0.5, x)
+    return np.where(at_one, 0.0, -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi))
 
 
 def _amplitudes(psis) -> np.ndarray:

@@ -32,8 +32,9 @@ qubit 1, 2 and 3, in any order), bipartite_12 {a, b, probe?},
 bipartite_23 / bipartite_13 {a, b, spectator?}, ghz_general {a, b},
 zrt {a, b, c, d}, triple {f, g, h}, raw_amplitudes {amplitudes}.
 
-Each property suite fills one row of raw draws per trial from its seeded stream,
-then assembles and checks the trials in batches (see "Property suites" below).
+Each property suite draws its trials in blocks of 64 from one seeded stream per
+block, then assembles and checks them in batches (see "Random sampling" and
+"Property suites" below).
 
 CSV schema: header line 1 with ``t`` plus the selected measure columns (and,
 when a measurement is configured, ``outcome_label_k, outcome_prob_k,
@@ -64,7 +65,7 @@ from . import states
 from .evolution import evolve_grid, evolve_rows, measure_probe_grid, plan_spectra
 from .hamiltonians import PRESETS, pair_matrices
 from .linalg import frob
-from .measures import REPORT_FIELDS, concurrence_12, report_batch, residual_tangle_rows
+from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
 from .states import axis_eigenbasis, from_axis_basis
 from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
 
@@ -463,46 +464,36 @@ def _write_csv(result: SweepResult, fh) -> None:
 
 # Random sampling ----------------------------------------------------------
 #
-# A draw is a stream layout, the ordered (kind, width) segments of generator
-# calls one trial makes (standard normals, uniforms on [0, 1), integers(0, 2)
-# bits), and an assembly that turns the raw columns of n trials into arrays
-# with the arithmetic numpy applies to one trial (low + (high - low) u for a
-# uniform, v / np.linalg.norm(v)), so every value is bit for bit a per-trial
-# draw's.
+# Trials draw in blocks of _BLOCK: block b draws from default_rng of child b of
+# the seed's SeedSequence, each draw a compute takes (standard normals, uniforms
+# on [0, 1) or fair bits) is one generator call of shape (_BLOCK, width) per
+# block, and row r of block b belongs to trial _BLOCK b + r. Every block is
+# drawn whole, so a trial's draws depend only on the seed and its index. The
+# assembly turns the (n, width) draws into arrays with the arithmetic numpy
+# applies to one row (low + (high - low) u for a uniform, v / np.linalg.norm(v)).
 
-_NORMAL, _UNIFORM, _BIT = "standard_normal", "random", "integers"
-_AXIS, _ROTATION, _SCALAR = ((_NORMAL, 3),), ((_NORMAL, 4),), ((_UNIFORM, 1),)
-_PAIR = {
-    "none": _AXIS * 3 + ((_UNIFORM, 2),),
-    "probe": _AXIS * 3 + ((_UNIFORM, 4),),
-    "full": _AXIS * 3 + ((_UNIFORM, 5),) + _AXIS + _SCALAR + _AXIS,
-}
-_QUBIT = ((_NORMAL, 4),)  # a state's real parts, then its imaginary parts
+_BLOCK = 64
 
 
 class _Draws:
-    """Raw draws of n trials: an (n, K) buffer, row k filled by the k-th generator in layout
-    order with one call per run of a kind. Calling it hands out the next ``width`` columns."""
+    """Draws of the next n trials of ``root``, from ceil(n / _BLOCK) newly spawned block
+    streams. ``normal(w)``, ``uniform(w)`` and ``bit()`` each hand out one (n, w) or (n,) draw."""
 
-    def __init__(self, rngs, layout):
-        runs, width = [], 0
-        for kind, w in layout:
-            if runs and runs[-1][0] == kind != _BIT:
-                runs[-1][2] += w
-            else:
-                runs.append([kind, width, width + w])
-            width += w
-        self.buf, self.at = np.empty((len(rngs), width)), 0
-        for row, rng in zip(self.buf, rngs):
-            for kind, start, stop in runs:
-                if kind == _BIT:
-                    row[start] = rng.integers(0, 2)
-                else:
-                    getattr(rng, kind)(out=row[start:stop])
+    def __init__(self, root: np.random.SeedSequence, n: int):
+        self.rngs = [np.random.default_rng(child) for child in root.spawn(-(-n // _BLOCK))]
+        self.n = n
 
-    def __call__(self, width: int) -> np.ndarray:
-        self.at += width
-        return self.buf[:, self.at - width : self.at]
+    def _rows(self, draw) -> np.ndarray:
+        return np.concatenate([draw(rng) for rng in self.rngs])[: self.n]
+
+    def normal(self, width: int) -> np.ndarray:
+        return self._rows(lambda rng: rng.standard_normal((_BLOCK, width)))
+
+    def uniform(self, width: int) -> np.ndarray:
+        return self._rows(lambda rng: rng.random((_BLOCK, width)))
+
+    def bit(self) -> np.ndarray:
+        return self._rows(lambda rng: rng.integers(0, 2, _BLOCK, dtype=bool))
 
 
 def _uniform(u, low: float, high: float) -> np.ndarray:
@@ -516,12 +507,12 @@ def _unit_rows(v) -> np.ndarray:
 
 
 def _states(take, dim: int) -> np.ndarray:
-    return _unit_rows(take(dim) + 1j * take(dim))
+    return _unit_rows(take.normal(dim) + 1j * take.normal(dim))
 
 
 def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
     """Angles and axes of Haar-distributed SU(2) rotations from normalized Gaussian quadruples."""
-    q = _unit_rows(take(4))
+    q = _unit_rows(take.normal(4))
     s = np.sqrt(np.vecdot(q[:, 1:], q[:, 1:]))
     wide = s > 1e-12
     axes = np.where(wide[:, None], q[:, 1:] / np.where(wide, s, 1.0)[:, None], states.Z_AXIS)
@@ -532,27 +523,27 @@ def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
     """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
     shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
     terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
-    u, w, j = (_unit_rows(take(3)) for _ in range(3))
+    u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
     coeffs = np.zeros((len(j), 2, 15))
-    strengths = 2.0 - _uniform(take(2), 0.0, 2.0)
+    strengths = 2.0 - _uniform(take.uniform(2), 0.0, 2.0)
     coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
     if locals_mode != "none":
-        coeffs[..., 12:] = _uniform(take(2), -1.0, 1.0)[..., None] * j[:, None, :]
+        coeffs[..., 12:] = _uniform(take.uniform(2), -1.0, 1.0)[..., None] * j[:, None, :]
     if locals_mode == "full":
         for k in range(2):
-            coeffs[:, k, 9:12] = _uniform(take(1), 0.0, 1.0) * _unit_rows(take(3))
+            coeffs[:, k, 9:12] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
     return coeffs
 
 
 # Property suites ----------------------------------------------------------
 #
-# A suite is a stream layout and one batched compute. Each trial fills one row
-# of raw draws from its own generator, default_rng of a child spawned from the
-# seed, in the order the draws were always made, so a --seed replay reproduces
-# every trial. The compute assembles a chunk of _CHUNK rows into coefficient and
-# state arrays and returns the (n,) violations with each trial's context columns.
+# A suite is one batched compute. It takes a chunk's draws (see "Random
+# sampling"), so its takes are the only statement of its draw order, assembles
+# them into coefficient and state arrays and returns the (n,) violations with
+# each trial's context columns. A --seed replay reproduces every trial, whatever
+# --trials and the chunking: a chunk is a whole number of blocks.
 
-_CHUNK = 1024
+_CHUNK = 16 * _BLOCK
 
 
 @dataclass
@@ -583,13 +574,13 @@ def _sticky_max(current: float, value: float) -> float:
     return value if math.isnan(value) else max(current, value)
 
 
-# name -> (layout, compute): compute(_Draws of n trials) gives ((n,) violations, {context key: (n,) column})
-_SUITES: dict[str, tuple] = {}
+# name -> compute: compute(_Draws of n trials) gives ((n,) violations, {context key: (n,) column})
+_SUITES: dict[str, object] = {}
 
 
-def _suite(name: str, layout):
+def _suite(name: str):
     def register(compute):
-        _SUITES[name] = (layout, compute)
+        _SUITES[name] = compute
         return compute
 
     return register
@@ -608,12 +599,12 @@ def _rotated(psis, rotations) -> np.ndarray:
 
 def _schmidt(take) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with (a^2, b^2) uniform on the 1-simplex."""
-    a2 = _uniform(take(1)[:, 0], 0.0, 1.0)
+    a2 = _uniform(take.uniform(1)[:, 0], 0.0, 1.0)
     return np.sqrt(a2), np.sqrt(1.0 - a2)
 
 
 def _times(take) -> np.ndarray:
-    return _uniform(take(1)[:, 0], 0.0, 2.0 * np.pi)
+    return _uniform(take.uniform(1)[:, 0], 0.0, 2.0 * np.pi)
 
 
 def _tangle12(psis) -> np.ndarray:
@@ -626,10 +617,7 @@ def _evolved(coeffs, psi0s, ts) -> np.ndarray:
     return evolve_rows(w, v, psi0s, ts)
 
 
-_BIPARTITE_LAYOUT = _PAIR["full"] + _SCALAR + _QUBIT + _ROTATION * 2 + _SCALAR
-
-
-@_suite("separable_stays_separable", _PAIR["full"] + _QUBIT * 3 + _SCALAR)
+@_suite("separable_stays_separable")
 def _separable(take):
     """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
     coeffs = _commuting_pairs(take, "full")
@@ -639,15 +627,15 @@ def _separable(take):
     return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts}
 
 
-@_suite("bipartite12_nonincreasing", _BIPARTITE_LAYOUT)
+@_suite("bipartite12_nonincreasing")
 def _bipartite12(take):
     """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
     coeffs = _commuting_pairs(take, "full")
     a, b = _schmidt(take)
     psi0s = _rotated(states.bipartite_12(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 2)})
     ts = _times(take)
-    eof0 = report_batch(psi0s)["eof_12"]
-    eof_t = report_batch(_evolved(coeffs, psi0s, ts))["eof_12"]
+    eof0 = _eof(_tangle12(psi0s))
+    eof_t = _eof(_tangle12(_evolved(coeffs, psi0s, ts)))
     return eof_t - eof0, {"t": ts, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
 
 
@@ -663,11 +651,11 @@ def _spectator(cls: str, qubits):
     return compute
 
 
-_suite("bipartite23_stays_zero", _BIPARTITE_LAYOUT)(_spectator("bipartite_23", (2, 3)))
-_suite("bipartite13_stays_zero", _BIPARTITE_LAYOUT)(_spectator("bipartite_13", (1, 3)))
+_suite("bipartite23_stays_zero")(_spectator("bipartite_23", (2, 3)))
+_suite("bipartite13_stays_zero")(_spectator("bipartite_13", (1, 3)))
 
 
-@_suite("ghz_can_increase", _PAIR["full"] + _SCALAR + _ROTATION * 3 + _SCALAR)
+@_suite("ghz_can_increase")
 def _ghz(take):
     """GHZ-class inputs start with tangle 0; evolution may only raise it."""
     coeffs = _commuting_pairs(take, "full")
@@ -677,9 +665,6 @@ def _ghz(take):
     tau0 = _tangle12(psi0s)
     tau_t = _tangle12(_evolved(coeffs, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "a": a, "b": b, "max_tangle": tau_t}
-
-
-_TRIPLE_LAYOUT = _PAIR["full"] + ((_NORMAL, 6),) + _ROTATION * 3 + _SCALAR
 
 
 def _triple_quantities(take) -> dict[str, np.ndarray]:
@@ -732,7 +717,7 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     }
 
 
-@_suite("triple_convexity_bound", _TRIPLE_LAYOUT)
+@_suite("triple_convexity_bound")
 def _triple_stated_bound(take):
     """Single-excitation inputs against the branch-weight-free convexity factor
     tangle(t) <= tangle(0) * (|c|^4 + (1-|c|^2)^2).
@@ -748,7 +733,7 @@ def _triple_stated_bound(take):
     return violation, {"t": q["t"], "tau0": q["tau0"], "factor": q["factor_free"], "tau_t": q["tau_t"]}
 
 
-@_suite("triple_nonincreasing", _TRIPLE_LAYOUT)
+@_suite("triple_nonincreasing")
 def _triple_true_bounds(take):
     """Single-excitation inputs: the 1,2 tangle never increases under commuting
     evolution.
@@ -766,12 +751,12 @@ def _triple_true_bounds(take):
 _PARITY_SECTORS = np.array([(0b111, 0b100, 0b010, 0b001), (0b000, 0b011, 0b101, 0b110)])  # [odd, even]
 
 
-@_suite("parity_residual_conserved", _PAIR["probe"] + ((_BIT, 1), (_NORMAL, 8)) + _SCALAR)
+@_suite("parity_residual_conserved")
 def _parity(take):
     """Definite-parity states keep their residual tangle under commuting evolution,
     with the closed-form value 16|a b c d| of the four sector amplitudes."""
     coeffs = _commuting_pairs(take, "probe")
-    even = take(1)[:, 0] == 1.0
+    even = take.bit()
     amps4 = _states(take, 4)
     ts = _times(take)
     amps8 = np.zeros((len(amps4), 8), dtype=complex)
@@ -786,10 +771,10 @@ def _parity(take):
     return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
 
 
-@_suite("heisenberg_entangled13_start", _SCALAR * 2 + _QUBIT + _ROTATION * 2 + _SCALAR)
+@_suite("heisenberg_entangled13_start")
 def _heisenberg13(take):
     """Under the isotropic chain, initial 1,3 entanglement can only raise the 1,2 tangle."""
-    gs = 2.0 - _uniform(take(1)[:, 0], 0.0, 2.0)
+    gs = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
     a, b = _schmidt(take)
     psi0s = _rotated(states.bipartite_13(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 3)})
     ts = _times(take)
@@ -800,21 +785,18 @@ def _heisenberg13(take):
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 
-def _run_trials(name: str, suite: tuple, trials: int, seed: int) -> SuiteResult:
-    """Fold ``trials`` trials of the (layout, compute) ``suite`` into a SuiteResult,
-    one ``record`` per trial in index order. Each trial fills its row of raw
-    draws from its own child stream spawned from ``seed``; the rows are
-    computed in chunks of ``_CHUNK``."""
+def _run_trials(name: str, compute, trials: int, seed: int) -> SuiteResult:
+    """Fold ``trials`` trials of ``compute`` into a SuiteResult, one ``record`` per
+    trial in index order, computed in chunks of ``_CHUNK`` that draw from the
+    block streams of ``seed`` in order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    layout, compute = suite
     result = SuiteResult(name=name, trials=trials, seed=seed)
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, _CHUNK):
-        rngs = [np.random.default_rng(child) for child in root.spawn(min(_CHUNK, trials - start))]
-        violations, context = compute(_Draws(rngs, layout))
+        violations, context = compute(_Draws(root, min(_CHUNK, trials - start)))
         violations = np.asarray(violations).tolist()
         columns = {key: np.asarray(column).tolist() for key, column in context.items()}
         rows = zip(*columns.values()) if columns else [()] * len(violations)
@@ -833,17 +815,14 @@ def property_suite(name: str, trials: int, seed: int) -> SuiteResult:
     return _run_trials(name, _SUITES[name], trials, seed)
 
 
-_PERIODICITY_LAYOUT = _AXIS * 3 + ((_UNIFORM, 3), (_NORMAL, 16))
-
-
 def _periodicity(k: int, l: int):
     def compute(take):
-        u, w, j = (_unit_rows(take(3)) for _ in range(3))
-        s13 = 2.0 - _uniform(take(1)[:, 0], 0.0, 2.0)
+        u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
+        s13 = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
         strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
         coeffs = np.zeros((len(s13), 2, 15))
         coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
-        coeffs[..., 12:] = _uniform(take(2), -1, 1)[..., None] * j[:, None, :]
+        coeffs[..., 12:] = _uniform(take.uniform(2), -1, 1)[..., None] * j[:, None, :]
         psi0s = _states(take, 8)
         t_star = k * np.pi / (2.0 * s13)
         tau0 = residual_tangle_rows(psi0s)
@@ -864,4 +843,4 @@ def residual_periodicity_check(k: int, l: int, trials: int, seed: int) -> SuiteR
         )
     if math.gcd(k, l) != 1:
         raise ValueError(f"k/l must be in lowest terms, got {k}/{l}")
-    return _run_trials(f"residual_periodicity_{k}_{l}", (_PERIODICITY_LAYOUT, _periodicity(k, l)), trials, seed)
+    return _run_trials(f"residual_periodicity_{k}_{l}", _periodicity(k, l), trials, seed)

@@ -14,7 +14,6 @@ from triqubit.evolution import evolve_grid, measure_probe_grid, plan_spectra
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.scenarios import (
-    _TRIPLE_LAYOUT,
     _Draws,
     _triple_quantities,
     property_suite,
@@ -200,8 +199,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     stated = property_suite("triple_convexity_bound", trials=trials, seed=seed)
     oracle_excess = np.empty(trials)
     worst_identity, least_gap, least_t0_excess = 0.0, np.inf, np.inf
-    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(trials)]
-    q = _triple_quantities(_Draws(rngs, _TRIPLE_LAYOUT))
+    q = _triple_quantities(_Draws(np.random.SeedSequence(seed), trials))  # the suites' draws: 1000 trials are one chunk
     for index, (coeffs, psi0, psi_t, t, probe_axis, factor_free, factor_weighted) in enumerate(
         zip(q["coeffs"], q["psi0"], q["psi_t"], q["t"], q["probe_axis"], q["factor_free"], q["factor_weighted"])
     ):

@@ -5,11 +5,26 @@ example ``triqubit.evolution.kron`` and the layers its tracer wraps), so a
 change that drops one of them fails here.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from triqubit.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_generate():
+    spec = importlib.util.spec_from_file_location("bench_generate", ROOT / "bench" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATE = _load_generate()
 
 
 def test_bench_selftest_passes():
@@ -22,3 +37,18 @@ def test_bench_selftest_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Ran 14 tests" in proc.stderr and proc.stderr.rstrip().endswith("OK"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["suite", name] for name in GENERATE.SUITES]
+    + [["periodicity", "--k", str(k), "--l", str(l)] for k, l in GENERATE.PERIODICITY_RATIOS],
+    ids=lambda command: " ".join(command),
+)
+def test_suite_calls_exit_as_the_benchmark_expects(capsys, command):
+    # the benchmark's suite calls run 25 trials at arbitrary seeds and check each exit code against SUITE_EXIT:
+    # a change of the streams that flipped an outcome would fail the benchmark's correctness check
+    expect = GENERATE.SUITE_EXIT.get(command[1], 0)
+    codes = [main([*command, "--trials", str(GENERATE.SUITE_TRIALS), "--seed", str(seed)]) for seed in range(20)]
+    capsys.readouterr()
+    assert codes == [expect] * 20

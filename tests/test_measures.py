@@ -87,6 +87,11 @@ class TestEof:
         with pytest.raises(ValueError):
             eof(-0.1)
 
+    def test_nan_stays_nan(self):
+        # a NaN tangle is a broken value, never a passing 0
+        values = measures._eof(np.array([np.nan, 0.0, 1.0]))
+        assert np.isnan(values[0]) and values[1] == 0.0 and values[2] == pytest.approx(1.0, abs=1e-12)
+
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_monotone_and_bounded(self, tau):

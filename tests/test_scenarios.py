@@ -636,7 +636,7 @@ class TestNonFiniteViolations:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trial_fails_the_suite(self, monkeypatch, bad):
         values = iter([0.0, bad, 0.0])
-        suite = ((), lambda draws: (np.array([next(values) for _ in draws.buf]), {"tag": [1] * len(draws.buf)}))
+        suite = lambda draws: (np.array([next(values) for _ in range(draws.n)]), {"tag": [1] * draws.n})
         monkeypatch.setitem(scenarios._SUITES, "non_finite_trial", suite)
         result = property_suite("non_finite_trial", trials=3, seed=0)
         assert not result.passed
@@ -644,9 +644,11 @@ class TestNonFiniteViolations:
         if math.isnan(bad):
             assert math.isnan(result.max_violation)
 
-    @pytest.mark.parametrize("name", ["separable_stays_separable", "bipartite13_stays_zero", "ghz_can_increase"])
+    @pytest.mark.parametrize(
+        "name", ["separable_stays_separable", "bipartite12_nonincreasing", "bipartite13_stays_zero", "ghz_can_increase"]
+    )
     def test_nan_evolved_state_fails_the_suite(self, monkeypatch, name):
-        # a broken trial's NaN state reaches record as a NaN tangle, never as a passing 0
+        # a broken trial's NaN state reaches record as a NaN tangle or EoF, never as a passing 0
         evolve_rows = scenarios.evolve_rows
 
         def broken(*args):
@@ -668,7 +670,7 @@ class TestNonFiniteViolations:
     def test_nan_suite_exits_4(self, monkeypatch, capsys):
         from triqubit.cli import main
 
-        monkeypatch.setitem(scenarios._SUITES, "nan_trial", ((), lambda draws: (np.full(len(draws.buf), math.nan), {})))
+        monkeypatch.setitem(scenarios._SUITES, "nan_trial", lambda draws: (np.full(draws.n, math.nan), {}))
         assert main(["suite", "nan_trial", "--trials", "2"]) == 4
         assert "max violation nan" in capsys.readouterr().out
 
@@ -737,70 +739,112 @@ class TestNanEvolvedTangle:
         assert "max violation nan" in out and "max_tangle=nan" in out
 
 
-def _periodicity_suite(k, l):
-    return scenarios._PERIODICITY_LAYOUT, scenarios._periodicity(k, l)
-
-
 SUITES_AND_PERIODICITY = [*suite_names(), "periodicity 1/1", "periodicity 2/3"]
 
 
 def _suite_by_name(name):
     if name.startswith("periodicity"):
-        return _periodicity_suite(*map(int, name.split()[1].split("/")))
+        return scenarios._periodicity(*map(int, name.split()[1].split("/")))
     return scenarios._SUITES[name]
+
+
+def _run_by_name(name, trials, seed):
+    if name.startswith("periodicity"):
+        return residual_periodicity_check(*map(int, name.split()[1].split("/")), trials=trials, seed=seed)
+    return property_suite(name, trials=trials, seed=seed)
+
+
+class OneRow(scenarios._Draws):
+    """Trial ``row`` of ``root`` alone: the last row of every draw of trials 0 to ``row``."""
+
+    def __init__(self, root, row):
+        super().__init__(root, row + 1)
+
+    def _rows(self, draw):
+        return super()._rows(draw)[-1:]
+
+
+class Recording:
+    """Hands out the draws of ``take`` and passes each, with its kind, to ``seen``."""
+
+    def __init__(self, take, seen):
+        self.take, self.seen = take, seen
+
+    def _passed(self, kind, rows):
+        self.seen(kind, rows)
+        return rows
+
+    def normal(self, width):
+        return self._passed("normal", self.take.normal(width))
+
+    def uniform(self, width):
+        return self._passed("uniform", self.take.uniform(width))
+
+    def bit(self):
+        return self._passed("bit", self.take.bit())
 
 
 class TestBatchedCompute:
     @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
     def test_batch_equals_one_row_computes(self, name):
-        # bit for bit: every row of a batch is computed as it would be alone
-        layout, compute = _suite_by_name(name)
-        children = np.random.SeedSequence(7).spawn(9)
-        violations, context = compute(scenarios._Draws([np.random.default_rng(child) for child in children], layout))
-        for i, child in enumerate(children):
-            violation, row = compute(scenarios._Draws([np.random.default_rng(child)], layout))
+        # bit for bit: every row of a batch is computed as it would be alone, in the first block and the second
+        compute = _suite_by_name(name)
+        violations, context = compute(scenarios._Draws(np.random.SeedSequence(7), 70))
+        for i in (0, 1, 5, 63, 64, 69):
+            violation, row = compute(OneRow(np.random.SeedSequence(7), i))
             assert violation[0] == violations[i], i
             for key, column in context.items():
                 assert np.asarray(row[key])[0] == np.asarray(column)[i], (i, key)
 
     @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
     def test_chunks_give_the_unchunked_result(self, monkeypatch, name):
-        def run():
-            if name.startswith("periodicity"):
-                return residual_periodicity_check(*map(int, name.split()[1].split("/")), trials=10, seed=5)
-            return property_suite(name, trials=10, seed=5)
-
-        whole = run()
-        monkeypatch.setattr(scenarios, "_CHUNK", 3)
-        chunked = run()
+        whole = _run_by_name(name, trials=300, seed=5)
+        monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
+        chunked = _run_by_name(name, trials=300, seed=5)
         assert (chunked.failures, chunked.max_violation, chunked.stats) == (whole.failures, whole.max_violation, whole.stats)
 
     def test_chunks_replay_the_spawned_streams(self, monkeypatch):
-        # spawning chunk by chunk from one root gives the children of one spawn(trials)
+        # chunk by chunk, trial i is row i % 64 of one (64, width) call on block i // 64's stream, child
+        # i // 64 of one spawn from the seed
         seen = []
-        monkeypatch.setitem(
-            scenarios._SUITES, "draws", ((("standard_normal", 1),), lambda draws: (np.zeros(len(draws.buf)), {"d": draws(1)[:, 0]}))
-        )
-        monkeypatch.setattr(scenarios, "_CHUNK", 4)
+        monkeypatch.setitem(scenarios._SUITES, "draws", lambda take: (np.zeros(take.n), {"d": take.normal(1)[:, 0]}))
+        monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
         monkeypatch.setattr(scenarios.SuiteResult, "record", lambda self, i, v, context: seen.append(context["d"]))
-        property_suite("draws", trials=10, seed=3)
-        assert seen == [np.random.default_rng(c).standard_normal() for c in np.random.SeedSequence(3).spawn(10)]
+        property_suite("draws", trials=300, seed=3)
+        blocks = [np.random.default_rng(c).standard_normal((64, 1))[:, 0] for c in np.random.SeedSequence(3).spawn(5)]
+        assert seen == np.concatenate(blocks)[:300].tolist()
 
-    # recorded at seed 0 with 200 trials from the per-trial implementation these batches replace:
-    # (failures, first failed trial, max violation, stats)
+    @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
+    def test_records_do_not_depend_on_trials_or_chunking(self, monkeypatch, name):
+        # every trial's record, not only the failures, at --trials 25, 64 and 1100 (two chunks) and in chunks of 128
+        def records(trials):
+            seen = []
+            with monkeypatch.context() as m:
+                m.setattr(scenarios.SuiteResult, "record", lambda self, i, v, context: seen.append((i, v, context)))
+                _run_by_name(name, trials=trials, seed=11)
+            return seen
+
+        full = records(1100)
+        assert [i for i, _, _ in full] == list(range(1100))
+        assert records(25) == full[:25]
+        assert records(64) == full[:64]
+        monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
+        assert records(1100) == full
+
+    # recorded at seed 0 with 200 trials from the block streams: (failures, first failed trial, max violation, stats)
     PINNED = {
-        "bipartite12_nonincreasing": (0, None, -4.9553917242373124e-05, {}),
-        "bipartite13_stays_zero": (0, None, 1.925929944387236e-30, {}),
-        "bipartite23_stays_zero": (0, None, 1.2019728782920739e-30, {}),
-        "ghz_can_increase": (0, None, 1.509929076399593e-31, {"max_tangle": 0.9391913557578072}),
-        "heisenberg_entangled13_start": (0, None, 4.5726267387922016e-32, {"max_tangle": 0.7502630731499939}),
-        "parity_residual_conserved": (0, None, 1.887379141862766e-15, {}),
-        "separable_stays_separable": (0, None, 1.7381517748094804e-30, {}),
-        "triple_convexity_bound": (77, 1, 0.353369101108656, {}),
-        "triple_nonincreasing": (0, None, -2.8026827272615434e-08, {}),
-        "periodicity 1/1": (0, None, 2.4424906541753444e-15, {}),
-        "periodicity 1/2": (0, None, 2.3314683517128287e-15, {}),
-        "periodicity 2/3": (0, None, 3.552713678800501e-15, {}),
+        "bipartite12_nonincreasing": (0, None, -0.0002718489532742563, {}),
+        "bipartite13_stays_zero": (0, None, 1.990062888474471e-30, {}),
+        "bipartite23_stays_zero": (0, None, 1.7508932044368586e-30, {}),
+        "ghz_can_increase": (0, None, 3.0983476229523904e-32, {"max_tangle": 0.6996540684210905}),
+        "heisenberg_entangled13_start": (0, None, 2.615798656890245e-32, {"max_tangle": 0.6972017825985817}),
+        "parity_residual_conserved": (0, None, 1.5543122344752192e-15, {}),
+        "separable_stays_separable": (0, None, 1.225971718302151e-30, {}),
+        "triple_convexity_bound": (70, 2, 0.3327402036172277, {}),
+        "triple_nonincreasing": (0, None, -9.051743726125328e-06, {}),
+        "periodicity 1/1": (0, None, 2.275957200481571e-15, {}),
+        "periodicity 1/2": (0, None, 2.6645352591003757e-15, {}),
+        "periodicity 2/3": (0, None, 1.1018963519404679e-14, {}),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -815,46 +859,65 @@ class TestBatchedCompute:
         assert result.max_violation == pytest.approx(max_violation, rel=0, abs=1e-12)
         assert result.stats == pytest.approx(stats, rel=0, abs=1e-12)
 
-    # sha256 of the raw draw buffer (``_Draws.buf``) that each suite's registered layout fills at seeds 0, 1
-    # and 20240809 with 300 trials each, fed in that order. Suites with the same sequence of draw kinds and
-    # widths fill the same buffer, and both periodicity cases share one layout.
+    # sha256 of every draw each suite takes at seeds 0, 1 and 20240809 with 300 trials each, fed in the
+    # order the compute takes them, as little-endian float64 (a bit as 0.0 or 1.0). Suites that take the
+    # same sequence of kinds and widths share a digest, and both periodicity cases take the same draws.
     DRAW_DIGESTS = {
-        "bipartite12_nonincreasing": "50133969ec6498927bb968ffc1ac95e7d48fc70e03d68b3a91a01006e087880c",
-        "bipartite13_stays_zero": "50133969ec6498927bb968ffc1ac95e7d48fc70e03d68b3a91a01006e087880c",
-        "bipartite23_stays_zero": "50133969ec6498927bb968ffc1ac95e7d48fc70e03d68b3a91a01006e087880c",
-        "ghz_can_increase": "50133969ec6498927bb968ffc1ac95e7d48fc70e03d68b3a91a01006e087880c",
-        "heisenberg_entangled13_start": "bb0c9595ad9b513b192e30b0dbf0445fc040f1c9fa19968f195f2d180c859837",
-        "parity_residual_conserved": "039ade85c56898659e265d88863787992598346fb14af6952921fc703b10a80c",
-        "separable_stays_separable": "9687ef10d5e459802d2bee55d8a4547c6074364de4565408ed5d1a020ae9208e",
-        "triple_convexity_bound": "ec77f2e6a8944cfa62f2e9e0ad8e1b699f13a49b18cfd15c5c9dd9f72b00ca7d",
-        "triple_nonincreasing": "ec77f2e6a8944cfa62f2e9e0ad8e1b699f13a49b18cfd15c5c9dd9f72b00ca7d",
-        "periodicity 2/3": "a97771067d6661fb86b8d0fa68cdc3919735ecf8001c2a7e8faba548e45e4199",
-        "periodicity 1/2": "a97771067d6661fb86b8d0fa68cdc3919735ecf8001c2a7e8faba548e45e4199",
+        "bipartite12_nonincreasing": "b430aef4609a46f347e89937cc71462493e11a327850a05c4654e47de296ada3",
+        "bipartite13_stays_zero": "b430aef4609a46f347e89937cc71462493e11a327850a05c4654e47de296ada3",
+        "bipartite23_stays_zero": "b430aef4609a46f347e89937cc71462493e11a327850a05c4654e47de296ada3",
+        "ghz_can_increase": "b3bdcbd4a479811125e7b6e64b5c7be80508f0678b7d1a2431773979f7efa8ba",
+        "heisenberg_entangled13_start": "192e9d4e47cd26d03d48a810f7afad0ff5c226b4703ef288c159ad8c76c9ff58",
+        "parity_residual_conserved": "13e97f089b27f9583d5f26c233284f8ea45d15d67ab9ffce2fbb5560797d384d",
+        "separable_stays_separable": "2431ddd752b5f5925dd5d142d54288daad4764b41fb6bf27f2fe3decb94f2616",
+        "triple_convexity_bound": "5f2b919185685d59c20e51f8231f45152527166fe14471a7f913102c1d765304",
+        "triple_nonincreasing": "5f2b919185685d59c20e51f8231f45152527166fe14471a7f913102c1d765304",
+        "periodicity 2/3": "3d9bd42e46c963a98eafe3a675243eb723715169bd288d399768f58ce29d8e41",
+        "periodicity 1/2": "3d9bd42e46c963a98eafe3a675243eb723715169bd288d399768f58ce29d8e41",
     }
 
     @pytest.mark.parametrize("name", sorted(DRAW_DIGESTS))
     def test_draw_bits_pinned(self, name):
         # the draws alone: the measures computed from them are pinned by test_pinned_seed_0
         digest = hashlib.sha256()
-        layout, _ = _suite_by_name(name)
+        compute = _suite_by_name(name)
 
-        def compute(draws):
-            digest.update(draws.buf.astype("<f8").tobytes())
-            return np.zeros(len(draws.buf)), {}
+        def seen(kind, rows):
+            digest.update(rows.astype("<f8").tobytes())
 
         for seed in (0, 1, 20240809):
-            scenarios._run_trials(name, (layout, compute), trials=300, seed=seed)
+            scenarios._run_trials(name, lambda take: compute(Recording(take, seen)), trials=300, seed=seed)
         assert digest.hexdigest() == self.DRAW_DIGESTS[name]
 
 
-class FixedNormals:
-    """A generator stand-in whose standard normals are the given values."""
+class TrialStream:
+    """A generator stand-in that replays one trial's row of each recorded draw, value by value.
+    ``uniform`` is numpy's low + (high - low) u (checked in test_rows_equal_per_trial_draws_and_helpers)."""
 
-    def __init__(self, values):
-        self.values = iter(values)
+    def __init__(self, draws, row):
+        self.values = [(kind, value) for kind, rows in draws for value in np.atleast_1d(rows[row])]
 
-    def standard_normal(self, out):
-        out[:] = [next(self.values) for _ in out]
+    def _next(self, kind):
+        next_kind, value = self.values.pop(0)
+        assert next_kind == kind
+        return value
+
+    def normal(self, size):
+        return np.array([self._next("normal") for _ in range(size)])
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._next("uniform")
+
+
+class FixedDraws:
+    """A draw stand-in whose normals are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows)
+
+    def normal(self, width):
+        assert self.rows.shape[1] == width
+        return self.rows
 
 
 class TestDrawAssembly:
@@ -862,24 +925,27 @@ class TestDrawAssembly:
 
     @pytest.mark.parametrize("locals_mode", ["none", "probe", "full"])
     def test_rows_equal_per_trial_draws_and_helpers(self, locals_mode):
-        layout = scenarios._PAIR[locals_mode] + scenarios._AXIS + scenarios._QUBIT + (("standard_normal", 16),) + scenarios._ROTATION
-        children = np.random.SeedSequence(4).spawn(64)
-        take = scenarios._Draws([np.random.default_rng(child) for child in children], layout)
-        coeffs, axes3 = scenarios._commuting_pairs(take, locals_mode), scenarios._unit_rows(take(3))
+        # the stand-in's uniform is numpy's
+        uniform, u = np.random.default_rng(4).uniform(-1.0, 1.0, 1000), np.random.default_rng(4).random(1000)
+        assert uniform.tobytes() == (-1.0 + 2.0 * u).tobytes()
+        draws = []
+        take = Recording(scenarios._Draws(np.random.SeedSequence(4), 100), lambda kind, rows: draws.append((kind, rows)))
+        coeffs, axes3 = scenarios._commuting_pairs(take, locals_mode), scenarios._unit_rows(take.normal(3))
         qubits, states8, (angles, axes) = scenarios._states(take, 2), scenarios._states(take, 8), scenarios._rotations(take)
-        for i, child in enumerate(children):
-            rng = np.random.default_rng(child)
+        for i in range(100):
+            rng = TrialStream(draws, i)
             assert coeffs[i].tobytes() == reference_pair(rng, locals_mode).tobytes()
             assert axes3[i].tobytes() == reference_axis(rng).tobytes()
             assert qubits[i].tobytes() == haar_state(rng, 2).tobytes()
             assert states8[i].tobytes() == haar_state(rng, 8).tobytes()
             assert (angles[i], tuple(axes[i])) == reference_rotation(rng.normal(size=4))
+            assert not rng.values
 
     @pytest.mark.parametrize(
         "q", [(1.0, 1e-13, 0.0, 0.0), (-2.0, 0.0, 0.0, 0.0), (1.0, 5e-13, -5e-13, 0.0), (1.0, 2e-12, 0.0, 0.0), (0.5, 0.1, -0.2, 0.7)]
     )
     def test_rotation_axis_fallback(self, q):
         # the vector part at or below 1e-12 of the unit quadruple gives the z axis
-        angles, axes = scenarios._rotations(scenarios._Draws([FixedNormals(q), np.random.default_rng(0)], scenarios._ROTATION))
+        angles, axes = scenarios._rotations(FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]))
         assert (angles[0], tuple(axes[0])) == reference_rotation(np.array(q))
         assert (tuple(axes[0]) == (0.0, 0.0, 1.0)) == (np.linalg.norm(q[1:]) / np.linalg.norm(q) <= 1e-12)
