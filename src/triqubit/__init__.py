@@ -13,8 +13,6 @@ from .evolution import (
     plan_spectra,
 )
 from .hamiltonians import (
-    NotCommutingError,
-    NotRankOneError,
     canonical_forms,
     heisenberg_chain,
     qnd_zz,

@@ -1,8 +1,9 @@
 """Command-line frontend: sweeps, property suites, commutation analysis and
 the probe-measurement Bell-pair demonstration.
 
-Exit codes: 0 success, 2 config error or unknown suite, 3 I/O error,
-4 property violation (with the replay seed printed).
+Exit codes: 0 success, 2 config error or unknown suite, 3 I/O error
+(including a standard output closed by its reader), 4 property violation
+(with the replay seed printed).
 """
 
 from __future__ import annotations
@@ -10,12 +11,14 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 import numpy as np
 
 from .evolution import evolve_grid, measure_probe_grid, plan_spectra
 from .hamiltonians import qnd_zz
+from .linalg import norms, unit_axis
 from .measures import report_batch
 from .scenarios import (
     ConfigError,
@@ -96,10 +99,14 @@ def cmd_suite(args) -> int:
         f"suite {result.name}: {result.trials} trials, max violation "
         f"{result.max_violation:.3e}{extras}"
     )
+    return _verdict(result, args.seed)
+
+
+def _verdict(result, seed: int) -> int:
+    """Report a suite's failures (count, replay seed and first counterexample, to stderr) or its pass."""
     if not result.passed:
-        first = result.failures[0]
-        print(f"FAILED {len(result.failures)} trials; replay with --seed {args.seed}", file=sys.stderr)
-        print(f"first counterexample: {first}", file=sys.stderr)
+        print(f"FAILED {len(result.failures)} trials; replay with --seed {seed}", file=sys.stderr)
+        print(f"first counterexample: {result.failures[0]}", file=sys.stderr)
         return EXIT_VIOLATION
     print("all trials passed")
     return EXIT_OK
@@ -134,17 +141,20 @@ def cmd_classify(args) -> int:
     forms, w, _ = plan_spectra(cfg.coeffs)
     if forms.ok[0]:
         print(f"commuting (commutator norm {forms.commutator_norm[0]:.6e})")
-        print(f"shared probe axis: {np.round(forms.probe_axis[0], 12).tolist()}")
+        print(f"shared probe axis: {(np.round(forms.probe_axis[0], 12) + 0.0).tolist()}")  # + 0.0: no -0 from the SVD
+        body = forms.body[0]
+        strengths, self_strengths = norms(body), norms(cfg.coeffs[0, :, 9:12])
+        axes = unit_axis(np.where(strengths[:, None] > 0.0, body, Z_AXIS))  # a zero coupling shows the z axis
         for k, label in enumerate(("pair (1,3)", "pair (2,3)")):
             print(
-                f"{label}: coupling strength {forms.strength[0, k]:.12g}, "
-                f"body axis {np.round(forms.body_axis[0, k], 12).tolist()}, "
-                f"local self strength {forms.self_strength[0, k]:.12g}, "
-                f"local probe coefficient {forms.probe_strength[0, k]:.12g}"
+                f"{label}: coupling strength {strengths[k]:.12g}, "
+                f"body axis {(np.round(axes[k], 12) + 0.0).tolist()}, "
+                f"local self strength {self_strengths[k]:.12g}, "
+                f"local probe coefficient {forms.probe_strength[0, k] + 0.0:.12g}"
             )
     else:
         print(f"noncommuting (commutator norm {forms.commutator_norm[0]:.6e})")
-        print(f"reason: {forms.error(0)}")
+        print(f"reason: {forms.reason(0)}")
         print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(w[0])}")
     return EXIT_OK
 
@@ -186,12 +196,7 @@ def cmd_periodicity(args) -> int:
         f"ratio {args.k}/{args.l}: {result.trials} trials, "
         f"max |tau(t*) - tau(0)| = {result.max_violation:.3e}"
     )
-    if not result.passed:
-        print(f"FAILED {len(result.failures)} trials; replay with --seed {args.seed}", file=sys.stderr)
-        print(f"first counterexample: {result.failures[0]}", file=sys.stderr)
-        return EXIT_VIOLATION
-    print("all trials passed")
-    return EXIT_OK
+    return _verdict(result, args.seed)
 
 
 def main(argv=None) -> int:
@@ -207,7 +212,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that closed the pipe early raises here, not at exit
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's own flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

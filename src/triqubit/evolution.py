@@ -2,11 +2,12 @@
 
 Every evolution goes through one spectral core: a spectrum ``(w, V)`` with
 H13 + H23 = V diag(w) V† and psi(t) = V exp(-i w t) V† psi0. The spectrum's
-source follows from the pair. When the two pair Hamiltonians commute, the
-canonical form gives it in closed form: the total Hamiltonian is block
-diagonal over the probe-axis eigenprojectors, and within each block the body
-qubits see plain axis rotations, so no eigensolver is needed. Otherwise it
-comes from ``eigh``.
+source follows from the pair. When both pair Hamiltonians act on the probe
+through one axis j (the canonical commuting form of ``canonical_forms``), the
+total Hamiltonian is block diagonal over the eigenprojectors of j.sigma on
+qubit 3: in probe sector m = +-1, body qubit k sees a plain rotation about
+m body_k + local_self_k, so the spectrum comes in closed form, with no
+eigensolver. Otherwise it comes from ``eigh``.
 
 ``plan_spectra`` builds the stacked spectra of N pairs, given as (N, 2, 15)
 Pauli coefficients, from one ``canonical_forms`` call (the closed form over
@@ -21,24 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import canonical_forms, pair_matrices
-from .linalg import kron  # noqa: F401 (bench/selftest.py reads kron here)
+from .linalg import kron, norms  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 
 _SIGNS = np.array([1.0, -1.0])
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-
-def sector_vectors(strength, body_axis, self_strength, self_axis) -> np.ndarray:
-    """Rotation vectors of N commuting pairs, shape (N, 2, 2, 3): [row, probe sector m = +1, -1, body qubit 1, 2].
-
-    The arguments are (N, 2) strengths and (N, 2, 3) axes, [row, pair]. In the
-    sector with probe eigenvalue m, body qubit k rotates about
-    m * (coupling strength) * (coupling axis) + (local strength) * (local axis).
-    """
-    coupling = strength[..., None] * body_axis
-    local = self_strength[..., None] * self_axis
-    return _SIGNS[None, :, None, None] * coupling[:, None] + local[:, None]
 
 
 def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.ndarray]:
@@ -52,22 +41,15 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     e1_a(m) x e2_b(m) x p_m.
     """
     n = len(vecs)
-    top = np.abs(vecs).max(axis=-1)
-    # squares overflow past ~1.3e154 and vanish below ~1e-154: sum those sectors at their largest component's scale
-    far = (top > 1e150) | ((top < 1e-150) & (top > 0.0))
-    scale = np.where(far, top, 1.0)
-    scaled = vecs / scale[..., None]
-    norms = scale * np.sqrt(np.add.reduce(scaled * scaled, axis=-1))  # np.linalg.norm(scaled, axis=-1)
-    zero = norms == 0.0
-    if zero.any():
-        vecs = np.where(zero[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
+    lengths = norms(vecs)
+    vecs = np.where((lengths == 0.0)[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
     bases = axis_eigenbases(np.concatenate([vecs.reshape(n, 4, 3), probe_axis[:, None, :]], axis=1))
     body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
     probe = bases[:, 4].transpose(0, 2, 1)  # [row, sector, component]
     v = np.einsum("nmia,nmjb,nmk->nijkmab", body[:, :, 0], body[:, :, 1], probe).reshape(n, 8, 8)
     w = (
-        _SIGNS[None, None, :, None] * norms[:, :, 0, None, None]
-        + _SIGNS[None, None, None, :] * norms[:, :, 1, None, None]
+        _SIGNS[None, None, :, None] * lengths[:, :, 0, None, None]
+        + _SIGNS[None, None, None, :] * lengths[:, :, 1, None, None]
         + _SIGNS[None, :, None, None] * probe_local[:, None, None, None]
     )
     return w.reshape(n, 8), v
@@ -85,7 +67,8 @@ def plan_spectra(coeffs: np.ndarray):
     w, v = np.empty((n, 8)), np.empty((n, 8, 8), dtype=complex)
     ok = forms.ok
     if ok.any():
-        vecs = sector_vectors(forms.strength[ok], forms.body_axis[ok], forms.self_strength[ok], forms.self_axis[ok])
+        # in probe sector m = +-1, body qubit k rotates about m * body_k + local_self_k
+        vecs = _SIGNS[:, None, None] * forms.body[ok][:, None] + coeffs[ok][:, None, :, 9:12]
         w[ok], v[ok] = closed_form_spectra(vecs, forms.probe_axis[ok], forms.probe_strength[ok, 0] + forms.probe_strength[ok, 1])
     rest = np.flatnonzero(~ok)
     if rest.size:

@@ -4,11 +4,14 @@ N pairs are an (N, 2, 15) array of real Pauli coefficients (hbar = 1),
 indexed [row, pair] with pair 0 being (1,3) and 1 being (2,3). The 15
 coefficients of one pair Hamiltonian are its 3x3 coupling tensor row by row,
 ``coupling[i, j]`` multiplying (pauli_i on the body qubit) x (pauli_j on
-qubit 3), then the body-local and the probe-local coefficient vectors. When
-the two pair Hamiltonians commute, each coupling tensor is rank one and both
-share a single probe axis; ``canonical_forms`` extracts that structure for N
-pairs at once, as arrays, and ``CanonicalForms.error`` names the reason a row
-has none.
+qubit 3), then the body-local and the probe-local coefficient vectors.
+
+The canonical commuting form is the case where both pair Hamiltonians act on
+the probe through one observable j.sigma: all eight probe vectors below lie on
+one axis j. Each pair is then (body vector).sigma x j.sigma plus body-local
+and probe-local terms, the latter on j. ``canonical_forms`` tests that for N
+pairs at once, returns the forms as arrays, and ``CanonicalForms.reason``
+says why a row has none.
 
 The classifier works in coefficient space and builds no 8x8 matrix. Write each
 pair as body-Pauli-indexed probe vectors, C = [local_probe; coupling rows]
@@ -28,16 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, embed_single, norms, unit_axis
+from .linalg import PAULIS, embed_single
 from .tolerances import SPECTRAL_TOL
-
-
-class NotCommutingError(ValueError):
-    """The two pair Hamiltonians do not commute."""
-
-
-class NotRankOneError(ValueError):
-    """A coupling tensor is not an outer product of a body axis and a probe axis."""
 
 
 # embedding tables, [qubit or pair, Pauli indices, 64 matrix entries]: the matrices are then three products
@@ -58,61 +53,41 @@ def pair_matrices(coeffs: np.ndarray) -> np.ndarray:
     return entries.reshape(*coeffs.shape[:-1], 8, 8)
 
 
-# (error, message) of each check of ``canonical_forms``, in the order they are made: status
-# k > 0 is the first failed check k, and ``CanonicalForms.error`` picks the numbers to quote
-_FAILURES = (
-    None,
-    (NotCommutingError, "pair Hamiltonians do not commute (commutator norm {:.3e})"),
-    *[(NotRankOneError, "coupling tensor is not (body axis) x (probe axis): second singular value {:.3e} vs first {:.3e}")] * 2,
-    (NotCommutingError, "coupling tensors do not share a probe axis"),
-    *[(NotCommutingError, "probe-local term is not aligned with the shared probe axis (residual {:.3e})")] * 2,
-    *[(NotCommutingError, "canonical form fails to reconstruct the input (deviation {:.3e})")] * 2,
-)
-
-
 @dataclass
 class CanonicalForms:
     """Commutation test and canonical forms of N pairs, as arrays.
 
     Arrays are indexed [row] or [row, pair], pair 0 being (1,3) and 1 being
-    (2,3). ``status`` is 0 where the row has a canonical form and otherwise the
-    first failed check (see ``error``); the form arrays of a failed row carry no
-    meaning. ``commutator_norm`` is ||[H13, H23]||_F.
+    (2,3). ``status`` is 0 where the row has a canonical form, 1 where the pair
+    Hamiltonians do not commute and 2 where they commute but their probe terms
+    do not lie on one axis; the form arrays of a failed row carry no meaning.
+    The form of a row is its shared probe axis j (``probe_axis``, (N, 3)), each
+    pair's body vector ``coupling @ j`` (``body``, (N, 2, 3)) and probe-local
+    strength ``local_probe . j`` (``probe_strength``, (N, 2)); with the
+    body-local vectors of the coefficients they rebuild each pair as
+    body.sigma x j.sigma + local_self.sigma + probe_strength j.sigma.
+    ``commutator_norm`` is ||[H13, H23]||_F and ``deviation`` each pair's
+    ||H - form||_F.
     """
 
     status: np.ndarray
     commutator_norm: np.ndarray
-    strength: np.ndarray
-    body_axis: np.ndarray
     probe_axis: np.ndarray
-    self_strength: np.ndarray
-    self_axis: np.ndarray
+    body: np.ndarray
     probe_strength: np.ndarray
-    singular_values: np.ndarray
-    residual: np.ndarray
     deviation: np.ndarray
 
     @property
     def ok(self) -> np.ndarray:
         return self.status == 0
 
-    def error(self, row: int) -> ValueError | None:
-        """The NotCommutingError or NotRankOneError of a failed row, None for a row with a form."""
-        status = int(self.status[row])
-        if status == 0:
-            return None
-        numbers = {
-            1: (self.commutator_norm[row],),
-            2: self.singular_values[row, 0, 1::-1],
-            3: self.singular_values[row, 1, 1::-1],
-            4: (),
-            5: (self.residual[row, 0],),
-            6: (self.residual[row, 1],),
-            7: (self.deviation[row, 0],),
-            8: (self.deviation[row, 1],),
-        }[status]
-        error, message = _FAILURES[status]
-        return error(message.format(*numbers))
+    def reason(self, row: int) -> str | None:
+        """Why a row has no canonical form, None for a row with one."""
+        if self.status[row] == 1:
+            return f"pair Hamiltonians do not commute (commutator norm {self.commutator_norm[row]:.3e})"
+        if self.status[row] == 2:
+            return f"probe terms do not share one probe axis (deviation {self.deviation[row].max():.3e})"
+        return None
 
 
 # weights that make the sign of a sum over the components that of the first nonzero one
@@ -126,35 +101,28 @@ _PROBE_ROWS = np.r_[12:15, 0:9]
 _Z = np.array([0.0, 0.0, 1.0])
 
 
-def _sign_fix(axes: np.ndarray) -> np.ndarray:
-    """+-1.0 making the first component with |c| > 1e-14 of each row positive (1.0 if none is)."""
-    return np.where((np.sign(axes) * (np.abs(axes) > 1e-14)) @ _FIRST_NONZERO < 0.0, -1.0, 1.0)
-
-
 def canonical_forms(coeffs) -> CanonicalForms:
     """Classify N pairs, given as (N, 2, 15) coefficients, and extract their
     shared-probe-axis canonical forms.
 
-    The checks, in order (the status of a row is its first failure):
-    1. commutation: with each pair's coefficients scaled by its largest one,
-       the commutator of the unit-Frobenius-norm matrices has norm
-       sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)), q the sums of squared scaled
-       coefficients, against ``SPECTRAL_TOL``;
-    2, 3. each nonzero coupling tensor is rank one (one stacked SVD);
-    4. two nonzero couplings share their probe axis;
-    5, 6. each probe-local term lies on the shared probe axis;
-    7, 8. each form reconstructs its coefficients: the Frobenius norm of the
-       8x8 difference is at most ``SPECTRAL_TOL`` ||H||_F (so every entry is too).
-    A pair that commutes without a canonical form, such as a rank-2 coupling
-    against a partner with no probe part, fails check 2 or 3. The decisions
-    are taken on the scaled coefficients, so they do not depend on the scale
-    of H; the form itself is computed from the coefficients as given.
+    Each pair's coefficients are first scaled by its largest one, so no
+    decision depends on the scale of H. A row fails with status 1 when the
+    commutator of the unit-Frobenius-norm matrices has norm
+    sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)) above ``SPECTRAL_TOL``, q the
+    sums of squared scaled coefficients. Otherwise the shared probe axis j is
+    the top right singular vector of the eight scaled probe vectors (the rows
+    of C and D) stacked, first nonzero component positive, and z when all of
+    them are 0. The row fails with status 2 unless each pair's probe vectors P
+    lie on j: ||P - (P j) j^T||^2 <= ``SPECTRAL_TOL``^2 q, which bounds the
+    Frobenius norm of the 8x8 difference between the pair and its form by
+    ``SPECTRAL_TOL`` ||H||_F (so every entry too). A rank-2 coupling against a
+    partner with no probe part commutes and fails this way. The form itself
+    is computed from the coefficients as given.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = len(coeffs)
     top = np.abs(coeffs).max(axis=-1)
-    scale = np.where(top > 0.0, top, 1.0)[..., None]
-    unit = coeffs / scale
+    unit = coeffs / np.where(top > 0.0, top, 1.0)[..., None]
     rows = unit[..., _PROBE_ROWS].reshape(n, 2, 4, 3)
     cross = np.einsum("abc,nib,nkc->nika", _EPS, rows[:, 0], rows[:, 1])
     sq = np.einsum("nikc,nikc->n", cross, cross)
@@ -164,73 +132,21 @@ def canonical_forms(coeffs) -> CanonicalForms:
         commutator_norm = np.sqrt(32.0 * sq) * top[:, 0] * top[:, 1]
     if not commutes.any():  # no form to extract
         zeros = np.zeros((n, 2, 3))
-        return CanonicalForms(
-            np.ones(n, dtype=int), commutator_norm, strength=zeros[..., 0], body_axis=zeros,
-            probe_axis=zeros[:, 0], self_strength=zeros[..., 0], self_axis=zeros, probe_strength=zeros[..., 0],
-            singular_values=zeros, residual=zeros[..., 0], deviation=zeros[..., 0],
-        )
+        return CanonicalForms(np.ones(n, dtype=int), commutator_norm, zeros[:, 0], zeros, zeros[..., 0], zeros[..., 0])
 
-    coupling, local_self, local_probe = coeffs[..., :9].reshape(n, 2, 3, 3), coeffs[..., 9:12], coeffs[..., 12:]
-    # rank-one factors: probe axis first-nonzero-positive, the body axis takes the sign
-    u, s, vt = np.linalg.svd(coupling)
-    strength = s[..., 0]
-    nonzero = strength != 0.0
-    flip = _sign_fix(vt[..., 0, :])[..., None]
-    probe = flip * vt[..., 0, :]
-    body_axis = np.where(nonzero[..., None], flip * u[..., :, 0], _Z)
-
-    # shared probe axis: the couplings' (mean) axis, else the first probe-local term's, else z
-    p13, p23 = probe[:, 0], probe[:, 1]
-    gap = p13 - p23
-    mismatch = nonzero.all(axis=-1) & (np.sqrt(np.vecdot(gap, gap)) > 1e-8)
-    mean = (p13 + p23) / 2
-    shared = np.where(nonzero[:, 1:], p23, _Z)
-    if not nonzero.all():
-        has_local = local_probe.any(axis=-1)
-        if has_local.any():
-            local_axis = unit_axis(np.where(has_local[:, :1], local_probe[:, 0], np.where(has_local[:, 1:], local_probe[:, 1], _Z)))
-            shared = np.where(nonzero.any(axis=-1)[:, None], shared, local_axis * _sign_fix(local_axis)[:, None])
-    shared = np.where(nonzero[:, :1], np.where(nonzero[:, 1:], mean / np.sqrt(np.vecdot(mean, mean))[:, None], p13), shared)
-
-    self_strength = norms(local_self)
-    self_axis = local_self / np.where(self_strength == 0.0, 1.0, self_strength)[..., None]
-    self_axis = np.where((self_strength == 0.0)[..., None], _Z, self_axis)
-    probe_strength = np.vecdot(local_probe, shared[:, None, :])
-
-    # residual and reconstruction on the scaled coefficients; ||H||_F = sqrt(8) * |coefficients|
-    form = np.concatenate(
-        [
-            (strength[..., None, None] * body_axis[..., :, None] * shared[:, None, None, :]).reshape(n, 2, 9),
-            self_strength[..., None] * self_axis,
-            probe_strength[..., None] * shared[:, None, :],
-        ],
-        axis=-1,
-    ) / scale
-    off_axis = unit[..., 12:] - np.vecdot(unit[..., 12:], shared[:, None, :])[..., None] * shared[:, None, :]
-    residual2 = np.vecdot(off_axis, off_axis)
-    diff = unit - form
-    deviation2 = np.vecdot(diff, diff)
-    failed = np.concatenate(
-        [
-            ~commutes[:, None],
-            nonzero & (s[..., 1] > SPECTRAL_TOL * strength),
-            mismatch[:, None],
-            residual2 > 1e-16 * np.vecdot(unit[..., 12:], unit[..., 12:]),
-            deviation2 > SPECTRAL_TOL * SPECTRAL_TOL * q,
-        ],
-        axis=1,
-    )
+    _, s, vt = np.linalg.svd(rows.reshape(n, 8, 3), full_matrices=False)
+    j = vt[:, 0]
+    flip = (np.sign(j) * (np.abs(j) > 1e-14)) @ _FIRST_NONZERO < 0.0  # first component with |c| > 1e-14 negative
+    j = np.where(s[:, :1] > 0.0, np.where(flip, -1.0, 1.0)[:, None] * j, _Z)
+    along = rows @ j[:, None, :, None]  # (P j), [row, pair, probe vector, 1]
+    off_axis = rows - along * j[:, None, None, :]
+    deviation2 = np.einsum("nkic,nkic->nk", off_axis, off_axis)
     return CanonicalForms(
-        status=np.where(failed.any(axis=-1), failed.argmax(axis=-1) + 1, 0),
+        status=np.where(commutes, np.where((deviation2 > SPECTRAL_TOL * SPECTRAL_TOL * q).any(axis=-1), 2, 0), 1),
         commutator_norm=commutator_norm,
-        strength=strength,
-        body_axis=body_axis,
-        probe_axis=shared,
-        self_strength=self_strength,
-        self_axis=self_axis,
-        probe_strength=probe_strength,
-        singular_values=s,
-        residual=np.sqrt(residual2) * top,
+        probe_axis=j,
+        body=np.vecdot(coeffs[..., :9].reshape(n, 2, 3, 3), j[:, None, None, :]),
+        probe_strength=np.vecdot(coeffs[..., 12:], j[:, None, :]),
         deviation=np.sqrt(8.0 * deviation2) * top,
     )
 

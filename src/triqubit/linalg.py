@@ -30,14 +30,18 @@ def norms(x) -> np.ndarray:
     """Euclidean norm along the last axis, summed at the scale of each row's largest entry.
 
     The plain sum of squares overflows once entries pass ~1e154 and vanishes
-    below ~1e-162, although the norm itself is representable. A row whose
-    largest entry is 0, infinite or NaN gives that entry.
+    below ~1e-162, although the norm itself is representable. Each row is
+    divided by the power of two at or below its largest |entry|, which is
+    exact, so in that range the result is the plain sqrt of the sum of
+    squares bit for bit. A row whose largest entry is 0, infinite or NaN gives
+    that entry.
     """
     x = np.asarray(x)
     top = np.abs(x).max(axis=-1)
     finite = (top > 0.0) & (top < math.inf)
-    y = np.where(finite[..., None], x / np.where(finite, top, 1.0)[..., None], 0.0)
-    return np.where(finite, top * np.sqrt(np.vecdot(y, y).real), top)
+    scale = np.ldexp(0.5, np.frexp(np.where(finite, top, 1.0))[1])
+    y = np.where(finite[..., None], x / scale[..., None], 0.0)
+    return np.where(finite, scale * np.sqrt(np.vecdot(y, y).real), top)
 
 
 def frob(m) -> float:

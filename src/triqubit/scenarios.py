@@ -64,7 +64,7 @@ except ImportError:
 from . import states
 from .evolution import evolve_grid, evolve_rows, measure_probe_grid, plan_spectra
 from .hamiltonians import PRESETS, pair_matrices
-from .linalg import frob
+from .linalg import frob, unit_axis
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
 from .states import axis_eigenbasis, from_axis_basis
 from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
@@ -519,16 +519,23 @@ def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
     return np.arccos(np.minimum(np.maximum(q[:, 0], -1.0), 1.0)), axes
 
 
+def _axis_pairs(u, w, j, strengths, probe_locals=None) -> np.ndarray:
+    """(n, 2, 15) coefficients with couplings strengths * (u or w) x j and, if given, probe-local
+    terms probe_locals * j; the body-local terms are 0."""
+    coeffs = np.zeros((len(j), 2, 15))
+    coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
+    if probe_locals is not None:
+        coeffs[..., 12:] = probe_locals[..., None] * j[:, None, :]
+    return coeffs
+
+
 def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
     """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
     shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
     terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
     u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
-    coeffs = np.zeros((len(j), 2, 15))
     strengths = 2.0 - _uniform(take.uniform(2), 0.0, 2.0)
-    coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
-    if locals_mode != "none":
-        coeffs[..., 12:] = _uniform(take.uniform(2), -1.0, 1.0)[..., None] * j[:, None, :]
+    coeffs = _axis_pairs(u, w, j, strengths, None if locals_mode == "none" else _uniform(take.uniform(2), -1.0, 1.0))
     if locals_mode == "full":
         for k in range(2):
             coeffs[:, k, 9:12] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
@@ -762,7 +769,7 @@ def _parity(take):
     amps8 = np.zeros((len(amps4), 8), dtype=complex)
     np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
     forms, w, v = plan_spectra(coeffs)
-    axes = np.concatenate([forms.body_axis, forms.probe_axis[:, None, :]], axis=1)
+    axes = np.concatenate([unit_axis(forms.body), forms.probe_axis[:, None, :]], axis=1)
     psi0s = from_axis_basis(amps8, axes)
     tau0 = residual_tangle_rows(psi0s)
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
@@ -820,9 +827,7 @@ def _periodicity(k: int, l: int):
         u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
         s13 = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
         strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
-        coeffs = np.zeros((len(s13), 2, 15))
-        coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
-        coeffs[..., 12:] = _uniform(take.uniform(2), -1, 1)[..., None] * j[:, None, :]
+        coeffs = _axis_pairs(u, w, j, strengths, _uniform(take.uniform(2), -1, 1))
         psi0s = _states(take, 8)
         t_star = k * np.pi / (2.0 * s13)
         tau0 = residual_tangle_rows(psi0s)

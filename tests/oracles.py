@@ -104,12 +104,13 @@ def axis_pauli(axis) -> np.ndarray:
     return _sigma(a / np.linalg.norm(a))
 
 
-def form_matrices(forms, index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def form_matrices(forms, coeffs, index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(entangling, local) 8x8 matrices of pair k (0 for (1,3), 1 for (2,3)) of row ``index`` of a
-    ``CanonicalForms``, built from kron embeddings."""
+    ``CanonicalForms`` of ``coeffs`` ((N, 2, 15), or (2, 15) for one row), built from kron embeddings:
+    body.sigma x j.sigma, and local_self.sigma + (probe-local strength) j.sigma."""
     body, probe = k + 1, embed(_sigma(forms.probe_axis[index]), 3)
-    entangling = forms.strength[index, k] * embed(_sigma(forms.body_axis[index, k]), body) @ probe
-    local = forms.self_strength[index, k] * embed(_sigma(forms.self_axis[index, k]), body)
+    entangling = embed(_sigma(forms.body[index, k]), body) @ probe
+    local = embed(_sigma(np.reshape(coeffs, (-1, 2, 15))[index, k, 9:12]), body)
     return entangling, local + forms.probe_strength[index, k] * probe
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -380,9 +383,16 @@ PAIRWISE_LOCALS = {"hamiltonian": {"pairwise": {
     "h23": {"coupling": [[0, 0, 0], [0, 0, 1.5], [0, 0, 0]], "local_self": [0, 0, -2], "local_probe": [0, 0, -0.75]},
 }}}
 
+# a negative coupling against a zero one: signed zeros print as 0.0, and the zero coupling shows the z axis
+ZERO_COUPLING = {"hamiltonian": {"pairwise": {
+    "h13": {"coupling": [[0, 0, 0], [0, 0, 0], [0, 0, -0.5]], "local_probe": [0, 0, 0.125]},
+    "h23": {"coupling": [[0, 0, 0]] * 3, "local_self": [0, -1, 0]},
+}}}
+
 
 class TestGoldenStdout:
-    """The exact stdout of ``classify`` and ``qnd-demo``, byte for byte."""
+    """The exact stdout of ``classify`` and ``qnd-demo``, and the exact stdout and stderr of a failing
+    suite and a passing periodicity check, byte for byte."""
 
     @pytest.mark.parametrize(
         "config, expected",
@@ -403,8 +413,15 @@ class TestGoldenStdout:
                 "pair (1,3): coupling strength 1, body axis [0.6, 0.0, 0.8], local self strength 0.5, local probe coefficient 0.25\n"
                 "pair (2,3): coupling strength 1.5, body axis [0.0, 1.0, 0.0], local self strength 2, local probe coefficient -0.75\n",
             ),
+            (
+                ZERO_COUPLING,
+                "commuting (commutator norm 0.000000e+00)\n"
+                "shared probe axis: [0.0, 0.0, 1.0]\n"
+                "pair (1,3): coupling strength 0.5, body axis [0.0, 0.0, -1.0], local self strength 0, local probe coefficient 0.125\n"
+                "pair (2,3): coupling strength 0, body axis [0.0, 0.0, 1.0], local self strength 1, local probe coefficient 0\n",
+            ),
         ],
-        ids=["ghz_heisenberg", "heisenberg_00plus", "qnd_x", "pairwise_locals"],
+        ids=["ghz_heisenberg", "heisenberg_00plus", "qnd_x", "pairwise_locals", "zero_coupling"],
     )
     def test_classify(self, tmp_path, capsys, config, expected):
         path = str(CONFIGS / config) if isinstance(config, str) else write_config(tmp_path, config)
@@ -444,3 +461,45 @@ class TestGoldenStdout:
     def test_qnd_demo(self, capsys, argv, expected):
         assert main(["qnd-demo", *argv]) == 0
         assert capsys.readouterr() == (expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["suite", "triple_convexity_bound", "--trials", "25", "--seed", "1"],
+                4,
+                "suite triple_convexity_bound: 25 trials, max violation 1.067e-01\n",
+                "FAILED 4 trials; replay with --seed 1\n"
+                "first counterexample: {'trial': 9, 'violation': 0.0014171824816150425, 't': 0.6692654128160458, "
+                "'tau0': 0.6597014954400299, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204889}\n",
+            ),
+            (
+                ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
+                0,
+                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 1.832e-15\nall trials passed\n",
+                "",
+            ),
+        ],
+        ids=["suite_failing", "periodicity_passing"],
+    )
+    def test_trial_verdicts(self, capsys, argv, code, out, err):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, err)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_gone_exits_3_without_traceback(self, unbuffered):
+        # like `triqubit suite ... | head -1`: the reader closes the pipe before the output is written
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, "-m", "triqubit.cli", "suite", "triple_nonincreasing", "--trials", "200", "--seed", "0"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 3
+        assert err == b""

@@ -7,14 +7,16 @@ from triqubit.evolution import (
     evolve_rows,
     measure_probe_grid,
     plan_spectra,
-    sector_vectors,
 )
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
+from triqubit.linalg import norms, unit_axis
 from triqubit.measures import concurrence_12
 from triqubit.states import axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
+from triqubit.tolerances import SPECTRAL_TOL
 
 from oracles import (
     haar_state,
+    matrices,
     one_pair,
     oracle_concurrence_mixed,
     oracle_evolve,
@@ -39,6 +41,11 @@ def x_product_state():
     return fully_separable([0.0] * 3, [Z] * 3, axes=(X, X, X))
 
 
+def sector_vectors(body, coeffs) -> np.ndarray:
+    """(N, 2, 2, 3) rotation vectors [row, probe sector m = +1, -1, body qubit]: m * body + local_self."""
+    return np.array([1.0, -1.0])[:, None, None] * body[:, None] + coeffs[:, None, :, 9:12]
+
+
 def unitary(w, v, t: float) -> np.ndarray:
     """U(t) column by column: ``evolve_grid`` of each of the 8 basis states to the one time t."""
     return np.stack([evolve_grid(w, v, e, (t,))[0] for e in np.eye(8)], axis=1)
@@ -49,7 +56,7 @@ class TestPlan:
         forms, _, _ = plan_spectra(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0)]))
         assert forms.ok.tolist() == [True, False]
         assert forms.commutator_norm[1] > 1
-        assert "commut" in str(forms.error(1))
+        assert "commut" in forms.reason(1)
 
     def test_unitary_is_unitary(self):
         _, (w,), (v,) = plan_spectra(heisenberg_chain(0.7))
@@ -124,7 +131,7 @@ class TestFastpath:
         rng = np.random.default_rng(22)
         coeffs = np.concatenate([reference_pair(rng)[None], heisenberg_chain(1.0)])
         forms, w, v = plan_spectra(coeffs)
-        vecs = sector_vectors(forms.strength[:1], forms.body_axis[:1], forms.self_strength[:1], forms.self_axis[:1])
+        vecs = sector_vectors(forms.body[:1], coeffs[:1])
         closed_form = closed_form_spectra(vecs, forms.probe_axis[:1], forms.probe_strength[:1, 0] + forms.probe_strength[:1, 1])
         eigh = np.linalg.eigh(total_hamiltonian(coeffs[1]))
         for got, want in zip((w[0], v[0], w[1], v[1]), (closed_form[0][0], closed_form[1][0], *eigh)):
@@ -141,7 +148,7 @@ class TestSpectrum:
         coeffs = one_pair(row(coupling=0.8 * np.outer(z, z), local_self=0.8 * z, local_probe=0.3 * z),
                           row(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z), local_self=(0.2, 0.4, 0.1)))
         forms, w, v = plan_spectra(coeffs)
-        vecs = sector_vectors(forms.strength, forms.body_axis, forms.self_strength, forms.self_axis)[0]
+        vecs = sector_vectors(forms.body, coeffs)[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
         w, v = w[0], v[0]
@@ -163,6 +170,22 @@ class TestSpectrum:
         for c, w, v in zip(coeffs, ws, vs):
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
             assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(c))) <= 1e-12
+
+    @pytest.mark.parametrize("locals_mode", ["none", "probe", "full"])
+    def test_perturbed_pairs_rebuild_within_the_form_check(self, locals_mode):
+        # every exact pair takes the closed form; a pair perturbed by 1e-13 to 1e-9 may or may not, and
+        # where it does its (w, V) rebuilds H13 + H23 within the bound that the per-pair check of
+        # ||H - form||_F <= SPECTRAL_TOL ||H||_F gives
+        rng = np.random.default_rng({"none": 50, "probe": 51, "full": 52}[locals_mode])
+        exact = np.array([reference_pair(rng, locals_mode) for _ in range(300)])
+        assert plan_spectra(exact)[0].ok.all()
+        sizes = 10.0 ** rng.uniform(-13.0, -9.0, len(exact))
+        perturbed = exact + sizes[:, None, None] * rng.normal(size=exact.shape)
+        forms, ws, vs = plan_spectra(perturbed)
+        assert forms.ok.any() and not forms.ok.all()
+        for c, w, v in zip(perturbed[forms.ok], ws[forms.ok], vs[forms.ok]):
+            bound = SPECTRAL_TOL * sum(np.linalg.norm(m) for m in matrices(c))
+            assert np.linalg.norm((v * w) @ v.conj().T - total_hamiltonian(c)) <= bound
 
     def test_grid_rows_equal_single_points(self):
         rng = np.random.default_rng(25)
@@ -186,7 +209,7 @@ class TestSpectrum:
         rows = evolve_rows(w, v, psi0s, times)
         for i in range(len(coeffs)):
             forms1, w1, v1 = plan_spectra(coeffs[i : i + 1])
-            assert forms.ok[i] == forms1.ok[0] and str(forms.error(i)) == str(forms1.error(0))
+            assert forms.ok[i] == forms1.ok[0] and forms.reason(i) == forms1.reason(0)
             assert np.array_equal(w[i], w1[0]) and np.array_equal(v[i], v1[0])
             assert np.max(np.abs(rows[i] - evolve_grid(w1[0], v1[0], psi0s[i], (times[i],))[0])) <= 1e-14
 
@@ -217,13 +240,13 @@ class TestClosedForm:
 
     def test_plus_plus_plus_only_picks_global_phase(self):
         forms, w, v = plan_spectra(reference_pair(np.random.default_rng(31))[None])
-        axes = np.array([*forms.body_axis[0], forms.probe_axis[0]])
+        axes = np.array([*unit_axis(forms.body[0]), forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
         psi0 = from_axis_basis(amps, axes)
         t = 1.234
         out = evolve_grid(w[0], v[0], psi0, (t,))[0]
-        expected = np.exp(-1j * (forms.strength[0, 0] + forms.strength[0, 1]) * t) * psi0
+        expected = np.exp(-1j * norms(forms.body[0]).sum() * t) * psi0
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_periodic_return_for_equal_strengths(self):

@@ -3,14 +3,12 @@ import pytest
 
 from triqubit.evolution import evolve_grid, evolve_rows, plan_spectra
 from triqubit.hamiltonians import (
-    NotCommutingError,
-    NotRankOneError,
     canonical_forms,
     heisenberg_chain,
     pair_matrices,
     qnd_zz,
 )
-from triqubit.linalg import I2, SZ, kron
+from triqubit.linalg import I2, SZ, kron, norms
 
 from oracles import (
     commutes,
@@ -31,7 +29,7 @@ from oracles import (
 def forms_of(coeffs):
     """The one-row ``canonical_forms`` of a pair that has a canonical form."""
     forms = canonical_forms(np.reshape(coeffs, (1, 2, 15)))
-    assert forms.error(0) is None, forms.error(0)
+    assert forms.reason(0) is None, forms.reason(0)
     return forms
 
 
@@ -126,7 +124,7 @@ class TestCoefficientSpaceCommutator:
         assert forms.commutator_norm[0] == pytest.approx(norm, rel=1e-13)
         assert forms.commutator_norm[1] == 0.0
         assert list(forms.status) == [1, 0]
-        assert forms.strength[1] == pytest.approx((g / 4, g / 4), rel=1e-13)
+        assert forms.body[1] == pytest.approx(np.array([[0.0, 0.0, g / 4]] * 2), rel=1e-13, abs=0)
 
 
 class TestCanonicalForm:
@@ -134,29 +132,31 @@ class TestCanonicalForm:
         c13 = np.zeros((3, 3))
         c13[0, 2] = 2.0  # strength 2, body axis x, probe axis z
         forms = forms_of(one_pair(row(coupling=c13), row()))
-        assert forms.strength[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(forms.body_axis[0, 0], (1, 0, 0), atol=1e-12)
+        assert np.allclose(forms.body[0, 0], (2, 0, 0), atol=1e-12)
         assert np.allclose(forms.probe_axis[0], (0, 0, 1), atol=1e-12)
-        assert forms.strength[0, 1] == 0.0
+        assert not forms.body[0, 1].any()
 
     def test_qnd_preset_shares_z_axis(self):
         forms = forms_of(qnd_zz(1.0))
         assert np.allclose(forms.probe_axis[0], (0, 0, 1), atol=1e-12)
-        assert forms.strength[0] == pytest.approx((0.25, 0.25), abs=1e-12)
+        assert np.allclose(forms.body[0], [(0, 0, 0.25)] * 2, atol=1e-12)
 
     def test_heisenberg_raises_not_commuting(self):
-        assert isinstance(canonical_forms(heisenberg_chain(1.0)).error(0), NotCommutingError)
+        forms = canonical_forms(heisenberg_chain(1.0))
+        assert forms.status[0] == 1
+        assert forms.reason(0) == "pair Hamiltonians do not commute (commutator norm 1.386e+01)"
 
     def test_rank_two_coupling_raises(self):
         coeffs = one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())  # rank 2, but commutes with a zero partner
         assert commutes(coeffs)
-        assert isinstance(canonical_forms(coeffs).error(0), NotRankOneError)
+        forms = canonical_forms(coeffs)
+        assert forms.status[0] == 2
+        assert forms.reason(0).startswith("probe terms do not share one probe axis (deviation ")
 
     def test_zero_coupling_gets_fixed_axes(self):
         forms = forms_of(one_pair(row(), row()))
-        assert forms.strength[0, 0] == 0.0
+        assert not forms.body[0].any() and not forms.probe_strength[0].any()
         assert np.allclose(forms.probe_axis[0], (0, 0, 1))
-        assert np.allclose(forms.self_axis[0, 0], (0, 0, 1))
 
     def test_sign_normalization_is_canonical(self):
         # the same physical coupling written with flipped factor signs
@@ -165,10 +165,10 @@ class TestCanonicalForm:
         h23 = row(coupling=0.7 * np.outer(u, j))
         fa = forms_of(one_pair(row(coupling=1.5 * np.outer(u, j)), h23))
         fb = forms_of(one_pair(row(coupling=1.5 * np.outer(-u, -j)), h23))
-        assert np.allclose(fa.body_axis[0, 0], fb.body_axis[0, 0], atol=1e-12)
+        assert np.allclose(fa.body[0, 0], fb.body[0, 0], atol=1e-12)
         assert np.allclose(fa.probe_axis[0], fb.probe_axis[0], atol=1e-12)
         assert fa.probe_axis[0, 0] > 0  # first nonzero component positive
-        assert fa.strength[0, 0] == pytest.approx(1.5, abs=1e-12)
+        assert norms(fa.body[0, 0]) == pytest.approx(1.5, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-15])
     def test_form_is_scale_free(self, scale):
@@ -179,14 +179,12 @@ class TestCanonicalForm:
                   local_probe=scale * 0.5 * z)
         forms = forms_of(one_pair(h13, row(coupling=scale * 1.4 * np.outer([0, 1, 0], z))))
         assert forms.probe_axis[0].tolist() == [0.0, 0.0, 1.0]
-        assert forms.strength[0] == pytest.approx((0.9 * scale, 1.4 * scale), rel=1e-12, abs=0)
-        assert forms.self_strength[0, 0] == pytest.approx(scale * np.sqrt(0.14), rel=1e-12, abs=0)
+        assert forms.body[0] == pytest.approx(np.array([(0.9 * scale, 0, 0), (0, 1.4 * scale, 0)]), rel=1e-12, abs=0)
         assert forms.probe_strength[0, 0] == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
         # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
         misaligned = one_pair(row(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0])), row())
         forms, w, v = plan_spectra(misaligned)
-        error = forms.error(0)
-        assert isinstance(error, NotCommutingError) and "probe-local term is not aligned" in str(error)
+        assert forms.status[0] == 2 and forms.reason(0).startswith("probe terms do not share one probe axis")
         psi0 = haar_state(np.random.default_rng(5))
         t = 1.3 / scale
         assert np.max(np.abs(evolve_grid(w[0], v[0], psi0, (t,))[0] - oracle_evolve(total_hamiltonian(misaligned), psi0, t))) <= 1e-10
@@ -208,8 +206,7 @@ class TestCanonicalForm:
             coeffs = reference_pair(rng, locals_mode="full")
             forms = forms_of(coeffs)
             for k, h in enumerate(matrices(coeffs)):
-                assert np.max(np.abs(sum(form_matrices(forms, 0, k)) - h)) <= 1e-10
-            assert abs(np.linalg.norm(forms.body_axis[0, 0]) - 1) <= 1e-12
+                assert np.max(np.abs(sum(form_matrices(forms, coeffs, 0, k)) - h)) <= 1e-10
             assert abs(np.linalg.norm(forms.probe_axis[0]) - 1) <= 1e-12
 
     def test_antiparallel_probe_locals_without_coupling(self):
@@ -219,7 +216,8 @@ class TestCanonicalForm:
 
 class TestSplitLocalAndEntangling:
     def test_zero_locals(self):
-        entangling, local = form_matrices(forms_of(one_pair(zz_row(1.0), zz_row(1.0))), 0, 0)
+        coeffs = one_pair(zz_row(1.0), zz_row(1.0))
+        entangling, local = form_matrices(forms_of(coeffs), coeffs, 0, 0)
         assert np.allclose(local, 0)
         assert np.allclose(entangling, kron(SZ, I2, SZ), atol=1e-12)
 
@@ -229,7 +227,7 @@ class TestSplitLocalAndEntangling:
             coeffs = reference_pair(rng, locals_mode="full")
             forms = forms_of(coeffs)
             for k, h in enumerate(matrices(coeffs)):
-                entangling, local = form_matrices(forms, 0, k)
+                entangling, local = form_matrices(forms, coeffs, 0, k)
                 assert np.max(np.abs(entangling + local - h)) <= 1e-10
 
     @staticmethod
@@ -249,8 +247,9 @@ class TestSplitLocalAndEntangling:
     def test_pieces_commute_for_aligned_locals(self):
         rng = np.random.default_rng(44)
         for _ in range(25):
-            forms = forms_of(self._aligned_pair(rng)[0])
-            (ent13, loc13), (ent23, loc23) = form_matrices(forms, 0, 0), form_matrices(forms, 0, 1)
+            coeffs = self._aligned_pair(rng)[0]
+            forms = forms_of(coeffs)
+            (ent13, loc13), (ent23, loc23) = form_matrices(forms, coeffs, 0, 0), form_matrices(forms, coeffs, 0, 1)
             ent, loc = ent13 + ent23, loc13 + loc23
             assert np.linalg.norm(ent @ loc - loc @ ent) <= 1e-10
 
@@ -273,5 +272,5 @@ class TestSplitLocalAndEntangling:
         c13[0, 2] = 1.0
         coeffs = one_pair(row(coupling=c13, local_self=[0, 0, 0.8]), zz_row(1.0))
         assert commutes(coeffs)
-        entangling, local = form_matrices(forms_of(coeffs), 0, 0)
+        entangling, local = form_matrices(forms_of(coeffs), coeffs, 0, 0)
         assert np.linalg.norm(entangling @ local - local @ entangling) > 0.1
