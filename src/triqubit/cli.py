@@ -141,7 +141,7 @@ def cmd_classify(args) -> int:
     forms, w, _ = plan_spectra(cfg.coeffs)
     if forms.ok[0]:
         print(f"commuting (commutator norm {forms.commutator_norm[0]:.6e})")
-        print(f"shared probe axis: {(np.round(forms.probe_axis[0], 12) + 0.0).tolist()}")  # + 0.0: no -0 from the SVD
+        print(f"shared probe axis: {(np.round(forms.probe_axis[0], 12) + 0.0).tolist()}")  # + 0.0: no -0 from the sign rule
         body = forms.body[0]
         strengths, self_strengths = norms(body), norms(cfg.coeffs[0, :, 9:12])
         axes = unit_axis(np.where(strengths[:, None] > 0.0, body, Z_AXIS))  # a zero coupling shows the z axis
@@ -153,7 +153,8 @@ def cmd_classify(args) -> int:
                 f"local probe coefficient {forms.probe_strength[0, k] + 0.0:.12g}"
             )
     else:
-        print(f"noncommuting (commutator norm {forms.commutator_norm[0]:.6e})")
+        kind = "noncommuting" if forms.status[0] == 1 else "commuting without a shared probe axis"
+        print(f"{kind} (commutator norm {forms.commutator_norm[0]:.6e})")
         print(f"reason: {forms.reason(0)}")
         print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(w[0])}")
     return EXIT_OK

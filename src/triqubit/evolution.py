@@ -45,8 +45,10 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     vecs = np.where((lengths == 0.0)[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
     bases = axis_eigenbases(np.concatenate([vecs.reshape(n, 4, 3), probe_axis[:, None, :]], axis=1))
     body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
-    probe = bases[:, 4].transpose(0, 2, 1)  # [row, sector, component]
-    v = np.einsum("nmia,nmjb,nmk->nijkmab", body[:, :, 0], body[:, :, 1], probe).reshape(n, 8, 8)
+    # V[row, i, j, k, m, a, b] = e1_a(m)[i] e2_b(m)[j] p_m[k], by broadcasting
+    e1 = body[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
+    e2 = body[:, :, 1].transpose(0, 2, 1, 3)[:, None, :, None, :, None, :]
+    v = (e1 * e2 * bases[:, 4, None, None, :, :, None, None]).reshape(n, 8, 8)
     w = (
         _SIGNS[None, None, :, None] * lengths[:, :, 0, None, None]
         + _SIGNS[None, None, None, :] * lengths[:, :, 1, None, None]
@@ -63,18 +65,28 @@ def plan_spectra(coeffs: np.ndarray):
     ``eigh`` of their total Hamiltonians.
     """
     forms = canonical_forms(coeffs)
-    n = len(forms.status)
-    w, v = np.empty((n, 8)), np.empty((n, 8, 8), dtype=complex)
     ok = forms.ok
-    if ok.any():
-        # in probe sector m = +-1, body qubit k rotates about m * body_k + local_self_k
-        vecs = _SIGNS[:, None, None] * forms.body[ok][:, None] + coeffs[ok][:, None, :, 9:12]
-        w[ok], v[ok] = closed_form_spectra(vecs, forms.probe_axis[ok], forms.probe_strength[ok, 0] + forms.probe_strength[ok, 1])
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        matrices = pair_matrices(coeffs[rest])
-        w[rest], v[rest] = np.linalg.eigh(matrices[:, 0] + matrices[:, 1])
+    if ok.all():  # one route takes every row: no gathers or scatters
+        return (forms, *_closed_form_rows(forms, coeffs))
+    if not ok.any():
+        return (forms, *_eigh_rows(coeffs))
+    w, v = np.empty((len(ok), 8)), np.empty((len(ok), 8, 8), dtype=complex)
+    w[ok], v[ok] = _closed_form_rows(forms, coeffs, ok)
+    w[~ok], v[~ok] = _eigh_rows(coeffs[~ok])
     return forms, w, v
+
+
+def _closed_form_rows(forms, coeffs, rows=slice(None)):
+    """Closed-form spectra of the ``rows`` of ``forms``: in probe sector m = +-1, body qubit k
+    rotates about m * body_k + local_self_k."""
+    body, strengths = forms.body[rows], forms.probe_strength[rows]
+    vecs = _SIGNS[:, None, None] * body[:, None] + coeffs[rows][:, None, :, 9:12]
+    return closed_form_spectra(vecs, forms.probe_axis[rows], strengths[:, 0] + strengths[:, 1])
+
+
+def _eigh_rows(coeffs):
+    matrices = pair_matrices(coeffs)
+    return np.linalg.eigh(matrices[:, 0] + matrices[:, 1])
 
 
 def evolve_rows(w, v, psi0s, times) -> np.ndarray:

@@ -22,7 +22,10 @@ qubit 3 is shared, so by [a.sigma, b.sigma] = 2i (a x b).sigma
     ||[H13, H23]||_F^2 = 32 sum_{i,k} |C_i x D_k|^2,
 
 and ||H||_F^2 = 8 (sum of squared coefficients), Pauli strings being
-orthogonal with squared norm 8.
+orthogonal with squared norm 8. The cross products are written out component
+by component, and the shared probe axis comes from the 3x3 Gram matrix of the
+eight probe vectors (the rows of C and D) by one power step, so a batch of
+pairs costs a few elementwise array operations and no eigensolver or SVD.
 """
 
 from __future__ import annotations
@@ -92,13 +95,18 @@ class CanonicalForms:
 
 # weights that make the sign of a sum over the components that of the first nonzero one
 _FIRST_NONZERO = np.array([4.0, 2.0, 1.0])
-# Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k
-_EPS = np.zeros((3, 3, 3))
-_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
-_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
-# C = [local_probe; coupling rows] as an index into the 15 coefficients
-_PROBE_ROWS = np.r_[12:15, 0:9]
+# the four probe vectors of a pair, local_probe then the coupling rows, each as components
+# (x, y, z, x, y): [..., :3] is the vector, [..., 1:4] and [..., 2:5] its cyclic shifts
+_PROBE_COMPONENTS = (np.r_[12, 0, 3, 6][:, None] + np.array([0, 1, 2, 0, 1])).ravel()
 _Z = np.array([0.0, 0.0, 1.0])
+
+
+def _probe_vectors(unit) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of C and D of N pairs' (N, 2, 15) coefficients, [row, pair, i, component], and
+    the cross products C_i x D_k, [row, i, k, component], written out component by component."""
+    components = unit[..., _PROBE_COMPONENTS].reshape(len(unit), 2, 4, 5)
+    c, d = components[:, 0, :, None], components[:, 1, None]
+    return components[..., :3], c[..., 1:4] * d[..., 2:5] - c[..., 2:5] * d[..., 1:4]
 
 
 def canonical_forms(coeffs) -> CanonicalForms:
@@ -109,22 +117,26 @@ def canonical_forms(coeffs) -> CanonicalForms:
     decision depends on the scale of H. A row fails with status 1 when the
     commutator of the unit-Frobenius-norm matrices has norm
     sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)) above ``SPECTRAL_TOL``, q the
-    sums of squared scaled coefficients. Otherwise the shared probe axis j is
-    the top right singular vector of the eight scaled probe vectors (the rows
-    of C and D) stacked, first nonzero component positive, and z when all of
-    them are 0. The row fails with status 2 unless each pair's probe vectors P
-    lie on j: ||P - (P j) j^T||^2 <= ``SPECTRAL_TOL``^2 q, which bounds the
-    Frobenius norm of the 8x8 difference between the pair and its form by
-    ``SPECTRAL_TOL`` ||H||_F (so every entry too). A rank-2 coupling against a
-    partner with no probe part commutes and fails this way. The form itself
+    sums of squared scaled coefficients. Otherwise the shared probe axis j
+    comes from the 3x3 Gram matrix G = R^T R of the eight scaled probe vectors
+    R (the rows of C and D): one power step, G times G's column of largest
+    diagonal entry, normalized, first nonzero component positive, and z when
+    all of them are 0. On a row that passes the check below, G's other
+    eigenvalues are at most ~``SPECTRAL_TOL``^2 q, so unless the probe vectors
+    are themselves that small, j is the top right singular vector of R to
+    rounding; the check, not the power step, bounds the form's error. The row
+    fails with status 2 unless each pair's probe vectors P lie on j:
+    ||P - (P j) j^T||^2 <= ``SPECTRAL_TOL``^2 q, which bounds the Frobenius
+    norm of the 8x8 difference between the pair and its form by
+    ``SPECTRAL_TOL`` ||H||_F (so every entry too). A rank-2 coupling against
+    a partner with no probe part commutes and fails this way. The form itself
     is computed from the coefficients as given.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = len(coeffs)
     top = np.abs(coeffs).max(axis=-1)
     unit = coeffs / np.where(top > 0.0, top, 1.0)[..., None]
-    rows = unit[..., _PROBE_ROWS].reshape(n, 2, 4, 3)
-    cross = np.einsum("abc,nib,nkc->nika", _EPS, rows[:, 0], rows[:, 1])
+    rows, cross = _probe_vectors(unit)
     sq = np.einsum("nikc,nikc->n", cross, cross)
     q = np.vecdot(unit, unit) + (top == 0.0)  # >= 1 for a nonzero pair
     commutes = (top == 0.0).any(axis=-1) | (np.sqrt(sq / (2.0 * q[:, 0] * q[:, 1])) <= SPECTRAL_TOL)
@@ -134,10 +146,18 @@ def canonical_forms(coeffs) -> CanonicalForms:
         zeros = np.zeros((n, 2, 3))
         return CanonicalForms(np.ones(n, dtype=int), commutator_norm, zeros[:, 0], zeros, zeros[..., 0], zeros[..., 0])
 
-    _, s, vt = np.linalg.svd(rows.reshape(n, 8, 3), full_matrices=False)
-    j = vt[:, 0]
+    flat = rows.reshape(n, 8, 3)
+    gram = flat.transpose(0, 2, 1) @ flat
+    diagonal = gram.diagonal(axis1=1, axis2=2)
+    j = (gram @ gram[np.arange(n), diagonal.argmax(axis=1), :, None])[..., 0]
+    # scaled by its largest |component| before the norm; 0 where G^2 underflows too, that is
+    # where the probe vectors are below ~1e-77 of the pair's largest coefficient
+    j_top = np.abs(j).max(axis=1)
+    nonzero = j_top > 0.0
+    j = np.where(nonzero[:, None], j, _Z) / np.where(nonzero, j_top, 1.0)[:, None]
+    j = j / np.sqrt(np.vecdot(j, j))[:, None]
     flip = (np.sign(j) * (np.abs(j) > 1e-14)) @ _FIRST_NONZERO < 0.0  # first component with |c| > 1e-14 negative
-    j = np.where(s[:, :1] > 0.0, np.where(flip, -1.0, 1.0)[:, None] * j, _Z)
+    j = np.where(flip, -1.0, 1.0)[:, None] * j
     along = rows @ j[:, None, :, None]  # (P j), [row, pair, probe vector, 1]
     off_axis = rows - along * j[:, None, None, :]
     deviation2 = np.einsum("nkic,nkic->nk", off_axis, off_axis)

@@ -484,6 +484,8 @@ class _Draws:
         self.n = n
 
     def _rows(self, draw) -> np.ndarray:
+        if len(self.rngs) == 1:
+            return draw(self.rngs[0])[: self.n]
         return np.concatenate([draw(rng) for rng in self.rngs])[: self.n]
 
     def normal(self, width: int) -> np.ndarray:
@@ -501,9 +503,10 @@ def _uniform(u, low: float, high: float) -> np.ndarray:
 
 
 def _unit_rows(v) -> np.ndarray:
-    """Rows over their norms as ``v / np.linalg.norm(v)`` divides. The norm sums re.re + im.im, each
-    dot over the strided real or imaginary parts as BLAS sums them, so ``v`` must be formed first."""
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    """Vectors along the last axis over their norms, as ``v / np.linalg.norm(v)`` divides one. The norm
+    sums re.re + im.im, each dot over the strided real or imaginary parts as BLAS sums them, so ``v``
+    must be formed first."""
+    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
 
 
 def _states(take, dim: int) -> np.ndarray:
@@ -517,6 +520,12 @@ def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
     wide = s > 1e-12
     axes = np.where(wide[:, None], q[:, 1:] / np.where(wide, s, 1.0)[:, None], states.Z_AXIS)
     return np.arccos(np.minimum(np.maximum(q[:, 0], -1.0), 1.0)), axes
+
+
+def _three_axes(take) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random unit axes u, w and j, (n, 3) each, from three normal draws in that order."""
+    axes = _unit_rows(np.stack([take.normal(3) for _ in range(3)], axis=1))
+    return axes[:, 0], axes[:, 1], axes[:, 2]
 
 
 def _axis_pairs(u, w, j, strengths, probe_locals=None) -> np.ndarray:
@@ -533,7 +542,7 @@ def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
     """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
     shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
     terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
-    u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
+    u, w, j = _three_axes(take)
     strengths = 2.0 - _uniform(take.uniform(2), 0.0, 2.0)
     coeffs = _axis_pairs(u, w, j, strengths, None if locals_mode == "none" else _uniform(take.uniform(2), -1.0, 1.0))
     if locals_mode == "full":
@@ -568,16 +577,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, index: int, violation: float, context: dict) -> None:
-        """Fold one trial in. A violation above ``PHYSICS_TOL`` or not finite is a
-        failure; a NaN violation makes ``max_violation`` NaN for good."""
-        self.max_violation = _sticky_max(self.max_violation, violation)
-        if not (math.isfinite(violation) and violation <= PHYSICS_TOL):
-            self.failures.append({"trial": index, "violation": violation, **context})
 
-
-def _sticky_max(current: float, value: float) -> float:
-    """max that keeps a NaN once it has seen one (max(nan, x) is nan, max(x, nan) is x)."""
+def _sticky_max(current: float, values) -> float:
+    """The max of ``current`` and an array of ``values`` that keeps a NaN once it has seen one:
+    ``np.max`` gives NaN for an array holding one, and max(nan, x) is nan."""
+    value = float(np.max(values))
     return value if math.isnan(value) else max(current, value)
 
 
@@ -599,8 +603,11 @@ def suite_names() -> tuple[str, ...]:
 
 def _rotated(psis, rotations) -> np.ndarray:
     """Apply each trial's rotations, {qubit: (angles, axes)}, to the rows of ``psis`` in qubit order."""
-    for qubit in sorted(rotations):
-        psis = states.rotate(psis, qubit, states.rotation_matrices(*rotations[qubit]))
+    qubits = sorted(rotations)
+    angles = np.concatenate([rotations[qubit][0] for qubit in qubits])
+    axes = np.concatenate([rotations[qubit][1] for qubit in qubits])
+    for qubit, matrices in zip(qubits, states.rotation_matrices(angles, axes).reshape(len(qubits), -1, 2, 2)):
+        psis = states.rotate(psis, qubit, matrices)
     return psis
 
 
@@ -793,9 +800,11 @@ def _heisenberg13(take):
 
 
 def _run_trials(name: str, compute, trials: int, seed: int) -> SuiteResult:
-    """Fold ``trials`` trials of ``compute`` into a SuiteResult, one ``record`` per
-    trial in index order, computed in chunks of ``_CHUNK`` that draw from the
-    block streams of ``seed`` in order."""
+    """Fold ``trials`` trials of ``compute`` into a SuiteResult, computed in chunks of
+    ``_CHUNK`` that draw from the block streams of ``seed`` in order. A violation
+    above ``PHYSICS_TOL`` or not finite is a failure, listed in trial order with
+    the trial's context; a NaN violation makes ``max_violation`` NaN for good, and
+    a NaN in a ``max_`` context column its stat."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if seed < 0:
@@ -804,14 +813,16 @@ def _run_trials(name: str, compute, trials: int, seed: int) -> SuiteResult:
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, _CHUNK):
         violations, context = compute(_Draws(root, min(_CHUNK, trials - start)))
-        violations = np.asarray(violations).tolist()
-        columns = {key: np.asarray(column).tolist() for key, column in context.items()}
-        rows = zip(*columns.values()) if columns else [()] * len(violations)
-        for index, violation, row in zip(range(start, trials), violations, rows):
-            result.record(index, violation, dict(zip(columns, row)))
-        for key, column in columns.items():
+        violations = np.asarray(violations)
+        result.max_violation = _sticky_max(result.max_violation, violations)
+        failed = np.flatnonzero(~(np.isfinite(violations) & (violations <= PHYSICS_TOL)))
+        if failed.size:  # the failing trials' rows only, as Python numbers
+            columns = {"trial": (start + failed).tolist(), "violation": violations[failed].tolist()}
+            columns.update((key, np.asarray(column)[failed].tolist()) for key, column in context.items())
+            result.failures += [dict(zip(columns, row)) for row in zip(*columns.values())]
+        for key, column in context.items():
             if key.startswith("max_"):
-                result.stats[key] = _sticky_max(result.stats.get(key, -np.inf), float(np.max(column)))
+                result.stats[key] = _sticky_max(result.stats.get(key, -np.inf), column)
     return result
 
 
@@ -824,7 +835,7 @@ def property_suite(name: str, trials: int, seed: int) -> SuiteResult:
 
 def _periodicity(k: int, l: int):
     def compute(take):
-        u, w, j = (_unit_rows(take.normal(3)) for _ in range(3))
+        u, w, j = _three_axes(take)
         s13 = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
         strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
         coeffs = _axis_pairs(u, w, j, strengths, _uniform(take.uniform(2), -1, 1))

@@ -11,11 +11,17 @@ the Kraus route to rho_12 of a state chi x phi through the probe's
 conditional operators, and two residual-tangle routes (Wootters lambdas, CKW
 subtraction) built from the cross matrix instead of the package's amplitude
 polynomials.
+The parent route of the canonical form's classification: Levi-Civita einsum
+cross products and the shared probe axis as the top right singular vector of
+one stacked SVD.
 Random draws are numpy's per-trial calls, the reference for the package's
-stacked draw assembly.
+stacked draw assembly, and suites fold their trials one at a time, the
+reference for the package's whole-chunk fold.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -112,6 +118,83 @@ def form_matrices(forms, coeffs, index: int, k: int) -> tuple[np.ndarray, np.nda
     entangling = embed(_sigma(forms.body[index, k]), body) @ probe
     local = embed(_sigma(np.reshape(coeffs, (-1, 2, 15))[index, k, 9:12]), body)
     return entangling, local + forms.probe_strength[index, k] * probe
+
+
+# Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k
+LEVI_CIVITA = np.zeros((3, 3, 3))
+LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
+LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
+# C = [local_probe; coupling rows] as an index into the 15 coefficients
+PROBE_ROWS = np.r_[12:15, 0:9]
+
+
+def probe_rows(coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unit, C, D) of N pairs: the (N, 2, 15) coefficients each scaled by its pair's largest
+    |coefficient| (a zero pair as is), and the (N, 4, 3) probe vectors of each pair."""
+    coeffs = np.reshape(np.asarray(coeffs, dtype=float), (-1, 2, 15))
+    top = np.abs(coeffs).max(axis=-1, keepdims=True)
+    unit = coeffs / np.where(top > 0.0, top, 1.0)
+    rows = unit[..., PROBE_ROWS].reshape(-1, 2, 4, 3)
+    return unit, rows[:, 0], rows[:, 1]
+
+
+def levi_civita_cross(c, d) -> np.ndarray:
+    """C_i x D_k of (N, 4, 3) stacks as one Levi-Civita einsum, [row, i, k, component]."""
+    return np.einsum("abc,nib,nkc->nika", LEVI_CIVITA, c, d)
+
+
+def svd_probe_axis(coeffs) -> np.ndarray:
+    """The shared probe axis of N pairs, (N, 3): the top right singular vector of one stacked
+    (N, 8, 3) SVD of the eight scaled probe vectors, the first component above 1e-14 in
+    magnitude positive, and z where all the vectors are 0."""
+    _, c, d = probe_rows(coeffs)
+    _, s, vt = np.linalg.svd(np.concatenate([c, d], axis=1), full_matrices=False)
+    j = vt[:, 0]
+    for row, axis in enumerate(j):
+        first = np.flatnonzero(np.abs(axis) > 1e-14)
+        if first.size and axis[first[0]] < 0.0:
+            j[row] = -axis
+    return np.where(s[:, :1] > 0.0, j, [0.0, 0.0, 1.0])
+
+
+def svd_status(coeffs, tol: float = 1e-10) -> np.ndarray:
+    """Status of N pairs by the parent route: 1 where sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23))
+    of the einsum cross products is above ``tol`` (q the sums of squared scaled coefficients),
+    otherwise 2 where some pair's probe vectors P leave the SVD axis j,
+    ||P - (P j) j^T||^2 > tol^2 q, and 0 where none does."""
+    unit, c, d = probe_rows(coeffs)
+    cross = levi_civita_cross(c, d)
+    zero = ~unit.any(axis=-1)
+    q = np.vecdot(unit, unit) + zero
+    commutes = zero.any(axis=-1) | (np.sqrt(np.einsum("nikc,nikc->n", cross, cross) / (2.0 * q[:, 0] * q[:, 1])) <= tol)
+    j = svd_probe_axis(coeffs)
+    rows = np.stack([c, d], axis=1)
+    off_axis = rows - (rows @ j[:, None, :, None]) * j[:, None, None, :]
+    deviation2 = np.einsum("nkic,nkic->nk", off_axis, off_axis)
+    return np.where(commutes, np.where((deviation2 > tol * tol * q).any(axis=-1), 2, 0), 1)
+
+
+def reference_fold(chunks, tol: float = 1e-9) -> tuple[list[dict], float, dict]:
+    """(failures, max violation, stats) of a suite whose compute handed out ``chunks``, a list of
+    (violations, context) pairs in trial order, folded one trial at a time: a violation above
+    ``tol`` or not finite is a failure, and a NaN, once seen, stays the maximum (of the
+    violations, and of each ``max_`` context column)."""
+
+    def sticky_max(current, value):
+        return value if math.isnan(value) else max(current, value)  # max(nan, x) is nan
+
+    failures, max_violation, stats, index = [], -math.inf, {}, 0
+    for violations, context in chunks:
+        columns = {key: np.asarray(column).tolist() for key, column in context.items()}
+        for n, violation in enumerate(np.asarray(violations).tolist()):
+            max_violation = sticky_max(max_violation, violation)
+            if not (math.isfinite(violation) and violation <= tol):
+                failures.append({"trial": index, "violation": violation, **{key: column[n] for key, column in columns.items()}})
+            for key, column in columns.items():
+                if key.startswith("max_"):
+                    stats[key] = sticky_max(stats.get(key, -math.inf), column[n])
+            index += 1
+    return failures, max_violation, stats
 
 
 def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:

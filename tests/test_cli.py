@@ -383,6 +383,12 @@ PAIRWISE_LOCALS = {"hamiltonian": {"pairwise": {
     "h23": {"coupling": [[0, 0, 0], [0, 0, 1.5], [0, 0, 0]], "local_self": [0, 0, -2], "local_probe": [0, 0, -0.75]},
 }}}
 
+# a rank-two coupling against a zero partner: the pair commutes, but its probe terms share no axis
+RANK_TWO = {"hamiltonian": {"pairwise": {
+    "h13": {"coupling": [[1, 0, 0], [0, 2, 0], [0, 0, 0]]},
+    "h23": {"coupling": [[0, 0, 0]] * 3},
+}}}
+
 # a negative coupling against a zero one: signed zeros print as 0.0, and the zero coupling shows the z axis
 ZERO_COUPLING = {"hamiltonian": {"pairwise": {
     "h13": {"coupling": [[0, 0, 0], [0, 0, 0], [0, 0, -0.5]], "local_probe": [0, 0, 0.125]},
@@ -420,8 +426,14 @@ class TestGoldenStdout:
                 "pair (1,3): coupling strength 0.5, body axis [0.0, 0.0, -1.0], local self strength 0, local probe coefficient 0.125\n"
                 "pair (2,3): coupling strength 0, body axis [0.0, 0.0, 1.0], local self strength 1, local probe coefficient 0\n",
             ),
+            (
+                RANK_TWO,
+                "commuting without a shared probe axis (commutator norm 0.000000e+00)\n"
+                "reason: probe terms do not share one probe axis (deviation 2.828e+00)\n"
+                "total Hamiltonian eigenvalues: -3 (x2), -1 (x2), 1 (x2), 3 (x2)\n",
+            ),
         ],
-        ids=["ghz_heisenberg", "heisenberg_00plus", "qnd_x", "pairwise_locals", "zero_coupling"],
+        ids=["ghz_heisenberg", "heisenberg_00plus", "qnd_x", "pairwise_locals", "zero_coupling", "rank_two"],
     )
     def test_classify(self, tmp_path, capsys, config, expected):
         path = str(CONFIGS / config) if isinstance(config, str) else write_config(tmp_path, config)
@@ -470,13 +482,13 @@ class TestGoldenStdout:
                 4,
                 "suite triple_convexity_bound: 25 trials, max violation 1.067e-01\n",
                 "FAILED 4 trials; replay with --seed 1\n"
-                "first counterexample: {'trial': 9, 'violation': 0.0014171824816150425, 't': 0.6692654128160458, "
-                "'tau0': 0.6597014954400299, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204889}\n",
+                "first counterexample: {'trial': 9, 'violation': 0.0014171824816158196, 't': 0.6692654128160458, "
+                "'tau0': 0.6597014954400299, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204897}\n",
             ),
             (
                 ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
                 0,
-                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 1.832e-15\nall trials passed\n",
+                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 9.992e-16\nall trials passed\n",
                 "",
             ),
         ],

@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 
+from triqubit import hamiltonians
 from triqubit.evolution import evolve_grid, evolve_rows, plan_spectra
 from triqubit.hamiltonians import (
     canonical_forms,
@@ -14,14 +17,18 @@ from oracles import (
     commutes,
     form_matrices,
     haar_state,
+    levi_civita_cross,
     matrices,
     one_pair,
     oracle_commutator_norm,
     oracle_evolve,
     oracle_tangle12_pure3,
+    probe_rows,
     reference_axis,
     reference_pair,
     row,
+    svd_probe_axis,
+    svd_status,
     total_hamiltonian,
 )
 
@@ -274,3 +281,82 @@ class TestSplitLocalAndEntangling:
         assert commutes(coeffs)
         entangling, local = form_matrices(forms_of(coeffs), coeffs, 0, 0)
         assert np.linalg.norm(entangling @ local - local @ entangling) > 0.1
+
+
+PROBE = np.r_[0:9, 12:15]  # the coupling and probe-local coefficients
+
+
+def classification_set(name: str) -> np.ndarray:
+    """(N, 2, 15) pairs of one classification set: commuting reference pairs in one locals mode,
+    normal coefficients, full-locals reference pairs plus eps times normal coefficients,
+    full-locals reference pairs scaled as a whole, or full-locals reference pairs with body-local
+    terms of norm 1e6 and probe vectors perturbed by 5e-6: after scaling, probe vectors of ~4e-6
+    off one axis by ~1e-11, which passes the form check with the other singular values of the
+    probe vectors at ~1e-6 of the top one."""
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    kind, _, value = name.partition("=")
+    if kind == "normal":
+        return rng.normal(size=(1000, 2, 15))
+    pairs = np.array([reference_pair(rng, value if kind == "locals" else "full") for _ in range(1000)])
+    if kind == "eps":
+        return pairs + float(value) * rng.normal(size=pairs.shape)
+    if kind == "scale":
+        return float(value) * pairs
+    if kind == "small_probe":
+        pairs[..., 9:12] *= 1e6 / np.linalg.norm(pairs[..., 9:12], axis=-1, keepdims=True)
+        pairs[..., PROBE] += 5e-6 * rng.normal(size=(len(pairs), 2, 12))
+    return pairs
+
+
+class TestGramProbeAxis:
+    """The Gram power step against the stacked-SVD route it replaced (``oracles.svd_probe_axis``)."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["locals=none", "locals=probe", "locals=full", "normal", "eps=1e-13", "eps=1e-12", "eps=1e-11", "eps=1e-10",
+         "eps=1e-9", "scale=1e-170", "scale=1e-15", "scale=1e155", "small_probe"],
+    )
+    def test_statuses_and_axes_match_the_svd_route(self, name):
+        coeffs = classification_set(name)
+        forms = canonical_forms(coeffs)
+        assert (forms.status == svd_status(coeffs)).all()
+        ok = forms.ok
+        if name.startswith(("locals", "scale", "small_probe")) or name in ("eps=1e-13", "eps=1e-12"):
+            assert ok.all()
+        # a few ulps of 1 on every component of the unit axis
+        assert np.max(np.abs(forms.probe_axis[ok] - svd_probe_axis(coeffs[ok])), initial=0.0) <= 4 * 2.0**-52
+
+    def test_cross_products_equal_the_levi_civita_einsum(self):
+        rng = np.random.default_rng(52)
+        coeffs = np.concatenate([rng.normal(size=(200, 2, 15)), classification_set("locals=none")[:200]])
+        coeffs[:50, :, rng.integers(0, 15, 5)] = 0.0  # exact zeros in some components
+        unit, c, d = probe_rows(coeffs)
+        rows, cross = hamiltonians._probe_vectors(unit)
+        assert np.array_equal(rows, np.stack([c, d], axis=1))
+        assert np.array_equal(cross, levi_civita_cross(c, d))  # every value, bit for bit (-0 equals 0)
+
+    def test_underflowing_gram_falls_back_to_a_unit_axis(self):
+        # probe vectors far below a body-local term: G (and G^2) lose range, j must stay a unit axis
+        for tiny in (1e-60, 1e-80, 1e-100, 1e-160, 1e-300):
+            coeffs = one_pair(row(local_self=[1.0, 0.0, 0.0], local_probe=[tiny, 0.0, 0.0]), row())
+            forms = forms_of(coeffs)
+            assert np.linalg.norm(forms.probe_axis[0]) == pytest.approx(1.0, abs=1e-15)
+            assert np.isfinite(forms.body).all() and np.isfinite(forms.probe_strength).all()
+
+    def test_mixed_batch_plans_each_row_as_alone(self):
+        # rows of status 0, 1 and 2 in one batch: closed form and eigh rows, bit for bit as planned alone
+        rng = np.random.default_rng(53)
+        rank_two = one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())
+        coeffs = np.concatenate([
+            reference_pair(rng, "full")[None], heisenberg_chain(0.7), rank_two, qnd_zz(1.3),
+            one_pair(random_row(rng), random_row(rng)), reference_pair(rng, "probe")[None], 2.0 * rank_two,
+        ])
+        forms, w, v = plan_spectra(coeffs)
+        assert forms.status.tolist() == [0, 1, 2, 0, 1, 0, 2]
+        for i in range(len(coeffs)):
+            alone, w1, v1 = plan_spectra(coeffs[i : i + 1])
+            assert w1[0].tobytes() == w[i].tobytes() and v1[0].tobytes() == v[i].tobytes(), i
+            assert (alone.status[0], alone.commutator_norm[0]) == (forms.status[i], forms.commutator_norm[i])
+            if forms.status[i] != 1:  # the form arrays of a noncommuting row carry no meaning
+                for field in ("probe_axis", "body", "probe_strength", "deviation"):
+                    assert getattr(alone, field)[0].tobytes() == getattr(forms, field)[i].tobytes(), (i, field)

@@ -25,6 +25,7 @@ from triqubit.scenarios import (
 from triqubit.evolution import evolve_grid, measure_probe_grid, plan_spectra
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import axis_eigenbasis, rotation_matrices
+from triqubit.tolerances import PHYSICS_TOL
 
 from oracles import (
     commutes,
@@ -34,6 +35,7 @@ from oracles import (
     oracle_evolve,
     oracle_tangle_pure2,
     reference_axis,
+    reference_fold,
     reference_pair,
     reference_rotation,
     row,
@@ -754,6 +756,31 @@ def _run_by_name(name, trials, seed):
     return property_suite(name, trials=trials, seed=seed)
 
 
+def _observed(monkeypatch, name, trials, seed):
+    """Every trial's (index, violation, context), in trial order, as the compute hands its chunks to the fold."""
+    seen = []
+
+    def observed(compute):
+        def wrapped(take):
+            violations, context = compute(take)
+            columns = {key: np.asarray(column).tolist() for key, column in context.items()}
+            rows = zip(*columns.values()) if columns else [()] * len(violations)
+            for violation, row in zip(np.asarray(violations).tolist(), rows):
+                seen.append((len(seen), violation, dict(zip(columns, row))))
+            return violations, context
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        if name.startswith("periodicity"):
+            periodicity = scenarios._periodicity
+            m.setattr(scenarios, "_periodicity", lambda k, l: observed(periodicity(k, l)))
+        else:
+            m.setitem(scenarios._SUITES, name, observed(scenarios._SUITES[name]))
+        _run_by_name(name, trials=trials, seed=seed)
+    return seen
+
+
 class OneRow(scenarios._Draws):
     """Trial ``row`` of ``root`` alone: the last row of every draw of trials 0 to ``row``."""
 
@@ -807,22 +834,22 @@ class TestBatchedCompute:
         # chunk by chunk, trial i is row i % 64 of one (64, width) call on block i // 64's stream, child
         # i // 64 of one spawn from the seed
         seen = []
-        monkeypatch.setitem(scenarios._SUITES, "draws", lambda take: (np.zeros(take.n), {"d": take.normal(1)[:, 0]}))
+
+        def draws(take):
+            seen.extend(take.normal(1)[:, 0].tolist())
+            return np.zeros(take.n), {}
+
+        monkeypatch.setitem(scenarios._SUITES, "draws", draws)
         monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
-        monkeypatch.setattr(scenarios.SuiteResult, "record", lambda self, i, v, context: seen.append(context["d"]))
         property_suite("draws", trials=300, seed=3)
         blocks = [np.random.default_rng(c).standard_normal((64, 1))[:, 0] for c in np.random.SeedSequence(3).spawn(5)]
         assert seen == np.concatenate(blocks)[:300].tolist()
 
     @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
     def test_records_do_not_depend_on_trials_or_chunking(self, monkeypatch, name):
-        # every trial's record, not only the failures, at --trials 25, 64 and 1100 (two chunks) and in chunks of 128
+        # every trial, not only the failures, at --trials 25, 64 and 1100 (two chunks) and in chunks of 128
         def records(trials):
-            seen = []
-            with monkeypatch.context() as m:
-                m.setattr(scenarios.SuiteResult, "record", lambda self, i, v, context: seen.append((i, v, context)))
-                _run_by_name(name, trials=trials, seed=11)
-            return seen
+            return _observed(monkeypatch, name, trials, seed=11)
 
         full = records(1100)
         assert [i for i, _, _ in full] == list(range(1100))
@@ -830,6 +857,40 @@ class TestBatchedCompute:
         assert records(64) == full[:64]
         monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
         assert records(1100) == full
+
+    @pytest.mark.parametrize(
+        "violation_pool, max_pool, chunk",
+        [
+            ([-1.0, PHYSICS_TOL, math.nextafter(PHYSICS_TOL, math.inf), math.nextafter(PHYSICS_TOL, 0.0), 1.0], [0.5, 2.0], 1),
+            ([math.nan, 2.0 * PHYSICS_TOL, -0.5], [math.nan, 1.0], 0),
+            ([math.nan], [math.nan], 2),
+            ([math.inf, -math.inf, PHYSICS_TOL], [math.inf, -math.inf], 1),
+            ([-math.inf], [-math.inf], "all"),
+            ([math.nan, 0.0], [math.nan, 0.0], "all"),
+        ],
+        ids=["at_and_above_tol", "nan_first_chunk", "nan_last_chunk", "inf", "minus_inf_only", "nan_everywhere"],
+    )
+    def test_chunk_fold_equals_the_per_trial_fold(self, monkeypatch, violation_pool, max_pool, chunk):
+        # 300 trials in chunks of 128: every pool value lands once in the given chunk (or the pools
+        # fill every trial), among violations around PHYSICS_TOL and max_ values in [0, 1)
+        rng, chunks = np.random.default_rng(61), []
+
+        def compute(take):
+            violations = rng.uniform(-2.0 * PHYSICS_TOL, 2.0 * PHYSICS_TOL, take.n)
+            maxes = rng.random(take.n)
+            for column, pool in ((violations, violation_pool), (maxes, max_pool)):
+                if chunk == "all":
+                    column[:] = np.resize(pool, take.n)
+                elif len(chunks) == chunk:
+                    column[rng.choice(take.n, len(pool), replace=False)] = pool
+            chunks.append((violations, {"t": rng.random(take.n), "even": rng.random(take.n) < 0.5, "max_tangle": maxes}))
+            return chunks[-1]
+
+        monkeypatch.setattr(scenarios, "_CHUNK", 2 * scenarios._BLOCK)
+        result = scenarios._run_trials("fold", compute, trials=300, seed=0)
+        failures, max_violation, stats = reference_fold(chunks, PHYSICS_TOL)
+        assert len(chunks) == 3 and failures
+        assert repr((result.failures, result.max_violation, result.stats)) == repr((failures, max_violation, stats))
 
     # recorded at seed 0 with 200 trials from the block streams: (failures, first failed trial, max violation, stats)
     PINNED = {
