@@ -22,39 +22,51 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import canonical_forms, pair_matrices
-from .linalg import kron, norms  # noqa: F401 (bench/selftest.py reads kron here)
-from .states import axis_eigenbases
+from .linalg import kron  # noqa: F401 (bench/selftest.py reads kron here)
+from .states import unit_axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 
 _SIGNS = np.array([1.0, -1.0])
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+# energy of column (m, a, b) of V from [|v(+,1)|, |v(+,2)|, |v(-,1)|, |v(-,2)|, probe-local]:
+# a |v(m,1)| + b |v(m,2)| + m * probe-local, with m, a, b = +-1
+_ENERGY_SIGNS = np.array(
+    [
+        [1, 1, -1, -1, 0, 0, 0, 0],
+        [1, -1, 1, -1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1, -1, -1],
+        [0, 0, 0, 0, 1, -1, 1, -1],
+        [1, 1, 1, 1, -1, -1, -1, -1],
+    ],
+    dtype=float,
+)
 
 
 def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form ``(w, V)`` of N commuting Hamiltonians, shapes (N, 8) and (N, 8, 8).
 
-    ``vecs`` are the (N, 2, 2, 3) sector vectors, ``probe_axis`` (N, 3) and
-    ``probe_local`` (N,) the summed probe-local strengths. In probe sector m,
-    qubit k's eigenbasis is the axis eigenbasis of its rotation vector, with
-    energies +-|vector| (the identity when the vector is zero); the
-    probe-local term adds m * (probe-local strength). Column (m, a, b) of V is
-    e1_a(m) x e2_b(m) x p_m.
+    ``vecs`` are the (N, 2, 2, 3) sector vectors, ``probe_axis`` (N, 3) the
+    unit probe axes and ``probe_local`` (N,) the summed probe-local strengths.
+    In probe sector m, qubit k's eigenbasis is the axis eigenbasis of its
+    rotation vector, with energies +-|vector| (the identity when the vector is
+    zero); the probe-local term adds m * (probe-local strength). Column
+    (m, a, b) of V is e1_a(m) x e2_b(m) x p_m. Lengths and unit rows come from
+    one pass that scales each vector by its largest |component|, so neither
+    overflows past ~1e154 nor vanishes below ~1e-162.
     """
     n = len(vecs)
-    lengths = norms(vecs)
-    vecs = np.where((lengths == 0.0)[..., None], _Z_AXIS, vecs)  # the z eigenbasis is the identity
-    bases = axis_eigenbases(np.concatenate([vecs.reshape(n, 4, 3), probe_axis[:, None, :]], axis=1))
+    vecs = vecs.reshape(n, 4, 3)
+    top = np.abs(vecs).max(axis=-1)
+    zero = top == 0.0
+    scaled = vecs / (top + zero)[..., None] + zero[..., None] * _Z_AXIS  # a zero vector points along z: the identity basis
+    size = np.sqrt(np.vecdot(scaled, scaled))
+    bases = unit_axis_eigenbases(np.concatenate([scaled / size[..., None], probe_axis[:, None, :]], axis=1))
     body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
     # V[row, i, j, k, m, a, b] = e1_a(m)[i] e2_b(m)[j] p_m[k], by broadcasting
     e1 = body[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
     e2 = body[:, :, 1].transpose(0, 2, 1, 3)[:, None, :, None, :, None, :]
     v = (e1 * e2 * bases[:, 4, None, None, :, :, None, None]).reshape(n, 8, 8)
-    w = (
-        _SIGNS[None, None, :, None] * lengths[:, :, 0, None, None]
-        + _SIGNS[None, None, None, :] * lengths[:, :, 1, None, None]
-        + _SIGNS[None, :, None, None] * probe_local[:, None, None, None]
-    )
-    return w.reshape(n, 8), v
+    return np.concatenate([top * size, probe_local[:, None]], axis=1) @ _ENERGY_SIGNS, v
 
 
 def plan_spectra(coeffs: np.ndarray):

@@ -117,7 +117,8 @@ def canonical_forms(coeffs) -> CanonicalForms:
     decision depends on the scale of H. A row fails with status 1 when the
     commutator of the unit-Frobenius-norm matrices has norm
     sqrt(32 sum |C_i x D_k|^2 / (64 q13 q23)) above ``SPECTRAL_TOL``, q the
-    sums of squared scaled coefficients. Otherwise the shared probe axis j
+    sums of squared scaled coefficients (compared squared, as
+    sum |C_i x D_k|^2 > 2 ``SPECTRAL_TOL``^2 q13 q23). Otherwise the shared probe axis j
     comes from the 3x3 Gram matrix G = R^T R of the eight scaled probe vectors
     R (the rows of C and D): one power step, G times G's column of largest
     diagonal entry, normalized, first nonzero component positive, and z when
@@ -139,7 +140,7 @@ def canonical_forms(coeffs) -> CanonicalForms:
     rows, cross = _probe_vectors(unit)
     sq = np.einsum("nikc,nikc->n", cross, cross)
     q = np.vecdot(unit, unit) + (top == 0.0)  # >= 1 for a nonzero pair
-    commutes = (top == 0.0).any(axis=-1) | (np.sqrt(sq / (2.0 * q[:, 0] * q[:, 1])) <= SPECTRAL_TOL)
+    commutes = (top == 0.0).any(axis=-1) | (sq <= 2.0 * SPECTRAL_TOL * SPECTRAL_TOL * q[:, 0] * q[:, 1])
     with np.errstate(over="ignore"):  # inf only where the norm itself passes float range
         commutator_norm = np.sqrt(32.0 * sq) * top[:, 0] * top[:, 1]
     if not commutes.any():  # no form to extract

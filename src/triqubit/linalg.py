@@ -44,11 +44,6 @@ def norms(x) -> np.ndarray:
     return np.where(finite, scale * np.sqrt(np.vecdot(y, y).real), top)
 
 
-def frob(m) -> float:
-    """Frobenius norm, summed at the scale of the largest entry (see ``norms``)."""
-    return float(norms(np.ravel(m)))
-
-
 def unit_axis(axis) -> np.ndarray:
     """``axis / |axis|`` along the last axis, each row scaled by its largest component first.
 

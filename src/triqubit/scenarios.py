@@ -22,8 +22,9 @@ path in the error message)::
 
 Either form of ``hamiltonian`` parses straight into the (1, 2, 15) Pauli
 coefficients of ``hamiltonians``, the one Hamiltonian type from parsing to
-output. Every matrix entry of the two pair Hamiltonians and of their sum must
-be finite, and so must ``||H13||_F * ||H23||_F``. With a time grid,
+output. The sum of |coefficients| of either pair Hamiltonian and of their sum,
+which bounds every matrix entry, must be finite, and so must
+``||H13||_F * ||H23||_F``. With a time grid,
 ``||H_total||_F * max(|t_start|, |t_end|)`` must be at most ``MAX_PHASE``.
 
 State classes and parameters (complex entries are numbers or [re, im] pairs):
@@ -63,8 +64,8 @@ except ImportError:
 
 from . import states
 from .evolution import evolve_grid, evolve_rows, measure_probe_grid, plan_spectra
-from .hamiltonians import PRESETS, pair_matrices
-from .linalg import frob, unit_axis
+from .hamiltonians import PRESETS
+from .linalg import norms
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
 from .states import axis_eigenbasis, from_axis_basis
 from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
@@ -157,20 +158,25 @@ def _parse_hamiltonian(section: dict, path: str) -> np.ndarray:
 def _hamiltonian_scale(coeffs: np.ndarray, path: str) -> float:
     """``||H_total||_F``, after rejecting Hamiltonians whose evolution would overflow.
 
-    Finite coefficients can still sum to an infinite matrix entry, and the
-    commutation test multiplies ``||H13||_F * ||H23||_F``; past float range
-    either turns the classification or the eigensolver into NaN.
+    Pauli strings are orthogonal with squared Frobenius norm 8, so
+    ||H||_F = sqrt(8) |c| over a Hamiltonian's coefficients c, and H_total's are
+    both pairs' couplings and body-local terms and the sum of their probe-local
+    terms. Every matrix entry is at most the sum of |c|: past float range that
+    sum could make an entry infinite, and the commutation test multiplies
+    ``||H13||_F * ||H23||_F``; either would turn the classification or the
+    eigensolver into NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m13, m23 = pair_matrices(coeffs)[0]
-        total = m13 + m23
-        norms = frob(m13), frob(m23), frob(total)
-    if not all(np.isfinite(m).all() for m in (m13, m23, total)):
-        raise ConfigError(f"{path}: matrix entries overflow; coefficients are too large")
-    scale = norms[0] * norms[1]
+    pairs = coeffs[0]
+    with np.errstate(over="ignore"):
+        total = np.concatenate([pairs[:, :12].ravel(), pairs[0, 12:] + pairs[1, 12:]])
+        bound = max(np.abs(pairs).sum(axis=1).max(), np.abs(total).sum())
+    if not math.isfinite(bound):
+        raise ConfigError(f"{path}: the sum of |coefficients|, which bounds every matrix entry, overflows; coefficients are too large")
+    h13, h23 = (math.sqrt(8.0) * x for x in norms(pairs).tolist())
+    scale = h13 * h23
     if not math.isfinite(scale):
         raise ConfigError(f"{path}: ||H13||_F * ||H23||_F = {scale} overflows; coefficients are too large")
-    return norms[2]
+    return math.sqrt(8.0) * float(norms(total))
 
 
 def _parse_rotations(entries, path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
@@ -466,8 +472,10 @@ def _write_csv(result: SweepResult, fh) -> None:
 #
 # Trials draw in blocks of _BLOCK: block b draws from default_rng of child b of
 # the seed's SeedSequence, each draw a compute takes (standard normals, uniforms
-# on [0, 1) or fair bits) is one generator call of shape (_BLOCK, width) per
-# block, and row r of block b belongs to trial _BLOCK b + r. Every block is
+# on [0, 1) or fair bits) is _BLOCK rows of width values per block, and row r of
+# block b belongs to trial _BLOCK b + r. k consecutive draws of one kind and
+# width come from one generator call of shape (k, _BLOCK, width) per block,
+# which fills them in order with the values of k separate calls. Every block is
 # drawn whole, so a trial's draws depend only on the seed and its index. The
 # assembly turns the (n, width) draws into arrays with the arithmetic numpy
 # applies to one row (low + (high - low) u for a uniform, v / np.linalg.norm(v)).
@@ -477,25 +485,29 @@ _BLOCK = 64
 
 class _Draws:
     """Draws of the next n trials of ``root``, from ceil(n / _BLOCK) newly spawned block
-    streams. ``normal(w)``, ``uniform(w)`` and ``bit()`` each hand out one (n, w) or (n,) draw."""
+    streams. ``normal(w)``, ``uniform(w)`` and ``bit()`` each hand out one (n, w) or (n,)
+    draw; ``normal(w, k)`` and ``uniform(w, k)`` hand out k consecutive ones, (k, n, w)."""
 
     def __init__(self, root: np.random.SeedSequence, n: int):
         self.rngs = [np.random.default_rng(child) for child in root.spawn(-(-n // _BLOCK))]
         self.n = n
 
-    def _rows(self, draw) -> np.ndarray:
+    def _rows(self, draw, count: int) -> np.ndarray:
+        """``count`` consecutive draws, (count, n, ...), from one ``draw(rng, (count, _BLOCK))`` per block."""
         if len(self.rngs) == 1:
-            return draw(self.rngs[0])[: self.n]
-        return np.concatenate([draw(rng) for rng in self.rngs])[: self.n]
+            return draw(self.rngs[0], (count, _BLOCK))[:, : self.n]
+        return np.concatenate([draw(rng, (count, _BLOCK)) for rng in self.rngs], axis=1)[:, : self.n]
 
-    def normal(self, width: int) -> np.ndarray:
-        return self._rows(lambda rng: rng.standard_normal((_BLOCK, width)))
+    def normal(self, width: int, count: int | None = None) -> np.ndarray:
+        rows = self._rows(lambda rng, shape: rng.standard_normal((*shape, width)), count or 1)
+        return rows if count else rows[0]
 
-    def uniform(self, width: int) -> np.ndarray:
-        return self._rows(lambda rng: rng.random((_BLOCK, width)))
+    def uniform(self, width: int, count: int | None = None) -> np.ndarray:
+        rows = self._rows(lambda rng, shape: rng.random((*shape, width)), count or 1)
+        return rows if count else rows[0]
 
     def bit(self) -> np.ndarray:
-        return self._rows(lambda rng: rng.integers(0, 2, _BLOCK, dtype=bool))
+        return self._rows(lambda rng, shape: rng.integers(0, 2, shape, dtype=bool), 1)[0]
 
 
 def _uniform(u, low: float, high: float) -> np.ndarray:
@@ -503,36 +515,44 @@ def _uniform(u, low: float, high: float) -> np.ndarray:
 
 
 def _unit_rows(v) -> np.ndarray:
-    """Vectors along the last axis over their norms, as ``v / np.linalg.norm(v)`` divides one. The norm
-    sums re.re + im.im, each dot over the strided real or imaginary parts as BLAS sums them, so ``v``
-    must be formed first."""
-    return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    """Vectors along the last axis over their norms, as ``v / np.linalg.norm(v)`` divides one. For a
+    complex ``v`` the norm sums re.re + im.im, each dot over the strided real or imaginary parts as
+    BLAS sums them, so ``v`` must be formed first."""
+    if np.iscomplexobj(v):
+        return v / np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
-def _states(take, dim: int) -> np.ndarray:
-    return _unit_rows(take.normal(dim) + 1j * take.normal(dim))
+def _states(take, dim: int, count: int | None = None) -> np.ndarray:
+    """Haar-random states, (n, dim), or ``count`` of them per trial, (count, n, dim): each from a
+    normal draw of its real parts and then one of its imaginary parts, all in one stacked draw."""
+    parts = take.normal(dim, 2 * (count or 1))
+    psis = _unit_rows(parts[0::2] + 1j * parts[1::2])
+    return psis if count else psis[0]
 
 
-def _rotations(take) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and axes of Haar-distributed SU(2) rotations from normalized Gaussian quadruples."""
-    q = _unit_rows(take.normal(4))
-    s = np.sqrt(np.vecdot(q[:, 1:], q[:, 1:]))
+def _rotations(take, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (count, n) and unit axes (count, n, 3) of ``count`` Haar-distributed SU(2) rotations per
+    trial, from normalized Gaussian quadruples drawn in one stacked draw."""
+    q = _unit_rows(take.normal(4, count))
+    s = np.sqrt(np.vecdot(q[..., 1:], q[..., 1:]))
     wide = s > 1e-12
-    axes = np.where(wide[:, None], q[:, 1:] / np.where(wide, s, 1.0)[:, None], states.Z_AXIS)
-    return np.arccos(np.minimum(np.maximum(q[:, 0], -1.0), 1.0)), axes
+    axes = np.where(wide[..., None], q[..., 1:] / np.where(wide, s, 1.0)[..., None], states.Z_AXIS)
+    return np.arccos(np.minimum(np.maximum(q[..., 0], -1.0), 1.0)), axes
 
 
-def _three_axes(take) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random unit axes u, w and j, (n, 3) each, from three normal draws in that order."""
-    axes = _unit_rows(np.stack([take.normal(3) for _ in range(3)], axis=1))
-    return axes[:, 0], axes[:, 1], axes[:, 2]
+def _three_axes(take) -> np.ndarray:
+    """Random unit axes u, w and j, (3, n, 3), from three normal draws in that order."""
+    return _unit_rows(take.normal(3, 3))
 
 
-def _axis_pairs(u, w, j, strengths, probe_locals=None) -> np.ndarray:
-    """(n, 2, 15) coefficients with couplings strengths * (u or w) x j and, if given, probe-local
-    terms probe_locals * j; the body-local terms are 0."""
+def _axis_pairs(axes, strengths, probe_locals=None) -> np.ndarray:
+    """(n, 2, 15) coefficients of ``_three_axes`` u, w and j with couplings strengths * (u or w) x j
+    and, if given, probe-local terms probe_locals * j; the body-local terms are 0."""
+    j = axes[2]
     coeffs = np.zeros((len(j), 2, 15))
-    coeffs[..., :9] = (strengths[..., None, None] * (np.stack([u, w], axis=1)[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
+    body = axes[:2].transpose(1, 0, 2)  # [row, pair, component]
+    coeffs[..., :9] = (strengths[..., None, None] * (body[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
     if probe_locals is not None:
         coeffs[..., 12:] = probe_locals[..., None] * j[:, None, :]
     return coeffs
@@ -542,9 +562,9 @@ def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
     """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
     shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
     terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
-    u, w, j = _three_axes(take)
-    strengths = 2.0 - _uniform(take.uniform(2), 0.0, 2.0)
-    coeffs = _axis_pairs(u, w, j, strengths, None if locals_mode == "none" else _uniform(take.uniform(2), -1.0, 1.0))
+    axes = _three_axes(take)
+    u = take.uniform(2, 1 if locals_mode == "none" else 2)  # the strengths, then any probe-local strengths
+    coeffs = _axis_pairs(axes, 2.0 - _uniform(u[0], 0.0, 2.0), None if locals_mode == "none" else _uniform(u[1], -1.0, 1.0))
     if locals_mode == "full":
         for k in range(2):
             coeffs[:, k, 9:12] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
@@ -601,14 +621,13 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def _rotated(psis, rotations) -> np.ndarray:
-    """Apply each trial's rotations, {qubit: (angles, axes)}, to the rows of ``psis`` in qubit order."""
-    qubits = sorted(rotations)
-    angles = np.concatenate([rotations[qubit][0] for qubit in qubits])
-    axes = np.concatenate([rotations[qubit][1] for qubit in qubits])
-    for qubit, matrices in zip(qubits, states.rotation_matrices(angles, axes).reshape(len(qubits), -1, 2, 2)):
-        psis = states.rotate(psis, qubit, matrices)
-    return psis
+def _rotated(psis, take, qubits) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one Haar rotation per trial for each of ``qubits``, in that order, and apply them to the
+    rows of ``psis`` in qubit order: the rotated rows and the (len(qubits), n, 2, 2) matrices."""
+    matrices = states.unit_rotation_matrices(*_rotations(take, len(qubits)))
+    for k in sorted(range(len(qubits)), key=qubits.__getitem__):
+        psis = states.rotate(psis, qubits[k], matrices[k])
+    return psis, matrices
 
 
 def _schmidt(take) -> tuple[np.ndarray, np.ndarray]:
@@ -631,11 +650,18 @@ def _evolved(coeffs, psi0s, ts) -> np.ndarray:
     return evolve_rows(w, v, psi0s, ts)
 
 
+def _initial_and_evolved(measure, psi0s, psi_ts) -> tuple[np.ndarray, np.ndarray]:
+    """``measure`` of the initial and of the evolved states, from one call on the stacked rows,
+    initial ones first."""
+    values = measure(np.concatenate([psi0s, psi_ts]))
+    return values[: len(psi0s)], values[len(psi0s) :]
+
+
 @_suite("separable_stays_separable")
 def _separable(take):
     """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
     coeffs = _commuting_pairs(take, "full")
-    q1, q2, q3 = (_states(take, 2) for _ in range(3))
+    q1, q2, q3 = _states(take, 2, 3)
     ts = _times(take)
     psi0s = np.einsum("ni,nj,nk->nijk", q1, q2, q3).reshape(-1, 8)
     return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts}
@@ -646,10 +672,9 @@ def _bipartite12(take):
     """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
     coeffs = _commuting_pairs(take, "full")
     a, b = _schmidt(take)
-    psi0s = _rotated(states.bipartite_12(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 2)})
+    psi0s, _ = _rotated(states.bipartite_12(a, b, _states(take, 2)), take, (1, 2))
     ts = _times(take)
-    eof0 = _eof(_tangle12(psi0s))
-    eof_t = _eof(_tangle12(_evolved(coeffs, psi0s, ts)))
+    eof0, eof_t = _initial_and_evolved(lambda psis: _eof(_tangle12(psis)), psi0s, _evolved(coeffs, psi0s, ts))
     return eof_t - eof0, {"t": ts, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
 
 
@@ -658,7 +683,7 @@ def _spectator(cls: str, qubits):
         """Initial entanglement of qubit 3 with one body qubit never reaches the 1,2 pair under commuting evolution."""
         coeffs = _commuting_pairs(take, "full")
         a, b = _schmidt(take)
-        psi0s = _rotated(getattr(states, cls)(a, b, _states(take, 2)), {q: _rotations(take) for q in qubits})
+        psi0s, _ = _rotated(getattr(states, cls)(a, b, _states(take, 2)), take, qubits)
         ts = _times(take)
         return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts, "a": a, "b": b}
 
@@ -674,10 +699,9 @@ def _ghz(take):
     """GHZ-class inputs start with tangle 0; evolution may only raise it."""
     coeffs = _commuting_pairs(take, "full")
     a, b = _schmidt(take)
-    psi0s = _rotated(states.ghz_general(a, b), {q: _rotations(take) for q in (1, 2, 3)})
+    psi0s, _ = _rotated(states.ghz_general(a, b), take, (1, 2, 3))
     ts = _times(take)
-    tau0 = _tangle12(psi0s)
-    tau_t = _tangle12(_evolved(coeffs, psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(coeffs, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "a": a, "b": b, "max_tangle": tau_t}
 
 
@@ -701,15 +725,13 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     """
     coeffs = _commuting_pairs(take, "full")
     amps = _states(take, 3)
-    rotations = {q: _rotations(take) for q in (3, 1, 2)}
-    ts = _times(take)
     psi0s = np.zeros((len(amps), 8), dtype=complex)
     psi0s[:, [1, 2, 4]] = amps
-    psi0s = _rotated(psi0s, rotations)
+    psi0s, matrices = _rotated(psi0s, take, (3, 1, 2))  # matrices[0] rotates qubit 3
+    ts = _times(take)
     forms, w, v = plan_spectra(coeffs)
-    q3 = states.rotation_matrices(*rotations[3])
-    plus = states.axis_eigenbases(forms.probe_axis)[..., :, 0]
-    c2 = np.abs(np.vecdot(plus, q3[..., :, 0])) ** 2
+    plus = states.unit_axis_eigenbases(forms.probe_axis)[..., :, 0]
+    c2 = np.abs(np.vecdot(plus, matrices[0][..., :, 0])) ** 2
     a2 = np.abs(amps[:, 0]) ** 2
     m_plus2 = a2 + c2 - 2.0 * a2 * c2
     m_minus2 = a2 + (1.0 - c2) - 2.0 * a2 * (1.0 - c2)
@@ -718,14 +740,15 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
         kept = numerator > 1e-30
         factor_weighted[kept] += numerator[kept] / denominator[kept]
     psi_t = evolve_rows(w, v, psi0s, ts)
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, psi_t)
     return {
         "coeffs": coeffs,
         "psi0": psi0s,
         "psi_t": psi_t,
         "t": ts,
         "probe_axis": forms.probe_axis,
-        "tau0": _tangle12(psi0s),
-        "tau_t": _tangle12(psi_t),
+        "tau0": tau0,
+        "tau_t": tau_t,
         "factor_free": c2**2 + (1.0 - c2) ** 2,
         "factor_weighted": factor_weighted,
     }
@@ -776,11 +799,9 @@ def _parity(take):
     amps8 = np.zeros((len(amps4), 8), dtype=complex)
     np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
     forms, w, v = plan_spectra(coeffs)
-    axes = np.concatenate([unit_axis(forms.body), forms.probe_axis[:, None, :]], axis=1)
-    psi0s = from_axis_basis(amps8, axes)
-    tau0 = residual_tangle_rows(psi0s)
+    psi0s = from_axis_basis(amps8, np.concatenate([forms.body, forms.probe_axis[:, None, :]], axis=1))
+    tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, evolve_rows(w, v, psi0s, ts))
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
-    tau_t = residual_tangle_rows(evolve_rows(w, v, psi0s, ts))
     violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))
     return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
 
@@ -790,12 +811,11 @@ def _heisenberg13(take):
     """Under the isotropic chain, initial 1,3 entanglement can only raise the 1,2 tangle."""
     gs = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
     a, b = _schmidt(take)
-    psi0s = _rotated(states.bipartite_13(a, b, _states(take, 2)), {q: _rotations(take) for q in (1, 3)})
+    psi0s, _ = _rotated(states.bipartite_13(a, b, _states(take, 2)), take, (1, 3))
     ts = _times(take)
     coeffs = np.zeros((len(gs), 2, 15))
     coeffs[:, :, [0, 4, 8]] = gs[:, None, None]  # heisenberg_chain(g): g * identity coupling
-    tau0 = _tangle12(psi0s)
-    tau_t = _tangle12(_evolved(coeffs, psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(coeffs, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 
@@ -835,14 +855,13 @@ def property_suite(name: str, trials: int, seed: int) -> SuiteResult:
 
 def _periodicity(k: int, l: int):
     def compute(take):
-        u, w, j = _three_axes(take)
+        axes = _three_axes(take)
         s13 = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
         strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
-        coeffs = _axis_pairs(u, w, j, strengths, _uniform(take.uniform(2), -1, 1))
+        coeffs = _axis_pairs(axes, strengths, _uniform(take.uniform(2), -1, 1))
         psi0s = _states(take, 8)
         t_star = k * np.pi / (2.0 * s13)
-        tau0 = residual_tangle_rows(psi0s)
-        tau_star = residual_tangle_rows(_evolved(coeffs, psi0s, t_star))
+        tau0, tau_star = _initial_and_evolved(residual_tangle_rows, psi0s, _evolved(coeffs, psi0s, t_star))
         return np.abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
 
     return compute

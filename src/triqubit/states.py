@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import I2, SX, SY, SZ, kron, unit_axis
+from .linalg import kron, unit_axis
 from .tolerances import STRUCTURAL_TOL
 
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -60,10 +60,16 @@ def axis_eigenbases(axes) -> np.ndarray:
     """Eigenbases of sigma_axis for axes of shape (..., 3), shape (..., 2, 2): columns plus, minus.
 
     Phase convention: plus = (cos(theta/2), e^{i phi} sin(theta/2)) from the
-    Bloch angles of the axis; minus has a real nonnegative first component
-    (fixed to |1> for the +z axis where that component vanishes).
+    Bloch angles of the axis, with e^{i phi} = 1 on the z axis; minus has a
+    real nonnegative first component (fixed to |1> for the +z axis where that
+    component vanishes).
     """
-    unit = unit_axis(axes)
+    return unit_axis_eigenbases(unit_axis(axes))
+
+
+def unit_axis_eigenbases(unit) -> np.ndarray:
+    """``axis_eigenbases`` of axes that are already unit rows, with no trigonometry: e^{i phi} is
+    (x + i y) / |(x, y)|."""
     x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
     # half-angle components from (transverse radius, 1 + |z|); arccos would lose
     # ~sqrt(eps) accuracy near the poles
@@ -71,9 +77,14 @@ def axis_eigenbases(axes) -> np.ndarray:
     pole = 1.0 + np.abs(z)
     d = np.hypot(pole, r)
     north = z >= 0.0
-    c = np.where(north, pole / d, r / d)
-    s = np.where(north, r / d, pole / d)
-    phase = np.exp(1j * np.arctan2(y, x))
+    c = np.where(north, pole, r) / d
+    s = np.where(north, r, pole) / d
+    # e^{i phi} = (x + i y) / r, divided as two reals (a complex division by a subnormal r
+    # overflows); 1 where r = 0
+    axial = r == 0.0
+    radius = r + axial
+    phase = np.empty(r.shape, dtype=complex)
+    phase.real, phase.imag = x / radius + axial, y / radius
     basis = np.empty((*x.shape, 2, 2), dtype=complex)
     basis[..., 0, 0], basis[..., 1, 0] = c, phase * s
     basis[..., 0, 1], basis[..., 1, 1] = s, np.where(s == 0.0, 1.0, -phase * c)
@@ -88,9 +99,21 @@ def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
 
 def rotation_matrices(angles, axes) -> np.ndarray:
     """exp(-i angle sigma_axis) for N angles and (N, 3) axes, shape (N, 2, 2)."""
-    x, y, z = unit_axis(axes).T[..., None, None]
-    angles = np.asarray(angles, dtype=float)[:, None, None]
-    return np.cos(angles) * I2 - 1j * np.sin(angles) * (x * SX + y * SY + z * SZ)
+    return unit_rotation_matrices(angles, unit_axis(axes))
+
+
+def unit_rotation_matrices(angles, unit) -> np.ndarray:
+    """exp(-i angle sigma_axis) = cos(angle) - i sin(angle) axis.sigma for angles of any shape and
+    unit axes of that shape plus (3,), taken as given; shape (..., 2, 2)."""
+    angles = np.asarray(angles, dtype=float)
+    c, sn = np.cos(angles), np.sin(angles)[..., None] * unit  # sin(angle) (x, y, z)
+    m = np.empty((*angles.shape, 2, 2), dtype=complex)
+    re, im = m.real, m.imag
+    re[..., 0, 0] = re[..., 1, 1] = c
+    im[..., 0, 0], im[..., 1, 1] = -sn[..., 2], sn[..., 2]
+    re[..., 0, 1], re[..., 1, 0] = -sn[..., 1], sn[..., 1]
+    im[..., 0, 1] = im[..., 1, 0] = -sn[..., 0]
+    return m
 
 
 _ROTATE = {1: "nab,nbjk->najk", 2: "nab,nibk->niak", 3: "nab,nijb->nija"}

@@ -197,12 +197,14 @@ def reference_fold(chunks, tol: float = 1e-9) -> tuple[list[dict], float, dict]:
     return failures, max_violation, stats
 
 
-def oracle_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) by scipy's Pade approximant."""
-    return expm(-1j * np.asarray(h, dtype=complex) * t)
+def oracle_unitary(h: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) by scipy's Pade approximant; an array of times gives one stacked expm call,
+    shape (*t.shape, 8, 8)."""
+    return expm(-1j * np.asarray(h, dtype=complex) * np.asarray(t, dtype=float)[..., None, None])
 
 
-def oracle_evolve(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
+def oracle_evolve(h: np.ndarray, psi0: np.ndarray, t) -> np.ndarray:
+    """exp(-i h t) psi0, one row per time for an array of times."""
     return oracle_unitary(h, t) @ psi0
 
 

@@ -482,13 +482,13 @@ class TestGoldenStdout:
                 4,
                 "suite triple_convexity_bound: 25 trials, max violation 1.067e-01\n",
                 "FAILED 4 trials; replay with --seed 1\n"
-                "first counterexample: {'trial': 9, 'violation': 0.0014171824816158196, 't': 0.6692654128160458, "
-                "'tau0': 0.6597014954400299, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204897}\n",
+                "first counterexample: {'trial': 9, 'violation': 0.0014171824816152645, 't': 0.6692654128160458, "
+                "'tau0': 0.659701495440029, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204883}\n",
             ),
             (
                 ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
                 0,
-                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 9.992e-16\nall trials passed\n",
+                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 2.026e-15\nall trials passed\n",
                 "",
             ),
         ],

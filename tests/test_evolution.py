@@ -15,6 +15,8 @@ from triqubit.states import axis_eigenbasis, from_axis_basis, fully_separable, g
 from triqubit.tolerances import SPECTRAL_TOL
 
 from oracles import (
+    I2,
+    PAULIS,
     haar_state,
     matrices,
     one_pair,
@@ -161,6 +163,32 @@ class TestSpectrum:
         times = np.linspace(0.0, 6.0, 25)
         exact = (np.exp(-1j * np.outer(times, w_eigh)) * (v_eigh.conj().T @ psi)) @ v_eigh.T
         assert np.max(np.abs(evolve_grid(w, v, psi, times) - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
+    @pytest.mark.parametrize(
+        "probe_axis", [(-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (-0.0, -0.0, -1.0), (0.6, 0.0, -0.8)], ids=["-0+0+z", "+0-0-z", "-0-0-z", "xz"]
+    )
+    def test_closed_form_rebuilds_at_extreme_scales_and_signed_zero_axes(self, scale, probe_axis):
+        # sector vectors whose squares vanish or overflow, one exactly zero and one on -z with a
+        # signed zero, about probe axes on +-z with signed zeros: V is unitary and V diag(w) V†
+        # rebuilds H13 + H23 = sum_m (v(m,1).sigma x 1 + 1 x v(m,2).sigma) x P_m + s 1 x 1 x j.sigma,
+        # P_m = (1 + m j.sigma) / 2, both within 1e-12 relative
+        rng = np.random.default_rng(29)
+        vecs = scale * rng.normal(size=(2, 2, 3))
+        vecs[1, 0] = 0.0
+        vecs[0, 1] = scale * np.array([0.0, -0.0, -1.5])
+        j = np.array(probe_axis)
+        w, v = closed_form_spectra(vecs[None], j[None], np.array([0.7 * scale]))
+        w, v = w[0], v[0]
+
+        def sigma(axis):
+            return np.einsum("c,cij->ij", axis, np.array(PAULIS))
+
+        h = 0.7 * np.kron(np.eye(4), sigma(j))
+        for sign, (v1, v2) in zip((1.0, -1.0), vecs / scale):
+            h = h + np.kron(np.kron(sigma(v1), I2) + np.kron(I2, sigma(v2)), (I2 + sign * sigma(j)) / 2.0)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
+        assert np.max(np.abs((v * (w / scale)) @ v.conj().T - h)) <= 1e-12 * np.max(np.abs(h))
 
     def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
         rng = np.random.default_rng(24)

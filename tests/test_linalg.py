@@ -6,8 +6,8 @@ from triqubit.linalg import (
     SX,
     SY,
     SZ,
-    frob,
     kron,
+    norms,
     unit_axis,
 )
 
@@ -34,13 +34,13 @@ def test_kron_associativity():
         assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
 
 
-def test_frob_scales_past_the_range_of_squares():
+def test_norms_scale_past_the_range_of_squares():
     rng = np.random.default_rng(5)
     for _ in range(50):
         m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         for scale in (1.0, 1e200, 1e-200):
-            assert frob(m * scale) == pytest.approx(np.linalg.norm(m) * scale, rel=1e-14)
-    assert frob(np.zeros((2, 2))) == 0.0
+            assert float(norms(np.ravel(m * scale))) == pytest.approx(np.linalg.norm(m) * scale, rel=1e-14)
+    assert float(norms(np.zeros(4))) == 0.0
 
 
 def test_unit_axis_rejects_zero_axis():

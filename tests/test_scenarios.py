@@ -244,6 +244,18 @@ class TestNonFiniteAndMalformedValues:
         for name in REPORT_FIELDS:
             assert np.max(np.abs(result.table[name] - exact[name])) <= 1e-9
 
+    @pytest.mark.parametrize("factor, accepted", [(1 - 1e-15, True), (1 + 1e-15, False)])
+    def test_coefficient_bound_at_float_max(self, factor, accepted):
+        # nine couplings of max/9: ||H13||_F = sqrt(8) * 3 * max/9 stays finite, so the sum of |coefficients|
+        # alone decides, on either side of float max; below it every matrix entry is finite
+        c = float(np.finfo(float).max / 9 * factor)
+        raw = {"hamiltonian": {"pairwise": {"h13": {"coupling": [[c] * 3] * 3}, "h23": {"coupling": _ZERO_COUPLING}}}}
+        if accepted:
+            assert np.isfinite(total_hamiltonian(parse_config(raw).coeffs)).all()
+        else:
+            with pytest.raises(ConfigError, match=r"config\.hamiltonian: the sum of \|coefficients\|"):
+                parse_config(raw)
+
     @pytest.mark.parametrize("scale", [1e-170, 1e155])
     def test_probe_local_term_alone_at_extreme_scales(self, scale):
         # a lone probe-local term sets the probe axis; the sum of squares of its components
@@ -714,17 +726,16 @@ class TestNanEvolvedTangle:
 
     @pytest.fixture
     def nan_evolved_tangle(self, monkeypatch):
-        evolved = []
-        evolve_rows, tangle12 = scenarios.evolve_rows, scenarios._tangle12
+        # the suites measure the initial and the evolved states in one call, initial rows first
+        tangle12 = scenarios._tangle12
 
-        def record(*args):
-            evolved.append(evolve_rows(*args))
-            return evolved[-1]
+        def evolved_half_nan(psis):
+            assert len(psis) % 2 == 0
+            taus = tangle12(psis)
+            taus[len(psis) // 2 :] = math.nan
+            return taus
 
-        monkeypatch.setattr(scenarios, "evolve_rows", record)
-        monkeypatch.setattr(
-            scenarios, "_tangle12", lambda psis: np.full(len(psis), math.nan) if any(psis is e for e in evolved) else tangle12(psis)
-        )
+        monkeypatch.setattr(scenarios, "_tangle12", evolved_half_nan)
 
     @pytest.mark.parametrize("name", ["ghz_can_increase", "heisenberg_entangled13_start"])
     def test_suite_fails(self, nan_evolved_tangle, name):
@@ -782,36 +793,91 @@ def _observed(monkeypatch, name, trials, seed):
 
 
 class OneRow(scenarios._Draws):
-    """Trial ``row`` of ``root`` alone: the last row of every draw of trials 0 to ``row``."""
+    """Trial ``row`` of ``root`` alone: the last row of every draw of trials 0 to ``row``, also of
+    each of k stacked draws."""
 
     def __init__(self, root, row):
         super().__init__(root, row + 1)
 
-    def _rows(self, draw):
-        return super()._rows(draw)[-1:]
+    def _rows(self, draw, count):
+        return super()._rows(draw, count)[:, -1:]
 
 
 class Recording:
-    """Hands out the draws of ``take`` and passes each, with its kind, to ``seen``."""
+    """Hands out the draws of ``take`` and passes each, with its kind, to ``seen``; k stacked draws
+    pass as their k consecutive (n, width) draws."""
 
     def __init__(self, take, seen):
         self.take, self.seen = take, seen
 
-    def _passed(self, kind, rows):
-        self.seen(kind, rows)
+    def _passed(self, kind, rows, count=None):
+        for draw in rows if count else [rows]:
+            self.seen(kind, draw)
         return rows
 
-    def normal(self, width):
-        return self._passed("normal", self.take.normal(width))
+    def normal(self, width, count=None):
+        return self._passed("normal", self.take.normal(width, count), count)
 
-    def uniform(self, width):
-        return self._passed("uniform", self.take.uniform(width))
+    def uniform(self, width, count=None):
+        return self._passed("uniform", self.take.uniform(width, count), count)
 
     def bit(self):
         return self._passed("bit", self.take.bit())
 
 
+class Counting(scenarios._Draws):
+    """``_Draws`` that counts its generator calls, one per block of each draw or stack of draws."""
+
+    calls = 0
+
+    def _rows(self, draw, count):
+        def counted(rng, shape):
+            self.calls += 1
+            return draw(rng, shape)
+
+        return super()._rows(counted, count)
+
+
 class TestBatchedCompute:
+    @pytest.mark.parametrize("n", [50, 100], ids=["one_block", "two_blocks"])
+    @pytest.mark.parametrize("kind, width", [("normal", 3), ("normal", 4), ("uniform", 2)])
+    def test_stacked_draw_equals_sequential_draws(self, n, kind, width):
+        # bit for bit: k draws of one kind and width from one call per block, and from k calls
+        for count in (1, 2, 3):
+            stacked = getattr(scenarios._Draws(np.random.SeedSequence(8), n), kind)(width, count)
+            sequential = scenarios._Draws(np.random.SeedSequence(8), n)
+            want = [getattr(sequential, kind)(width) for _ in range(count)]
+            assert stacked.shape == (count, n, width)
+            assert stacked.tobytes() == np.stack(want).tobytes()
+        # and the draws after a stacked one come from where the k-th sequential draw left off
+        stacked, sequential = scenarios._Draws(np.random.SeedSequence(8), n), scenarios._Draws(np.random.SeedSequence(8), n)
+        getattr(stacked, kind)(width, 2)
+        for _ in range(2):
+            getattr(sequential, kind)(width)
+        assert stacked.normal(1).tobytes() == sequential.normal(1).tobytes()
+        assert stacked.bit().tobytes() == sequential.bit().tobytes()
+
+    # generator calls of one 25-trial (one-block) call: each stacked draw is one call
+    GENERATOR_CALLS = {
+        "separable_stays_separable": 8,
+        "bipartite12_nonincreasing": 10,
+        "bipartite13_stays_zero": 10,
+        "bipartite23_stays_zero": 10,
+        "ghz_can_increase": 9,
+        "triple_convexity_bound": 9,
+        "triple_nonincreasing": 9,
+        "parity_residual_conserved": 5,
+        "heisenberg_entangled13_start": 5,
+        "periodicity 1/1": 4,
+        "periodicity 2/3": 4,
+    }
+
+    @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
+    def test_generator_calls_pinned(self, name):
+        take = Counting(np.random.SeedSequence(3), 25)
+        _suite_by_name(name)(take)
+        assert take.calls == self.GENERATOR_CALLS[name]
+
     @pytest.mark.parametrize("name", SUITES_AND_PERIODICITY)
     def test_batch_equals_one_row_computes(self, name):
         # bit for bit: every row of a batch is computed as it would be alone, in the first block and the second
@@ -971,14 +1037,14 @@ class TrialStream:
 
 
 class FixedDraws:
-    """A draw stand-in whose normals are the given rows."""
+    """A draw stand-in whose normals are the given rows, as a stack of one draw."""
 
     def __init__(self, rows):
         self.rows = np.array(rows)
 
-    def normal(self, width):
-        assert self.rows.shape[1] == width
-        return self.rows
+    def normal(self, width, count):
+        assert self.rows.shape[1] == width and count == 1
+        return self.rows[None]
 
 
 class TestDrawAssembly:
@@ -991,15 +1057,20 @@ class TestDrawAssembly:
         assert uniform.tobytes() == (-1.0 + 2.0 * u).tobytes()
         draws = []
         take = Recording(scenarios._Draws(np.random.SeedSequence(4), 100), lambda kind, rows: draws.append((kind, rows)))
-        coeffs, axes3 = scenarios._commuting_pairs(take, locals_mode), scenarios._unit_rows(take.normal(3))
-        qubits, states8, (angles, axes) = scenarios._states(take, 2), scenarios._states(take, 8), scenarios._rotations(take)
+        coeffs, axes3 = scenarios._commuting_pairs(take, locals_mode), scenarios._three_axes(take)
+        qubits, states8 = scenarios._states(take, 2, 3), scenarios._states(take, 8)
+        (angle, axis), (angles, axes) = scenarios._rotations(take, 1), scenarios._rotations(take, 2)
         for i in range(100):
             rng = TrialStream(draws, i)
             assert coeffs[i].tobytes() == reference_pair(rng, locals_mode).tobytes()
-            assert axes3[i].tobytes() == reference_axis(rng).tobytes()
-            assert qubits[i].tobytes() == haar_state(rng, 2).tobytes()
+            for k in range(3):
+                assert axes3[k, i].tobytes() == reference_axis(rng).tobytes()
+            for k in range(3):
+                assert qubits[k, i].tobytes() == haar_state(rng, 2).tobytes()
             assert states8[i].tobytes() == haar_state(rng, 8).tobytes()
-            assert (angles[i], tuple(axes[i])) == reference_rotation(rng.normal(size=4))
+            assert (angle[0, i], tuple(axis[0, i])) == reference_rotation(rng.normal(size=4))
+            for k in range(2):
+                assert (angles[k, i], tuple(axes[k, i])) == reference_rotation(rng.normal(size=4))
             assert not rng.values
 
     @pytest.mark.parametrize(
@@ -1007,6 +1078,6 @@ class TestDrawAssembly:
     )
     def test_rotation_axis_fallback(self, q):
         # the vector part at or below 1e-12 of the unit quadruple gives the z axis
-        angles, axes = scenarios._rotations(FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]))
+        (angles,), (axes,) = scenarios._rotations(FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]), 1)
         assert (angles[0], tuple(axes[0])) == reference_rotation(np.array(q))
         assert (tuple(axes[0]) == (0.0, 0.0, 1.0)) == (np.linalg.norm(q[1:]) / np.linalg.norm(q) <= 1e-12)
