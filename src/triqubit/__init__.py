@@ -7,8 +7,7 @@ formation and the residual three-way tangle of the non-interacting pair.
 """
 
 from .evolution import (
-    evolve_grid,
-    evolve_rows,
+    evolve,
     measure_probe_grid,
     plan_spectra,
 )

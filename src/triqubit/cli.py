@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .evolution import evolve_grid, measure_probe_grid, plan_spectra
+from .evolution import evolve, measure_probe_grid, plan_spectra
 from .hamiltonians import qnd_zz
-from .linalg import norms, unit_axis
+from .linalg import directions
 from .measures import report_batch
 from .scenarios import (
     ConfigError,
@@ -143,8 +143,8 @@ def cmd_classify(args) -> int:
         print(f"commuting (commutator norm {forms.commutator_norm[0]:.6e})")
         print(f"shared probe axis: {(np.round(forms.probe_axis[0], 12) + 0.0).tolist()}")  # + 0.0: no -0 from the sign rule
         body = forms.body[0]
-        strengths, self_strengths = norms(body), norms(cfg.coeffs[0, :, 9:12])
-        axes = unit_axis(np.where(strengths[:, None] > 0.0, body, Z_AXIS))  # a zero coupling shows the z axis
+        strengths, axes = directions(body)  # a zero coupling shows the z axis
+        self_strengths, _ = directions(cfg.coeffs[0, :, 9:12])
         for k, label in enumerate(("pair (1,3)", "pair (2,3)")):
             print(
                 f"{label}: coupling strength {strengths[k]:.12g}, "
@@ -177,7 +177,7 @@ def cmd_qnd_demo(args) -> int:
         return EXIT_CONFIG
     _, w, v = plan_spectra(qnd_zz(1.0))
     psi0 = fully_separable([0.0] * 3, [Z_AXIS] * 3, axes=(X_AXIS, X_AXIS, X_AXIS))
-    psi_t = evolve_grid(w[0], v[0], psi0, (gt,))
+    psi_t = evolve(w, v, psi0, (gt,))
     print(f"gt = {gt:.12g}")
     print(f"pre-measurement tangle_12 = {report_batch(psi_t)['tangle_12'][0]:.10f}")
     print("outcome  probability    conditional_tangle_12")

@@ -11,9 +11,9 @@ eigensolver. Otherwise it comes from ``eigh``.
 
 ``plan_spectra`` builds the stacked spectra of N pairs, given as (N, 2, 15)
 Pauli coefficients, from one ``canonical_forms`` call (the closed form over
-(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest).
-``evolve_rows`` evolves N states, one time each, and ``evolve_grid`` evolves
-one state under one row's spectrum over a whole time grid.
+(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest). ``evolve``
+is the core itself, by broadcasting: N spectra and states go one per row to
+their own times, and one spectrum and state go over a whole time grid.
 ``measure_probe_grid`` measures qubit 3 of every row in one basis.
 """
 
@@ -22,12 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonians import canonical_forms, pair_matrices
-from .linalg import kron  # noqa: F401 (bench/selftest.py reads kron here)
+from .linalg import directions, kron  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import unit_axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
 
 _SIGNS = np.array([1.0, -1.0])
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 # energy of column (m, a, b) of V from [|v(+,1)|, |v(+,2)|, |v(-,1)|, |v(-,2)|, probe-local]:
 # a |v(m,1)| + b |v(m,2)| + m * probe-local, with m, a, b = +-1
 _ENERGY_SIGNS = np.array(
@@ -51,22 +50,17 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     rotation vector, with energies +-|vector| (the identity when the vector is
     zero); the probe-local term adds m * (probe-local strength). Column
     (m, a, b) of V is e1_a(m) x e2_b(m) x p_m. Lengths and unit rows come from
-    one pass that scales each vector by its largest |component|, so neither
-    overflows past ~1e154 nor vanishes below ~1e-162.
+    ``directions``; a zero vector points along z, which gives the identity basis.
     """
     n = len(vecs)
-    vecs = vecs.reshape(n, 4, 3)
-    top = np.abs(vecs).max(axis=-1)
-    zero = top == 0.0
-    scaled = vecs / (top + zero)[..., None] + zero[..., None] * _Z_AXIS  # a zero vector points along z: the identity basis
-    size = np.sqrt(np.vecdot(scaled, scaled))
-    bases = unit_axis_eigenbases(np.concatenate([scaled / size[..., None], probe_axis[:, None, :]], axis=1))
+    lengths, units = directions(vecs.reshape(n, 4, 3))
+    bases = unit_axis_eigenbases(np.concatenate([units, probe_axis[:, None, :]], axis=1))
     body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
     # V[row, i, j, k, m, a, b] = e1_a(m)[i] e2_b(m)[j] p_m[k], by broadcasting
     e1 = body[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
     e2 = body[:, :, 1].transpose(0, 2, 1, 3)[:, None, :, None, :, None, :]
     v = (e1 * e2 * bases[:, 4, None, None, :, :, None, None]).reshape(n, 8, 8)
-    return np.concatenate([top * size, probe_local[:, None]], axis=1) @ _ENERGY_SIGNS, v
+    return np.concatenate([lengths, probe_local[:, None]], axis=1) @ _ENERGY_SIGNS, v
 
 
 def plan_spectra(coeffs: np.ndarray):
@@ -101,19 +95,13 @@ def _eigh_rows(coeffs):
     return np.linalg.eigh(matrices[:, 0] + matrices[:, 1])
 
 
-def evolve_rows(w, v, psi0s, times) -> np.ndarray:
-    """Evolve N states, each under its own spectrum to its own time: rows V exp(-i w t) V† psi0, shape (N, 8)."""
-    coeffs = (v.conj().transpose(0, 2, 1) @ np.asarray(psi0s, dtype=complex)[..., None])[..., 0]
-    phases = np.exp(-1j * np.asarray(times, dtype=float)[:, None] * w)
+def evolve(w, v, psi0s, times) -> np.ndarray:
+    """V exp(-i w t) V† psi0 for spectra ``(w, V)``, states and times that broadcast by row: N spectra
+    (N, 8) and (N, 8, 8) with N states and N times give one state per row, shape (N, 8); one spectrum
+    (8,) and (8, 8), or a stack of one, with one state and T times give the grid, shape (T, 8)."""
+    coeffs = (v.conj().mT @ np.asarray(psi0s, dtype=complex)[..., None])[..., 0]
+    phases = np.exp(-1j * np.asarray(times, dtype=float).reshape(-1, 1) * w)
     return (v @ (phases * coeffs)[..., None])[..., 0]
-
-
-def evolve_grid(w, v, psi0, times) -> np.ndarray:
-    """Evolve one state under one spectrum ``(w, V)`` to every time of a grid at once:
-    (exp(-i t (x) w) * (V† psi0)) @ V^T, shape (T, 8)."""
-    psi0 = np.asarray(psi0, dtype=complex).reshape(8)
-    times = np.asarray(times, dtype=float).reshape(-1)
-    return (np.exp(-1j * np.multiply.outer(times, w)) * (v.conj().T @ psi0)) @ v.T
 
 
 def measure_probe_grid(psis, basis):

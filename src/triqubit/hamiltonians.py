@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, embed_single
+from .linalg import PAULIS, directions, embed_single
 from .tolerances import SPECTRAL_TOL
 
 
@@ -98,7 +98,6 @@ _FIRST_NONZERO = np.array([4.0, 2.0, 1.0])
 # the four probe vectors of a pair, local_probe then the coupling rows, each as components
 # (x, y, z, x, y): [..., :3] is the vector, [..., 1:4] and [..., 2:5] its cyclic shifts
 _PROBE_COMPONENTS = (np.r_[12, 0, 3, 6][:, None] + np.array([0, 1, 2, 0, 1])).ravel()
-_Z = np.array([0.0, 0.0, 1.0])
 
 
 def _probe_vectors(unit) -> tuple[np.ndarray, np.ndarray]:
@@ -151,12 +150,9 @@ def canonical_forms(coeffs) -> CanonicalForms:
     gram = flat.transpose(0, 2, 1) @ flat
     diagonal = gram.diagonal(axis1=1, axis2=2)
     j = (gram @ gram[np.arange(n), diagonal.argmax(axis=1), :, None])[..., 0]
-    # scaled by its largest |component| before the norm; 0 where G^2 underflows too, that is
-    # where the probe vectors are below ~1e-77 of the pair's largest coefficient
-    j_top = np.abs(j).max(axis=1)
-    nonzero = j_top > 0.0
-    j = np.where(nonzero[:, None], j, _Z) / np.where(nonzero, j_top, 1.0)[:, None]
-    j = j / np.sqrt(np.vecdot(j, j))[:, None]
+    # z where G^2 underflows to 0, that is where the probe vectors are below ~1e-77 of the
+    # pair's largest coefficient
+    _, j = directions(j)
     flip = (np.sign(j) * (np.abs(j) > 1e-14)) @ _FIRST_NONZERO < 0.0  # first component with |c| > 1e-14 negative
     j = np.where(flip, -1.0, 1.0)[:, None] * j
     along = rows @ j[:, None, :, None]  # (P j), [row, pair, probe vector, 1]
@@ -174,22 +170,26 @@ def canonical_forms(coeffs) -> CanonicalForms:
 
 # Named presets ----------------------------------------------------------
 
-def heisenberg_chain(g: float) -> np.ndarray:
-    """Isotropic chain 1-3-2: g * sigma1.sigma3 + g * sigma2.sigma3 (noncommuting), shape (1, 2, 15)."""
-    coeffs = np.zeros((1, 2, 15))
-    coeffs[..., [0, 4, 8]] = g
+def heisenberg_chain(g: float | np.ndarray) -> np.ndarray:
+    """Isotropic chain 1-3-2: g * sigma1.sigma3 + g * sigma2.sigma3 (noncommuting), one row per
+    strength: shape (N, 2, 15) for N strengths, (1, 2, 15) for a scalar."""
+    g = np.asarray(g, dtype=float).reshape(-1)
+    coeffs = np.zeros((len(g), 2, 15))
+    coeffs[..., [0, 4, 8]] = g[:, None, None]
     return coeffs
 
 
-def qnd_zz(g: float) -> np.ndarray:
-    """Probe-mediated zz coupling, (g/4) sigma_z x sigma_z per pair, shape (1, 2, 15).
+def qnd_zz(g: float | np.ndarray) -> np.ndarray:
+    """Probe-mediated zz coupling, (g/4) sigma_z x sigma_z per pair, one row per strength like
+    ``heisenberg_chain``.
 
     The g/4 prefactor comes from writing both the probe's and each body
     qubit's angular momentum in spin-1/2 units (sigma_z / 2), so the total is
     g * (sz1/2 + sz2/2) * (sz3/2).
     """
-    coeffs = np.zeros((1, 2, 15))
-    coeffs[..., 8] = g / 4.0
+    g = np.asarray(g, dtype=float).reshape(-1)
+    coeffs = np.zeros((len(g), 2, 15))
+    coeffs[..., 8] = g[:, None] / 4.0
     return coeffs
 
 

@@ -7,8 +7,6 @@ products are therefore built left to right, ``kron(op1, op2, op3)``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -26,36 +24,29 @@ def kron(*ops) -> np.ndarray:
     return out
 
 
-def norms(x) -> np.ndarray:
-    """Euclidean norm along the last axis, summed at the scale of each row's largest entry.
+def directions(x) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean lengths and unit rows along the last axis: ``(lengths, units)``.
 
-    The plain sum of squares overflows once entries pass ~1e154 and vanishes
-    below ~1e-162, although the norm itself is representable. Each row is
-    divided by the power of two at or below its largest |entry|, which is
-    exact, so in that range the result is the plain sqrt of the sum of
-    squares bit for bit. A row whose largest entry is 0, infinite or NaN gives
-    that entry.
+    Each row is divided by its largest |component| before the sum of squares,
+    which then neither overflows for components past ~1e154 nor vanishes below
+    ~1e-162. A zero row has length 0 and points along the last axis (+z for
+    3-vectors). Complex rows sum |component|^2.
     """
     x = np.asarray(x)
     top = np.abs(x).max(axis=-1)
-    finite = (top > 0.0) & (top < math.inf)
-    scale = np.ldexp(0.5, np.frexp(np.where(finite, top, 1.0))[1])
-    y = np.where(finite[..., None], x / scale[..., None], 0.0)
-    return np.where(finite, scale * np.sqrt(np.vecdot(y, y).real), top)
+    zero = top == 0.0
+    last = np.arange(x.shape[-1]) == x.shape[-1] - 1
+    scaled = x / (top + zero)[..., None] + (zero[..., None] & last)
+    size = np.sqrt(np.vecdot(scaled, scaled).real)
+    return top * size, scaled / size[..., None]
 
 
 def unit_axis(axis) -> np.ndarray:
-    """``axis / |axis|`` along the last axis, each row scaled by its largest component first.
-
-    Like ``norms``, this keeps the sum of squares in range for finite
-    components past ~1e154 and below ~1e-162.
-    """
-    axis = np.asarray(axis, dtype=float)
-    top = np.abs(axis).max(axis=-1, keepdims=True)
-    if not top.all():
+    """``axis / |axis|`` along the last axis, from ``directions``; a zero axis raises ValueError."""
+    lengths, units = directions(np.asarray(axis, dtype=float))
+    if not lengths.all():
         raise ValueError("zero axis has no direction")
-    axis = axis / top
-    return axis / np.sqrt(np.vecdot(axis, axis))[..., None]
+    return units
 
 
 def embed_single(op2: np.ndarray, qubit: int) -> np.ndarray:

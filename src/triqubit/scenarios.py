@@ -63,9 +63,9 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import evolve_grid, evolve_rows, measure_probe_grid, plan_spectra
-from .hamiltonians import PRESETS
-from .linalg import norms
+from .evolution import evolve, measure_probe_grid, plan_spectra
+from .hamiltonians import PRESETS, heisenberg_chain
+from .linalg import directions
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
 from .states import axis_eigenbasis, from_axis_basis
 from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
@@ -172,11 +172,11 @@ def _hamiltonian_scale(coeffs: np.ndarray, path: str) -> float:
         bound = max(np.abs(pairs).sum(axis=1).max(), np.abs(total).sum())
     if not math.isfinite(bound):
         raise ConfigError(f"{path}: the sum of |coefficients|, which bounds every matrix entry, overflows; coefficients are too large")
-    h13, h23 = (math.sqrt(8.0) * x for x in norms(pairs).tolist())
+    h13, h23 = (math.sqrt(8.0) * x for x in directions(pairs)[0].tolist())
     scale = h13 * h23
     if not math.isfinite(scale):
         raise ConfigError(f"{path}: ||H13||_F * ||H23||_F = {scale} overflows; coefficients are too large")
-    return math.sqrt(8.0) * float(norms(total))
+    return math.sqrt(8.0) * float(directions(total)[0])
 
 
 def _parse_rotations(entries, path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
@@ -419,7 +419,7 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
     if cfg.times is None:
         raise ConfigError("config.time_grid: required to run a sweep")
     forms, w, v = plan_spectra(cfg.coeffs)
-    psis = evolve_grid(w[0], v[0], cfg.psi0, cfg.times)
+    psis = evolve(w, v, cfg.psi0, cfg.times)
     result = SweepResult(
         name=cfg.name,
         times=cfg.times,
@@ -546,25 +546,24 @@ def _three_axes(take) -> np.ndarray:
     return _unit_rows(take.normal(3, 3))
 
 
-def _axis_pairs(axes, strengths, probe_locals=None) -> np.ndarray:
+def _axis_pairs(axes, strengths, probe_locals) -> np.ndarray:
     """(n, 2, 15) coefficients of ``_three_axes`` u, w and j with couplings strengths * (u or w) x j
-    and, if given, probe-local terms probe_locals * j; the body-local terms are 0."""
+    and probe-local terms probe_locals * j; the body-local terms are 0."""
     j = axes[2]
     coeffs = np.zeros((len(j), 2, 15))
     body = axes[:2].transpose(1, 0, 2)  # [row, pair, component]
     coeffs[..., :9] = (strengths[..., None, None] * (body[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
-    if probe_locals is not None:
-        coeffs[..., 12:] = probe_locals[..., None] * j[:, None, :]
+    coeffs[..., 12:] = probe_locals[..., None] * j[:, None, :]
     return coeffs
 
 
 def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
     """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
-    shared probe axis), coupling strengths uniform in (0, 2]. ``locals_mode`` 'probe' adds probe-local
-    terms on j, 'full' also body-local terms with arbitrary axes; 'none' draws coupling only."""
+    shared probe axis), coupling strengths uniform in (0, 2] and probe-local terms on j.
+    ``locals_mode`` 'full' also adds body-local terms with arbitrary axes, 'probe' does not."""
     axes = _three_axes(take)
-    u = take.uniform(2, 1 if locals_mode == "none" else 2)  # the strengths, then any probe-local strengths
-    coeffs = _axis_pairs(axes, 2.0 - _uniform(u[0], 0.0, 2.0), None if locals_mode == "none" else _uniform(u[1], -1.0, 1.0))
+    u = take.uniform(2, 2)  # the strengths, then the probe-local strengths
+    coeffs = _axis_pairs(axes, 2.0 - _uniform(u[0], 0.0, 2.0), _uniform(u[1], -1.0, 1.0))
     if locals_mode == "full":
         for k in range(2):
             coeffs[:, k, 9:12] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
@@ -647,7 +646,7 @@ def _tangle12(psis) -> np.ndarray:
 
 def _evolved(coeffs, psi0s, ts) -> np.ndarray:
     _, w, v = plan_spectra(coeffs)
-    return evolve_rows(w, v, psi0s, ts)
+    return evolve(w, v, psi0s, ts)
 
 
 def _initial_and_evolved(measure, psi0s, psi_ts) -> tuple[np.ndarray, np.ndarray]:
@@ -739,7 +738,7 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
         kept = numerator > 1e-30
         factor_weighted[kept] += numerator[kept] / denominator[kept]
-    psi_t = evolve_rows(w, v, psi0s, ts)
+    psi_t = evolve(w, v, psi0s, ts)
     tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, psi_t)
     return {
         "coeffs": coeffs,
@@ -800,7 +799,7 @@ def _parity(take):
     np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
     forms, w, v = plan_spectra(coeffs)
     psi0s = from_axis_basis(amps8, np.concatenate([forms.body, forms.probe_axis[:, None, :]], axis=1))
-    tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, evolve_rows(w, v, psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, evolve(w, v, psi0s, ts))
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
     violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))
     return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
@@ -813,9 +812,7 @@ def _heisenberg13(take):
     a, b = _schmidt(take)
     psi0s, _ = _rotated(states.bipartite_13(a, b, _states(take, 2)), take, (1, 3))
     ts = _times(take)
-    coeffs = np.zeros((len(gs), 2, 15))
-    coeffs[:, :, [0, 4, 8]] = gs[:, None, None]  # heisenberg_chain(g): g * identity coupling
-    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(coeffs, psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(heisenberg_chain(gs), psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 

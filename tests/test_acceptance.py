@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from triqubit.cli import main as cli_main
-from triqubit.evolution import evolve_grid, measure_probe_grid, plan_spectra
+from triqubit.evolution import evolve, measure_probe_grid, plan_spectra
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.scenarios import (
@@ -44,7 +44,7 @@ def heisenberg_00plus_grid(g=1.0):
     psi0[0] = psi0[1] = INV_SQRT2  # |00> x |+>
     grid = np.linspace(0.0, np.pi, 64) / g
     _, (w,), (v,) = plan_spectra(heisenberg_chain(g))
-    return psi0, grid, evolve_grid(w, v, psi0, grid)
+    return psi0, grid, evolve(w, v, psi0, grid)
 
 
 def test_criterion_01_probe_measurement_prepares_bell_pairs():
@@ -52,7 +52,7 @@ def test_criterion_01_probe_measurement_prepares_bell_pairs():
     for g in (1.0, 1e-15):  # the claim is on g t alone
         gts = np.pi * np.array([1.0, 3.0])  # g t = pi (2m + 1), m = 0 and 1
         _, (w,), (v,) = plan_spectra(qnd_zz(g))
-        probs, _, _, states = measure_probe_grid(evolve_grid(w, v, psi0, gts / g), axis_eigenbasis(X))
+        probs, _, _, states = measure_probe_grid(evolve(w, v, psi0, gts / g), axis_eigenbasis(X))
         for gt, p_plus, plus in zip(gts, probs[:, 0], states[:, 0]):
             assert abs(p_plus - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={p_plus!r}"
             conditional = oracle_tangle_pure2(plus)
@@ -72,7 +72,7 @@ def test_criterion_02_closed_form_evolution_matches_exact():
         assert forms.ok[0]
         times = rng.uniform(0.0, 4.0 * np.pi, 100)
         exact = oracle_evolve(total_hamiltonian(coeffs), psi0, times)  # one stacked (100, 8, 8) expm
-        fast = evolve_grid(w[0], v[0], psi0, times)
+        fast = evolve(w[0], v[0], psi0, times)
         worst = max(worst, float(np.max(1.0 - np.abs(np.vecdot(exact, fast)) ** 2)))
     assert worst <= 1e-10, f"worst infidelity {worst:.3e}"
     print(f"ACCEPTANCE PASS [2] closed-form vs scipy expm: worst infidelity {worst:.3e} over 200x100 draws")
@@ -283,17 +283,17 @@ def test_criterion_10_heisenberg_ghz_and_triple_invariance():
         ghz_states.append(ghz_general(np.sqrt(a2), np.sqrt(1 - a2)))
     for psi0 in ghz_states:
         tau0 = residual_tangle_rows(psi0)[0]
-        table = report_batch(evolve_grid(w, v, psi0, grid))
+        table = report_batch(evolve(w, v, psi0, grid))
         for t, tangle, residual in zip(grid, table["tangle_12"], table["residual_tangle"]):
             assert tangle <= TOL, f"GHZ-class tangle {tangle:.3e} at t={t}"
             assert abs(residual - tau0) <= TOL
 
     standard = ghz_states[0]
-    assert np.max(np.abs(residual_tangle_rows(evolve_grid(w, v, standard, grid)) - 1.0)) <= TOL
+    assert np.max(np.abs(residual_tangle_rows(evolve(w, v, standard, grid)) - 1.0)) <= TOL
 
     for _ in range(5):
         psi0 = triple(*haar_state(rng, 3))
-        assert np.max(residual_tangle_rows(evolve_grid(w, v, psi0, grid))) <= TOL
+        assert np.max(residual_tangle_rows(evolve(w, v, psi0, grid))) <= TOL
     print("ACCEPTANCE PASS [10] isotropic chain: GHZ class keeps tangle 0 and residual 4a^2b^2 (1 for standard); triple class keeps residual 0")
 
 

@@ -3,13 +3,12 @@ import pytest
 
 from triqubit.evolution import (
     closed_form_spectra,
-    evolve_grid,
-    evolve_rows,
+    evolve,
     measure_probe_grid,
     plan_spectra,
 )
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
-from triqubit.linalg import norms, unit_axis
+from triqubit.linalg import directions, unit_axis
 from triqubit.measures import concurrence_12
 from triqubit.states import axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
 from triqubit.tolerances import SPECTRAL_TOL
@@ -49,8 +48,8 @@ def sector_vectors(body, coeffs) -> np.ndarray:
 
 
 def unitary(w, v, t: float) -> np.ndarray:
-    """U(t) column by column: ``evolve_grid`` of each of the 8 basis states to the one time t."""
-    return np.stack([evolve_grid(w, v, e, (t,))[0] for e in np.eye(8)], axis=1)
+    """U(t) column by column: ``evolve`` of each of the 8 basis states to the one time t."""
+    return np.stack([evolve(w, v, e, (t,))[0] for e in np.eye(8)], axis=1)
 
 
 class TestPlan:
@@ -80,14 +79,14 @@ class TestEvolveExact:
     def test_time_zero_identity(self):
         _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
         psi = haar_state(np.random.default_rng(0))
-        assert np.max(np.abs(evolve_grid(w, v, psi, (0.0,))[0] - psi)) <= 1e-12
+        assert np.max(np.abs(evolve(w, v, psi, (0.0,))[0] - psi)) <= 1e-12
 
     def test_norm_preserved_and_matches_pade_oracle(self):
         rng = np.random.default_rng(10)
         psi = haar_state(rng)
         times = np.linspace(0, 6, 13)
         _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
-        for t, out in zip(times, evolve_grid(w, v, psi, times)):
+        for t, out in zip(times, evolve(w, v, psi, times)):
             assert abs(np.vdot(out, out).real - 1) <= 1e-12
             assert np.max(np.abs(out - oracle_evolve(total_hamiltonian(heisenberg_chain(1.0)), psi, t))) <= 1e-10
 
@@ -95,7 +94,7 @@ class TestEvolveExact:
         # frozen amplitudes of the evolved x-polarized product state at g t = pi,
         # derived by phase bookkeeping on the zz eigenbasis
         _, (w,), (v,) = plan_spectra(qnd_zz(1.0))
-        out = evolve_grid(w, v, x_product_state(), (np.pi,))[0]
+        out = evolve(w, v, x_product_state(), (np.pi,))[0]
         s = 1 / (2 * np.sqrt(2))
         expected = s * np.array([-1j, 1j, 1, 1, 1, 1, 1j, -1j])
         assert np.max(np.abs(out - expected)) <= 1e-12
@@ -105,7 +104,7 @@ class TestEvolveExact:
         psi0[0] = 1  # product of three identical states
         rho0 = oracle_rho12(psi0)
         _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
-        for psi in evolve_grid(w, v, psi0, (0.3, 1.1, 2.9)):
+        for psi in evolve(w, v, psi0, (0.3, 1.1, 2.9)):
             assert np.max(np.abs(oracle_rho12(psi) - rho0)) <= 1e-10
 
 
@@ -118,7 +117,7 @@ class TestFastpath:
             assert forms.ok[0]
             psi = haar_state(rng)
             times = rng.uniform(0, 7, 4)
-            for t, b in zip(times, evolve_grid(w[0], v[0], psi, times)):
+            for t, b in zip(times, evolve(w[0], v[0], psi, times)):
                 a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
                 assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
@@ -139,7 +138,7 @@ class TestFastpath:
         for got, want in zip((w[0], v[0], w[1], v[1]), (closed_form[0][0], closed_form[1][0], *eigh)):
             assert np.array_equal(got, want)
         psi = haar_state(rng)
-        for c, psi_t in zip(coeffs, evolve_rows(w, v, [psi, psi], [0.9, 0.9])):
+        for c, psi_t in zip(coeffs, evolve(w, v, [psi, psi], [0.9, 0.9])):
             assert np.max(np.abs(psi_t - oracle_evolve(total_hamiltonian(c), psi, 0.9))) <= 1e-10
 
 
@@ -162,7 +161,7 @@ class TestSpectrum:
         psi = haar_state(np.random.default_rng(23))
         times = np.linspace(0.0, 6.0, 25)
         exact = (np.exp(-1j * np.outer(times, w_eigh)) * (v_eigh.conj().T @ psi)) @ v_eigh.T
-        assert np.max(np.abs(evolve_grid(w, v, psi, times) - exact)) <= 1e-12
+        assert np.max(np.abs(evolve(w, v, psi, times) - exact)) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
     @pytest.mark.parametrize(
@@ -222,24 +221,27 @@ class TestSpectrum:
         psi = haar_state(rng)
         times = rng.uniform(0.0, 7.0, 17)
         for w, v in zip(ws, vs):
-            grid = evolve_grid(w, v, psi, times)
+            grid = evolve(w, v, psi, times)
             assert grid.shape == (17, 8)
             for row_t, t in zip(grid, times):
-                assert np.max(np.abs(row_t - evolve_grid(w, v, psi, (t,))[0])) <= 1e-12
+                assert np.max(np.abs(row_t - evolve(w, v, psi, (t,))[0])) <= 1e-12
 
     def test_stacked_plans_equal_one_row_plans(self):
-        # closed-form and eigh rows in one batch, each bit for bit its own one-row plan's; then one state per row and time
+        # closed-form and eigh rows in one batch, each bit for bit its own one-row plan's; then one state per row and
+        # time, and one row's spectrum and state stacked once per time against the same row over the time grid
         rng = np.random.default_rng(27)
         coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(4)])
         coeffs = np.concatenate([coeffs, heisenberg_chain(0.7), one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())])
         forms, w, v = plan_spectra(coeffs)
         psi0s, times = np.array([haar_state(rng) for _ in coeffs]), rng.uniform(0.0, 5.0, len(coeffs))
-        rows = evolve_rows(w, v, psi0s, times)
+        rows = evolve(w, v, psi0s, times)
         for i in range(len(coeffs)):
             forms1, w1, v1 = plan_spectra(coeffs[i : i + 1])
             assert forms.ok[i] == forms1.ok[0] and forms.reason(i) == forms1.reason(0)
             assert np.array_equal(w[i], w1[0]) and np.array_equal(v[i], v1[0])
-            assert np.max(np.abs(rows[i] - evolve_grid(w1[0], v1[0], psi0s[i], (times[i],))[0])) <= 1e-14
+            assert np.max(np.abs(rows[i] - evolve(w1[0], v1[0], psi0s[i], (times[i],))[0])) <= 1e-14
+            stacked = evolve(*(np.repeat(a[i : i + 1], len(times), axis=0) for a in (w, v, psi0s)), times)
+            assert np.max(np.abs(stacked - evolve(w1, v1, psi0s[i], times))) <= 1e-14
 
     def test_eigh_only_for_rows_without_closed_form(self, monkeypatch):
         # commuting rows never call eigh; the others share one stacked call
@@ -263,7 +265,7 @@ class TestClosedForm:
             t = rng.uniform(0, 7)
             a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
             _, (w,), (v,) = plan_spectra(coeffs[None])
-            b = evolve_grid(w, v, psi, (t,))[0]
+            b = evolve(w, v, psi, (t,))[0]
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_plus_plus_plus_only_picks_global_phase(self):
@@ -273,8 +275,8 @@ class TestClosedForm:
         amps[0] = 1.0
         psi0 = from_axis_basis(amps, axes)
         t = 1.234
-        out = evolve_grid(w[0], v[0], psi0, (t,))[0]
-        expected = np.exp(-1j * norms(forms.body[0]).sum() * t) * psi0
+        out = evolve(w[0], v[0], psi0, (t,))[0]
+        expected = np.exp(-1j * directions(forms.body[0])[0].sum() * t) * psi0
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_periodic_return_for_equal_strengths(self):
@@ -284,7 +286,7 @@ class TestClosedForm:
         _, ws, vs = plan_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
         psi = haar_state(rng)
         period = np.pi / s
-        revived, rho_a, rho_b = evolve_grid(ws[0], vs[0], psi, (period, 0.4, 0.4 + period))
+        revived, rho_a, rho_b = evolve(ws[0], vs[0], psi, (period, 0.4, 0.4 + period))
         assert np.max(np.abs(revived - psi)) <= 1e-10
         assert np.max(np.abs(oracle_rho12(rho_a) - oracle_rho12(rho_b))) <= 1e-10
 
@@ -302,7 +304,7 @@ class TestKraus:
         basis = axis_eigenbasis(forms.probe_axis[0])
         for a, b in zip(oracle_kraus(total_hamiltonian(coeffs), phi, basis, 0.0), basis):
             assert np.max(np.abs(a - np.vdot(b, phi) * np.eye(4))) <= 1e-12
-        probs, _, present, states = measure_probe_grid(evolve_grid(w[0], v[0], np.kron(chi, phi), (0.0,)), basis)
+        probs, _, present, states = measure_probe_grid(evolve(w[0], v[0], np.kron(chi, phi), (0.0,)), basis)
         assert present.all()
         for k, b in enumerate(basis):
             assert np.max(np.abs(np.sqrt(probs[0, k]) * states[0, k] - np.vdot(b, phi) * chi)) <= 1e-12
@@ -319,7 +321,7 @@ class TestKraus:
             kraus = oracle_kraus(total_hamiltonian(coeffs), phi, basis, t)
             assert np.max(np.abs(sum(a.conj().T @ a for a in kraus) - np.eye(4))) <= 1e-10
             via_kraus = oracle_rho12_kraus(total_hamiltonian(coeffs), chi, phi, basis, t)
-            via_trace = oracle_rho12(evolve_grid(w[0], v[0], np.kron(chi, phi), (t,))[0])
+            via_trace = oracle_rho12(evolve(w[0], v[0], np.kron(chi, phi), (t,))[0])
             assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
     def test_separable_input_stays_separable_through_kraus(self):
@@ -330,7 +332,7 @@ class TestKraus:
         phi = haar_state(rng, 2)
         basis = axis_eigenbasis(forms.probe_axis[0])
         times = np.linspace(0, 4, 9)
-        for t, tangle in zip(times, concurrence_12(evolve_grid(w[0], v[0], np.kron(chi, phi), times)) ** 2):
+        for t, tangle in zip(times, concurrence_12(evolve(w[0], v[0], np.kron(chi, phi), times)) ** 2):
             rho = oracle_rho12_kraus(total_hamiltonian(coeffs), chi, phi, basis, t)
             assert oracle_concurrence_mixed(rho) ** 2 <= 1e-9
             assert tangle <= 1e-9
@@ -346,7 +348,7 @@ class TestKraus:
         chi[0] = 1
         via_kraus = oracle_rho12_kraus(h, chi, phi, (e0, e1), 1.0)
         _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
-        via_trace = oracle_rho12(evolve_grid(w, v, np.kron(chi, phi), (1.0,))[0])
+        via_trace = oracle_rho12(evolve(w, v, np.kron(chi, phi), (1.0,))[0])
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
 
@@ -363,7 +365,7 @@ class TestMeasureProbe:
         # the same g t = pi far below unit scale, where squared rotation vectors underflow at 1e-170
         for g in (1.0, 1e-15, 1e-170):
             _, (w,), (v,) = plan_spectra(qnd_zz(g))
-            psi = evolve_grid(w, v, x_product_state(), (np.pi / g,))
+            psi = evolve(w, v, x_product_state(), (np.pi / g,))
             probs, tangles, present, states = measure_probe_grid(psi, axis_eigenbasis(X))
             assert present[0, 0] and probs[0, 0] == pytest.approx(0.5, abs=1e-12)
             assert oracle_tangle_pure2(states[0, 0]) == pytest.approx(1.0, abs=1e-9)
@@ -411,5 +413,5 @@ def test_local_terms_do_not_change_tangle_when_aligned():
         psi0 = haar_state(rng)
         t = rng.uniform(0, 2 * np.pi)
         _, ws, vs = plan_spectra(np.concatenate([full, entangling_only]))
-        tau_full, tau_ent = (oracle_tangle12_pure3(evolve_grid(w, v, psi0, (t,))[0]) for w, v in zip(ws, vs))
+        tau_full, tau_ent = (oracle_tangle12_pure3(evolve(w, v, psi0, (t,))[0]) for w, v in zip(ws, vs))
         assert abs(tau_full - tau_ent) <= 1e-9

@@ -22,7 +22,7 @@ from triqubit.scenarios import (
     run_sweep,
     suite_names,
 )
-from triqubit.evolution import evolve_grid, measure_probe_grid, plan_spectra
+from triqubit.evolution import evolve, measure_probe_grid, plan_spectra
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import axis_eigenbasis, rotation_matrices
 from triqubit.tolerances import PHYSICS_TOL
@@ -268,7 +268,7 @@ class TestNonFiniteAndMalformedValues:
         cfg = parse_config(raw)
         forms, w, v = plan_spectra(cfg.coeffs)
         assert forms.ok[0] and forms.probe_axis[0].tolist() == [0.0, 0.0, 1.0]
-        for psi, t in zip(evolve_grid(w[0], v[0], cfg.psi0, cfg.times), cfg.times):
+        for psi, t in zip(evolve(w[0], v[0], cfg.psi0, cfg.times), cfg.times):
             assert np.max(np.abs(psi - oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, t))) <= 1e-12
 
     def test_pairwise_non_finite_coupling(self):
@@ -487,7 +487,7 @@ class TestRunSweep:
             if reference == "off":
                 psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ cfg.psi0)
             else:
-                psi_t = evolve_grid(w_plan[0], v_plan[0], cfg.psi0, (t,))[0]
+                psi_t = evolve(w_plan[0], v_plan[0], cfg.psi0, (t,))[0]
             single = report_batch(psi_t)
             for name in REPORT_FIELDS:
                 assert abs(result.table[name][i] - single[name][0]) <= 1e-12
@@ -663,14 +663,14 @@ class TestNonFiniteViolations:
     )
     def test_nan_evolved_state_fails_the_suite(self, monkeypatch, name):
         # a broken trial's NaN state reaches record as a NaN tangle or EoF, never as a passing 0
-        evolve_rows = scenarios.evolve_rows
+        evolve = scenarios.evolve
 
         def broken(*args):
-            psis = evolve_rows(*args)
+            psis = evolve(*args)
             psis[1] = np.nan
             return psis
 
-        monkeypatch.setattr(scenarios, "evolve_rows", broken)
+        monkeypatch.setattr(scenarios, "evolve", broken)
         result = property_suite(name, trials=3, seed=0)
         assert [f["trial"] for f in result.failures] == [1]
         assert math.isnan(result.max_violation)
@@ -716,7 +716,7 @@ class TestPeriodicity:
             _, ws, vs = plan_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
             psi0 = haar_state(rng)
             t_half = np.pi / (4 * s)
-            tau0, tau_half = residual_tangle_rows([psi0, evolve_grid(ws[0], vs[0], psi0, (t_half,))[0]])
+            tau0, tau_half = residual_tangle_rows([psi0, evolve(ws[0], vs[0], psi0, (t_half,))[0]])
             best = max(best, abs(tau_half - tau0))
         assert best > 1e-3
 
@@ -1050,7 +1050,7 @@ class FixedDraws:
 class TestDrawAssembly:
     """Rows of the stacked assembly equal the per-trial draws of the oracles bit for bit."""
 
-    @pytest.mark.parametrize("locals_mode", ["none", "probe", "full"])
+    @pytest.mark.parametrize("locals_mode", ["probe", "full"])
     def test_rows_equal_per_trial_draws_and_helpers(self, locals_mode):
         # the stand-in's uniform is numpy's
         uniform, u = np.random.default_rng(4).uniform(-1.0, 1.0, 1000), np.random.default_rng(4).random(1000)
