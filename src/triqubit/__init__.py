@@ -33,7 +33,7 @@ from .scenarios import (
     suite_names,
 )
 from .states import (
-    axis_eigenbasis,
+    axis_eigenbases,
     bipartite_12,
     bipartite_13,
     bipartite_23,

@@ -29,15 +29,13 @@ from .scenarios import (
     run_sweep,
     suite_names,
 )
-from .states import Z_AXIS, axis_eigenbasis, fully_separable
+from .states import X_AXIS, Z_AXIS, fully_separable
 from .tolerances import MAX_PHASE
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VIOLATION = 4
-
-X_AXIS = (1.0, 0.0, 0.0)
 
 
 @functools.cache
@@ -181,7 +179,7 @@ def cmd_qnd_demo(args) -> int:
     print(f"gt = {gt:.12g}")
     print(f"pre-measurement tangle_12 = {report_batch(psi_t)['tangle_12'][0]:.10f}")
     print("outcome  probability    conditional_tangle_12")
-    probs, tangles, present, _ = measure_probe_grid(psi_t, axis_eigenbasis(X_AXIS))
+    probs, tangles, present, _ = measure_probe_grid(psi_t, X_AXIS)
     for label, p, tangle, ok in zip(("+x", "-x"), probs[0].tolist(), tangles[0].tolist(), present[0].tolist()):
         print(f"{label:<8} {p:<14.10f} {tangle:.10f}" if ok else f"{label:<8} {p:<14.10f} (degenerate outcome)")
     return EXIT_OK

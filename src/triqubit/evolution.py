@@ -14,7 +14,7 @@ Pauli coefficients, from one ``canonical_forms`` call (the closed form over
 (N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest). ``evolve``
 is the core itself, by broadcasting: N spectra and states go one per row to
 their own times, and one spectrum and state go over a whole time grid.
-``measure_probe_grid`` measures qubit 3 of every row in one basis.
+``measure_probe_grid`` measures qubit 3 of every row along one unit axis.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .hamiltonians import canonical_forms, pair_matrices
 from .linalg import directions, kron  # noqa: F401 (bench/selftest.py reads kron here)
-from .states import unit_axis_eigenbases
-from .tolerances import DEGENERATE_OUTCOME_PROB, STRUCTURAL_TOL
+from .states import axis_eigenbases
+from .tolerances import DEGENERATE_OUTCOME_PROB
 
 _SIGNS = np.array([1.0, -1.0])
 # energy of column (m, a, b) of V from [|v(+,1)|, |v(+,2)|, |v(-,1)|, |v(-,2)|, probe-local]:
@@ -54,7 +54,7 @@ def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.n
     """
     n = len(vecs)
     lengths, units = directions(vecs.reshape(n, 4, 3))
-    bases = unit_axis_eigenbases(np.concatenate([units, probe_axis[:, None, :]], axis=1))
+    bases = axis_eigenbases(np.concatenate([units, probe_axis[:, None, :]], axis=1))
     body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
     # V[row, i, j, k, m, a, b] = e1_a(m)[i] e2_b(m)[j] p_m[k], by broadcasting
     e1 = body[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
@@ -104,15 +104,13 @@ def evolve(w, v, psi0s, times) -> np.ndarray:
     return (v @ (phases * coeffs)[..., None])[..., 0]
 
 
-def measure_probe_grid(psis, basis):
-    """Projective measurement of qubit 3 in an orthonormal basis pair, for every row of ``psis``:
-    (probabilities, tangles, present, states), indexed [row, outcome] with states (T, 2, 4). Where
-    ``present`` is False the probability is below the degenerate-outcome threshold and ``states``
-    holds the unnormalized branch."""
-    b = np.array([np.asarray(vec, dtype=complex).reshape(2) for vec in basis])
-    if np.max(np.abs(b.conj() @ b.T - np.eye(2))) > STRUCTURAL_TOL:
-        raise ValueError("measurement basis must be orthonormal")
-    branches = np.asarray(psis, dtype=complex).reshape(-1, 4, 2) @ b.conj().T  # [row, pair amplitude, outcome]
+def measure_probe_grid(psis, axis):
+    """Projective measurement of qubit 3 along a unit axis, outcomes plus and minus of
+    ``axis_eigenbases``, for every row of ``psis``: (probabilities, tangles, present, states),
+    indexed [row, outcome] with states (T, 2, 4). Where ``present`` is False the probability is
+    below the degenerate-outcome threshold and ``states`` holds the unnormalized branch."""
+    basis = axis_eigenbases(axis)
+    branches = np.asarray(psis, dtype=complex).reshape(-1, 4, 2) @ basis.conj()  # [row, pair amplitude, outcome]
     probs = np.einsum("tak,tak->tk", branches, branches.conj()).real
     present = probs >= DEGENERATE_OUTCOME_PROB
     states = (branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]).transpose(0, 2, 1)

@@ -41,14 +41,6 @@ def directions(x) -> tuple[np.ndarray, np.ndarray]:
     return top * size, scaled / size[..., None]
 
 
-def unit_axis(axis) -> np.ndarray:
-    """``axis / |axis|`` along the last axis, from ``directions``; a zero axis raises ValueError."""
-    lengths, units = directions(np.asarray(axis, dtype=float))
-    if not lengths.all():
-        raise ValueError("zero axis has no direction")
-    return units
-
-
 def embed_single(op2: np.ndarray, qubit: int) -> np.ndarray:
     """Embed a one-qubit operator on qubit 1, 2 or 3 of the 8-dimensional space."""
     if qubit not in (1, 2, 3):

@@ -67,11 +67,11 @@ from .evolution import evolve, measure_probe_grid, plan_spectra
 from .hamiltonians import PRESETS, heisenberg_chain
 from .linalg import directions
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
-from .states import axis_eigenbasis, from_axis_basis
+from .states import from_axis_basis
 from .tolerances import MAX_PERIODICITY_NORM, MAX_PHASE, PHYSICS_TOL
 
 MAX_STEPS = 1_000_000  # a measured sweep peaks near 0.55 KB per row (tracemalloc, 1e5 rows): ~550 MB at the limit
-NAMED_BASES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+NAMED_BASES = {"x": states.X_AXIS, "y": states.Y_AXIS, "z": states.Z_AXIS}
 
 
 class ConfigError(ValueError):
@@ -117,10 +117,10 @@ def _as_vec3(value, path: str) -> tuple[float, float, float]:
     return tuple(_as_float(v, path) for v in value)
 
 
-def _as_axis(value, path: str) -> tuple[float, float, float]:
-    """A 3-vector that names a direction: not all zero."""
-    axis = _as_vec3(value, path)
-    if not any(axis):
+def _as_axis(value, path: str) -> np.ndarray:
+    """The unit row of a 3-vector that names a direction: not all zero."""
+    length, axis = directions(_as_vec3(value, path))
+    if not length:
         raise ConfigError(f"{path}: zero axis has no direction")
     return axis
 
@@ -179,8 +179,8 @@ def _hamiltonian_scale(coeffs: np.ndarray, path: str) -> float:
     return math.sqrt(8.0) * float(directions(total)[0])
 
 
-def _parse_rotations(entries, path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
-    """(angles, axes) of the three rotations, each placed at its qubit's row."""
+def _parse_rotations(entries, path: str) -> tuple[list[float], list]:
+    """(angles, unit axes) of the three rotations, each placed at its qubit's row."""
     if not isinstance(entries, list) or len(entries) != 3:
         raise ConfigError(f"{path}: expected three entries")
     angles, axes = [0.0] * 3, [states.Z_AXIS] * 3
@@ -257,7 +257,7 @@ def _parse_state(section: dict, path: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    basis: tuple[np.ndarray, np.ndarray]
+    axis: np.ndarray | tuple[float, float, float]  # unit
     labels: tuple[str, str]
     at_time: float | None
 
@@ -277,7 +277,7 @@ def _parse_measurement(section: dict, path: str) -> MeasurementSpec:
     at_time = section.get("at_time")
     if at_time is not None:
         at_time = _as_float(at_time, f"{path}.at_time")
-    return MeasurementSpec(basis=axis_eigenbasis(axis), labels=labels, at_time=at_time)
+    return MeasurementSpec(axis=axis, labels=labels, at_time=at_time)
 
 
 @dataclass
@@ -431,7 +431,7 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         seed=seed,
     )
     if cfg.measurement is not None:
-        probs, tangles, present, _ = measure_probe_grid(psis, cfg.measurement.basis)
+        probs, tangles, present, _ = measure_probe_grid(psis, cfg.measurement.axis)
         if cfg.measurement.at_time is not None:
             measured = (np.arange(len(cfg.times)) == np.argmin(np.abs(cfg.times - cfg.measurement.at_time)))[:, None]
             probs, present = np.where(measured, probs, np.nan), present & measured
@@ -623,7 +623,7 @@ def suite_names() -> tuple[str, ...]:
 def _rotated(psis, take, qubits) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Haar rotation per trial for each of ``qubits``, in that order, and apply them to the
     rows of ``psis`` in qubit order: the rotated rows and the (len(qubits), n, 2, 2) matrices."""
-    matrices = states.unit_rotation_matrices(*_rotations(take, len(qubits)))
+    matrices = states.rotation_matrices(*_rotations(take, len(qubits)))
     for k in sorted(range(len(qubits)), key=qubits.__getitem__):
         psis = states.rotate(psis, qubits[k], matrices[k])
     return psis, matrices
@@ -729,7 +729,7 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     psi0s, matrices = _rotated(psi0s, take, (3, 1, 2))  # matrices[0] rotates qubit 3
     ts = _times(take)
     forms, w, v = plan_spectra(coeffs)
-    plus = states.unit_axis_eigenbases(forms.probe_axis)[..., :, 0]
+    plus = states.axis_eigenbases(forms.probe_axis)[..., :, 0]
     c2 = np.abs(np.vecdot(plus, matrices[0][..., :, 0])) ** 2
     a2 = np.abs(amps[:, 0]) ** 2
     m_plus2 = a2 + c2 - 2.0 * a2 * c2
@@ -798,7 +798,8 @@ def _parity(take):
     amps8 = np.zeros((len(amps4), 8), dtype=complex)
     np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
     forms, w, v = plan_spectra(coeffs)
-    psi0s = from_axis_basis(amps8, np.concatenate([forms.body, forms.probe_axis[:, None, :]], axis=1))
+    axes = directions(np.concatenate([forms.body, forms.probe_axis[:, None, :]], axis=1))[1]
+    psi0s = from_axis_basis(amps8, axes)
     tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, evolve(w, v, psi0s, ts))
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
     violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))

@@ -4,18 +4,22 @@ States are plain complex 8-vectors in the logical basis, index b = 4*b1 +
 2*b2 + b3. Constructors validate normalization to the structural tolerance;
 the bipartite and GHZ constructors also build stacks of states, one per row.
 A rotation exp(-i angle sigma_axis) is an (angle, axis) row for
-``rotation_matrices``. Axis eigenbases, rotation matrices, ``rotate`` and
-``from_axis_basis`` take stacked inputs, one row per state; a rotation is
-contracted on the (N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
+``rotation_matrices``. Every axis is a unit row, normalized where it is made
+(config parsing, the random draws, ``linalg.directions``), and is taken here as
+given. Axis eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis``
+take stacked inputs, one row per state; a rotation is contracted on the
+(N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import kron, unit_axis
+from .linalg import kron
 from .tolerances import STRUCTURAL_TOL
 
+X_AXIS = (1.0, 0.0, 0.0)
+Y_AXIS = (0.0, 1.0, 0.0)
 Z_AXIS = (0.0, 0.0, 1.0)
 
 
@@ -57,20 +61,15 @@ def _schmidt_states(a, b, vec, what: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axis_eigenbases(axes) -> np.ndarray:
-    """Eigenbases of sigma_axis for axes of shape (..., 3), shape (..., 2, 2): columns plus, minus.
+    """Eigenbases of sigma_axis for unit axes of shape (..., 3), shape (..., 2, 2): columns plus, minus.
 
     Phase convention: plus = (cos(theta/2), e^{i phi} sin(theta/2)) from the
     Bloch angles of the axis, with e^{i phi} = 1 on the z axis; minus has a
     real nonnegative first component (fixed to |1> for the +z axis where that
-    component vanishes).
+    component vanishes). No trigonometry: e^{i phi} is (x + i y) / |(x, y)|.
     """
-    return unit_axis_eigenbases(unit_axis(axes))
-
-
-def unit_axis_eigenbases(unit) -> np.ndarray:
-    """``axis_eigenbases`` of axes that are already unit rows, with no trigonometry: e^{i phi} is
-    (x + i y) / |(x, y)|."""
-    x, y, z = unit[..., 0], unit[..., 1], unit[..., 2]
+    axes = np.asarray(axes, dtype=float)
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
     # half-angle components from (transverse radius, 1 + |z|); arccos would lose
     # ~sqrt(eps) accuracy near the poles
     r = np.hypot(x, y)
@@ -91,22 +90,11 @@ def unit_axis_eigenbases(unit) -> np.ndarray:
     return basis
 
 
-def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (plus, minus) eigenvectors of sigma_axis: the one-axis ``axis_eigenbases``."""
-    basis = axis_eigenbases(axis)
-    return basis[:, 0], basis[:, 1]
-
-
 def rotation_matrices(angles, axes) -> np.ndarray:
-    """exp(-i angle sigma_axis) for N angles and (N, 3) axes, shape (N, 2, 2)."""
-    return unit_rotation_matrices(angles, unit_axis(axes))
-
-
-def unit_rotation_matrices(angles, unit) -> np.ndarray:
     """exp(-i angle sigma_axis) = cos(angle) - i sin(angle) axis.sigma for angles of any shape and
-    unit axes of that shape plus (3,), taken as given; shape (..., 2, 2)."""
+    unit axes of that shape plus (3,); shape (..., 2, 2)."""
     angles = np.asarray(angles, dtype=float)
-    c, sn = np.cos(angles), np.sin(angles)[..., None] * unit  # sin(angle) (x, y, z)
+    c, sn = np.cos(angles), np.sin(angles)[..., None] * axes  # sin(angle) (x, y, z)
     m = np.empty((*angles.shape, 2, 2), dtype=complex)
     re, im = m.real, m.imag
     re[..., 0, 0] = re[..., 1, 1] = c
@@ -128,8 +116,8 @@ def rotate(psis, qubit: int, matrices) -> np.ndarray:
 def from_axis_basis(amps, axes) -> np.ndarray:
     """Logical-basis states from amplitudes in the product eigenbasis of three axes.
 
-    ``amps`` has shape (..., 8) and ``axes`` (..., 3, 3), one axis per qubit;
-    the result has the shape of ``amps``.
+    ``amps`` has shape (..., 8) and ``axes`` (..., 3, 3), one unit axis per
+    qubit; the result has the shape of ``amps``.
     """
     b = axis_eigenbases(axes)
     a = np.asarray(amps, dtype=complex).reshape(*b.shape[:-3], 2, 2, 2)
@@ -140,8 +128,8 @@ def from_axis_basis(amps, axes) -> np.ndarray:
 # State-class constructors -------------------------------------------------
 
 def fully_separable(angles, rotation_axes, axes=(Z_AXIS, Z_AXIS, Z_AXIS)) -> np.ndarray:
-    """Product state (R1 x R2 x R3) |+++> on the plus eigenvectors of the reference ``axes``, with
-    R_k = exp(-i angles[k] sigma_(rotation_axes[k])) on qubit k + 1."""
+    """Product state (R1 x R2 x R3) |+++> on the plus eigenvectors of the unit reference ``axes``, with
+    R_k = exp(-i angles[k] sigma_(rotation_axes[k])) on qubit k + 1 about unit ``rotation_axes``."""
     plus = axis_eigenbases(axes)[..., :, 0]
     return kron(*(rotation @ p for rotation, p in zip(rotation_matrices(angles, rotation_axes), plus)))
 

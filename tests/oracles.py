@@ -8,7 +8,8 @@ Pade-approximant matrix exponentials (scipy) instead of spectral ones, einsum
 reductions, a branch-cross-matrix concurrence for marginals of pure states,
 the plain nonsymmetric-eigenvalue Wootters route for mixed two-qubit states,
 the Kraus route to rho_12 of a state chi x phi through the probe's
-conditional operators, and two residual-tangle routes (Wootters lambdas, CKW
+conditional operators, the projector route to a probe measurement along an
+axis, and two residual-tangle routes (Wootters lambdas, CKW
 subtraction) built from the cross matrix instead of the package's amplitude
 polynomials.
 The parent route of the canonical form's classification: Levi-Civita einsum
@@ -25,6 +26,9 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from triqubit.linalg import directions
+from triqubit.states import axis_eigenbases
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -234,6 +238,18 @@ def oracle_rho12_kraus(h: np.ndarray, chi: np.ndarray, phi: np.ndarray, basis, t
     return sum(a @ rho @ a.conj().T for a in oracle_kraus(h, phi, basis, t))
 
 
+def oracle_probe_measurement(psi: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and conditional 1,2 tangles of measuring qubit 3 of ``psi`` along a
+    unit axis n: the projectors (1 +- n.sigma)/2 on qubit 3, embedded with kron, outcomes (+, -)."""
+    probs, tangles = [], []
+    for sign in (1.0, -1.0):
+        branch = np.kron(np.eye(4), (I2 + sign * _sigma(axis)) / 2.0) @ np.asarray(psi, dtype=complex)
+        p = float(np.vdot(branch, branch).real)
+        probs.append(p)
+        tangles.append(oracle_tangle12_pure3(branch / math.sqrt(p)))
+    return np.array(probs), np.array(tangles)
+
+
 def oracle_ptrace(m: np.ndarray, which: int) -> np.ndarray:
     t = np.asarray(m, dtype=complex).reshape(2, 2, 2, 2, 2, 2)
     if which == 1:
@@ -304,6 +320,13 @@ def oracle_binary_entropy(x: float) -> float:
 def haar_state(rng, dim: int = 8) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def axis_eigenbasis(axis) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) eigenvectors of sigma_axis for a nonzero axis of any length: the package's
+    ``axis_eigenbases`` of its unit row."""
+    basis = axis_eigenbases(directions(np.asarray(axis, dtype=float))[1])
+    return basis[..., :, 0], basis[..., :, 1]
 
 
 def reference_axis(rng) -> np.ndarray:

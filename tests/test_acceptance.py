@@ -19,7 +19,7 @@ from triqubit.scenarios import (
     property_suite,
     residual_periodicity_check,
 )
-from triqubit.states import axis_eigenbasis, fully_separable, ghz_general, triple, zrt
+from triqubit.states import fully_separable, ghz_general, triple, zrt
 
 from oracles import (
     haar_state,
@@ -52,7 +52,7 @@ def test_criterion_01_probe_measurement_prepares_bell_pairs():
     for g in (1.0, 1e-15):  # the claim is on g t alone
         gts = np.pi * np.array([1.0, 3.0])  # g t = pi (2m + 1), m = 0 and 1
         _, (w,), (v,) = plan_spectra(qnd_zz(g))
-        probs, _, _, states = measure_probe_grid(evolve(w, v, psi0, gts / g), axis_eigenbasis(X))
+        probs, _, _, states = measure_probe_grid(evolve(w, v, psi0, gts / g), X)
         for gt, p_plus, plus in zip(gts, probs[:, 0], states[:, 0]):
             assert abs(p_plus - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={p_plus!r}"
             conditional = oracle_tangle_pure2(plus)
@@ -204,7 +204,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     ):
         tau0 = oracle_tangle12_pure3(psi0)
         tau_t = oracle_tangle12_pure3(psi_t)
-        branch_probs, _, _, branch_states = measure_probe_grid(psi_t, axis_eigenbasis(probe_axis))
+        branch_probs, _, _, branch_states = measure_probe_grid(psi_t, probe_axis)
         probs = branch_probs[0].tolist()
         taus = [oracle_tangle_pure2(state) for state in branch_states[0]]
         weighted_sum = sum(p * tau for p, tau in zip(probs, taus))

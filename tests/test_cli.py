@@ -398,7 +398,7 @@ ZERO_COUPLING = {"hamiltonian": {"pairwise": {
 
 class TestGoldenStdout:
     """The exact stdout of ``classify`` and ``qnd-demo``, and the exact stdout and stderr of a failing
-    suite and a passing periodicity check, byte for byte."""
+    suite, a passing suite and a passing periodicity check, byte for byte."""
 
     @pytest.mark.parametrize(
         "config, expected",
@@ -486,13 +486,20 @@ class TestGoldenStdout:
                 "'tau0': 0.659701495440029, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204883}\n",
             ),
             (
+                # the parity states are built on the unit rows of body and probe axes, both normalized
+                ["suite", "parity_residual_conserved", "--trials", "25", "--seed", "7"],
+                0,
+                "suite parity_residual_conserved: 25 trials, max violation 1.887e-15\nall trials passed\n",
+                "",
+            ),
+            (
                 ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
                 0,
                 "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 2.026e-15\nall trials passed\n",
                 "",
             ),
         ],
-        ids=["suite_failing", "periodicity_passing"],
+        ids=["suite_failing", "parity_passing", "periodicity_passing"],
     )
     def test_trial_verdicts(self, capsys, argv, code, out, err):
         assert main(argv) == code

@@ -8,20 +8,22 @@ from triqubit.evolution import (
     plan_spectra,
 )
 from triqubit.hamiltonians import heisenberg_chain, qnd_zz
-from triqubit.linalg import directions, unit_axis
+from triqubit.linalg import directions
 from triqubit.measures import concurrence_12
-from triqubit.states import axis_eigenbasis, from_axis_basis, fully_separable, ghz_general
+from triqubit.states import from_axis_basis, fully_separable, ghz_general
 from triqubit.tolerances import SPECTRAL_TOL
 
 from oracles import (
     I2,
     PAULIS,
+    axis_eigenbasis,
     haar_state,
     matrices,
     one_pair,
     oracle_concurrence_mixed,
     oracle_evolve,
     oracle_kraus,
+    oracle_probe_measurement,
     oracle_rho12,
     oracle_rho12_kraus,
     oracle_tangle12_pure3,
@@ -270,7 +272,7 @@ class TestClosedForm:
 
     def test_plus_plus_plus_only_picks_global_phase(self):
         forms, w, v = plan_spectra(reference_pair(np.random.default_rng(31))[None])
-        axes = np.array([*unit_axis(forms.body[0]), forms.probe_axis[0]])
+        axes = np.array([*directions(forms.body[0])[1], forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
         psi0 = from_axis_basis(amps, axes)
@@ -304,7 +306,7 @@ class TestKraus:
         basis = axis_eigenbasis(forms.probe_axis[0])
         for a, b in zip(oracle_kraus(total_hamiltonian(coeffs), phi, basis, 0.0), basis):
             assert np.max(np.abs(a - np.vdot(b, phi) * np.eye(4))) <= 1e-12
-        probs, _, present, states = measure_probe_grid(evolve(w[0], v[0], np.kron(chi, phi), (0.0,)), basis)
+        probs, _, present, states = measure_probe_grid(evolve(w[0], v[0], np.kron(chi, phi), (0.0,)), forms.probe_axis[0])
         assert present.all()
         for k, b in enumerate(basis):
             assert np.max(np.abs(np.sqrt(probs[0, k]) * states[0, k] - np.vdot(b, phi) * chi)) <= 1e-12
@@ -357,7 +359,7 @@ class TestMeasureProbe:
         rng = np.random.default_rng(60)
         chi = haar_state(rng, 4)
         phi = np.array([0.6, 0.8j], dtype=complex)
-        probs, _, _, states = measure_probe_grid(np.kron(chi, phi), axis_eigenbasis(X))
+        probs, _, _, states = measure_probe_grid(np.kron(chi, phi), X)
         assert abs(probs[0].sum() - 1) <= 1e-12
         assert abs(np.vdot(states[0, 0], states[0, 1])) == pytest.approx(1.0, abs=1e-12)
 
@@ -366,7 +368,7 @@ class TestMeasureProbe:
         for g in (1.0, 1e-15, 1e-170):
             _, (w,), (v,) = plan_spectra(qnd_zz(g))
             psi = evolve(w, v, x_product_state(), (np.pi / g,))
-            probs, tangles, present, states = measure_probe_grid(psi, axis_eigenbasis(X))
+            probs, tangles, present, states = measure_probe_grid(psi, X)
             assert present[0, 0] and probs[0, 0] == pytest.approx(0.5, abs=1e-12)
             assert oracle_tangle_pure2(states[0, 0]) == pytest.approx(1.0, abs=1e-9)
             assert tangles[0, 0] == pytest.approx(1.0, abs=1e-9)
@@ -375,9 +377,7 @@ class TestMeasureProbe:
             assert abs(np.vdot(bell, states[0, 0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_z_basis(self):
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-        probs, _, _, states = measure_probe_grid(ghz_general(INV_SQRT2, INV_SQRT2), (e0, e1))
+        probs, _, _, states = measure_probe_grid(ghz_general(INV_SQRT2, INV_SQRT2), Z)
         for k, index in enumerate((0, 3)):
             assert probs[0, k] == pytest.approx(0.5, abs=1e-12)
             expected = np.zeros(4)
@@ -387,16 +387,20 @@ class TestMeasureProbe:
     def test_degenerate_outcome_reported_absent(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1  # |000>, the |1> outcome on qubit 3 never occurs
-        e0 = np.array([1, 0], dtype=complex)
-        e1 = np.array([0, 1], dtype=complex)
-        probs, _, present, _ = measure_probe_grid(psi, (e0, e1))
+        probs, _, present, _ = measure_probe_grid(psi, Z)
         assert probs[0, 1] <= 1e-14
         assert present.tolist() == [[True, False]]
 
-    def test_rejects_non_orthonormal_basis(self):
-        psi = ghz_general(INV_SQRT2, INV_SQRT2)
-        with pytest.raises(ValueError):
-            measure_probe_grid(psi, (np.array([1, 0]), np.array([1, 1]) * INV_SQRT2))
+    def test_random_axes_match_projector_oracle(self):
+        # probabilities and conditional tangles from (1 +- n.sigma)/2 on qubit 3, built with kron
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            axis, psi = reference_axis(rng), haar_state(rng)
+            probs, tangles, present, _ = measure_probe_grid(psi, axis)
+            want_probs, want_tangles = oracle_probe_measurement(psi, axis)
+            assert present.all()
+            assert np.max(np.abs(probs[0] - want_probs)) <= 1e-12
+            assert np.max(np.abs(tangles[0] - want_tangles)) <= 1e-12
 
 
 def test_local_terms_do_not_change_tangle_when_aligned():

@@ -8,7 +8,6 @@ from triqubit.linalg import (
     SZ,
     directions,
     kron,
-    unit_axis,
 )
 
 from oracles import commutator
@@ -73,11 +72,6 @@ def test_directions_equal_the_top_scaled_arithmetic_bitwise():
     lengths, units = directions(x)
     assert lengths.tobytes() == (top * size).tobytes()
     assert units.tobytes() == (scaled / size[:, None]).tobytes()
-
-
-def test_unit_axis_rejects_zero_axis():
-    with pytest.raises(ValueError):
-        unit_axis((0, 0, 0))
 
 
 def test_pauli_commutators():

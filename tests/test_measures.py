@@ -36,7 +36,9 @@ def pair_tangles(chi, phi):
     leaves chi as the conditional pair state, whose tangle is 4|a00 a11 - a01 a10|^2.
     """
     psi = np.kron(chi, phi)
-    tangles = measure_probe_grid(psi, (phi, np.array([-phi[1].conj(), phi[0].conj()])))[1]
+    a, b = phi
+    bloch = (2.0 * (a.conjugate() * b).real, 2.0 * (a.conjugate() * b).imag, abs(a) ** 2 - abs(b) ** 2)
+    tangles = measure_probe_grid(psi, bloch)[1]  # along phi's Bloch axis: outcome plus is phi
     return report_batch(psi)["tangle_12"][0], tangles[0, 0]
 
 

@@ -23,11 +23,13 @@ from triqubit.scenarios import (
     suite_names,
 )
 from triqubit.evolution import evolve, measure_probe_grid, plan_spectra
+from triqubit.linalg import directions
 from triqubit.measures import report_batch, residual_tangle_rows
-from triqubit.states import axis_eigenbasis, rotation_matrices
+from triqubit.states import rotation_matrices
 from triqubit.tolerances import PHYSICS_TOL
 
 from oracles import (
+    axis_eigenbasis,
     commutes,
     haar_state,
     one_pair,
@@ -143,7 +145,7 @@ class TestConfigParsing:
         rotations = [{"qubit": 3, "angle": 0.3, "axis": [0, 1, 0]}, {"qubit": 1, "angle": 0.7, "axis": [1, 1, 0]}, {"qubit": 2}]
         state = {"class": "fully_separable", "params": {"rotations": rotations, "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
         psi0 = parse_config(heisenberg_config(initial_state=state)).psi0
-        rotated = [rotation_matrices([a], [axis])[0] @ axis_eigenbasis(ref)[0] for a, axis, ref in
+        rotated = [rotation_matrices([a], [directions(axis)[1]])[0] @ axis_eigenbasis(ref)[0] for a, axis, ref in
                    ((0.7, (1, 1, 0), (1, 0, 0)), (0.0, (0, 0, 1), (0, 1, 0)), (0.3, (0, 1, 0), (0, 0, 1)))]
         assert np.max(np.abs(psi0 - np.kron(np.kron(rotated[0], rotated[1]), rotated[2]))) <= 1e-15
 
@@ -176,6 +178,45 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="missing.json"):
             load_config(tmp_path / "missing.json")
+
+
+def axis_configs(axis):
+    """Configs that give ``axis`` as a measurement, a rotation and a reference axis, by that name."""
+    rotations = [{"qubit": 1, "angle": 0.7, "axis": axis}, {"qubit": 2}, {"qubit": 3, "angle": 0.3}]
+    reference = [[0, 0, 1], axis, [0, 1, 0]]
+    return {
+        "measurement": heisenberg_config(measurement={"basis": {"axis": axis}}),
+        "rotation": heisenberg_config(initial_state={"class": "fully_separable", "params": {"rotations": rotations}}),
+        "reference": heisenberg_config(initial_state={"class": "fully_separable", "params": {"axes": reference}}),
+    }
+
+
+class TestAxesAreUnitWhereParsed:
+    # every config axis becomes its unit row at parsing; downstream code takes it as given
+    @pytest.mark.parametrize("where", ["measurement", "rotation", "reference"])
+    @pytest.mark.parametrize(
+        "axis, unit",
+        [
+            ([1.3407807929942597e154, 1.3407807929942597e154, 0.0], [1, 1, 0]),
+            ([1e300, 1e300, 0.0], [1, 1, 0]),
+            ([1e-300, 1e-300, 0.0], [1, 1, 0]),
+            ([2, 0, 0], [1, 0, 0]),
+        ],
+        ids=["1.34e154", "1e300", "1e-300", "length 2"],
+    )
+    def test_extreme_finite_axis_scale(self, where, axis, unit):
+        # the sum of squares leaves float range, although the direction does not
+        cfg, want = parse_config(axis_configs(axis)[where]), parse_config(axis_configs(unit)[where])
+        if where == "measurement":
+            assert cfg.measurement.axis.tobytes() == directions(np.array(unit, dtype=float))[1].tobytes()
+            assert cfg.measurement.axis.tobytes() == want.measurement.axis.tobytes()
+        assert cfg.psi0.tobytes() == want.psi0.tobytes()
+
+    @pytest.mark.parametrize("where", ["measurement", "rotation", "reference"])
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [0, -0.0, 0], [-0.0, -0.0, -0.0]], ids=["zeros", "one signed", "all signed"])
+    def test_zero_axis_rejected(self, where, axis):
+        with pytest.raises(ConfigError, match="zero axis has no direction"):
+            parse_config(axis_configs(axis)[where])
 
 
 _ZERO_COUPLING = [[0, 0, 0]] * 3
@@ -455,7 +496,7 @@ class TestRunSweep:
             assert result.table["tangle_12"][-1] <= 1e-9
             assert result.conditional_tangles[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
             psi_t = oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.times[-1])
-            for state in measure_probe_grid(psi_t, cfg.measurement.basis)[3][0]:
+            for state in measure_probe_grid(psi_t, cfg.measurement.axis)[3][0]:
                 assert oracle_tangle_pure2(state) == pytest.approx(1.0, abs=1e-9)
 
     def test_measurement_at_time_only_nearest_row(self):
@@ -491,7 +532,7 @@ class TestRunSweep:
             single = report_batch(psi_t)
             for name in REPORT_FIELDS:
                 assert abs(result.table[name][i] - single[name][0]) <= 1e-12
-            probs, tangles, present, states = measure_probe_grid(psi_t, cfg.measurement.basis)
+            probs, tangles, present, states = measure_probe_grid(psi_t, cfg.measurement.axis)
             assert present.all()
             for k in range(2):
                 assert abs(result.probabilities[i, k] - probs[0, k]) <= 1e-12
@@ -537,6 +578,15 @@ class TestCsv:
             assert float(parsed[0]) == result.times[i]
             for name, cell in zip(columns[1:], parsed[1:]):
                 assert float(cell) == result.table[name][i]
+
+    def test_scaled_measurement_axis_same_bytes(self, tmp_path):
+        # only the config hash on line 2 tells an axis of length 2 from its unit row
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(run_sweep(parse_config(heisenberg_config(measurement={"basis": {"axis": [2, 0, 0]}})), seed=5), out_a)
+        emit_csv(run_sweep(parse_config(heisenberg_config(measurement={"basis": {"axis": [1, 0, 0]}})), seed=5), out_b)
+        lines_a, lines_b = out_a.read_bytes().splitlines(), out_b.read_bytes().splitlines()
+        assert lines_a[1] != lines_b[1]
+        assert lines_a[:1] + lines_a[2:] == lines_b[:1] + lines_b[2:]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg_a = parse_config(heisenberg_config())
