@@ -9,9 +9,12 @@ qubit 3: in probe sector m = +-1, body qubit k sees a plain rotation about
 m body_k + local_self_k, so the spectrum comes in closed form, with no
 eigensolver. Otherwise it comes from ``eigh``.
 
-``plan_spectra`` builds the stacked spectra of N pairs, given as (N, 2, 15)
-Pauli coefficients, from one ``canonical_forms`` call (the closed form over
-(N, 2, 2, 3) sector vectors, one stacked ``eigh`` for the rest). ``evolve``
+``closed_form_spectra`` takes N pairs in canonical form (body and body-local
+vectors, probe axis and probe-local strengths) and builds their sector vectors
+itself; the property suites draw their pairs in that form and call it
+directly. ``plan_spectra`` builds the stacked spectra of N pairs given as
+(N, 2, 15) Pauli coefficients from one ``canonical_forms`` call (the closed
+form for rows with a form, one stacked ``eigh`` for the rest). ``evolve``
 is the core itself, by broadcasting: N spectra and states go one per row to
 their own times, and one spectrum and state go over a whole time grid.
 ``measure_probe_grid`` measures qubit 3 of every row along one unit axis.
@@ -41,26 +44,27 @@ _ENERGY_SIGNS = np.array(
 )
 
 
-def closed_form_spectra(vecs, probe_axis, probe_local) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form ``(w, V)`` of N commuting Hamiltonians, shapes (N, 8) and (N, 8, 8).
+def closed_form_spectra(body, local_self, probe_axis, probe_strength) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``(w, V)`` of N pairs in canonical form, shapes (N, 8) and (N, 8, 8).
 
-    ``vecs`` are the (N, 2, 2, 3) sector vectors, ``probe_axis`` (N, 3) the
-    unit probe axes and ``probe_local`` (N,) the summed probe-local strengths.
-    In probe sector m, qubit k's eigenbasis is the axis eigenbasis of its
-    rotation vector, with energies +-|vector| (the identity when the vector is
-    zero); the probe-local term adds m * (probe-local strength). Column
-    (m, a, b) of V is e1_a(m) x e2_b(m) x p_m. Lengths and unit rows come from
-    ``directions``; a zero vector points along z, which gives the identity basis.
+    Pair k of a row is body_k.sigma x j.sigma + local_self_k.sigma + probe_strength_k j.sigma,
+    with ``body`` and ``local_self`` (N, 2, 3), ``probe_axis`` j (N, 3) a unit axis and
+    ``probe_strength`` (N, 2). In probe sector m = +-1, qubit k rotates about the sector vector
+    m body_k + local_self_k: its eigenbasis is the axis eigenbasis of that vector, with energies
+    +-|vector| (the identity when the vector is zero), and the probe-local terms add
+    m * (their summed strength). Column (m, a, b) of V is e1_a(m) x e2_b(m) x p_m. Lengths and
+    unit rows come from ``directions``; a zero vector points along z, which gives the identity basis.
     """
-    n = len(vecs)
+    n = len(body)
+    vecs = _SIGNS[:, None, None] * body[:, None] + local_self[:, None]  # [row, sector, body qubit, component]
     lengths, units = directions(vecs.reshape(n, 4, 3))
     bases = axis_eigenbases(np.concatenate([units, probe_axis[:, None, :]], axis=1))
-    body = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
+    sectors = bases[:, :4].reshape(n, 2, 2, 2, 2)  # [row, sector, body qubit, component, +-]
     # V[row, i, j, k, m, a, b] = e1_a(m)[i] e2_b(m)[j] p_m[k], by broadcasting
-    e1 = body[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
-    e2 = body[:, :, 1].transpose(0, 2, 1, 3)[:, None, :, None, :, None, :]
+    e1 = sectors[:, :, 0].transpose(0, 2, 1, 3)[:, :, None, None, :, :, None]
+    e2 = sectors[:, :, 1].transpose(0, 2, 1, 3)[:, None, :, None, :, None, :]
     v = (e1 * e2 * bases[:, 4, None, None, :, :, None, None]).reshape(n, 8, 8)
-    return np.concatenate([lengths, probe_local[:, None]], axis=1) @ _ENERGY_SIGNS, v
+    return np.concatenate([lengths, probe_strength.sum(axis=1, keepdims=True)], axis=1) @ _ENERGY_SIGNS, v
 
 
 def plan_spectra(coeffs: np.ndarray):
@@ -83,11 +87,8 @@ def plan_spectra(coeffs: np.ndarray):
 
 
 def _closed_form_rows(forms, coeffs, rows=slice(None)):
-    """Closed-form spectra of the ``rows`` of ``forms``: in probe sector m = +-1, body qubit k
-    rotates about m * body_k + local_self_k."""
-    body, strengths = forms.body[rows], forms.probe_strength[rows]
-    vecs = _SIGNS[:, None, None] * body[:, None] + coeffs[rows][:, None, :, 9:12]
-    return closed_form_spectra(vecs, forms.probe_axis[rows], strengths[:, 0] + strengths[:, 1])
+    """Closed-form spectra of the ``rows`` of ``forms``, with the body-local vectors of ``coeffs``."""
+    return closed_form_spectra(forms.body[rows], coeffs[rows][..., 9:12], forms.probe_axis[rows], forms.probe_strength[rows])
 
 
 def _eigh_rows(coeffs):

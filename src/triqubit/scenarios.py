@@ -63,7 +63,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import evolve, measure_probe_grid, plan_spectra
+from .evolution import closed_form_spectra, evolve, measure_probe_grid, plan_spectra
 from .hamiltonians import PRESETS, heisenberg_chain
 from .linalg import directions
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
@@ -546,37 +546,31 @@ def _three_axes(take) -> np.ndarray:
     return _unit_rows(take.normal(3, 3))
 
 
-def _axis_pairs(axes, strengths, probe_locals) -> np.ndarray:
-    """(n, 2, 15) coefficients of ``_three_axes`` u, w and j with couplings strengths * (u or w) x j
-    and probe-local terms probe_locals * j; the body-local terms are 0."""
-    j = axes[2]
-    coeffs = np.zeros((len(j), 2, 15))
-    body = axes[:2].transpose(1, 0, 2)  # [row, pair, component]
-    coeffs[..., :9] = (strengths[..., None, None] * (body[..., None] * j[:, None, None, :])).reshape(-1, 2, 9)
-    coeffs[..., 12:] = probe_locals[..., None] * j[:, None, :]
-    return coeffs
-
-
-def _commuting_pairs(take, locals_mode: str) -> np.ndarray:
-    """(n, 2, 15) coefficients of random commuting pairs: random unit axes u, w (body) and j (the
-    shared probe axis), coupling strengths uniform in (0, 2] and probe-local terms on j.
-    ``locals_mode`` 'full' also adds body-local terms with arbitrary axes, 'probe' does not."""
+def _commuting_pairs(take, locals_mode: str) -> tuple[np.ndarray, ...]:
+    """Random commuting pairs in the canonical form ``closed_form_spectra`` takes, (body, local_self,
+    probe_axis, probe_strength): random unit axes u, w and j (the shared probe axis), body vectors
+    strengths * (u, w) with coupling strengths uniform in (0, 2] and probe-local strengths uniform in
+    [-1, 1). ``locals_mode`` 'full' also adds body-local vectors with arbitrary axes, 'probe' leaves them 0."""
     axes = _three_axes(take)
     u = take.uniform(2, 2)  # the strengths, then the probe-local strengths
-    coeffs = _axis_pairs(axes, 2.0 - _uniform(u[0], 0.0, 2.0), _uniform(u[1], -1.0, 1.0))
+    local_self = np.zeros((len(axes[2]), 2, 3))
     if locals_mode == "full":
         for k in range(2):
-            coeffs[:, k, 9:12] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
-    return coeffs
+            local_self[:, k] = _uniform(take.uniform(1), 0.0, 1.0) * _unit_rows(take.normal(3))
+    body = (2.0 - _uniform(u[0], 0.0, 2.0))[..., None] * axes[:2].transpose(1, 0, 2)  # [row, pair, component]
+    return body, local_self, axes[2], _uniform(u[1], -1.0, 1.0)
 
 
 # Property suites ----------------------------------------------------------
 #
 # A suite is one batched compute. It takes a chunk's draws (see "Random
 # sampling"), so its takes are the only statement of its draw order, assembles
-# them into coefficient and state arrays and returns the (n,) violations with
-# each trial's context columns. A --seed replay reproduces every trial, whatever
-# --trials and the chunking: a chunk is a whole number of blocks.
+# them into state arrays and pairs, and returns the (n,) violations with each
+# trial's context columns. The commuting suites and periodicity draw their
+# pairs in canonical form and evolve those forms through ``closed_form_spectra``,
+# with no coefficients or classifier between; only the Heisenberg suite plans
+# coefficients. A --seed replay reproduces every trial, whatever --trials and
+# the chunking: a chunk is a whole number of blocks.
 
 _CHUNK = 16 * _BLOCK
 
@@ -644,9 +638,9 @@ def _tangle12(psis) -> np.ndarray:
     return c * c
 
 
-def _evolved(coeffs, psi0s, ts) -> np.ndarray:
-    _, w, v = plan_spectra(coeffs)
-    return evolve(w, v, psi0s, ts)
+def _evolved(forms, psi0s, ts) -> np.ndarray:
+    """Evolve ``psi0s`` to ``ts`` under pairs in the canonical form of ``_commuting_pairs``."""
+    return evolve(*closed_form_spectra(*forms), psi0s, ts)
 
 
 def _initial_and_evolved(measure, psi0s, psi_ts) -> tuple[np.ndarray, np.ndarray]:
@@ -659,32 +653,32 @@ def _initial_and_evolved(measure, psi0s, psi_ts) -> tuple[np.ndarray, np.ndarray
 @_suite("separable_stays_separable")
 def _separable(take):
     """Product inputs under commuting evolution keep the 1,2 pair unentangled."""
-    coeffs = _commuting_pairs(take, "full")
+    forms = _commuting_pairs(take, "full")
     q1, q2, q3 = _states(take, 2, 3)
     ts = _times(take)
     psi0s = np.einsum("ni,nj,nk->nijk", q1, q2, q3).reshape(-1, 8)
-    return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts}
+    return _tangle12(_evolved(forms, psi0s, ts)), {"t": ts}
 
 
 @_suite("bipartite12_nonincreasing")
 def _bipartite12(take):
     """Entanglement of formation of the 1,2 pair never grows under commuting evolution."""
-    coeffs = _commuting_pairs(take, "full")
+    forms = _commuting_pairs(take, "full")
     a, b = _schmidt(take)
     psi0s, _ = _rotated(states.bipartite_12(a, b, _states(take, 2)), take, (1, 2))
     ts = _times(take)
-    eof0, eof_t = _initial_and_evolved(lambda psis: _eof(_tangle12(psis)), psi0s, _evolved(coeffs, psi0s, ts))
+    eof0, eof_t = _initial_and_evolved(lambda psis: _eof(_tangle12(psis)), psi0s, _evolved(forms, psi0s, ts))
     return eof_t - eof0, {"t": ts, "a": a, "b": b, "eof0": eof0, "eof_t": eof_t}
 
 
 def _spectator(cls: str, qubits):
     def compute(take):
         """Initial entanglement of qubit 3 with one body qubit never reaches the 1,2 pair under commuting evolution."""
-        coeffs = _commuting_pairs(take, "full")
+        forms = _commuting_pairs(take, "full")
         a, b = _schmidt(take)
         psi0s, _ = _rotated(getattr(states, cls)(a, b, _states(take, 2)), take, qubits)
         ts = _times(take)
-        return _tangle12(_evolved(coeffs, psi0s, ts)), {"t": ts, "a": a, "b": b}
+        return _tangle12(_evolved(forms, psi0s, ts)), {"t": ts, "a": a, "b": b}
 
     return compute
 
@@ -696,19 +690,20 @@ _suite("bipartite13_stays_zero")(_spectator("bipartite_13", (1, 3)))
 @_suite("ghz_can_increase")
 def _ghz(take):
     """GHZ-class inputs start with tangle 0; evolution may only raise it."""
-    coeffs = _commuting_pairs(take, "full")
+    forms = _commuting_pairs(take, "full")
     a, b = _schmidt(take)
     psi0s, _ = _rotated(states.ghz_general(a, b), take, (1, 2, 3))
     ts = _times(take)
-    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(coeffs, psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(forms, psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "a": a, "b": b, "max_tangle": tau_t}
 
 
 def _triple_quantities(take) -> dict[str, np.ndarray]:
-    """Columns of the triple-state trials: the pair coefficients, the initial and
-    evolved states and 1,2 tangles, the time t, the shared probe axis and the
-    two convexity factors. A trial draws the pair, the amplitudes, the
-    rotations of qubits 3, 1 and 2 (in that order) and the time.
+    """Columns of the triple-state trials: the pairs' canonical forms as
+    ``_commuting_pairs`` draws them (the shared probe axis j third), the initial
+    and evolved states and 1,2 tangles, the time t and the two convexity
+    factors. A trial draws the pair, the amplitudes, the rotations of qubits 3,
+    1 and 2 (in that order) and the time.
 
     Measuring qubit 3 on the conserved probe axis gives outcome +- with
     probability m+-^2 at every t; (c, d) are the components of qubit 3's
@@ -722,14 +717,13 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     Cauchy-Schwarz with m+^2 + m-^2 = 1 = |c|^2 + |d|^2,
         1 = (|c|^2 + |d|^2)^2 <= (|c|^4/m+^2 + |d|^4/m-^2)(m+^2 + m-^2).
     """
-    coeffs = _commuting_pairs(take, "full")
+    forms = _commuting_pairs(take, "full")
     amps = _states(take, 3)
     psi0s = np.zeros((len(amps), 8), dtype=complex)
     psi0s[:, [1, 2, 4]] = amps
     psi0s, matrices = _rotated(psi0s, take, (3, 1, 2))  # matrices[0] rotates qubit 3
     ts = _times(take)
-    forms, w, v = plan_spectra(coeffs)
-    plus = states.axis_eigenbases(forms.probe_axis)[..., :, 0]
+    plus = states.axis_eigenbases(forms[2])[..., :, 0]
     c2 = np.abs(np.vecdot(plus, matrices[0][..., :, 0])) ** 2
     a2 = np.abs(amps[:, 0]) ** 2
     m_plus2 = a2 + c2 - 2.0 * a2 * c2
@@ -738,14 +732,13 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
         kept = numerator > 1e-30
         factor_weighted[kept] += numerator[kept] / denominator[kept]
-    psi_t = evolve(w, v, psi0s, ts)
+    psi_t = _evolved(forms, psi0s, ts)
     tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, psi_t)
     return {
-        "coeffs": coeffs,
+        "forms": forms,
         "psi0": psi0s,
         "psi_t": psi_t,
         "t": ts,
-        "probe_axis": forms.probe_axis,
         "tau0": tau0,
         "tau_t": tau_t,
         "factor_free": c2**2 + (1.0 - c2) ** 2,
@@ -791,16 +784,14 @@ _PARITY_SECTORS = np.array([(0b111, 0b100, 0b010, 0b001), (0b000, 0b011, 0b101, 
 def _parity(take):
     """Definite-parity states keep their residual tangle under commuting evolution,
     with the closed-form value 16|a b c d| of the four sector amplitudes."""
-    coeffs = _commuting_pairs(take, "probe")
+    forms = body, _, probe_axis, _ = _commuting_pairs(take, "probe")
     even = take.bit()
     amps4 = _states(take, 4)
     ts = _times(take)
     amps8 = np.zeros((len(amps4), 8), dtype=complex)
     np.put_along_axis(amps8, _PARITY_SECTORS[even.astype(int)], amps4, axis=1)
-    forms, w, v = plan_spectra(coeffs)
-    axes = directions(np.concatenate([forms.body, forms.probe_axis[:, None, :]], axis=1))[1]
-    psi0s = from_axis_basis(amps8, axes)
-    tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, evolve(w, v, psi0s, ts))
+    psi0s = from_axis_basis(amps8, directions(np.concatenate([body, probe_axis[:, None, :]], axis=1))[1])
+    tau0, tau_t = _initial_and_evolved(residual_tangle_rows, psi0s, _evolved(forms, psi0s, ts))
     expected = 16.0 * np.abs(np.prod(amps4, axis=-1))
     violation = np.maximum(np.abs(tau_t - tau0), np.abs(tau0 - expected))
     return violation, {"t": ts, "even": even, "tau0": tau0, "closed_form": expected}
@@ -813,7 +804,7 @@ def _heisenberg13(take):
     a, b = _schmidt(take)
     psi0s, _ = _rotated(states.bipartite_13(a, b, _states(take, 2)), take, (1, 3))
     ts = _times(take)
-    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, _evolved(heisenberg_chain(gs), psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, evolve(*plan_spectra(heisenberg_chain(gs))[1:], psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 
@@ -855,11 +846,11 @@ def _periodicity(k: int, l: int):
     def compute(take):
         axes = _three_axes(take)
         s13 = 2.0 - _uniform(take.uniform(1)[:, 0], 0.0, 2.0)
-        strengths = np.stack([s13, s13 * float(l) / float(k)], axis=1)
-        coeffs = _axis_pairs(axes, strengths, _uniform(take.uniform(2), -1, 1))
+        body = np.stack([s13, s13 * float(l) / float(k)], axis=1)[..., None] * axes[:2].transpose(1, 0, 2)
+        forms = body, np.zeros_like(body), axes[2], _uniform(take.uniform(2), -1, 1)
         psi0s = _states(take, 8)
         t_star = k * np.pi / (2.0 * s13)
-        tau0, tau_star = _initial_and_evolved(residual_tangle_rows, psi0s, _evolved(coeffs, psi0s, t_star))
+        tau0, tau_star = _initial_and_evolved(residual_tangle_rows, psi0s, _evolved(forms, psi0s, t_star))
         return np.abs(tau_star - tau0), {"t_star": t_star, "tau0": tau0}
 
     return compute

@@ -124,6 +124,18 @@ def form_matrices(forms, coeffs, index: int, k: int) -> tuple[np.ndarray, np.nda
     return entangling, local + forms.probe_strength[index, k] * probe
 
 
+def form_coefficients(body, local_self, probe_axis, probe_strength) -> np.ndarray:
+    """(N, 2, 15) coefficients of N pairs in the canonical form ``closed_form_spectra`` takes: pair k's
+    coupling is the outer product body_k x j, its body-local vector local_self_k and its probe-local
+    vector probe_strength_k j."""
+    n = len(body)
+    coeffs = np.zeros((n, 2, 15))
+    coeffs[..., :9] = (body[..., :, None] * probe_axis[:, None, None, :]).reshape(n, 2, 9)
+    coeffs[..., 9:12] = local_self
+    coeffs[..., 12:] = probe_strength[..., None] * probe_axis[:, None, :]
+    return coeffs
+
+
 # Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k
 LEVI_CIVITA = np.zeros((3, 3, 3))
 LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
@@ -343,12 +355,13 @@ def reference_rotation(q) -> tuple[float, tuple]:
 
 
 def reference_pair(rng, locals_mode: str = "none") -> np.ndarray:
-    """(2, 15) coefficients of a random commuting pair: rank-one couplings through one probe axis j,
-    strengths in (0, 2]; 'probe' adds probe-local terms on j, 'full' also body-local terms."""
+    """(2, 15) coefficients of a random commuting pair: rank-one couplings (strength * body axis) x j
+    through one probe axis j, strengths in (0, 2]; 'probe' adds probe-local terms on j, 'full' also
+    body-local terms."""
     u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
     coeffs = np.zeros((2, 15))
-    coeffs[0, :9] = ((2.0 - rng.uniform(0.0, 2.0)) * np.outer(u, j)).ravel()
-    coeffs[1, :9] = ((2.0 - rng.uniform(0.0, 2.0)) * np.outer(w, j)).ravel()
+    coeffs[0, :9] = np.outer((2.0 - rng.uniform(0.0, 2.0)) * u, j).ravel()
+    coeffs[1, :9] = np.outer((2.0 - rng.uniform(0.0, 2.0)) * w, j).ravel()
     if locals_mode != "none":
         coeffs[0, 12:] = rng.uniform(-1.0, 1.0) * j
         coeffs[1, 12:] = rng.uniform(-1.0, 1.0) * j

@@ -22,6 +22,7 @@ from triqubit.scenarios import (
 from triqubit.states import fully_separable, ghz_general, triple, zrt
 
 from oracles import (
+    form_coefficients,
     haar_state,
     oracle_concurrence_pure3,
     oracle_evolve,
@@ -200,7 +201,7 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     worst_identity, least_gap, least_t0_excess = 0.0, np.inf, np.inf
     q = _triple_quantities(_Draws(np.random.SeedSequence(seed), trials))  # the suites' draws: 1000 trials are one chunk
     for index, (coeffs, psi0, psi_t, t, probe_axis, factor_free, factor_weighted) in enumerate(
-        zip(q["coeffs"], q["psi0"], q["psi_t"], q["t"], q["probe_axis"], q["factor_free"], q["factor_weighted"])
+        zip(form_coefficients(*q["forms"]), q["psi0"], q["psi_t"], q["t"], q["forms"][2], q["factor_free"], q["factor_weighted"])
     ):
         tau0 = oracle_tangle12_pure3(psi0)
         tau_t = oracle_tangle12_pure3(psi_t)

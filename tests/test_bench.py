@@ -17,14 +17,14 @@ from triqubit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_generate():
-    spec = importlib.util.spec_from_file_location("bench_generate", ROOT / "bench" / "generate.py")
-    module = importlib.util.module_from_spec(spec)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look the module up there
     spec.loader.exec_module(module)
     return module
 
 
-GENERATE = _load_generate()
+GENERATE, CHECK = _load_bench("generate"), _load_bench("check")
 
 
 def test_bench_selftest_passes():
@@ -52,3 +52,19 @@ def test_suite_calls_exit_as_the_benchmark_expects(capsys, command):
     codes = [main([*command, "--trials", str(GENERATE.SUITE_TRIALS), "--seed", str(seed)]) for seed in range(20)]
     capsys.readouterr()
     assert codes == [expect] * 20
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["suite", name] for name in GENERATE.SUITES]
+    + [["periodicity", "--k", str(k), "--l", str(l)] for k, l in GENERATE.PERIODICITY_RATIOS],
+    ids=lambda command: " ".join(command),
+)
+def test_suite_calls_pass_the_benchmark_check(capsys, command):
+    # the benchmark's verdict on each of those calls: exit code and trial count, so a stream that
+    # moved at rounding level cannot turn a benchmark run incorrect unseen
+    expect = GENERATE.SUITE_EXIT.get(command[1], 0)
+    for seed in range(20):
+        code = main([*command, "--trials", str(GENERATE.SUITE_TRIALS), "--seed", str(seed)])
+        verdict = CHECK.check_suite(capsys.readouterr().out, code, expect, GENERATE.SUITE_TRIALS)
+        assert (verdict.failed, verdict.gross) == (0, 0), (seed, verdict.notes)

@@ -482,20 +482,20 @@ class TestGoldenStdout:
                 4,
                 "suite triple_convexity_bound: 25 trials, max violation 1.067e-01\n",
                 "FAILED 4 trials; replay with --seed 1\n"
-                "first counterexample: {'trial': 9, 'violation': 0.0014171824816152645, 't': 0.6692654128160458, "
-                "'tau0': 0.659701495440029, 'factor': 0.9937523082338826, 'tau_t': 0.6569970663204883}\n",
+                "first counterexample: {'trial': 9, 'violation': 0.0014171824816150425, 't': 0.6692654128160458, "
+                "'tau0': 0.659701495440029, 'factor': 0.9937523082338822, 'tau_t': 0.6569970663204877}\n",
             ),
             (
                 # the parity states are built on the unit rows of body and probe axes, both normalized
                 ["suite", "parity_residual_conserved", "--trials", "25", "--seed", "7"],
                 0,
-                "suite parity_residual_conserved: 25 trials, max violation 1.887e-15\nall trials passed\n",
+                "suite parity_residual_conserved: 25 trials, max violation 1.776e-15\nall trials passed\n",
                 "",
             ),
             (
                 ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
                 0,
-                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 2.026e-15\nall trials passed\n",
+                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 1.693e-15\nall trials passed\n",
                 "",
             ),
         ],

@@ -44,9 +44,9 @@ def x_product_state():
     return fully_separable([0.0] * 3, [Z] * 3, axes=(X, X, X))
 
 
-def sector_vectors(body, coeffs) -> np.ndarray:
+def sector_vectors(body, local_self) -> np.ndarray:
     """(N, 2, 2, 3) rotation vectors [row, probe sector m = +1, -1, body qubit]: m * body + local_self."""
-    return np.array([1.0, -1.0])[:, None, None] * body[:, None] + coeffs[:, None, :, 9:12]
+    return np.array([1.0, -1.0])[:, None, None] * body[:, None] + local_self[:, None]
 
 
 def unitary(w, v, t: float) -> np.ndarray:
@@ -134,8 +134,7 @@ class TestFastpath:
         rng = np.random.default_rng(22)
         coeffs = np.concatenate([reference_pair(rng)[None], heisenberg_chain(1.0)])
         forms, w, v = plan_spectra(coeffs)
-        vecs = sector_vectors(forms.body[:1], coeffs[:1])
-        closed_form = closed_form_spectra(vecs, forms.probe_axis[:1], forms.probe_strength[:1, 0] + forms.probe_strength[:1, 1])
+        closed_form = closed_form_spectra(forms.body[:1], coeffs[:1, :, 9:12], forms.probe_axis[:1], forms.probe_strength[:1])
         eigh = np.linalg.eigh(total_hamiltonian(coeffs[1]))
         for got, want in zip((w[0], v[0], w[1], v[1]), (closed_form[0][0], closed_form[1][0], *eigh)):
             assert np.array_equal(got, want)
@@ -151,7 +150,7 @@ class TestSpectrum:
         coeffs = one_pair(row(coupling=0.8 * np.outer(z, z), local_self=0.8 * z, local_probe=0.3 * z),
                           row(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z), local_self=(0.2, 0.4, 0.1)))
         forms, w, v = plan_spectra(coeffs)
-        vecs = sector_vectors(forms.body, coeffs)[0]
+        vecs = sector_vectors(forms.body, coeffs[..., 9:12])[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
         w, v = w[0], v[0]
@@ -170,17 +169,21 @@ class TestSpectrum:
         "probe_axis", [(-0.0, 0.0, 1.0), (0.0, -0.0, -1.0), (-0.0, -0.0, -1.0), (0.6, 0.0, -0.8)], ids=["-0+0+z", "+0-0-z", "-0-0-z", "xz"]
     )
     def test_closed_form_rebuilds_at_extreme_scales_and_signed_zero_axes(self, scale, probe_axis):
-        # sector vectors whose squares vanish or overflow, one exactly zero and one on -z with a
-        # signed zero, about probe axes on +-z with signed zeros: V is unitary and V diag(w) V†
-        # rebuilds H13 + H23 = sum_m (v(m,1).sigma x 1 + 1 x v(m,2).sigma) x P_m + s 1 x 1 x j.sigma,
+        # sector vectors m body + local_self whose squares vanish or overflow, one exactly zero
+        # (body and local_self equal, m = -1) and one on -z with a signed zero (m = +1), about probe
+        # axes on +-z with signed zeros: V is unitary and V diag(w) V† rebuilds
+        # H13 + H23 = sum_m (v(m,1).sigma x 1 + 1 x v(m,2).sigma) x P_m + s 1 x 1 x j.sigma,
         # P_m = (1 + m j.sigma) / 2, both within 1e-12 relative
         rng = np.random.default_rng(29)
-        vecs = scale * rng.normal(size=(2, 2, 3))
-        vecs[1, 0] = 0.0
-        vecs[0, 1] = scale * np.array([0.0, -0.0, -1.5])
+        body, local_self = scale * rng.normal(size=(2, 2, 3))
+        local_self[0] = body[0]
+        body[1], local_self[1] = scale * np.array([0.0, -0.0, -1.0]), scale * np.array([0.0, -0.0, -0.5])
         j = np.array(probe_axis)
-        w, v = closed_form_spectra(vecs[None], j[None], np.array([0.7 * scale]))
+        w, v = closed_form_spectra(body[None], local_self[None], j[None], np.array([[0.7 * scale, 0.0]]))
         w, v = w[0], v[0]
+        vecs = sector_vectors(body[None], local_self[None])[0]
+        assert np.all(vecs[1, 0] == 0.0) and vecs[0, 1].tolist() == [0.0, -0.0, -1.5 * scale]
+        assert np.signbit(vecs[0, 1]).tolist() == [False, True, True]
 
         def sigma(axis):
             return np.einsum("c,cij->ij", axis, np.array(PAULIS))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triqubit import scenarios
+from triqubit import evolution, scenarios
 from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
     MAX_STEPS,
@@ -22,7 +22,8 @@ from triqubit.scenarios import (
     run_sweep,
     suite_names,
 )
-from triqubit.evolution import evolve, measure_probe_grid, plan_spectra
+from triqubit.evolution import closed_form_spectra, evolve, measure_probe_grid, plan_spectra
+from triqubit.hamiltonians import canonical_forms
 from triqubit.linalg import directions
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import rotation_matrices
@@ -31,6 +32,7 @@ from triqubit.tolerances import PHYSICS_TOL
 from oracles import (
     axis_eigenbasis,
     commutes,
+    form_coefficients,
     haar_state,
     one_pair,
     oracle_concurrence_pure3,
@@ -1107,7 +1109,7 @@ class TestDrawAssembly:
         assert uniform.tobytes() == (-1.0 + 2.0 * u).tobytes()
         draws = []
         take = Recording(scenarios._Draws(np.random.SeedSequence(4), 100), lambda kind, rows: draws.append((kind, rows)))
-        coeffs, axes3 = scenarios._commuting_pairs(take, locals_mode), scenarios._three_axes(take)
+        coeffs, axes3 = form_coefficients(*scenarios._commuting_pairs(take, locals_mode)), scenarios._three_axes(take)
         qubits, states8 = scenarios._states(take, 2, 3), scenarios._states(take, 8)
         (angle, axis), (angles, axes) = scenarios._rotations(take, 1), scenarios._rotations(take, 2)
         for i in range(100):
@@ -1131,3 +1133,71 @@ class TestDrawAssembly:
         (angles,), (axes,) = scenarios._rotations(FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]), 1)
         assert (angles[0], tuple(axes[0])) == reference_rotation(np.array(q))
         assert (tuple(axes[0]) == (0.0, 0.0, 1.0)) == (np.linalg.norm(q[1:]) / np.linalg.norm(q) <= 1e-12)
+
+
+def _recorded_evolutions(monkeypatch, name, trials, seed):
+    """(forms, psi0s, times, evolved states) of every evolution of suite ``name`` (a name of
+    ``_run_by_name``), each of the four stacked over the chunks: the forms as the suite hands them
+    to ``closed_form_spectra``, the rest as it hands them to and gets them from ``evolve``."""
+    forms, evolutions = [], []
+
+    def spectra(*args):
+        forms.append(args)
+        return closed_form_spectra(*args)
+
+    def evolved(w, v, psi0s, ts):
+        evolutions.append((psi0s, ts, evolve(w, v, psi0s, ts)))
+        return evolutions[-1][-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "closed_form_spectra", spectra)
+        m.setattr(scenarios, "evolve", evolved)
+        _run_by_name(name, trials=trials, seed=seed)
+    assert len(forms) == len(evolutions) == -(-trials // scenarios._CHUNK)
+    return tuple(np.concatenate(column) for column in zip(*forms)), *(np.concatenate(column) for column in zip(*evolutions))
+
+
+class TestDrawnFormsAgainstClassifier:
+    """The commuting suites evolve the canonical forms they draw, with no classifier between. The
+    classifier must still recover every drawn form from its coefficients, and the coefficient route
+    must evolve the same states."""
+
+    @pytest.mark.parametrize(
+        "name", ["separable_stays_separable", "parity_residual_conserved", "periodicity 2/3"], ids=["full", "probe", "periodicity"]
+    )
+    def test_classifier_recovers_the_drawn_forms(self, monkeypatch, name):
+        forms, psi0s, ts, psi_ts = _recorded_evolutions(monkeypatch, name, trials=4096, seed=11)
+        body, local_self, j, strength = forms
+        coeffs = form_coefficients(*forms)
+        found = canonical_forms(coeffs)
+        assert np.all(found.status == 0)
+        # the sign rule: the first component of j above 1e-14 in magnitude is positive
+        first = np.argmax(np.abs(j) > 1e-14, axis=1)
+        sign = np.sign(j[np.arange(len(j)), first])
+        errors = {
+            "probe axis": np.abs(found.probe_axis - sign[:, None] * j),
+            "body": np.linalg.norm(found.body - sign[:, None, None] * body, axis=-1) / np.linalg.norm(body, axis=-1),
+            "probe strength": np.abs(found.probe_strength - sign[:, None] * strength) / np.abs(strength),
+        }
+        for field, error in errors.items():  # at most ~2.3 eps over seeds 11-13
+            assert np.max(error) <= 4 * np.finfo(float).eps, f"{field}: {np.max(error):.3e} relative"
+        _, w, v = plan_spectra(coeffs)
+        assert np.max(np.abs(evolve(w, v, psi0s, ts) - psi_ts)) <= 1e-12
+
+    def test_commuting_suites_never_classify(self, monkeypatch):
+        # with the classifier refusing every call, the commuting suites and periodicity still run
+        # and keep their verdicts; the Heisenberg suite plans its noncommuting chain through
+        # plan_spectra, so it reaches the classifier
+        class Classified(Exception):
+            pass
+
+        def refuse(coeffs):
+            raise Classified
+
+        monkeypatch.setattr(evolution, "canonical_forms", refuse)
+        for name in [*suite_names(), "periodicity 2/3"]:
+            if name == "heisenberg_entangled13_start":
+                with pytest.raises(Classified):
+                    _run_by_name(name, trials=25, seed=1)
+            else:
+                assert _run_by_name(name, trials=25, seed=1).passed == (name != "triple_convexity_bound"), name
