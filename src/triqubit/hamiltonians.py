@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULIS, directions, embed_single
-from .tolerances import SPECTRAL_TOL
+from .tolerances import AXIS_SIGN_TOL, SPECTRAL_TOL
 
 
 # embedding tables, [qubit or pair, Pauli indices, 64 matrix entries]: the matrices are then three products
@@ -120,9 +120,9 @@ def canonical_forms(coeffs) -> CanonicalForms:
     sum |C_i x D_k|^2 > 2 ``SPECTRAL_TOL``^2 q13 q23). Otherwise the shared probe axis j
     comes from the 3x3 Gram matrix G = R^T R of the eight scaled probe vectors
     R (the rows of C and D): one power step, G times G's column of largest
-    diagonal entry, normalized, first nonzero component positive, and z when
-    all of them are 0. On a row that passes the check below, G's other
-    eigenvalues are at most ~``SPECTRAL_TOL``^2 q, so unless the probe vectors
+    diagonal entry, normalized, first component above ``AXIS_SIGN_TOL``
+    positive, and z when all of them are 0. On a row that passes the check
+    below, G's other eigenvalues are at most ~``SPECTRAL_TOL``^2 q, so unless the probe vectors
     are themselves that small, j is the top right singular vector of R to
     rounding; the check, not the power step, bounds the form's error. The row
     fails with status 2 unless each pair's probe vectors P lie on j:
@@ -153,7 +153,7 @@ def canonical_forms(coeffs) -> CanonicalForms:
     # z where G^2 underflows to 0, that is where the probe vectors are below ~1e-77 of the
     # pair's largest coefficient
     _, j = directions(j)
-    flip = (np.sign(j) * (np.abs(j) > 1e-14)) @ _FIRST_NONZERO < 0.0  # first component with |c| > 1e-14 negative
+    flip = (np.sign(j) * (np.abs(j) > AXIS_SIGN_TOL)) @ _FIRST_NONZERO < 0.0  # first component above AXIS_SIGN_TOL negative
     j = np.where(flip, -1.0, 1.0)[:, None] * j
     along = rows @ j[:, None, :, None]  # (P j), [row, pair, probe vector, 1]
     off_axis = rows - along * j[:, None, None, :]

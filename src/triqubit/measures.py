@@ -4,22 +4,23 @@ three-way tangle.
 
 ``report_batch`` measures a whole (T, 8) array of states at once, with
 elementwise operations on the amplitudes only. Write psi = sum_j phi_j x |j>_3
-with branches p = phi_0 and q = phi_1. The 1,2 concurrence is s1 - s2 of the
-symmetric cross matrix phi_j^T (sigma_y x sigma_y) phi_k = [[a, b], [b, d]]
-(Wootters, PRL 80, 2245, 1998), taken in closed form as
-(s1^2 - s2^2) / (s1 + s2): the eigenvalue gap of its Gram matrix is a sum of
-squares, so nothing cancels as the concurrence goes to 0 and structural zeros
-come out exact. Purity and norm come from the 2x2 Gram matrix of p and q. The
-residual tangle comes from the degree-4 amplitude polynomials (Coffman, Kundu
-and Wootters, PRA 61, 052306, 2000). Independent routes for both live in the
-test oracles, not here.
+with branches p = phi_0 and q = phi_1. Both entanglement measures are
+invariants of one symmetric 2x2 matrix, the cross matrix
+phi_j^T (sigma_y x sigma_y) phi_k = [[a, b], [b, d]], formed once per batch.
+The 1,2 concurrence is its s1 - s2 (Wootters, PRL 80, 2245, 1998), taken in
+closed form as (s1^2 - s2^2) / (s1 + s2): the eigenvalue gap of its Gram
+matrix is a sum of squares, so nothing cancels as the concurrence goes to 0
+and structural zeros come out exact. The residual tangle is 4 |ad - b^2|
+(Coffman, Kundu and Wootters, PRA 61, 052306, 2000). Purity and norm come from
+the 2x2 Gram matrix of p and q. Independent routes for both live in the test
+oracles, not here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import PHYSICS_TOL
+from .tolerances import MEASURE_NORM_TOL, PHYSICS_TOL
 
 
 def _eof(tau: np.ndarray) -> np.ndarray:
@@ -42,39 +43,34 @@ def _abs2(z) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def residual_tangle_rows(psis) -> np.ndarray:
-    """Residual tangle of each pure three-qubit state in ``psis``, shape (T,)."""
-    a000, a001, a010, a011, a100, a101, a110, a111 = _amplitudes(psis)
-    d1 = a000**2 * a111**2 + a001**2 * a110**2 + a010**2 * a101**2 + a100**2 * a011**2
-    d2 = (
-        a000 * a111 * a011 * a100
-        + a000 * a111 * a101 * a010
-        + a000 * a111 * a110 * a001
-        + a011 * a100 * a101 * a010
-        + a011 * a100 * a110 * a001
-        + a101 * a010 * a110 * a001
-    )
-    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
-
-
-def concurrence_12(psis) -> np.ndarray:
-    """1,2 concurrence of each pure three-qubit state in ``psis``, shape (T,).
-
-    For psi = sum_j phi_j x |j>_3, rho_12 = sum_j phi_j phi_j†, and the
-    concurrence is s1 - s2 of the symmetric 2x2 cross matrix
-    phi_j^T (sigma_y x sigma_y) phi_k = [[a, b], [b, d]] of the branches
-    p = phi_0 and q = phi_1. It is 0 where that matrix is 0 (a product pair
-    gives an exactly zero one) and NaN for a row with a non-finite amplitude.
-    """
+def _cross_matrix(psis) -> tuple[np.ndarray, ...]:
+    """Entries a, b, d of the branch cross matrix of each state in ``psis`` and |ad - b^2|, each (T,):
+    exactly 0 for a product pair, NaN for a row with a non-finite amplitude."""
     p0, q0, p1, q1, p2, q2, p3, q3 = _amplitudes(psis)
     a = 2.0 * (p1 * p2 - p0 * p3)
     d = 2.0 * (q1 * q2 - q0 * q3)
     b = p1 * q2 + p2 * q1 - p0 * q3 - p3 * q0
+    return a, b, d, np.abs(a * d - b * b)
+
+
+def _concurrence(a, b, d, det) -> np.ndarray:
+    """s1 - s2 of the cross matrix [[a, b], [b, d]] with |ad - b^2| = ``det``, as
+    (s1^2 - s2^2) / (s1 + s2); 0 where the matrix is 0."""
     aa, bb, dd = _abs2(a), _abs2(b), _abs2(d)
     gap = np.sqrt((aa - dd) ** 2 + 4.0 * _abs2(a.conj() * b + b.conj() * d))  # s1^2 - s2^2
-    total = np.sqrt(aa + 2.0 * bb + dd + 2.0 * np.abs(a * d - b * b))  # s1 + s2
+    total = np.sqrt(aa + 2.0 * bb + dd + 2.0 * det)  # s1 + s2
     return gap / np.where(total == 0.0, 1.0, total)  # a NaN total stays NaN
+
+
+def residual_tangle_rows(psis) -> np.ndarray:
+    """Residual tangle 4 |ad - b^2| of each pure three-qubit state in ``psis``, shape (T,)."""
+    return 4.0 * _cross_matrix(psis)[3]
+
+
+def concurrence_12(psis) -> np.ndarray:
+    """1,2 concurrence of each pure three-qubit state in ``psis``, shape (T,): s1 - s2 of the
+    branch cross matrix, 0 for a product pair and NaN for a row with a non-finite amplitude."""
+    return _concurrence(*_cross_matrix(psis))
 
 
 REPORT_FIELDS = ("tangle_12", "concurrence_12", "eof_12", "residual_tangle", "purity_12")
@@ -86,15 +82,16 @@ def report_batch(psis) -> dict[str, np.ndarray]:
     p, q = psis[:, 0::2].T, psis[:, 1::2].T  # the branches at qubit 3 = 0 and 1, each (4, T)
     g00, g11 = _abs2(p).sum(axis=0), _abs2(q).sum(axis=0)  # Gram matrix of the branches
     dev = np.abs(g00 + g11 - 1.0)
-    if not np.all(dev <= 1e-10):
+    if not np.all(dev <= MEASURE_NORM_TOL):
         worst = float(np.max(np.where(np.isnan(dev), np.inf, dev)))
         raise ValueError(f"state must be normalized: |norm^2 - 1| = {worst:.3e}")
-    c = concurrence_12(psis)
+    cross = _cross_matrix(psis)
+    c = _concurrence(*cross)
     tau = c * c
     return {
         "tangle_12": tau,
         "concurrence_12": c,
         "eof_12": _eof(tau),
-        "residual_tangle": residual_tangle_rows(psis),
+        "residual_tangle": 4.0 * cross[3],
         "purity_12": g00 * g00 + g11 * g11 + 2.0 * _abs2((p.conj() * q).sum(axis=0)),  # tr(rho_12^2)
     }

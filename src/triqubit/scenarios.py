@@ -531,16 +531,6 @@ def _states(take, dim: int, count: int | None = None) -> np.ndarray:
     return psis if count else psis[0]
 
 
-def _rotations(take, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (count, n) and unit axes (count, n, 3) of ``count`` Haar-distributed SU(2) rotations per
-    trial, from normalized Gaussian quadruples drawn in one stacked draw."""
-    q = _unit_rows(take.normal(4, count))
-    s = np.sqrt(np.vecdot(q[..., 1:], q[..., 1:]))
-    wide = s > 1e-12
-    axes = np.where(wide[..., None], q[..., 1:] / np.where(wide, s, 1.0)[..., None], states.Z_AXIS)
-    return np.arccos(np.minimum(np.maximum(q[..., 0], -1.0), 1.0)), axes
-
-
 def _three_axes(take) -> np.ndarray:
     """Random unit axes u, w and j, (3, n, 3), from three normal draws in that order."""
     return _unit_rows(take.normal(3, 3))
@@ -616,8 +606,10 @@ def suite_names() -> tuple[str, ...]:
 
 def _rotated(psis, take, qubits) -> tuple[np.ndarray, np.ndarray]:
     """Draw one Haar rotation per trial for each of ``qubits``, in that order, and apply them to the
-    rows of ``psis`` in qubit order: the rotated rows and the (len(qubits), n, 2, 2) matrices."""
-    matrices = states.rotation_matrices(*_rotations(take, len(qubits)))
+    rows of ``psis`` in qubit order: the rotated rows and the (len(qubits), n, 2, 2) matrices. Each
+    rotation is a normalized Gaussian quadruple, a Haar-distributed unit quaternion, from one
+    stacked draw."""
+    matrices = states.rotation_matrices(_unit_rows(take.normal(4, len(qubits))))
     for k in sorted(range(len(qubits)), key=qubits.__getitem__):
         psis = states.rotate(psis, qubits[k], matrices[k])
     return psis, matrices
@@ -728,10 +720,8 @@ def _triple_quantities(take) -> dict[str, np.ndarray]:
     a2 = np.abs(amps[:, 0]) ** 2
     m_plus2 = a2 + c2 - 2.0 * a2 * c2
     m_minus2 = a2 + (1.0 - c2) - 2.0 * a2 * (1.0 - c2)
-    factor_weighted = np.zeros(len(amps))
-    for numerator, denominator in ((c2**2, m_plus2), ((1.0 - c2) ** 2, m_minus2)):
-        kept = numerator > 1e-30
-        factor_weighted[kept] += numerator[kept] / denominator[kept]
+    # m+-^2 vanish only where a2 and c2 are exactly 0 or 1, which the continuous draws never give
+    factor_weighted = c2**2 / m_plus2 + (1.0 - c2) ** 2 / m_minus2
     psi_t = _evolved(forms, psi0s, ts)
     tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, psi_t)
     return {

@@ -3,12 +3,14 @@
 States are plain complex 8-vectors in the logical basis, index b = 4*b1 +
 2*b2 + b3. Constructors validate normalization to the structural tolerance;
 the bipartite and GHZ constructors also build stacks of states, one per row.
-A rotation exp(-i angle sigma_axis) is an (angle, axis) row for
-``rotation_matrices``. Every axis is a unit row, normalized where it is made
-(config parsing, the random draws, ``linalg.directions``), and is taken here as
-given. Axis eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis``
-take stacked inputs, one row per state; a rotation is contracted on the
-(N, 2, 2, 2) amplitude tensor instead of an 8x8 embedding.
+A rotation exp(-i angle sigma_axis) is the unit quaternion
+(cos angle, sin angle axis) for ``rotation_matrices``: the random draws pass
+theirs as drawn, and ``fully_separable`` forms one from a config's (angle,
+axis). Every axis is a unit row, normalized where it is made (config parsing,
+the random draws, ``linalg.directions``), and is taken here as given. Axis
+eigenbases, rotation matrices, ``rotate`` and ``from_axis_basis`` take stacked
+inputs, one row per state; a rotation is contracted on the (N, 2, 2, 2)
+amplitude tensor instead of an 8x8 embedding.
 """
 
 from __future__ import annotations
@@ -90,17 +92,16 @@ def axis_eigenbases(axes) -> np.ndarray:
     return basis
 
 
-def rotation_matrices(angles, axes) -> np.ndarray:
-    """exp(-i angle sigma_axis) = cos(angle) - i sin(angle) axis.sigma for angles of any shape and
-    unit axes of that shape plus (3,); shape (..., 2, 2)."""
-    angles = np.asarray(angles, dtype=float)
-    c, sn = np.cos(angles), np.sin(angles)[..., None] * axes  # sin(angle) (x, y, z)
-    m = np.empty((*angles.shape, 2, 2), dtype=complex)
+def rotation_matrices(quaternions) -> np.ndarray:
+    """q0 - i q.sigma for unit quaternions (q0, q) = (cos a, sin a n) of shape (..., 4), that is
+    exp(-i a sigma_n); shape (..., 2, 2)."""
+    q = np.asarray(quaternions, dtype=float)
+    m = np.empty((*q.shape[:-1], 2, 2), dtype=complex)
     re, im = m.real, m.imag
-    re[..., 0, 0] = re[..., 1, 1] = c
-    im[..., 0, 0], im[..., 1, 1] = -sn[..., 2], sn[..., 2]
-    re[..., 0, 1], re[..., 1, 0] = -sn[..., 1], sn[..., 1]
-    im[..., 0, 1] = im[..., 1, 0] = -sn[..., 0]
+    re[..., 0, 0] = re[..., 1, 1] = q[..., 0]
+    im[..., 0, 0], im[..., 1, 1] = -q[..., 3], q[..., 3]
+    re[..., 0, 1], re[..., 1, 0] = -q[..., 2], q[..., 2]
+    im[..., 0, 1] = im[..., 1, 0] = -q[..., 1]
     return m
 
 
@@ -130,8 +131,10 @@ def from_axis_basis(amps, axes) -> np.ndarray:
 def fully_separable(angles, rotation_axes, axes=(Z_AXIS, Z_AXIS, Z_AXIS)) -> np.ndarray:
     """Product state (R1 x R2 x R3) |+++> on the plus eigenvectors of the unit reference ``axes``, with
     R_k = exp(-i angles[k] sigma_(rotation_axes[k])) on qubit k + 1 about unit ``rotation_axes``."""
+    angles = np.asarray(angles, dtype=float)[..., None]
+    quaternions = np.concatenate([np.cos(angles), np.sin(angles) * rotation_axes], axis=-1)
     plus = axis_eigenbases(axes)[..., :, 0]
-    return kron(*(rotation @ p for rotation, p in zip(rotation_matrices(angles, rotation_axes), plus)))
+    return kron(*(rotation @ p for rotation, p in zip(rotation_matrices(quaternions), plus)))
 
 
 def bipartite_12(a, b, probe) -> np.ndarray:

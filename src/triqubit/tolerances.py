@@ -15,6 +15,14 @@ PHYSICS_TOL = 1e-9
 # absent instead of being normalized out of rounding noise.
 DEGENERATE_OUTCOME_PROB = 1e-14
 
+# Largest |norm^2 - 1| of a state that the measures accept: constructors admit STRUCTURAL_TOL and
+# evolution adds rounding only, so this leaves 100x headroom and still rejects an unnormalized state.
+MEASURE_NORM_TOL = 1e-10
+
+# Components of a unit probe axis at or below this in magnitude are rounding noise of its power
+# step, so they do not fix the axis's sign: the first component above it is made positive.
+AXIS_SIGN_TOL = 1e-14
+
 # Largest ||H_total||_F * |t| at which rounding t to a float (relative spacing
 # 2**-52) moves every phase w t, |w| <= ||H_total||_F, by at most PHYSICS_TOL.
 MAX_PHASE = PHYSICS_TOL / 2**-52  # about 4.5e6

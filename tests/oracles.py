@@ -29,6 +29,7 @@ from scipy.linalg import expm
 
 from triqubit.linalg import directions
 from triqubit.states import axis_eigenbases
+from triqubit.tolerances import AXIS_SIGN_TOL
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -161,13 +162,13 @@ def levi_civita_cross(c, d) -> np.ndarray:
 
 def svd_probe_axis(coeffs) -> np.ndarray:
     """The shared probe axis of N pairs, (N, 3): the top right singular vector of one stacked
-    (N, 8, 3) SVD of the eight scaled probe vectors, the first component above 1e-14 in
-    magnitude positive, and z where all the vectors are 0."""
+    (N, 8, 3) SVD of the eight scaled probe vectors, the first component above ``AXIS_SIGN_TOL``
+    in magnitude positive, and z where all the vectors are 0."""
     _, c, d = probe_rows(coeffs)
     _, s, vt = np.linalg.svd(np.concatenate([c, d], axis=1), full_matrices=False)
     j = vt[:, 0]
     for row, axis in enumerate(j):
-        first = np.flatnonzero(np.abs(axis) > 1e-14)
+        first = np.flatnonzero(np.abs(axis) > AXIS_SIGN_TOL)
         if first.size and axis[first[0]] < 0.0:
             j[row] = -axis
     return np.where(s[:, :1] > 0.0, j, [0.0, 0.0, 1.0])
@@ -346,12 +347,14 @@ def reference_axis(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def reference_rotation(q) -> tuple[float, tuple]:
-    """(angle, axis) of exp(-i angle sigma_axis) from a Gaussian quadruple q: Haar-distributed on SU(2)."""
-    q = q / np.linalg.norm(q)
-    s = float(np.linalg.norm(q[1:]))
-    axis = tuple(q[1:] / s) if s > 1e-12 else (0.0, 0.0, 1.0)
-    return float(np.arccos(np.clip(q[0], -1.0, 1.0))), axis
+def reference_rotation(q) -> np.ndarray:
+    """Unit quaternion (cos a, sin a n) of exp(-i a sigma_n) from a Gaussian quadruple q: Haar-distributed on SU(2)."""
+    return q / np.linalg.norm(q)
+
+
+def quaternion(angle, axis) -> np.ndarray:
+    """(cos angle, sin angle axis) for a unit axis: exp(-i angle sigma_axis) as ``rotation_matrices`` takes it."""
+    return np.concatenate([[np.cos(angle)], np.sin(angle) * np.asarray(axis, dtype=float)])
 
 
 def reference_pair(rng, locals_mode: str = "none") -> np.ndarray:

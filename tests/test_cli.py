@@ -482,8 +482,8 @@ class TestGoldenStdout:
                 4,
                 "suite triple_convexity_bound: 25 trials, max violation 1.067e-01\n",
                 "FAILED 4 trials; replay with --seed 1\n"
-                "first counterexample: {'trial': 9, 'violation': 0.0014171824816150425, 't': 0.6692654128160458, "
-                "'tau0': 0.659701495440029, 'factor': 0.9937523082338822, 'tau_t': 0.6569970663204877}\n",
+                "first counterexample: {'trial': 9, 'violation': 0.0014171824816147094, 't': 0.6692654128160458, "
+                "'tau0': 0.6597014954400295, 'factor': 0.9937523082338822, 'tau_t': 0.6569970663204879}\n",
             ),
             (
                 # the parity states are built on the unit rows of body and probe axes, both normalized
@@ -495,7 +495,7 @@ class TestGoldenStdout:
             (
                 ["periodicity", "--k", "2", "--l", "3", "--trials", "25", "--seed", "1"],
                 0,
-                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 1.693e-15\nall trials passed\n",
+                "ratio 2/3: 25 trials, max |tau(t*) - tau(0)| = 1.638e-15\nall trials passed\n",
                 "",
             ),
         ],

@@ -405,6 +405,20 @@ class TestMeasureProbe:
             assert np.max(np.abs(probs[0] - want_probs)) <= 1e-12
             assert np.max(np.abs(tangles[0] - want_tangles)) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1e-9, 1e-12])
+    def test_rare_outcome_keeps_its_tangle(self, p):
+        # sqrt(1-p)|chi+>|+n> + sqrt(p)|chi->|-n>: the -n branch is projected out of the state and
+        # normalized, so its tangle errs by ~eps/sqrt(p) (at most 2.5e-10 at p = 1e-12 here), where
+        # a quadratic form in the whole state would err by ~eps/p
+        rng = np.random.default_rng(63)
+        for _ in range(500):
+            axis, chi_plus, chi_minus = reference_axis(rng), haar_state(rng, 4), haar_state(rng, 4)
+            plus, minus = axis_eigenbasis(axis)
+            psi = np.sqrt(1.0 - p) * np.kron(chi_plus, plus) + np.sqrt(p) * np.kron(chi_minus, minus)
+            probs, tangles, present, _ = measure_probe_grid(psi, axis)
+            assert present[0, 1] and probs[0, 1] == pytest.approx(p, rel=1e-6)
+            assert abs(tangles[0, 1] - oracle_tangle_pure2(chi_minus)) <= 1e-9
+
 
 def test_local_terms_do_not_change_tangle_when_aligned():
     # evolution with the full Hamiltonians vs with the entangling parts only:

@@ -177,6 +177,14 @@ class TestCanonicalForm:
         assert fa.probe_axis[0, 0] > 0  # first nonzero component positive
         assert directions(fa.body[0, 0])[0] == pytest.approx(1.5, abs=1e-12)
 
+    @pytest.mark.parametrize("lead, sign", [(-5e-15, 1.0), (-5e-14, -1.0)], ids=["at-rounding", "above"])
+    def test_sign_rule_threshold(self, lead, sign):
+        # a first component at or below AXIS_SIGN_TOL = 1e-14 does not fix the sign of j; one above it does
+        u, j = np.array([0.6, 0.0, 0.8]), np.array([lead, 0.6, 0.8])
+        forms = forms_of(one_pair(row(coupling=np.outer(u, j)), row()))
+        assert np.max(np.abs(forms.probe_axis[0] / (sign * j) - 1.0)) <= 1e-12
+        assert np.max(np.abs(forms.body[0, 0] - sign * u)) <= 1e-15
+
     @pytest.mark.parametrize("scale", [1.0, 1e-15])
     def test_form_is_scale_free(self, scale):
         # H -> s H gives the same axes and s times the strengths: no coefficient

@@ -189,6 +189,16 @@ class TestReport:
         with pytest.raises(ValueError):
             report_batch(np.ones(8))
 
+    @pytest.mark.parametrize("offset", [5e-11, -5e-11, 5e-10, -5e-10])
+    def test_norm_check_threshold(self, offset):
+        # |norm^2 - 1| up to MEASURE_NORM_TOL = 1e-10 is measured, beyond it refused
+        psi = np.sqrt(1.0 + offset) * haar_state(np.random.default_rng(32))
+        if abs(offset) < 1e-10:
+            assert tuple(report_batch(psi)) == REPORT_FIELDS
+        else:
+            with pytest.raises(ValueError, match=r"state must be normalized: \|norm\^2 - 1\| = 5\.000e-10"):
+                report_batch(psi)
+
 
 class TestPureStateConcurrence:
     def test_product_states_are_exact_zeros(self):
@@ -224,8 +234,7 @@ class TestPureStateConcurrence:
         a = np.sqrt(rng.uniform(size=n))
         states = np.concatenate([ghz_general(a, np.sqrt(1 - a * a)), np.tile(triple(*(np.ones(3) / np.sqrt(3))), (n, 1))])
         for qubit in (1, 2, 3):
-            angles, axes = zip(*(reference_rotation(rng.normal(size=4)) for _ in range(2 * n)))
-            states = rotate(states, qubit, rotation_matrices(np.array(angles), np.array(axes)))
+            states = rotate(states, qubit, rotation_matrices([reference_rotation(rng.normal(size=4)) for _ in range(2 * n)]))
         c = concurrence_12(states)
         for psi, value in zip(states, c):
             assert abs(value - oracle_concurrence_pure3(psi, 3)) <= 1e-14

@@ -27,9 +27,10 @@ from triqubit.hamiltonians import canonical_forms
 from triqubit.linalg import directions
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import rotation_matrices
-from triqubit.tolerances import PHYSICS_TOL
+from triqubit.tolerances import AXIS_SIGN_TOL, PHYSICS_TOL
 
 from oracles import (
+    PAULIS,
     axis_eigenbasis,
     commutes,
     form_coefficients,
@@ -38,6 +39,7 @@ from oracles import (
     oracle_concurrence_pure3,
     oracle_evolve,
     oracle_tangle_pure2,
+    quaternion,
     reference_axis,
     reference_fold,
     reference_pair,
@@ -147,7 +149,7 @@ class TestConfigParsing:
         rotations = [{"qubit": 3, "angle": 0.3, "axis": [0, 1, 0]}, {"qubit": 1, "angle": 0.7, "axis": [1, 1, 0]}, {"qubit": 2}]
         state = {"class": "fully_separable", "params": {"rotations": rotations, "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}
         psi0 = parse_config(heisenberg_config(initial_state=state)).psi0
-        rotated = [rotation_matrices([a], [directions(axis)[1]])[0] @ axis_eigenbasis(ref)[0] for a, axis, ref in
+        rotated = [rotation_matrices(quaternion(a, directions(axis)[1])) @ axis_eigenbasis(ref)[0] for a, axis, ref in
                    ((0.7, (1, 1, 0), (1, 0, 0)), (0.0, (0, 0, 1), (0, 1, 0)), (0.3, (0, 1, 0), (0, 0, 1)))]
         assert np.max(np.abs(psi0 - np.kron(np.kron(rotated[0], rotated[1]), rotated[2]))) <= 1e-15
 
@@ -1111,7 +1113,8 @@ class TestDrawAssembly:
         take = Recording(scenarios._Draws(np.random.SeedSequence(4), 100), lambda kind, rows: draws.append((kind, rows)))
         coeffs, axes3 = form_coefficients(*scenarios._commuting_pairs(take, locals_mode)), scenarios._three_axes(take)
         qubits, states8 = scenarios._states(take, 2, 3), scenarios._states(take, 8)
-        (angle, axis), (angles, axes) = scenarios._rotations(take, 1), scenarios._rotations(take, 2)
+        # rotations of one qubit, then of two: the matrices hold the drawn quaternions' components as they are
+        (_, one), (_, two) = (scenarios._rotated(np.zeros((100, 8)), take, qubits) for qubits in ((1,), (3, 1)))
         for i in range(100):
             rng = TrialStream(draws, i)
             assert coeffs[i].tobytes() == reference_pair(rng, locals_mode).tobytes()
@@ -1120,19 +1123,19 @@ class TestDrawAssembly:
             for k in range(3):
                 assert qubits[k, i].tobytes() == haar_state(rng, 2).tobytes()
             assert states8[i].tobytes() == haar_state(rng, 8).tobytes()
-            assert (angle[0, i], tuple(axis[0, i])) == reference_rotation(rng.normal(size=4))
-            for k in range(2):
-                assert (angles[k, i], tuple(axes[k, i])) == reference_rotation(rng.normal(size=4))
+            for matrix in (one[0, i], two[0, i], two[1, i]):
+                assert matrix.tobytes() == rotation_matrices(reference_rotation(rng.normal(size=4))).tobytes()
             assert not rng.values
 
     @pytest.mark.parametrize(
-        "q", [(1.0, 1e-13, 0.0, 0.0), (-2.0, 0.0, 0.0, 0.0), (1.0, 5e-13, -5e-13, 0.0), (1.0, 2e-12, 0.0, 0.0), (0.5, 0.1, -0.2, 0.7)]
+        "q", [(1.0, 1e-9, -2e-9, 5e-10), (1.0, 1e-13, 0.0, 0.0), (-2.0, 0.0, 0.0, 0.0), (0.5, 0.1, -0.2, 0.7)]
     )
-    def test_rotation_axis_fallback(self, q):
-        # the vector part at or below 1e-12 of the unit quadruple gives the z axis
-        (angles,), (axes,) = scenarios._rotations(FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]), 1)
-        assert (angles[0], tuple(axes[0])) == reference_rotation(np.array(q))
-        assert (tuple(axes[0]) == (0.0, 0.0, 1.0)) == (np.linalg.norm(q[1:]) / np.linalg.norm(q) <= 1e-12)
+    def test_rotations_apply_the_drawn_quaternion(self, q):
+        # q0 - i q.sigma of the unit quadruple, also near the identity, where an angle taken through
+        # arccos(q0) would lose the ~1e-9 vector part
+        _, ((matrix, _),) = scenarios._rotated(np.eye(8)[:2], FixedDraws([q, (0.3, -1.2, 0.8, 0.1)]), (1,))
+        q = np.array(q) / np.linalg.norm(q)
+        assert np.max(np.abs(matrix - (q[0] * np.eye(2) - 1j * sum(c * s for c, s in zip(q[1:], PAULIS))))) <= 1e-16
 
 
 def _recorded_evolutions(monkeypatch, name, trials, seed):
@@ -1171,8 +1174,8 @@ class TestDrawnFormsAgainstClassifier:
         coeffs = form_coefficients(*forms)
         found = canonical_forms(coeffs)
         assert np.all(found.status == 0)
-        # the sign rule: the first component of j above 1e-14 in magnitude is positive
-        first = np.argmax(np.abs(j) > 1e-14, axis=1)
+        # the sign rule: the first component of j above AXIS_SIGN_TOL in magnitude is positive
+        first = np.argmax(np.abs(j) > AXIS_SIGN_TOL, axis=1)
         sign = np.sign(j[np.arange(len(j)), first])
         errors = {
             "probe axis": np.abs(found.probe_axis - sign[:, None] * j),

@@ -30,6 +30,7 @@ from oracles import (
     oracle_residual_tangle_lambda,
     oracle_tangle_pure2,
     oracle_unitary,
+    quaternion,
     reference_axis,
     reference_rotation,
 )
@@ -75,12 +76,15 @@ class TestRotations:
         for _ in range(30):
             axis = reference_axis(rng)
             gamma = rng.uniform(-4, 4)
-            r = rotation_matrices([gamma], [axis])[0]
+            r = rotation_matrices(quaternion(gamma, axis))
             assert np.max(np.abs(r - oracle_unitary(gamma * axis_pauli(axis), 1.0))) <= 1e-12
 
     def test_identity_rotation_leaves_state(self):
+        # the quaternions (+-1, 0, 0, 0) give exactly +-I
+        m = rotation_matrices([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+        assert np.array_equal(m, [np.eye(2), -np.eye(2)])
         psi = haar_state(np.random.default_rng(0))
-        assert np.allclose(rotate(psi, 2, rotation_matrices([0.0], [Z])), psi)
+        assert np.allclose(rotate(psi, 2, m[:1]), psi)
 
     def test_rotation_preserves_all_measures(self):
         rng = np.random.default_rng(77)
@@ -100,13 +104,13 @@ class TestRotations:
             rotated = []
             for _ in range(trials_per):
                 qubit = int(rng.integers(1, 4))
-                rotated.append(rotate(psi, qubit, rotation_matrices(*zip(reference_rotation(rng.normal(size=4))))))
+                rotated.append(rotate(psi, qubit, rotation_matrices([reference_rotation(rng.normal(size=4))])))
             before, after = report_batch(psi), report_batch(np.concatenate(rotated))
             for name in ("tangle_12", "eof_12", "residual_tangle"):
                 assert np.max(np.abs(after[name] - before[name])) <= 1e-9
         # tangle of rho_12 is also invariant under rotations of qubit 3 only
         psi = ghz_general(INV_SQRT2, INV_SQRT2)
-        rotated = rotate(psi, 3, rotation_matrices(*zip(reference_rotation(rng.normal(size=4)))))
+        rotated = rotate(psi, 3, rotation_matrices([reference_rotation(rng.normal(size=4))]))
         assert residual_tangle_rows(rotated)[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -128,7 +132,7 @@ class TestConstructors:
 
     def test_fully_separable_purities(self):
         rng = np.random.default_rng(21)
-        angles, axes = zip(*(reference_rotation(rng.normal(size=4)) for _ in range(3)))
+        angles, axes = rng.uniform(-4.0, 4.0, 3), [reference_axis(rng) for _ in range(3)]
         psi = fully_separable(angles, axes, axes=(X, Z, (0, 1, 0)))
         rho = np.outer(psi, psi.conj())
         assert oracle_concurrence_pure3(psi, 3) ** 2 <= 1e-12
