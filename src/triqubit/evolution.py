@@ -1,23 +1,23 @@
 """Spectral unitary evolution and probe measurement with post-selection.
 
 Every evolution goes through one spectral core: a spectrum ``(w, V)`` with
-H13 + H23 = V diag(w) V† and psi(t) = V exp(-i w t) V† psi0. The spectrum's
-source follows from the pair. When both pair Hamiltonians act on the probe
-through one axis j (the canonical commuting form of ``canonical_forms``), the
-total Hamiltonian is block diagonal over the eigenprojectors of j.sigma on
-qubit 3: in probe sector m = +-1, body qubit k sees a plain rotation about
-m body_k + local_self_k, so the spectrum comes in closed form, with no
-eigensolver. Otherwise it comes from ``eigh``.
+H13 + H23 = V diag(w) V† and psi(t) = V exp(-i w t) V† psi0. A spectrum has
+one of two sources, by input kind. Pairs given as Pauli coefficients (configs,
+presets) take ``eigh`` of their own H. Pairs drawn in the canonical commuting
+form, where both pair Hamiltonians act on the probe through one axis j, take
+the closed form: the total Hamiltonian is block diagonal over the
+eigenprojectors of j.sigma on qubit 3, and in probe sector m = +-1, body qubit
+k sees a plain rotation about m body_k + local_self_k, with no eigensolver.
 
 ``closed_form_spectra`` takes N pairs in canonical form (body and body-local
 vectors, probe axis and probe-local strengths) and builds their sector vectors
 itself; the property suites draw their pairs in that form and call it
-directly. ``plan_spectra`` builds the stacked spectra of N pairs given as
-(N, 2, 15) Pauli coefficients from one ``canonical_forms`` call (the closed
-form for rows with a form, one stacked ``eigh`` for the rest). ``evolve``
-is the core itself, by broadcasting: N spectra and states go one per row to
-their own times, and one spectrum and state go over a whole time grid.
-``measure_probe_grid`` measures qubit 3 of every row along one unit axis.
+directly. ``plan_spectra`` classifies N pairs given as (N, 2, 15) Pauli
+coefficients with one ``canonical_forms`` call and builds their stacked
+spectra with one stacked ``eigh``. ``evolve`` is the core itself, by
+broadcasting: N spectra and states go one per row to their own times, and one
+spectrum and state go over a whole time grid. ``measure_probe_grid`` measures
+qubit 3 of every row along one unit axis.
 """
 
 from __future__ import annotations
@@ -71,29 +71,12 @@ def plan_spectra(coeffs: np.ndarray):
     """Canonical forms and stacked spectra of N pairs given as an (N, 2, 15) coefficient array:
     ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
 
-    Rows with a canonical form take the closed form, the others one stacked
-    ``eigh`` of their total Hamiltonians.
+    ``forms`` classifies the pairs; the spectra come from one stacked ``eigh`` of the total
+    Hamiltonians, so a pair that passes the form check only within ``SPECTRAL_TOL`` is still
+    evolved by its own H, not by its canonical form.
     """
-    forms = canonical_forms(coeffs)
-    ok = forms.ok
-    if ok.all():  # one route takes every row: no gathers or scatters
-        return (forms, *_closed_form_rows(forms, coeffs))
-    if not ok.any():
-        return (forms, *_eigh_rows(coeffs))
-    w, v = np.empty((len(ok), 8)), np.empty((len(ok), 8, 8), dtype=complex)
-    w[ok], v[ok] = _closed_form_rows(forms, coeffs, ok)
-    w[~ok], v[~ok] = _eigh_rows(coeffs[~ok])
-    return forms, w, v
-
-
-def _closed_form_rows(forms, coeffs, rows=slice(None)):
-    """Closed-form spectra of the ``rows`` of ``forms``, with the body-local vectors of ``coeffs``."""
-    return closed_form_spectra(forms.body[rows], coeffs[rows][..., 9:12], forms.probe_axis[rows], forms.probe_strength[rows])
-
-
-def _eigh_rows(coeffs):
     matrices = pair_matrices(coeffs)
-    return np.linalg.eigh(matrices[:, 0] + matrices[:, 1])
+    return (canonical_forms(coeffs), *np.linalg.eigh(matrices[:, 0] + matrices[:, 1]))
 
 
 def evolve(w, v, psi0s, times) -> np.ndarray:

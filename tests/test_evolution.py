@@ -7,7 +7,7 @@ from triqubit.evolution import (
     measure_probe_grid,
     plan_spectra,
 )
-from triqubit.hamiltonians import heisenberg_chain, qnd_zz
+from triqubit.hamiltonians import canonical_forms, heisenberg_chain, qnd_zz
 from triqubit.linalg import directions
 from triqubit.measures import concurrence_12
 from triqubit.states import from_axis_basis, fully_separable, ghz_general
@@ -17,6 +17,7 @@ from oracles import (
     I2,
     PAULIS,
     axis_eigenbasis,
+    closed_form_plan,
     haar_state,
     matrices,
     one_pair,
@@ -69,8 +70,9 @@ class TestPlan:
     def test_unitary_group_property_and_pade_oracle(self):
         # U(0) = 1, U(t) U(s) = U(t + s), and U(t) = expm(-i H t) from either spectrum source
         rng = np.random.default_rng(11)
-        for coeffs in (heisenberg_chain(0.7), reference_pair(rng, locals_mode="full")[None]):
-            _, (w,), (v,) = plan_spectra(coeffs)
+        full = reference_pair(rng, locals_mode="full")[None]
+        for plan, coeffs in ((plan_spectra, heisenberg_chain(0.7)), (plan_spectra, full), (closed_form_plan, full)):
+            _, (w,), (v,) = plan(coeffs)
             t, s = 0.7, 1.9
             assert np.max(np.abs(unitary(w, v, 0.0) - np.eye(8))) <= 1e-12
             assert np.max(np.abs(unitary(w, v, t) @ unitary(w, v, s) - unitary(w, v, t + s))) <= 1e-10
@@ -115,7 +117,7 @@ class TestFastpath:
         rng = np.random.default_rng(20)
         for _ in range(60):
             coeffs = reference_pair(rng, locals_mode="full")
-            forms, w, v = plan_spectra(coeffs[None])
+            forms, w, v = closed_form_plan(coeffs[None])
             assert forms.ok[0]
             psi = haar_state(rng)
             times = rng.uniform(0, 7, 4)
@@ -125,19 +127,16 @@ class TestFastpath:
 
     def test_fastpath_unitary_is_unitary(self):
         # U(t) from the closed-form spectrum of the commuting fast path
-        _, (w,), (v,) = plan_spectra(reference_pair(np.random.default_rng(21), locals_mode="full")[None])
+        _, (w,), (v,) = closed_form_plan(reference_pair(np.random.default_rng(21), locals_mode="full")[None])
         u = (v * np.exp(-1.7j * w)) @ v.conj().T
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
-    def test_evolve_mode_dispatch(self):
-        # each row picks its spectrum: closed form when the pair commutes, eigh otherwise
+    def test_commuting_and_noncommuting_rows_match_oracle(self):
+        # a commuting and a noncommuting pair planned in one batch, each evolved against expm of its own H
         rng = np.random.default_rng(22)
         coeffs = np.concatenate([reference_pair(rng)[None], heisenberg_chain(1.0)])
         forms, w, v = plan_spectra(coeffs)
-        closed_form = closed_form_spectra(forms.body[:1], coeffs[:1, :, 9:12], forms.probe_axis[:1], forms.probe_strength[:1])
-        eigh = np.linalg.eigh(total_hamiltonian(coeffs[1]))
-        for got, want in zip((w[0], v[0], w[1], v[1]), (closed_form[0][0], closed_form[1][0], *eigh)):
-            assert np.array_equal(got, want)
+        assert forms.ok.tolist() == [True, False]
         psi = haar_state(rng)
         for c, psi_t in zip(coeffs, evolve(w, v, [psi, psi], [0.9, 0.9])):
             assert np.max(np.abs(psi_t - oracle_evolve(total_hamiltonian(c), psi, 0.9))) <= 1e-10
@@ -149,7 +148,7 @@ class TestSpectrum:
         z = np.array([0.0, 0.0, 1.0])
         coeffs = one_pair(row(coupling=0.8 * np.outer(z, z), local_self=0.8 * z, local_probe=0.3 * z),
                           row(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z), local_self=(0.2, 0.4, 0.1)))
-        forms, w, v = plan_spectra(coeffs)
+        forms, w, v = closed_form_plan(coeffs)
         vecs = sector_vectors(forms.body, coeffs[..., 9:12])[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
@@ -197,7 +196,7 @@ class TestSpectrum:
     def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
         rng = np.random.default_rng(24)
         coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(100)])
-        forms, ws, vs = plan_spectra(coeffs)
+        forms, ws, vs = closed_form_plan(coeffs)
         assert forms.ok.all()
         for c, w, v in zip(coeffs, ws, vs):
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
@@ -205,15 +204,15 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("locals_mode", ["none", "probe", "full"])
     def test_perturbed_pairs_rebuild_within_the_form_check(self, locals_mode):
-        # every exact pair takes the closed form; a pair perturbed by 1e-13 to 1e-9 may or may not, and
-        # where it does its (w, V) rebuilds H13 + H23 within the bound that the per-pair check of
-        # ||H - form||_F <= SPECTRAL_TOL ||H||_F gives
+        # every exact pair has a form; a pair perturbed by 1e-13 to 1e-9 may or may not, and where it
+        # does the closed form of its form rebuilds H13 + H23 within the bound that the per-pair check
+        # of ||H - form||_F <= SPECTRAL_TOL ||H||_F gives
         rng = np.random.default_rng({"none": 50, "probe": 51, "full": 52}[locals_mode])
         exact = np.array([reference_pair(rng, locals_mode) for _ in range(300)])
-        assert plan_spectra(exact)[0].ok.all()
+        assert canonical_forms(exact).ok.all()
         sizes = 10.0 ** rng.uniform(-13.0, -9.0, len(exact))
         perturbed = exact + sizes[:, None, None] * rng.normal(size=exact.shape)
-        forms, ws, vs = plan_spectra(perturbed)
+        forms, ws, vs = closed_form_plan(perturbed)
         assert forms.ok.any() and not forms.ok.all()
         for c, w, v in zip(perturbed[forms.ok], ws[forms.ok], vs[forms.ok]):
             bound = SPECTRAL_TOL * sum(np.linalg.norm(m) for m in matrices(c))
@@ -232,7 +231,7 @@ class TestSpectrum:
                 assert np.max(np.abs(row_t - evolve(w, v, psi, (t,))[0])) <= 1e-12
 
     def test_stacked_plans_equal_one_row_plans(self):
-        # closed-form and eigh rows in one batch, each bit for bit its own one-row plan's; then one state per row and
+        # commuting and noncommuting rows in one batch, each bit for bit its own one-row plan's; then one state per row and
         # time, and one row's spectrum and state stacked once per time against the same row over the time grid
         rng = np.random.default_rng(27)
         coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(4)])
@@ -248,16 +247,6 @@ class TestSpectrum:
             stacked = evolve(*(np.repeat(a[i : i + 1], len(times), axis=0) for a in (w, v, psi0s)), times)
             assert np.max(np.abs(stacked - evolve(w1, v1, psi0s[i], times))) <= 1e-14
 
-    def test_eigh_only_for_rows_without_closed_form(self, monkeypatch):
-        # commuting rows never call eigh; the others share one stacked call
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
-        plan_spectra(qnd_zz(1.0))
-        assert not calls
-        forms, _, _ = plan_spectra(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0), heisenberg_chain(0.5), qnd_zz(2.0)]))
-        assert forms.ok.tolist() == [True, False, False, True] and calls == [2]
-
 
 class TestClosedForm:
     # entangling-only pairs: random commuting pairs without local terms
@@ -269,12 +258,12 @@ class TestClosedForm:
             psi = haar_state(rng)
             t = rng.uniform(0, 7)
             a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
-            _, (w,), (v,) = plan_spectra(coeffs[None])
+            _, (w,), (v,) = closed_form_plan(coeffs[None])
             b = evolve(w, v, psi, (t,))[0]
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_plus_plus_plus_only_picks_global_phase(self):
-        forms, w, v = plan_spectra(reference_pair(np.random.default_rng(31))[None])
+        forms, w, v = closed_form_plan(reference_pair(np.random.default_rng(31))[None])
         axes = np.array([*directions(forms.body[0])[1], forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
@@ -288,7 +277,7 @@ class TestClosedForm:
         rng = np.random.default_rng(32)
         u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
         s = 1.1
-        _, ws, vs = plan_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
+        _, ws, vs = closed_form_plan(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
         psi = haar_state(rng)
         period = np.pi / s
         revived, rho_a, rho_b = evolve(ws[0], vs[0], psi, (period, 0.4, 0.4 + period))
@@ -404,6 +393,16 @@ class TestMeasureProbe:
             assert present.all()
             assert np.max(np.abs(probs[0] - want_probs)) <= 1e-12
             assert np.max(np.abs(tangles[0] - want_tangles)) <= 1e-12
+
+    @pytest.mark.parametrize("factor, present", [(1 - 5e-4, False), (1 + 5e-4, True)])
+    def test_degenerate_outcome_edge(self, factor, present):
+        # outcome -z with probability just below and just above DEGENERATE_OUTCOME_PROB, pinned at 1e-14
+        rng = np.random.default_rng(62)
+        p = 1e-14 * factor
+        psi = np.sqrt(1.0 - p) * np.kron(haar_state(rng, 4), [1.0, 0.0]) + np.sqrt(p) * np.kron(haar_state(rng, 4), [0.0, 1.0])
+        probs, _, found, _ = measure_probe_grid(psi, Z)
+        assert probs[0, 1] == pytest.approx(p, rel=1e-12)
+        assert found.tolist() == [[True, present]]
 
     @pytest.mark.parametrize("p", [1e-9, 1e-12])
     def test_rare_outcome_keeps_its_tangle(self, p):

@@ -91,6 +91,15 @@ class TestCommutes:
         c23[1, 2] = 1.4
         assert commutes(one_pair(row(coupling=c13), row(coupling=c23)))
 
+    @pytest.mark.parametrize("factor, status", [(1 - 5e-4, 0), (1 + 5e-4, 1)])
+    def test_spectral_tol_edge(self, factor, status):
+        # zz couplings on both pairs plus zx = eps on (1,3): ||[H13, H23]||_F / (||H13||_F ||H23||_F)
+        # = sqrt(2) eps / sqrt(1 + eps^2), so the form check's edge is eps* = sqrt(2) SPECTRAL_TOL,
+        # pinned here at SPECTRAL_TOL = 1e-10
+        zx = np.sqrt(2.0) * 1e-10 * factor
+        coeffs = one_pair(row(coupling=[[0, 0, 0], [0, 0, 0], [zx, 0, 1.0]]), zz_row(1.0))
+        assert canonical_forms(coeffs).status.tolist() == [status]
+
     def test_randomized_soundness_against_direct_thresholding(self):
         # the coefficient-space classifier against the decision rule re-derived from raw embeddings
         rng = np.random.default_rng(31)

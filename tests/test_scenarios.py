@@ -23,7 +23,7 @@ from triqubit.scenarios import (
     suite_names,
 )
 from triqubit.evolution import closed_form_spectra, evolve, measure_probe_grid, plan_spectra
-from triqubit.hamiltonians import canonical_forms
+from triqubit.hamiltonians import canonical_forms, pair_matrices
 from triqubit.linalg import directions
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import rotation_matrices
@@ -32,6 +32,7 @@ from triqubit.tolerances import AXIS_SIGN_TOL, PHYSICS_TOL
 from oracles import (
     PAULIS,
     axis_eigenbasis,
+    closed_form_plan,
     commutes,
     form_coefficients,
     haar_state,
@@ -152,6 +153,21 @@ class TestConfigParsing:
         rotated = [rotation_matrices(quaternion(a, directions(axis)[1])) @ axis_eigenbasis(ref)[0] for a, axis, ref in
                    ((0.7, (1, 1, 0), (1, 0, 0)), (0.0, (0, 0, 1), (0, 1, 0)), (0.3, (0, 1, 0), (0, 0, 1)))]
         assert np.max(np.abs(psi0 - np.kron(np.kron(rotated[0], rotated[1]), rotated[2]))) <= 1e-15
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_rotations_need_three_entries(self, count):
+        state = {"class": "fully_separable", "params": {"rotations": [{"qubit": 1 + k % 3} for k in range(count)]}}
+        with pytest.raises(ConfigError, match=r"config\.initial_state\.params\.rotations: expected three entries"):
+            parse_config(heisenberg_config(initial_state=state))
+
+    def test_hamiltonian_scale_is_the_frobenius_norm(self):
+        # ||H13 + H23||_F from the coefficients, against the norm of the 8x8 matrix summed term by term
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            coeffs = one_pair(*(row(coupling=rng.normal(size=(3, 3)), local_self=rng.normal(size=3), local_probe=rng.normal(size=3))
+                                for _ in range(2)))
+            scale = scenarios._hamiltonian_scale(coeffs, "config.hamiltonian")
+            assert scale == pytest.approx(np.linalg.norm(total_hamiltonian(coeffs)), rel=1e-14, abs=0)
 
     def test_duplicate_measures_rejected(self):
         # a repeated measure would repeat its CSV column
@@ -461,6 +477,26 @@ class TestRunSweep:
         exact = report_batch([oracle_evolve(total_hamiltonian(coeffs), cfg.psi0, t) for t in result.times])
         for field in REPORT_FIELDS:
             assert np.max(np.abs(result.table[field] - exact[field])) <= 1e-9
+
+    @pytest.mark.parametrize("t_end", [1e3, 1e5])
+    @pytest.mark.parametrize("zx", [1e-10, 1e-11, 1e-12])
+    def test_pair_within_the_form_check_evolves_its_own_hamiltonian(self, zx, t_end):
+        # a zx term small enough to pass the form check: the pair is still reported commuting, but the
+        # sweep evolves H, so the error does not grow as ||H - form||_F |t| (evolving the form errs by
+        # 2.4e-8 in tangle_12 at zx = 1e-10, t = 1e3)
+        psi = haar_state(np.random.default_rng(15))
+        zz = [[0, 0, 0], [0, 0, 0], [0, 0, 1.0]]
+        raw = {
+            "hamiltonian": {"pairwise": {"h13": {"coupling": [[0, 0, 0], [0, 0, 0], [zx, 0, 1.0]]}, "h23": {"coupling": zz}}},
+            "initial_state": {"class": "raw_amplitudes", "params": {"amplitudes": [[a.real, a.imag] for a in psi]}},
+            "time_grid": {"t_start": 0.0, "t_end": t_end, "steps": 41},
+        }
+        cfg = parse_config(raw)
+        result = run_sweep(cfg)
+        assert result.commuting
+        exact = report_batch(oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.times))
+        for field in ("tangle_12", "residual_tangle"):
+            assert np.max(np.abs(result.table[field] - exact[field])) <= 1e-9, field
 
     def test_separable_commuting_sweep_stays_untangled(self):
         raw = {
@@ -1162,8 +1198,8 @@ def _recorded_evolutions(monkeypatch, name, trials, seed):
 
 class TestDrawnFormsAgainstClassifier:
     """The commuting suites evolve the canonical forms they draw, with no classifier between. The
-    classifier must still recover every drawn form from its coefficients, and the coefficient route
-    must evolve the same states."""
+    classifier must still recover every drawn form from its coefficients, and both the closed form
+    of the recovered forms and the sweeps' ``eigh`` of H must evolve the same states."""
 
     @pytest.mark.parametrize(
         "name", ["separable_stays_separable", "parity_residual_conserved", "periodicity 2/3"], ids=["full", "probe", "periodicity"]
@@ -1184,8 +1220,14 @@ class TestDrawnFormsAgainstClassifier:
         }
         for field, error in errors.items():  # at most ~2.3 eps over seeds 11-13
             assert np.max(error) <= 4 * np.finfo(float).eps, f"{field}: {np.max(error):.3e} relative"
-        _, w, v = plan_spectra(coeffs)
+        _, w, v = closed_form_plan(coeffs)
         assert np.max(np.abs(evolve(w, v, psi0s, ts) - psi_ts)) <= 1e-12
+        # eigh of H errs with the phase: per trial within 16 eps max(1, ||H13 + H23||_F |t|), at most
+        # ~6.7 eps over seeds 11-13 (periodicity reaches a phase of ~2e4)
+        _, w, v = plan_spectra(coeffs)
+        phase = np.linalg.norm(pair_matrices(coeffs).sum(axis=1), axis=(1, 2)) * np.abs(ts)
+        error = np.max(np.abs(evolve(w, v, psi0s, ts) - psi_ts), axis=-1) / np.maximum(1.0, phase)
+        assert np.max(error) <= 16 * np.finfo(float).eps, f"eigh: {np.max(error) / np.finfo(float).eps:.2f} eps"
 
     def test_commuting_suites_never_classify(self, monkeypatch):
         # with the classifier refusing every call, the commuting suites and periodicity still run

@@ -51,6 +51,11 @@ class TestAxisEigenbasis:
         assert np.allclose(plus, [1, 0])
         assert np.allclose(minus, [0, 1])
 
+    def test_minus_z_axis(self):
+        # e^{i phi} = 1 on the z axis, also on -z: plus = |1> and minus = |0>, exactly
+        basis = axis_eigenbases((0.0, 0.0, -1.0))
+        assert basis[:, 0].tolist() == [0, 1] and basis[:, 1].tolist() == [1, 0]
+
     def test_x_axis(self):
         plus, minus = axis_eigenbasis(X)
         assert np.allclose(plus, [INV_SQRT2, INV_SQRT2])
