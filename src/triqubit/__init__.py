@@ -7,9 +7,9 @@ formation and the residual three-way tangle of the non-interacting pair.
 """
 
 from .evolution import (
+    eigh_spectra,
     evolve,
     measure_probe_grid,
-    plan_spectra,
 )
 from .hamiltonians import (
     canonical_forms,

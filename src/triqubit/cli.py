@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .evolution import evolve, measure_probe_grid, plan_spectra
-from .hamiltonians import qnd_zz
+from .evolution import eigh_spectra, evolve, measure_probe_grid
+from .hamiltonians import canonical_forms, qnd_zz
 from .linalg import directions
 from .measures import report_batch
 from .scenarios import (
@@ -114,13 +114,16 @@ def _eigenvalue_report(eigenvalues: np.ndarray) -> str:
     """Sorted eigenvalues as distinct values with multiplicities.
 
     Rounds to 9 decimals in units of the largest |eigenvalue|'s decade, so the
-    zero cut and the grouping gap scale with the Hamiltonian.
+    zero cut and the grouping gap scale with the Hamiltonian. The gap
+    10**-decimals = 5**-decimals 2**-decimals is tested with its power of two
+    moved exactly onto the difference, so it does not underflow to 0 at
+    subnormal scales.
     """
     decimals = 9 - math.floor(math.log10(float(np.max(np.abs(eigenvalues)))))
     distinct: list[tuple[float, int]] = []
     for value in eigenvalues:
         value = round(float(value), decimals) + 0.0  # drop display noise, avoid -0
-        if distinct and abs(value - distinct[-1][0]) < 10.0**-decimals:
+        if distinct and math.ldexp(abs(value - distinct[-1][0]), decimals) < 5.0**-decimals:
             distinct[-1] = (distinct[-1][0], distinct[-1][1] + 1)
         else:
             distinct.append((value, 1))
@@ -136,7 +139,7 @@ def cmd_classify(args) -> int:
     if not cfg.coeffs.any():
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
-    forms, w, _ = plan_spectra(cfg.coeffs)
+    forms = canonical_forms(cfg.coeffs)
     if forms.ok[0]:
         print(f"commuting (commutator norm {forms.commutator_norm[0]:.6e})")
         print(f"shared probe axis: {(np.round(forms.probe_axis[0], 12) + 0.0).tolist()}")  # + 0.0: no -0 from the sign rule
@@ -154,7 +157,7 @@ def cmd_classify(args) -> int:
         kind = "noncommuting" if forms.status[0] == 1 else "commuting without a shared probe axis"
         print(f"{kind} (commutator norm {forms.commutator_norm[0]:.6e})")
         print(f"reason: {forms.reason(0)}")
-        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(w[0])}")
+        print(f"total Hamiltonian eigenvalues: {_eigenvalue_report(eigh_spectra(cfg.coeffs)[0][0])}")
     return EXIT_OK
 
 
@@ -173,9 +176,8 @@ def cmd_qnd_demo(args) -> int:
     if gt > MAX_PHASE:  # ||H_total||_F = 1 at qnd_zz(1)
         print(f"error: gt = {gt:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}, past which the phases are rounding noise", file=sys.stderr)
         return EXIT_CONFIG
-    _, w, v = plan_spectra(qnd_zz(1.0))
     psi0 = fully_separable([0.0] * 3, [Z_AXIS] * 3, axes=(X_AXIS, X_AXIS, X_AXIS))
-    psi_t = evolve(w, v, psi0, (gt,))
+    psi_t = evolve(*eigh_spectra(qnd_zz(1.0)), psi0, (gt,))
     print(f"gt = {gt:.12g}")
     print(f"pre-measurement tangle_12 = {report_batch(psi_t)['tangle_12'][0]:.10f}")
     print("outcome  probability    conditional_tangle_12")

@@ -12,19 +12,19 @@ k sees a plain rotation about m body_k + local_self_k, with no eigensolver.
 ``closed_form_spectra`` takes N pairs in canonical form (body and body-local
 vectors, probe axis and probe-local strengths) and builds their sector vectors
 itself; the property suites draw their pairs in that form and call it
-directly. ``plan_spectra`` classifies N pairs given as (N, 2, 15) Pauli
-coefficients with one ``canonical_forms`` call and builds their stacked
-spectra with one stacked ``eigh``. ``evolve`` is the core itself, by
-broadcasting: N spectra and states go one per row to their own times, and one
-spectrum and state go over a whole time grid. ``measure_probe_grid`` measures
-qubit 3 of every row along one unit axis.
+directly. ``eigh_spectra`` takes N pairs given as (N, 2, 15) Pauli
+coefficients and builds their spectra with one stacked ``eigh``, commuting or
+not: the verdict (``canonical_forms``) is taken only where it is printed.
+``evolve`` is the core itself, by broadcasting: N spectra and states go one per
+row to their own times, and one spectrum and state go over a whole time grid.
+``measure_probe_grid`` measures qubit 3 of every row along one unit axis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonians import canonical_forms, pair_matrices
+from .hamiltonians import pair_matrices
 from .linalg import directions, kron  # noqa: F401 (bench/selftest.py reads kron here)
 from .states import axis_eigenbases
 from .tolerances import DEGENERATE_OUTCOME_PROB
@@ -67,16 +67,10 @@ def closed_form_spectra(body, local_self, probe_axis, probe_strength) -> tuple[n
     return np.concatenate([lengths, probe_strength.sum(axis=1, keepdims=True)], axis=1) @ _ENERGY_SIGNS, v
 
 
-def plan_spectra(coeffs: np.ndarray):
-    """Canonical forms and stacked spectra of N pairs given as an (N, 2, 15) coefficient array:
-    ``(forms, w, V)`` with w (N, 8) and V (N, 8, 8).
-
-    ``forms`` classifies the pairs; the spectra come from one stacked ``eigh`` of the total
-    Hamiltonians, so a pair that passes the form check only within ``SPECTRAL_TOL`` is still
-    evolved by its own H, not by its canonical form.
-    """
-    matrices = pair_matrices(coeffs)
-    return (canonical_forms(coeffs), *np.linalg.eigh(matrices[:, 0] + matrices[:, 1]))
+def eigh_spectra(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, V)`` of N pairs given as an (N, 2, 15) coefficient array, shapes (N, 8) and (N, 8, 8):
+    one stacked ``eigh`` of the total Hamiltonians H13 + H23, whether or not a pair commutes."""
+    return np.linalg.eigh(pair_matrices(coeffs).sum(axis=1))
 
 
 def evolve(w, v, psi0s, times) -> np.ndarray:

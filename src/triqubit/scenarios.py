@@ -63,8 +63,8 @@ except ImportError:
         from hashlib import sha256
 
 from . import states
-from .evolution import closed_form_spectra, evolve, measure_probe_grid, plan_spectra
-from .hamiltonians import PRESETS, heisenberg_chain
+from .evolution import closed_form_spectra, eigh_spectra, evolve, measure_probe_grid
+from .hamiltonians import PRESETS, canonical_forms, heisenberg_chain
 from .linalg import directions
 from .measures import REPORT_FIELDS, _eof, concurrence_12, report_batch, residual_tangle_rows
 from .states import from_axis_basis
@@ -418,8 +418,8 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         raise ConfigError("config.initial_state: required to run a sweep")
     if cfg.times is None:
         raise ConfigError("config.time_grid: required to run a sweep")
-    forms, w, v = plan_spectra(cfg.coeffs)
-    psis = evolve(w, v, cfg.psi0, cfg.times)
+    forms = canonical_forms(cfg.coeffs)
+    psis = evolve(*eigh_spectra(cfg.coeffs), cfg.psi0, cfg.times)
     result = SweepResult(
         name=cfg.name,
         times=cfg.times,
@@ -558,9 +558,9 @@ def _commuting_pairs(take, locals_mode: str) -> tuple[np.ndarray, ...]:
 # them into state arrays and pairs, and returns the (n,) violations with each
 # trial's context columns. The commuting suites and periodicity draw their
 # pairs in canonical form and evolve those forms through ``closed_form_spectra``,
-# with no coefficients or classifier between; only the Heisenberg suite plans
-# coefficients. A --seed replay reproduces every trial, whatever --trials and
-# the chunking: a chunk is a whole number of blocks.
+# with no coefficients or classifier between; only the Heisenberg suite builds
+# coefficients, for ``eigh_spectra``. A --seed replay reproduces every trial,
+# whatever --trials and the chunking: a chunk is a whole number of blocks.
 
 _CHUNK = 16 * _BLOCK
 
@@ -794,7 +794,7 @@ def _heisenberg13(take):
     a, b = _schmidt(take)
     psi0s, _ = _rotated(states.bipartite_13(a, b, _states(take, 2)), take, (1, 3))
     ts = _times(take)
-    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, evolve(*plan_spectra(heisenberg_chain(gs))[1:], psi0s, ts))
+    tau0, tau_t = _initial_and_evolved(_tangle12, psi0s, evolve(*eigh_spectra(heisenberg_chain(gs)), psi0s, ts))
     return np.maximum(tau0, -tau_t), {"t": ts, "g": gs, "max_tangle": tau_t}
 
 

@@ -141,12 +141,12 @@ def form_coefficients(body, local_self, probe_axis, probe_strength) -> np.ndarra
     return coeffs
 
 
-def closed_form_plan(coeffs) -> tuple:
-    """(forms, w, V) of N pairs given as (N, 2, 15) coefficients, with the spectra in closed form:
-    ``closed_form_spectra`` of their ``canonical_forms`` and the coefficients' body-local vectors.
-    Meaningful only for rows with a form (``forms.ok``); ``plan_spectra`` takes ``eigh`` of H instead."""
+def closed_form_plan(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of N pairs given as (N, 2, 15) coefficients, as ``eigh_spectra`` returns them, but in
+    closed form: ``closed_form_spectra`` of their ``canonical_forms`` and the coefficients' body-local
+    vectors. Meaningful only for rows with a form (``canonical_forms(coeffs).ok``), which the caller checks."""
     forms = canonical_forms(coeffs)
-    return forms, *closed_form_spectra(forms.body, coeffs[..., 9:12], forms.probe_axis, forms.probe_strength)
+    return closed_form_spectra(forms.body, coeffs[..., 9:12], forms.probe_axis, forms.probe_strength)
 
 
 # Levi-Civita symbol: (a x b)_i = eps_ijk a_j b_k

@@ -10,8 +10,8 @@ import json
 import numpy as np
 
 from triqubit.cli import main as cli_main
-from triqubit.evolution import evolve, measure_probe_grid, plan_spectra
-from triqubit.hamiltonians import heisenberg_chain, qnd_zz
+from triqubit.evolution import eigh_spectra, evolve, measure_probe_grid
+from triqubit.hamiltonians import canonical_forms, heisenberg_chain, qnd_zz
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.scenarios import (
     _Draws,
@@ -45,7 +45,7 @@ def heisenberg_00plus_grid(g=1.0):
     psi0 = np.zeros(8, dtype=complex)
     psi0[0] = psi0[1] = INV_SQRT2  # |00> x |+>
     grid = np.linspace(0.0, np.pi, 64) / g
-    _, (w,), (v,) = plan_spectra(heisenberg_chain(g))
+    (w,), (v,) = eigh_spectra(heisenberg_chain(g))
     return psi0, grid, evolve(w, v, psi0, grid)
 
 
@@ -53,7 +53,7 @@ def test_criterion_01_probe_measurement_prepares_bell_pairs():
     psi0 = fully_separable([0.0] * 3, [(0.0, 0.0, 1.0)] * 3, axes=(X, X, X))
     for g in (1.0, 1e-15):  # the claim is on g t alone
         gts = np.pi * np.array([1.0, 3.0])  # g t = pi (2m + 1), m = 0 and 1
-        _, (w,), (v,) = plan_spectra(qnd_zz(g))
+        (w,), (v,) = eigh_spectra(qnd_zz(g))
         probs, _, _, states = measure_probe_grid(evolve(w, v, psi0, gts / g), X)
         for gt, p_plus, plus in zip(gts, probs[:, 0], states[:, 0]):
             assert abs(p_plus - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={p_plus!r}"
@@ -69,9 +69,9 @@ def test_criterion_02_closed_form_evolution_matches_exact():
         rng = np.random.default_rng(child)
         locals_mode = "full" if index % 2 else "none"
         coeffs = reference_pair(rng, locals_mode=locals_mode)
-        forms, w, v = closed_form_plan(coeffs[None])
+        w, v = closed_form_plan(coeffs[None])
         psi0 = haar_state(rng)
-        assert forms.ok[0]
+        assert canonical_forms(coeffs[None]).ok[0]
         times = rng.uniform(0.0, 4.0 * np.pi, 100)
         exact = oracle_evolve(total_hamiltonian(coeffs), psi0, times)  # one stacked (100, 8, 8) expm
         fast = evolve(w[0], v[0], psi0, times)
@@ -276,7 +276,7 @@ def test_criterion_09_residual_tangle_periodicity():
 
 def test_criterion_10_heisenberg_ghz_and_triple_invariance():
     rng = np.random.default_rng(10)
-    _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+    (w,), (v,) = eigh_spectra(heisenberg_chain(1.0))
     grid = np.linspace(0.0, np.pi, 32)
 
     ghz_states = [ghz_general(INV_SQRT2, INV_SQRT2)]

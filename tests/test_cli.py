@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,32 @@ class TestClassifyCommand:
         assert "trivially" not in captured.out
         assert "total Hamiltonian eigenvalues: -3e+155 (x2), 1e+155 (x6)" in captured.out
         assert captured.err == ""
+
+    @pytest.mark.parametrize("g", [1.0, 1e-300, 1e-320])
+    def test_eigenvalue_multiplicities_at_any_scale(self, tmp_path, capsys, g):
+        # the grouping gap 10**-decimals is 0 in floats once max|eigenvalue| < ~1e-314, so it is tested
+        # scale-relative; the commutator norm is absolute and underflows below coefficients of ~1e-154
+        cfg = write_config(tmp_path, {"hamiltonian": {"preset": "heisenberg_chain", "g": g}})
+        assert main(["classify", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"total Hamiltonian eigenvalues: -\S+ \(x2\), 0 \(x2\), \S+ \(x4\)", out.splitlines()[-1]), out
+        if g == 1e-300:
+            assert out.startswith("noncommuting (commutator norm 0.000000e+00)\n")
+
+    def test_commuting_verdict_takes_no_eigh_and_qnd_demo_no_verdict(self, monkeypatch, capsys):
+        # classify prints no eigenvalues for a commuting config, so it takes no eigendecomposition;
+        # qnd-demo prints no verdict, so no module it reaches calls the classifier
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", refuse)
+            assert main(["classify", "--config", str(CONFIGS / "qnd_x.json")]) == 0
+        for module in [module for name, module in sys.modules.items() if name.startswith("triqubit")]:
+            if hasattr(module, "canonical_forms"):
+                monkeypatch.setattr(module, "canonical_forms", refuse)
+        assert main(["qnd-demo"]) == 0
+        assert capsys.readouterr().out.startswith("commuting (commutator norm 0.000000e+00)\n")
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"hamiltonian": {"preset": "qnd_zz"}, "typo_key": 1})

@@ -3,9 +3,9 @@ import pytest
 
 from triqubit.evolution import (
     closed_form_spectra,
+    eigh_spectra,
     evolve,
     measure_probe_grid,
-    plan_spectra,
 )
 from triqubit.hamiltonians import canonical_forms, heisenberg_chain, qnd_zz
 from triqubit.linalg import directions
@@ -57,13 +57,13 @@ def unitary(w, v, t: float) -> np.ndarray:
 
 class TestPlan:
     def test_commuting_detection(self):
-        forms, _, _ = plan_spectra(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0)]))
+        forms = canonical_forms(np.concatenate([qnd_zz(1.0), heisenberg_chain(1.0)]))
         assert forms.ok.tolist() == [True, False]
         assert forms.commutator_norm[1] > 1
         assert "commut" in forms.reason(1)
 
     def test_unitary_is_unitary(self):
-        _, (w,), (v,) = plan_spectra(heisenberg_chain(0.7))
+        (w,), (v,) = eigh_spectra(heisenberg_chain(0.7))
         u = unitary(w, v, 1.3)
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
@@ -71,8 +71,8 @@ class TestPlan:
         # U(0) = 1, U(t) U(s) = U(t + s), and U(t) = expm(-i H t) from either spectrum source
         rng = np.random.default_rng(11)
         full = reference_pair(rng, locals_mode="full")[None]
-        for plan, coeffs in ((plan_spectra, heisenberg_chain(0.7)), (plan_spectra, full), (closed_form_plan, full)):
-            _, (w,), (v,) = plan(coeffs)
+        for spectra, coeffs in ((eigh_spectra, heisenberg_chain(0.7)), (eigh_spectra, full), (closed_form_plan, full)):
+            (w,), (v,) = spectra(coeffs)
             t, s = 0.7, 1.9
             assert np.max(np.abs(unitary(w, v, 0.0) - np.eye(8))) <= 1e-12
             assert np.max(np.abs(unitary(w, v, t) @ unitary(w, v, s) - unitary(w, v, t + s))) <= 1e-10
@@ -81,7 +81,7 @@ class TestPlan:
 
 class TestEvolveExact:
     def test_time_zero_identity(self):
-        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        (w,), (v,) = eigh_spectra(heisenberg_chain(1.0))
         psi = haar_state(np.random.default_rng(0))
         assert np.max(np.abs(evolve(w, v, psi, (0.0,))[0] - psi)) <= 1e-12
 
@@ -89,7 +89,7 @@ class TestEvolveExact:
         rng = np.random.default_rng(10)
         psi = haar_state(rng)
         times = np.linspace(0, 6, 13)
-        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        (w,), (v,) = eigh_spectra(heisenberg_chain(1.0))
         for t, out in zip(times, evolve(w, v, psi, times)):
             assert abs(np.vdot(out, out).real - 1) <= 1e-12
             assert np.max(np.abs(out - oracle_evolve(total_hamiltonian(heisenberg_chain(1.0)), psi, t))) <= 1e-10
@@ -97,7 +97,7 @@ class TestEvolveExact:
     def test_probe_coupled_product_state_at_bell_time(self):
         # frozen amplitudes of the evolved x-polarized product state at g t = pi,
         # derived by phase bookkeeping on the zz eigenbasis
-        _, (w,), (v,) = plan_spectra(qnd_zz(1.0))
+        (w,), (v,) = eigh_spectra(qnd_zz(1.0))
         out = evolve(w, v, x_product_state(), (np.pi,))[0]
         s = 1 / (2 * np.sqrt(2))
         expected = s * np.array([-1j, 1j, 1, 1, 1, 1, 1j, -1j])
@@ -107,7 +107,7 @@ class TestEvolveExact:
         psi0 = np.zeros(8, dtype=complex)
         psi0[0] = 1  # product of three identical states
         rho0 = oracle_rho12(psi0)
-        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        (w,), (v,) = eigh_spectra(heisenberg_chain(1.0))
         for psi in evolve(w, v, psi0, (0.3, 1.1, 2.9)):
             assert np.max(np.abs(oracle_rho12(psi) - rho0)) <= 1e-10
 
@@ -117,8 +117,8 @@ class TestFastpath:
         rng = np.random.default_rng(20)
         for _ in range(60):
             coeffs = reference_pair(rng, locals_mode="full")
-            forms, w, v = closed_form_plan(coeffs[None])
-            assert forms.ok[0]
+            assert canonical_forms(coeffs[None]).ok[0]
+            w, v = closed_form_plan(coeffs[None])
             psi = haar_state(rng)
             times = rng.uniform(0, 7, 4)
             for t, b in zip(times, evolve(w[0], v[0], psi, times)):
@@ -127,7 +127,7 @@ class TestFastpath:
 
     def test_fastpath_unitary_is_unitary(self):
         # U(t) from the closed-form spectrum of the commuting fast path
-        _, (w,), (v,) = closed_form_plan(reference_pair(np.random.default_rng(21), locals_mode="full")[None])
+        (w,), (v,) = closed_form_plan(reference_pair(np.random.default_rng(21), locals_mode="full")[None])
         u = (v * np.exp(-1.7j * w)) @ v.conj().T
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= 1e-12
 
@@ -135,8 +135,8 @@ class TestFastpath:
         # a commuting and a noncommuting pair planned in one batch, each evolved against expm of its own H
         rng = np.random.default_rng(22)
         coeffs = np.concatenate([reference_pair(rng)[None], heisenberg_chain(1.0)])
-        forms, w, v = plan_spectra(coeffs)
-        assert forms.ok.tolist() == [True, False]
+        assert canonical_forms(coeffs).ok.tolist() == [True, False]
+        w, v = eigh_spectra(coeffs)
         psi = haar_state(rng)
         for c, psi_t in zip(coeffs, evolve(w, v, [psi, psi], [0.9, 0.9])):
             assert np.max(np.abs(psi_t - oracle_evolve(total_hamiltonian(c), psi, 0.9))) <= 1e-10
@@ -148,8 +148,8 @@ class TestSpectrum:
         z = np.array([0.0, 0.0, 1.0])
         coeffs = one_pair(row(coupling=0.8 * np.outer(z, z), local_self=0.8 * z, local_probe=0.3 * z),
                           row(coupling=0.5 * np.outer((1.0, 0.0, 0.0), z), local_self=(0.2, 0.4, 0.1)))
-        forms, w, v = closed_form_plan(coeffs)
-        vecs = sector_vectors(forms.body, coeffs[..., 9:12])[0]
+        w, v = closed_form_plan(coeffs)
+        vecs = sector_vectors(canonical_forms(coeffs).body, coeffs[..., 9:12])[0]
         assert np.all(vecs[1, 0] == 0.0)
         assert np.linalg.norm(vecs[0, 0]) == pytest.approx(1.6)
         w, v = w[0], v[0]
@@ -196,8 +196,8 @@ class TestSpectrum:
     def test_closed_form_reconstructs_random_commuting_hamiltonians(self):
         rng = np.random.default_rng(24)
         coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(100)])
-        forms, ws, vs = closed_form_plan(coeffs)
-        assert forms.ok.all()
+        assert canonical_forms(coeffs).ok.all()
+        ws, vs = closed_form_plan(coeffs)
         for c, w, v in zip(coeffs, ws, vs):
             assert np.max(np.abs(v.conj().T @ v - np.eye(8))) <= 1e-12
             assert np.max(np.abs((v * w) @ v.conj().T - total_hamiltonian(c))) <= 1e-12
@@ -212,7 +212,7 @@ class TestSpectrum:
         assert canonical_forms(exact).ok.all()
         sizes = 10.0 ** rng.uniform(-13.0, -9.0, len(exact))
         perturbed = exact + sizes[:, None, None] * rng.normal(size=exact.shape)
-        forms, ws, vs = closed_form_plan(perturbed)
+        forms, (ws, vs) = canonical_forms(perturbed), closed_form_plan(perturbed)
         assert forms.ok.any() and not forms.ok.all()
         for c, w, v in zip(perturbed[forms.ok], ws[forms.ok], vs[forms.ok]):
             bound = SPECTRAL_TOL * sum(np.linalg.norm(m) for m in matrices(c))
@@ -221,7 +221,7 @@ class TestSpectrum:
     def test_grid_rows_equal_single_points(self):
         rng = np.random.default_rng(25)
         coeffs = np.concatenate([reference_pair(rng, locals_mode="full")[None], heisenberg_chain(0.9)])
-        _, ws, vs = plan_spectra(coeffs)
+        ws, vs = eigh_spectra(coeffs)
         psi = haar_state(rng)
         times = rng.uniform(0.0, 7.0, 17)
         for w, v in zip(ws, vs):
@@ -231,16 +231,17 @@ class TestSpectrum:
                 assert np.max(np.abs(row_t - evolve(w, v, psi, (t,))[0])) <= 1e-12
 
     def test_stacked_plans_equal_one_row_plans(self):
-        # commuting and noncommuting rows in one batch, each bit for bit its own one-row plan's; then one state per row and
-        # time, and one row's spectrum and state stacked once per time against the same row over the time grid
+        # commuting and noncommuting rows in one batch, verdict and spectrum each bit for bit its own one-row call's; then
+        # one state per row and time, and one row's spectrum and state stacked once per time against the same row over the
+        # time grid
         rng = np.random.default_rng(27)
         coeffs = np.array([reference_pair(rng, locals_mode="full") for _ in range(4)])
         coeffs = np.concatenate([coeffs, heisenberg_chain(0.7), one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())])
-        forms, w, v = plan_spectra(coeffs)
+        forms, (w, v) = canonical_forms(coeffs), eigh_spectra(coeffs)
         psi0s, times = np.array([haar_state(rng) for _ in coeffs]), rng.uniform(0.0, 5.0, len(coeffs))
         rows = evolve(w, v, psi0s, times)
         for i in range(len(coeffs)):
-            forms1, w1, v1 = plan_spectra(coeffs[i : i + 1])
+            forms1, (w1, v1) = canonical_forms(coeffs[i : i + 1]), eigh_spectra(coeffs[i : i + 1])
             assert forms.ok[i] == forms1.ok[0] and forms.reason(i) == forms1.reason(0)
             assert np.array_equal(w[i], w1[0]) and np.array_equal(v[i], v1[0])
             assert np.max(np.abs(rows[i] - evolve(w1[0], v1[0], psi0s[i], (times[i],))[0])) <= 1e-14
@@ -258,12 +259,13 @@ class TestClosedForm:
             psi = haar_state(rng)
             t = rng.uniform(0, 7)
             a = oracle_evolve(total_hamiltonian(coeffs), psi, t)
-            _, (w,), (v,) = closed_form_plan(coeffs[None])
+            (w,), (v,) = closed_form_plan(coeffs[None])
             b = evolve(w, v, psi, (t,))[0]
             assert 1 - abs(np.vdot(a, b)) ** 2 <= 1e-10
 
     def test_plus_plus_plus_only_picks_global_phase(self):
-        forms, w, v = closed_form_plan(reference_pair(np.random.default_rng(31))[None])
+        coeffs = reference_pair(np.random.default_rng(31))[None]
+        forms, (w, v) = canonical_forms(coeffs), closed_form_plan(coeffs)
         axes = np.array([*directions(forms.body[0])[1], forms.probe_axis[0]])
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
@@ -277,7 +279,7 @@ class TestClosedForm:
         rng = np.random.default_rng(32)
         u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
         s = 1.1
-        _, ws, vs = closed_form_plan(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
+        ws, vs = closed_form_plan(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
         psi = haar_state(rng)
         period = np.pi / s
         revived, rho_a, rho_b = evolve(ws[0], vs[0], psi, (period, 0.4, 0.4 + period))
@@ -293,7 +295,7 @@ class TestKraus:
         # A_k(0) = <b_k|phi> 1, so the package's measured branches of chi x phi at t = 0 are <b_k|phi> chi
         rng = np.random.default_rng(40)
         coeffs = reference_pair(rng)
-        forms, w, v = plan_spectra(coeffs[None])
+        forms, (w, v) = canonical_forms(coeffs[None]), eigh_spectra(coeffs[None])
         phi, chi = haar_state(rng, 2), haar_state(rng, 4)
         basis = axis_eigenbasis(forms.probe_axis[0])
         for a, b in zip(oracle_kraus(total_hamiltonian(coeffs), phi, basis, 0.0), basis):
@@ -307,7 +309,7 @@ class TestKraus:
         rng = np.random.default_rng(41)
         for _ in range(25):
             coeffs = reference_pair(rng, locals_mode="full")
-            forms, w, v = plan_spectra(coeffs[None])
+            forms, (w, v) = canonical_forms(coeffs[None]), eigh_spectra(coeffs[None])
             chi = haar_state(rng, 4)
             phi = haar_state(rng, 2)
             t = rng.uniform(0, 5)
@@ -321,7 +323,7 @@ class TestKraus:
     def test_separable_input_stays_separable_through_kraus(self):
         rng = np.random.default_rng(43)
         coeffs = reference_pair(rng, locals_mode="full")
-        forms, w, v = plan_spectra(coeffs[None])
+        forms, (w, v) = canonical_forms(coeffs[None]), eigh_spectra(coeffs[None])
         chi = np.kron(haar_state(rng, 2), haar_state(rng, 2))
         phi = haar_state(rng, 2)
         basis = axis_eigenbasis(forms.probe_axis[0])
@@ -341,7 +343,7 @@ class TestKraus:
         chi = np.zeros(4, dtype=complex)
         chi[0] = 1
         via_kraus = oracle_rho12_kraus(h, chi, phi, (e0, e1), 1.0)
-        _, (w,), (v,) = plan_spectra(heisenberg_chain(1.0))
+        (w,), (v,) = eigh_spectra(heisenberg_chain(1.0))
         via_trace = oracle_rho12(evolve(w, v, np.kron(chi, phi), (1.0,))[0])
         assert np.max(np.abs(via_kraus - via_trace)) <= 1e-10
 
@@ -358,7 +360,7 @@ class TestMeasureProbe:
     def test_bell_pair_preparation(self):
         # the same g t = pi far below unit scale, where squared rotation vectors underflow at 1e-170
         for g in (1.0, 1e-15, 1e-170):
-            _, (w,), (v,) = plan_spectra(qnd_zz(g))
+            (w,), (v,) = eigh_spectra(qnd_zz(g))
             psi = evolve(w, v, x_product_state(), (np.pi / g,))
             probs, tangles, present, states = measure_probe_grid(psi, X)
             assert present[0, 0] and probs[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -432,6 +434,6 @@ def test_local_terms_do_not_change_tangle_when_aligned():
         entangling_only[..., 9:] = 0.0
         psi0 = haar_state(rng)
         t = rng.uniform(0, 2 * np.pi)
-        _, ws, vs = plan_spectra(np.concatenate([full, entangling_only]))
+        ws, vs = eigh_spectra(np.concatenate([full, entangling_only]))
         tau_full, tau_ent = (oracle_tangle12_pure3(evolve(w, v, psi0, (t,))[0]) for w, v in zip(ws, vs))
         assert abs(tau_full - tau_ent) <= 1e-9

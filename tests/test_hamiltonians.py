@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from triqubit import hamiltonians
-from triqubit.evolution import evolve, plan_spectra
+from triqubit.evolution import eigh_spectra, evolve
 from triqubit.hamiltonians import (
     canonical_forms,
     heisenberg_chain,
@@ -207,7 +207,7 @@ class TestCanonicalForm:
         assert forms.probe_strength[0, 0] == pytest.approx(0.5 * scale, rel=1e-12, abs=0)
         # a probe-local term off the coupling's probe axis has no canonical form; eigh evolves it
         misaligned = one_pair(row(coupling=scale * np.outer(z, z), local_probe=scale * np.array([1.0, 0.0, 0.0])), row())
-        forms, w, v = plan_spectra(misaligned)
+        forms, (w, v) = canonical_forms(misaligned), eigh_spectra(misaligned)
         assert forms.status[0] == 2 and forms.reason(0).startswith("probe terms do not share one probe axis")
         psi0 = haar_state(np.random.default_rng(5))
         t = 1.3 / scale
@@ -285,7 +285,7 @@ class TestSplitLocalAndEntangling:
             coeffs = self._aligned_pair(rng)
             psi0 = haar_state(rng)
             t = rng.uniform(0, 2 * np.pi)
-            _, w, v = plan_spectra(coeffs)
+            w, v = eigh_spectra(coeffs)
             tau_full, tau_ent = (oracle_tangle12_pure3(psi) for psi in evolve(w, v, [psi0, psi0], [t, t]))
             assert abs(tau_full - tau_ent) <= 1e-9
 
@@ -361,17 +361,17 @@ class TestGramProbeAxis:
             assert np.isfinite(forms.body).all() and np.isfinite(forms.probe_strength).all()
 
     def test_mixed_batch_plans_each_row_as_alone(self):
-        # rows of status 0, 1 and 2 in one batch: closed form and eigh rows, bit for bit as planned alone
+        # rows of status 0, 1 and 2 in one batch: verdict and eigh spectrum bit for bit as for the row alone
         rng = np.random.default_rng(53)
         rank_two = one_pair(row(coupling=np.diag([1.0, 2.0, 0.0])), row())
         coeffs = np.concatenate([
             reference_pair(rng, "full")[None], heisenberg_chain(0.7), rank_two, qnd_zz(1.3),
             one_pair(random_row(rng), random_row(rng)), reference_pair(rng, "probe")[None], 2.0 * rank_two,
         ])
-        forms, w, v = plan_spectra(coeffs)
+        forms, (w, v) = canonical_forms(coeffs), eigh_spectra(coeffs)
         assert forms.status.tolist() == [0, 1, 2, 0, 1, 0, 2]
         for i in range(len(coeffs)):
-            alone, w1, v1 = plan_spectra(coeffs[i : i + 1])
+            alone, (w1, v1) = canonical_forms(coeffs[i : i + 1]), eigh_spectra(coeffs[i : i + 1])
             assert w1[0].tobytes() == w[i].tobytes() and v1[0].tobytes() == v[i].tobytes(), i
             assert (alone.status[0], alone.commutator_norm[0]) == (forms.status[i], forms.commutator_norm[i])
             if forms.status[i] != 1:  # the form arrays of a noncommuting row carry no meaning

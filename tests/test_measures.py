@@ -10,6 +10,7 @@ from triqubit.evolution import measure_probe_grid
 from triqubit.measures import REPORT_FIELDS, concurrence_12, report_batch, residual_tangle_rows
 from triqubit.scenarios import load_config, run_sweep
 from triqubit.states import bipartite_13, bipartite_23, fully_separable, ghz_general, rotate, rotation_matrices, triple, zrt
+from triqubit.tolerances import MEASURE_NORM_TOL
 
 from oracles import (
     haar_state,
@@ -197,6 +198,16 @@ class TestReport:
             assert tuple(report_batch(psi)) == REPORT_FIELDS
         else:
             with pytest.raises(ValueError, match=r"state must be normalized: \|norm\^2 - 1\| = 5\.000e-10"):
+                report_batch(psi)
+
+    @pytest.mark.parametrize("factor, accepted", [(1 - 5e-4, True), (1 + 5e-4, False)])
+    def test_norm_check_edge(self, factor, accepted):
+        # |norm^2 - 1| at 5e-4 of MEASURE_NORM_TOL inside and outside it
+        psi = np.sqrt(1.0 + factor * MEASURE_NORM_TOL) * haar_state(np.random.default_rng(33))
+        if accepted:
+            assert tuple(report_batch(psi)) == REPORT_FIELDS
+        else:
+            with pytest.raises(ValueError, match=r"state must be normalized: \|norm\^2 - 1\| = 1\.000e-10"):
                 report_batch(psi)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from triqubit import evolution, scenarios
+from triqubit import scenarios
 from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
     MAX_STEPS,
@@ -22,8 +22,8 @@ from triqubit.scenarios import (
     run_sweep,
     suite_names,
 )
-from triqubit.evolution import closed_form_spectra, evolve, measure_probe_grid, plan_spectra
-from triqubit.hamiltonians import canonical_forms, pair_matrices
+from triqubit.evolution import closed_form_spectra, eigh_spectra, evolve, measure_probe_grid
+from triqubit.hamiltonians import PRESETS, canonical_forms, pair_matrices
 from triqubit.linalg import directions
 from triqubit.measures import report_batch, residual_tangle_rows
 from triqubit.states import rotation_matrices
@@ -90,6 +90,10 @@ class TestConfigParsing:
         raw["time_grid"]["dt"] = 0.1
         with pytest.raises(ConfigError, match="time_grid"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("preset", ["heisenberg_chain", "qnd_zz"])
+    def test_preset_strength_defaults_to_one(self, preset):
+        assert np.array_equal(parse_config({"hamiltonian": {"preset": preset}}).coeffs, PRESETS[preset](1.0))
 
     def test_preset_and_pairwise_conflict(self):
         raw = heisenberg_config()
@@ -288,7 +292,7 @@ class TestNonFiniteAndMalformedValues:
     def test_large_but_representable_coupling_is_accepted(self):
         grid = {"t_start": 0.0, "t_end": math.pi / 1e150, "steps": 16}  # g t <= pi, within MAX_PHASE
         cfg = parse_config(heisenberg_config(hamiltonian={"preset": "qnd_zz", "g": 1e150}, time_grid=grid))
-        forms = plan_spectra(cfg.coeffs)[0]
+        forms = canonical_forms(cfg.coeffs)
         assert forms.ok[0] and forms.commutator_norm[0] == 0.0
         assert np.isfinite(run_sweep(cfg).table["tangle_12"][-1])
         # sector rotation vectors past ~1.3e154, whose squares overflow
@@ -299,7 +303,7 @@ class TestNonFiniteAndMalformedValues:
             time_grid={"t_start": 0.0, "t_end": 1e-155, "steps": 5},
         )
         cfg = parse_config(raw)
-        assert plan_spectra(cfg.coeffs)[0].ok[0]
+        assert canonical_forms(cfg.coeffs).ok[0]
         result = run_sweep(cfg)
         exact = report_batch([oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, t) for t in result.times])
         for name in REPORT_FIELDS:
@@ -327,7 +331,7 @@ class TestNonFiniteAndMalformedValues:
             time_grid={"t_start": 0.0, "t_end": 3.0 / scale, "steps": 5},
         )
         cfg = parse_config(raw)
-        forms, w, v = plan_spectra(cfg.coeffs)
+        forms, (w, v) = canonical_forms(cfg.coeffs), eigh_spectra(cfg.coeffs)
         assert forms.ok[0] and forms.probe_axis[0].tolist() == [0.0, 0.0, 1.0]
         for psi, t in zip(evolve(w[0], v[0], cfg.psi0, cfg.times), cfg.times):
             assert np.max(np.abs(psi - oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, t))) <= 1e-12
@@ -562,7 +566,7 @@ class TestRunSweep:
         cfg = parse_config(raw)
         result = run_sweep(cfg)
         assert result.labels == ("+n", "-n")
-        _, w_plan, v_plan = plan_spectra(cfg.coeffs)
+        w_plan, v_plan = eigh_spectra(cfg.coeffs)
         w, v = np.linalg.eigh(total_hamiltonian(cfg.coeffs))
         for i, t in enumerate(result.times):
             if reference == "off":
@@ -803,7 +807,7 @@ class TestPeriodicity:
         for _ in range(50):
             u, w, j = reference_axis(rng), reference_axis(rng), reference_axis(rng)
             s = rng.uniform(0.3, 2.0)
-            _, ws, vs = plan_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
+            ws, vs = eigh_spectra(one_pair(row(coupling=s * np.outer(u, j)), row(coupling=s * np.outer(w, j))))
             psi0 = haar_state(rng)
             t_half = np.pi / (4 * s)
             tau0, tau_half = residual_tangle_rows([psi0, evolve(ws[0], vs[0], psi0, (t_half,))[0]])
@@ -1220,29 +1224,24 @@ class TestDrawnFormsAgainstClassifier:
         }
         for field, error in errors.items():  # at most ~2.3 eps over seeds 11-13
             assert np.max(error) <= 4 * np.finfo(float).eps, f"{field}: {np.max(error):.3e} relative"
-        _, w, v = closed_form_plan(coeffs)
+        w, v = closed_form_plan(coeffs)
         assert np.max(np.abs(evolve(w, v, psi0s, ts) - psi_ts)) <= 1e-12
         # eigh of H errs with the phase: per trial within 16 eps max(1, ||H13 + H23||_F |t|), at most
         # ~6.7 eps over seeds 11-13 (periodicity reaches a phase of ~2e4)
-        _, w, v = plan_spectra(coeffs)
+        w, v = eigh_spectra(coeffs)
         phase = np.linalg.norm(pair_matrices(coeffs).sum(axis=1), axis=(1, 2)) * np.abs(ts)
         error = np.max(np.abs(evolve(w, v, psi0s, ts) - psi_ts), axis=-1) / np.maximum(1.0, phase)
         assert np.max(error) <= 16 * np.finfo(float).eps, f"eigh: {np.max(error) / np.finfo(float).eps:.2f} eps"
 
-    def test_commuting_suites_never_classify(self, monkeypatch):
-        # with the classifier refusing every call, the commuting suites and periodicity still run
-        # and keep their verdicts; the Heisenberg suite plans its noncommuting chain through
-        # plan_spectra, so it reaches the classifier
-        class Classified(Exception):
-            pass
-
+    def test_no_suite_classifies(self, monkeypatch):
+        # with the classifier refusing every call, all nine suites and periodicity still run and keep
+        # their verdicts: the commuting suites evolve the forms they draw, and the Heisenberg suite
+        # takes eigh_spectra of its chain without a verdict
         def refuse(coeffs):
-            raise Classified
+            raise AssertionError("a suite called canonical_forms")
 
-        monkeypatch.setattr(evolution, "canonical_forms", refuse)
-        for name in [*suite_names(), "periodicity 2/3"]:
-            if name == "heisenberg_entangled13_start":
-                with pytest.raises(Classified):
-                    _run_by_name(name, trials=25, seed=1)
-            else:
-                assert _run_by_name(name, trials=25, seed=1).passed == (name != "triple_convexity_bound"), name
+        monkeypatch.setattr(scenarios, "canonical_forms", refuse)
+        names = [*suite_names(), "periodicity 2/3"]
+        assert len(names) == 10
+        for name in names:
+            assert _run_by_name(name, trials=25, seed=1).passed == (name != "triple_convexity_bound"), name

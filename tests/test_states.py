@@ -152,7 +152,7 @@ class TestConstructors:
 
     @pytest.mark.parametrize(
         "a,b,expected",
-        [(INV_SQRT2, INV_SQRT2, 1.0), (np.sqrt(0.9), np.sqrt(0.1), 0.36), (1.0, 0.0, 0.0)],
+        [(INV_SQRT2, INV_SQRT2, 1.0), (np.sqrt(0.9), np.sqrt(0.1), 0.36), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
     )
     def test_bipartite_12_tangle(self, a, b, expected):
         psi = bipartite_12(a, b, np.array([0.28, 0.96j]))
