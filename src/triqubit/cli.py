@@ -181,9 +181,9 @@ def cmd_qnd_demo(args) -> int:
     print(f"gt = {gt:.12g}")
     print(f"pre-measurement tangle_12 = {report_batch(psi_t)['tangle_12'][0]:.10f}")
     print("outcome  probability    conditional_tangle_12")
-    probs, tangles, present, _ = measure_probe_grid(psi_t, X_AXIS)
-    for label, p, tangle, ok in zip(("+x", "-x"), probs[0].tolist(), tangles[0].tolist(), present[0].tolist()):
-        print(f"{label:<8} {p:<14.10f} {tangle:.10f}" if ok else f"{label:<8} {p:<14.10f} (degenerate outcome)")
+    probs, tangles = measure_probe_grid(psi_t, X_AXIS)
+    for label, p, tangle in zip(("+x", "-x"), probs[0].tolist(), tangles[0].tolist()):
+        print(f"{label:<8} {p:<14.10f} {'(degenerate outcome)' if math.isnan(tangle) else f'{tangle:.10f}'}")
     return EXIT_OK
 
 

@@ -17,7 +17,9 @@ coefficients and builds their spectra with one stacked ``eigh``, commuting or
 not: the verdict (``canonical_forms``) is taken only where it is printed.
 ``evolve`` is the core itself, by broadcasting: N spectra and states go one per
 row to their own times, and one spectrum and state go over a whole time grid.
-``measure_probe_grid`` measures qubit 3 of every row along one unit axis.
+``measure_probe_grid`` measures qubit 3 of every row along one unit axis and
+returns each outcome's probability and conditional 1,2 tangle; NaN marks the
+tangle of a degenerate outcome, the one "no value" of every caller.
 """
 
 from __future__ import annotations
@@ -84,14 +86,13 @@ def evolve(w, v, psi0s, times) -> np.ndarray:
 
 def measure_probe_grid(psis, axis):
     """Projective measurement of qubit 3 along a unit axis, outcomes plus and minus of
-    ``axis_eigenbases``, for every row of ``psis``: (probabilities, tangles, present, states),
-    indexed [row, outcome] with states (T, 2, 4). Where ``present`` is False the probability is
-    below the degenerate-outcome threshold and ``states`` holds the unnormalized branch."""
+    ``axis_eigenbases``, for every row of ``psis``: (probabilities, tangles), each indexed
+    [row, outcome]. A tangle is 4 |det|^2 of its normalized branch, the conditional state of
+    qubits 1 and 2, and NaN where the probability is below the degenerate-outcome threshold."""
     basis = axis_eigenbases(axis)
     branches = np.asarray(psis, dtype=complex).reshape(-1, 4, 2) @ basis.conj()  # [row, pair amplitude, outcome]
     probs = np.einsum("tak,tak->tk", branches, branches.conj()).real
     present = probs >= DEGENERATE_OUTCOME_PROB
-    states = (branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]).transpose(0, 2, 1)
-    det = states[..., 0] * states[..., 3] - states[..., 1] * states[..., 2]
-    return probs, 4.0 * (det.real**2 + det.imag**2), present, states
-
+    states = branches / np.sqrt(np.where(present, probs, 1.0))[:, None, :]
+    det = states[:, 0] * states[:, 3] - states[:, 1] * states[:, 2]
+    return probs, np.where(present, 4.0 * (det.real**2 + det.imag**2), np.nan)

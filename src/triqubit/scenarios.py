@@ -365,7 +365,7 @@ def load_config(path) -> ScenarioConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-to-str digit limit
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer past the int-to-str digit limit, or deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
@@ -373,10 +373,6 @@ def load_config(path) -> ScenarioConfig:
 
 
 # Sweep execution ----------------------------------------------------------
-
-# CSV cells of one outcome: not measured, degenerate, present; "%.0s" consumes a value and prints nothing
-_OUTCOME_CELLS = (",%.0s,%.0s,%.0s", ",%s,%.17g,%.0s", ",%s,%.17g,%.17g")
-
 
 @dataclass
 class SweepResult:
@@ -386,9 +382,9 @@ class SweepResult:
     a (T,) array; the CSV holds ``t`` and the ``measures`` columns in order.
     With a probe measurement, ``labels`` names the two outcomes and
     ``probabilities`` and ``conditional_tangles`` are (T, 2) arrays indexed
-    [row, outcome]. A probability is NaN where its row was not measured and a
-    conditional tangle is NaN where its outcome was not measured or is
-    degenerate. That NaN pattern is each outcome's state.
+    [row, outcome]. NaN is the one "no value": a probability is NaN where its
+    row was not measured, and a conditional tangle is NaN where its row was not
+    measured or its outcome is degenerate.
     """
 
     name: str
@@ -431,12 +427,11 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         seed=seed,
     )
     if cfg.measurement is not None:
-        probs, tangles, present, _ = measure_probe_grid(psis, cfg.measurement.axis)
-        if cfg.measurement.at_time is not None:
-            measured = (np.arange(len(cfg.times)) == np.argmin(np.abs(cfg.times - cfg.measurement.at_time)))[:, None]
-            probs, present = np.where(measured, probs, np.nan), present & measured
-        result.labels, result.probabilities = cfg.measurement.labels, probs
-        result.conditional_tangles = np.where(present, tangles, np.nan)
+        probs, tangles = measure_probe_grid(psis, cfg.measurement.axis)
+        if cfg.measurement.at_time is not None:  # the nearest grid point; of two, the earlier
+            skipped = np.arange(len(cfg.times)) != np.argmin(np.abs(cfg.times - cfg.measurement.at_time))
+            probs[skipped] = tangles[skipped] = np.nan
+        result.labels, result.probabilities, result.conditional_tangles = cfg.measurement.labels, probs, tangles
     return result
 
 
@@ -450,22 +445,22 @@ def emit_csv(result: SweepResult, destination) -> None:
 
 
 def _write_csv(result: SweepResult, fh) -> None:
-    """Header, optional seed comment, then each row from the template of its kind, the
-    pair of its outcome states. Every template takes the same row tuple: ``t``, the
-    measures and, with a measurement, (label, probability, tangle) per outcome."""
+    """Header, optional seed comment, then one row per time: ``t``, the measures and, with a
+    measurement, (label, probability, tangle) per outcome. A NaN is an empty cell, and so
+    is the label of a NaN probability."""
     fh.write(",".join(result.columns) + "\n")
     if result.seed is not None:
         fh.write(f"# seed={result.seed} config=sha256:{result.config_hash} commuting={str(result.commuting).lower()}\n")
-    cells = "%.17g" + ",%.17g" * len(result.measures)
+    template = "%.17g" + ",%.17g" * len(result.measures)
     columns = [result.times.tolist(), *(result.table[name].tolist() for name in result.measures)]
-    templates, kinds = [cells + "\n"], [0] * len(result.times)
     if result.labels is not None:
-        templates = [cells + first + second + "\n" for first in _OUTCOME_CELLS for second in _OUTCOME_CELLS]
+        template += ",%s,%.17g,%.17g" * 2
         for k, label in enumerate(result.labels):
-            columns += [[label] * len(result.times), result.probabilities[:, k].tolist(), result.conditional_tangles[:, k].tolist()]
-        state = (~np.isnan(result.probabilities)).astype(int) + ~np.isnan(result.conditional_tangles)
-        kinds = (len(_OUTCOME_CELLS) * state[:, 0] + state[:, 1]).tolist()
-    fh.writelines(templates[kind] % row for kind, row in zip(kinds, zip(*columns)))
+            probs = result.probabilities[:, k].tolist()
+            columns += [["" if math.isnan(p) else label for p in probs], probs, result.conditional_tangles[:, k].tolist()]
+    template += "\n"
+    # t and the measures are finite, so every "nan" is a probability or a tangle
+    fh.writelines((template % row).replace(",nan", ",") for row in zip(*columns))
 
 
 # Random sampling ----------------------------------------------------------

@@ -263,16 +263,18 @@ def oracle_rho12_kraus(h: np.ndarray, chi: np.ndarray, phi: np.ndarray, basis, t
     return sum(a @ rho @ a.conj().T for a in oracle_kraus(h, phi, basis, t))
 
 
-def oracle_probe_measurement(psi: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities and conditional 1,2 tangles of measuring qubit 3 of ``psi`` along a
-    unit axis n: the projectors (1 +- n.sigma)/2 on qubit 3, embedded with kron, outcomes (+, -)."""
-    probs, tangles = [], []
+def oracle_probe_measurement(psi: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome probabilities, conditional 1,2 tangles and normalized branches, shape (2, 8), of
+    measuring qubit 3 of ``psi`` along a unit axis n: the projectors (1 +- n.sigma)/2 on qubit 3,
+    embedded with kron, outcomes (+, -). Branch k is the three-qubit state after outcome k."""
+    probs, tangles, branches = [], [], []
     for sign in (1.0, -1.0):
         branch = np.kron(np.eye(4), (I2 + sign * _sigma(axis)) / 2.0) @ np.asarray(psi, dtype=complex)
         p = float(np.vdot(branch, branch).real)
         probs.append(p)
-        tangles.append(oracle_tangle12_pure3(branch / math.sqrt(p)))
-    return np.array(probs), np.array(tangles)
+        branches.append(branch / math.sqrt(p))
+        tangles.append(oracle_tangle12_pure3(branches[-1]))
+    return np.array(probs), np.array(tangles), np.array(branches)
 
 
 def oracle_ptrace(m: np.ndarray, which: int) -> np.ndarray:

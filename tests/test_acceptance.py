@@ -27,11 +27,11 @@ from oracles import (
     haar_state,
     oracle_concurrence_pure3,
     oracle_evolve,
+    oracle_probe_measurement,
     oracle_residual_tangle_ckw,
     oracle_residual_tangle_lambda,
     oracle_rho12,
     oracle_tangle12_pure3,
-    oracle_tangle_pure2,
     reference_pair,
     total_hamiltonian,
 )
@@ -54,11 +54,13 @@ def test_criterion_01_probe_measurement_prepares_bell_pairs():
     for g in (1.0, 1e-15):  # the claim is on g t alone
         gts = np.pi * np.array([1.0, 3.0])  # g t = pi (2m + 1), m = 0 and 1
         (w,), (v,) = eigh_spectra(qnd_zz(g))
-        probs, _, _, states = measure_probe_grid(evolve(w, v, psi0, gts / g), X)
-        for gt, p_plus, plus in zip(gts, probs[:, 0], states[:, 0]):
+        psi_t = evolve(w, v, psi0, gts / g)
+        probs, tangles = measure_probe_grid(psi_t, X)
+        for gt, psi, p_plus, tangle in zip(gts, psi_t, probs[:, 0], tangles[:, 0]):
             assert abs(p_plus - 0.5) <= TOL, f"g={g}, gt={gt}: p(+x)={p_plus!r}"
-            conditional = oracle_tangle_pure2(plus)
+            conditional = oracle_probe_measurement(psi, X)[1][0]
             assert abs(conditional - 1.0) <= TOL, f"g={g}, gt={gt}: conditional tangle {conditional!r}"
+            assert abs(tangle - 1.0) <= TOL, f"g={g}, gt={gt}: package conditional tangle {tangle!r}"
     print("ACCEPTANCE PASS [1] probe measurement at gt=pi(2m+1): p(+x)=1/2, conditional tangle 1")
 
 
@@ -206,9 +208,8 @@ def test_criterion_06e_triple_states_stated_convexity_factor():
     ):
         tau0 = oracle_tangle12_pure3(psi0)
         tau_t = oracle_tangle12_pure3(psi_t)
-        branch_probs, _, _, branch_states = measure_probe_grid(psi_t, probe_axis)
-        probs = branch_probs[0].tolist()
-        taus = [oracle_tangle_pure2(state) for state in branch_states[0]]
+        probs = measure_probe_grid(psi_t, probe_axis)[0][0].tolist()
+        taus = oracle_probe_measurement(psi_t, probe_axis)[1].tolist()
         weighted_sum = sum(p * tau for p, tau in zip(probs, taus))
         stated_sum = sum(p**2 * tau for p, tau in zip(probs, taus))
         identity = max(abs(weighted_sum - tau0 * factor_weighted), abs(stated_sum - tau0 * factor_free))

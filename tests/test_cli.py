@@ -86,9 +86,12 @@ class TestSweepCommand:
              "config.initial_state.params.rotations[1].axis: zero axis has no direction"),
             ({"initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0], [0, 0, 1], [0, 0, 0]]}}},
              "config.initial_state.params.axes[2]: zero axis has no direction"),
+            ({"initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0], [0, 0, 1]]}}},
+             "config.initial_state.params.axes: expected three axes"),
             ({"measurement": {"basis": {"axis": [0, -0.0, 0]}}}, "config.measurement.basis.axis: zero axis has no direction"),
         ],
-        ids=["bool qubit", "repeated measure", "zero rotation axis", "zero reference axis", "zero measurement axis"],
+        ids=["bool qubit", "repeated measure", "zero rotation axis", "zero reference axis", "two reference axes",
+             "zero measurement axis"],
     )
     def test_sweep_of_malformed_config_exit_2(self, tmp_path, capsys, overrides, error):
         out = tmp_path / "o.csv"
@@ -105,6 +108,17 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {path}:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "classify"])
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys, command):
+        # nesting past the interpreter's recursion limit is a JSON error, not a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        argv = [command, "--config", str(path)] + (["--out", str(tmp_path / "o.csv")] if command == "sweep" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: config {path} is not valid JSON: ")
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, heisenberg_raw())

@@ -292,7 +292,7 @@ class TestKraus:
     # rho_12(t) = sum_k A_k |chi><chi| A_k† checks the package's evolution of chi x phi
 
     def test_time_zero_scales_identity(self):
-        # A_k(0) = <b_k|phi> 1, so the package's measured branches of chi x phi at t = 0 are <b_k|phi> chi
+        # A_k(0) = <b_k|phi> 1, so the branches of the package's chi x phi at t = 0 are <b_k|phi> chi x b_k
         rng = np.random.default_rng(40)
         coeffs = reference_pair(rng)
         forms, (w, v) = canonical_forms(coeffs[None]), eigh_spectra(coeffs[None])
@@ -300,10 +300,12 @@ class TestKraus:
         basis = axis_eigenbasis(forms.probe_axis[0])
         for a, b in zip(oracle_kraus(total_hamiltonian(coeffs), phi, basis, 0.0), basis):
             assert np.max(np.abs(a - np.vdot(b, phi) * np.eye(4))) <= 1e-12
-        probs, _, present, states = measure_probe_grid(evolve(w[0], v[0], np.kron(chi, phi), (0.0,)), forms.probe_axis[0])
-        assert present.all()
+        (psi,) = evolve(w[0], v[0], np.kron(chi, phi), (0.0,))
+        probs, tangles = measure_probe_grid(psi, forms.probe_axis[0])
+        assert not np.isnan(tangles).any()
+        branches = oracle_probe_measurement(psi, forms.probe_axis[0])[2]
         for k, b in enumerate(basis):
-            assert np.max(np.abs(np.sqrt(probs[0, k]) * states[0, k] - np.vdot(b, phi) * chi)) <= 1e-12
+            assert np.max(np.abs(np.sqrt(probs[0, k]) * branches[k] - np.vdot(b, phi) * np.kron(chi, b))) <= 1e-12
 
     def test_completeness_and_reconstruction(self):
         rng = np.random.default_rng(41)
@@ -353,46 +355,52 @@ class TestMeasureProbe:
         rng = np.random.default_rng(60)
         chi = haar_state(rng, 4)
         phi = np.array([0.6, 0.8j], dtype=complex)
-        probs, _, _, states = measure_probe_grid(np.kron(chi, phi), X)
+        probs, tangles = measure_probe_grid(np.kron(chi, phi), X)
         assert abs(probs[0].sum() - 1) <= 1e-12
-        assert abs(np.vdot(states[0, 0], states[0, 1])) == pytest.approx(1.0, abs=1e-12)
+        assert abs(tangles[0, 0] - tangles[0, 1]) <= 1e-12
+        plus, minus = (oracle_rho12(branch) for branch in oracle_probe_measurement(np.kron(chi, phi), X)[2])
+        assert np.max(np.abs(plus - minus)) <= 1e-12
 
     def test_bell_pair_preparation(self):
         # the same g t = pi far below unit scale, where squared rotation vectors underflow at 1e-170
         for g in (1.0, 1e-15, 1e-170):
             (w,), (v,) = eigh_spectra(qnd_zz(g))
             psi = evolve(w, v, x_product_state(), (np.pi / g,))
-            probs, tangles, present, states = measure_probe_grid(psi, X)
-            assert present[0, 0] and probs[0, 0] == pytest.approx(0.5, abs=1e-12)
-            assert oracle_tangle_pure2(states[0, 0]) == pytest.approx(1.0, abs=1e-9)
+            probs, tangles = measure_probe_grid(psi, X)
+            assert probs[0, 0] == pytest.approx(0.5, abs=1e-12)
+            _, oracle_tangles, branches = oracle_probe_measurement(psi[0], X)
+            assert oracle_tangles[0] == pytest.approx(1.0, abs=1e-9)
             assert tangles[0, 0] == pytest.approx(1.0, abs=1e-9)
-            # the +x conditional is (|01> + |10>)/sqrt(2) up to a global phase
-            bell = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-            assert abs(np.vdot(bell, states[0, 0])) == pytest.approx(1.0, abs=1e-12)
+            # the +x branch is (|01> + |10>)/sqrt(2) x |+x> up to a global phase
+            bell = np.kron(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2), [INV_SQRT2, INV_SQRT2])
+            assert abs(np.vdot(bell, branches[0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_ghz_z_basis(self):
-        probs, _, _, states = measure_probe_grid(ghz_general(INV_SQRT2, INV_SQRT2), Z)
-        for k, index in enumerate((0, 3)):
+        psi = ghz_general(INV_SQRT2, INV_SQRT2)
+        probs, tangles = measure_probe_grid(psi, Z)
+        branches = oracle_probe_measurement(psi, Z)[2]
+        for k, index in enumerate((0, 7)):  # |000> and |111>
             assert probs[0, k] == pytest.approx(0.5, abs=1e-12)
-            expected = np.zeros(4)
+            assert tangles[0, k] <= 1e-12
+            expected = np.zeros(8)
             expected[index] = 1
-            assert np.max(np.abs(np.abs(states[0, k]) - expected)) <= 1e-12
+            assert np.max(np.abs(np.abs(branches[k]) - expected)) <= 1e-12
 
     def test_degenerate_outcome_reported_absent(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1  # |000>, the |1> outcome on qubit 3 never occurs
-        probs, _, present, _ = measure_probe_grid(psi, Z)
+        probs, tangles = measure_probe_grid(psi, Z)
         assert probs[0, 1] <= 1e-14
-        assert present.tolist() == [[True, False]]
+        assert (~np.isnan(tangles)).tolist() == [[True, False]]
 
     def test_random_axes_match_projector_oracle(self):
         # probabilities and conditional tangles from (1 +- n.sigma)/2 on qubit 3, built with kron
         rng = np.random.default_rng(61)
         for _ in range(200):
             axis, psi = reference_axis(rng), haar_state(rng)
-            probs, tangles, present, _ = measure_probe_grid(psi, axis)
-            want_probs, want_tangles = oracle_probe_measurement(psi, axis)
-            assert present.all()
+            probs, tangles = measure_probe_grid(psi, axis)
+            want_probs, want_tangles, _ = oracle_probe_measurement(psi, axis)
+            assert not np.isnan(tangles).any()
             assert np.max(np.abs(probs[0] - want_probs)) <= 1e-12
             assert np.max(np.abs(tangles[0] - want_tangles)) <= 1e-12
 
@@ -402,9 +410,9 @@ class TestMeasureProbe:
         rng = np.random.default_rng(62)
         p = 1e-14 * factor
         psi = np.sqrt(1.0 - p) * np.kron(haar_state(rng, 4), [1.0, 0.0]) + np.sqrt(p) * np.kron(haar_state(rng, 4), [0.0, 1.0])
-        probs, _, found, _ = measure_probe_grid(psi, Z)
+        probs, tangles = measure_probe_grid(psi, Z)
         assert probs[0, 1] == pytest.approx(p, rel=1e-12)
-        assert found.tolist() == [[True, present]]
+        assert (~np.isnan(tangles)).tolist() == [[True, present]]
 
     @pytest.mark.parametrize("p", [1e-9, 1e-12])
     def test_rare_outcome_keeps_its_tangle(self, p):
@@ -416,8 +424,8 @@ class TestMeasureProbe:
             axis, chi_plus, chi_minus = reference_axis(rng), haar_state(rng, 4), haar_state(rng, 4)
             plus, minus = axis_eigenbasis(axis)
             psi = np.sqrt(1.0 - p) * np.kron(chi_plus, plus) + np.sqrt(p) * np.kron(chi_minus, minus)
-            probs, tangles, present, _ = measure_probe_grid(psi, axis)
-            assert present[0, 1] and probs[0, 1] == pytest.approx(p, rel=1e-6)
+            probs, tangles = measure_probe_grid(psi, axis)
+            assert not np.isnan(tangles[0, 1]) and probs[0, 1] == pytest.approx(p, rel=1e-6)
             assert abs(tangles[0, 1] - oracle_tangle_pure2(chi_minus)) <= 1e-9
 
 

@@ -39,7 +39,7 @@ from oracles import (
     one_pair,
     oracle_concurrence_pure3,
     oracle_evolve,
-    oracle_tangle_pure2,
+    oracle_probe_measurement,
     quaternion,
     reference_axis,
     reference_fold,
@@ -540,8 +540,8 @@ class TestRunSweep:
             assert result.table["tangle_12"][-1] <= 1e-9
             assert result.conditional_tangles[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
             psi_t = oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.times[-1])
-            for state in measure_probe_grid(psi_t, cfg.measurement.axis)[3][0]:
-                assert oracle_tangle_pure2(state) == pytest.approx(1.0, abs=1e-9)
+            for tangle in oracle_probe_measurement(psi_t, cfg.measurement.axis)[1]:
+                assert tangle == pytest.approx(1.0, abs=1e-9)
 
     def test_measurement_at_time_only_nearest_row(self):
         raw = {
@@ -554,6 +554,17 @@ class TestRunSweep:
         populated = np.flatnonzero(np.any(~np.isnan(result.probabilities), axis=1))
         assert populated.tolist() == [2]  # grid 0, 0.5, 1.0, 1.5, 2.0
         assert np.isnan(np.delete(result.probabilities, 2, axis=0)).all()
+
+    def test_measurement_at_time_tie_takes_the_earlier_point(self):
+        # 0.25 is exactly halfway between grid points 0 and 0.5: the earlier one is measured
+        raw = {
+            "hamiltonian": {"preset": "qnd_zz", "g": 1.0},
+            "initial_state": {"class": "fully_separable", "params": {"axes": [[1, 0, 0]] * 3}},
+            "time_grid": {"t_start": 0.0, "t_end": 1.0, "steps": 3},
+            "measurement": {"basis": "x", "at_time": 0.25},
+        }
+        result = run_sweep(parse_config(raw))
+        assert (~np.isnan(result.probabilities)).tolist() == [[True, True], [False, False], [False, False]]
 
     # reference "auto": the package's one-point evolution; "off": an eigh of H13 + H23 built here
     @pytest.mark.parametrize("locals_mode, reference", [("full", "auto"), ("full", "off"), (None, "auto")])
@@ -576,18 +587,27 @@ class TestRunSweep:
             single = report_batch(psi_t)
             for name in REPORT_FIELDS:
                 assert abs(result.table[name][i] - single[name][0]) <= 1e-12
-            probs, tangles, present, states = measure_probe_grid(psi_t, cfg.measurement.axis)
-            assert present.all()
+            probs, tangles = measure_probe_grid(psi_t, cfg.measurement.axis)
+            assert not np.isnan(tangles).any()
+            oracle_tangles = oracle_probe_measurement(psi_t, cfg.measurement.axis)[1]
             for k in range(2):
                 assert abs(result.probabilities[i, k] - probs[0, k]) <= 1e-12
                 assert abs(result.conditional_tangles[i, k] - tangles[0, k]) <= 1e-12
-                assert abs(result.conditional_tangles[i, k] - oracle_tangle_pure2(states[0, k])) <= 1e-9
+                assert abs(result.conditional_tangles[i, k] - oracle_tangles[k]) <= 1e-9
 
     def test_missing_state_or_grid_rejected(self):
         raw = heisenberg_config()
         del raw["initial_state"]
         with pytest.raises(ConfigError, match="initial_state"):
             run_sweep(parse_config(raw))
+
+
+GOLDEN_HEADER = (
+    "t,tangle_12,purity_12,outcome_label_1,outcome_prob_1,conditional_tangle_1,"
+    "outcome_label_2,outcome_prob_2,conditional_tangle_2\n"
+)
+GOLDEN_Z_AXES = [[1, 0, 0], [1, 0, 0], [0, 0, 1]]
+GOLDEN_GRID = {"t_start": 0.0, "t_end": 3.0, "steps": 4}
 
 
 class TestCsv:
@@ -684,6 +704,53 @@ class TestCsv:
         without = dataclasses.replace(result, measures=("eof_12",), labels=None)
         emit_csv(without, out)
         assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 8
+
+    @pytest.mark.parametrize(
+        "axes, grid, measurement, expected",
+        [
+            (
+                # the probe starts in |0> and qnd_zz conserves its z component: outcome -z is degenerate
+                GOLDEN_Z_AXES, GOLDEN_GRID, {"basis": "z"},
+                GOLDEN_HEADER
+                + "0,0,0.99999999999999911,+z,0.99999999999999956,0,-z,0,\n"
+                "1,3.3347351610473191e-35,0.99999999999999911,+z,0.99999999999999956,1.6643843375871128e-34,-z,0,\n"
+                "2,5.4525225637412331e-35,0.99999999999999911,+z,0.99999999999999956,1.3711925615572721e-34,-z,0,\n"
+                "3,5.6305796007531688e-39,0.99999999999999911,+z,0.99999999999999956,6.7583835525368816e-37,-z,0,\n",
+            ),
+            (
+                GOLDEN_Z_AXES, GOLDEN_GRID, {"basis": "z", "at_time": 1.0},
+                GOLDEN_HEADER
+                + "0,0,0.99999999999999911,,,,,,\n"
+                "1,3.3347351610473191e-35,0.99999999999999911,+z,0.99999999999999956,1.6643843375871128e-34,-z,0,\n"
+                "2,5.4525225637412331e-35,0.99999999999999911,,,,,,\n"
+                "3,5.6305796007531688e-39,0.99999999999999911,,,,,,\n",
+            ),
+            (
+                [[1, 0, 0]] * 3, {"t_start": 1.0, "t_end": 3.0, "steps": 3}, {"basis": "x"},
+                GOLDEN_HEADER
+                + "1,3.135796878672709e-33,0.796566399182838,+x,0.8850755764670345,0.016860247855828868,"
+                "-x,0.11492442353296496,1.0000000000000004\n"
+                "2,7.1277858624642098e-35,0.54261056455923817,+x,0.64596329086321402,0.30038684790550829,"
+                "-x,0.35403670913678542,0.99999999999999956\n"
+                "3,3.0828138867197368e-33,0.5000125187655361,+x,0.50250187584988826,0.98018380003809835,"
+                "-x,0.49749812415011113,1.0000000000000004\n",
+            ),
+        ],
+        ids=["z_degenerate", "z_at_time", "x_measured"],
+    )
+    def test_golden_bytes(self, tmp_path, axes, grid, measurement, expected):
+        # the three outcome-cell kinds: not measured (all three cells empty), degenerate (the
+        # tangle empty) and measured
+        raw = {
+            "hamiltonian": {"preset": "qnd_zz", "g": 1.0},
+            "initial_state": {"class": "fully_separable", "params": {"axes": axes}},
+            "time_grid": grid,
+            "measures": ["tangle_12", "purity_12"],
+            "measurement": measurement,
+        }
+        out = tmp_path / "sweep.csv"
+        emit_csv(run_sweep(parse_config(raw)), out)
+        assert out.read_bytes() == expected.encode()
 
     def test_io_error(self, tmp_path):
         result = SweepResult(name="x", times=np.zeros(0), table={}, measures=(), commuting=False, commutator_norm=0.0,
