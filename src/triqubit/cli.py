@@ -1,9 +1,12 @@
 """Command-line frontend: sweeps, property suites, commutation analysis and
 the probe-measurement Bell-pair demonstration.
 
-Exit codes: 0 success, 2 config error or unknown suite, 3 I/O error
-(including a standard output closed by its reader), 4 property violation
-(with the replay seed printed).
+Exit codes: 0 success, 2 config error, bad argument or unknown suite, 3 I/O
+error (any failed write, to the CSV or to standard output; a standard output
+closed by its reader exits 3 silently), 4 property violation (with the replay
+seed printed). The handlers raise; ``main`` alone turns a ``ValueError`` into
+exit 2 and an ``OSError`` into exit 3, printing one line of at most
+``MAX_MESSAGE`` characters of the message.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VIOLATION = 4
+MAX_MESSAGE = 1000  # characters of an error message printed; a longer one is cut to end in "..."
 
 
 @functools.cache
@@ -71,27 +75,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        result = run_sweep(load_config(args.config), seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        emit_csv(result, args.out)
-    except IOError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    result = run_sweep(load_config(args.config), seed=args.seed)
+    emit_csv(result, args.out)
     kind = "commuting" if result.commuting else "noncommuting"
     print(f"{result.name}: {len(result.times)} rows -> {args.out} ({kind}, commutator norm {result.commutator_norm:.6e})")
     return EXIT_OK
 
 
 def cmd_suite(args) -> int:
-    try:
-        result = property_suite(args.name, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    result = property_suite(args.name, trials=args.trials, seed=args.seed)
     extras = "".join(f", {key}={value:.6f}" for key, value in sorted(result.stats.items()))
     print(
         f"suite {result.name}: {result.trials} trials, max violation "
@@ -131,11 +123,7 @@ def _eigenvalue_report(eigenvalues: np.ndarray) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     if not cfg.coeffs.any():
         print("commuting (trivially): both Hamiltonians are zero")
         return EXIT_OK
@@ -162,20 +150,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_qnd_demo(args) -> int:
-    try:
-        gt = float(np.pi * (2 * args.m + 1)) if args.m is not None else args.gt
-    except OverflowError:
-        print("error: |m| is too large: gt = pi*(2m+1) must be finite", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.m is not None and abs(2 * args.m + 1) >= 2**1024 - 2**970:  # float() would round 2m + 1 to 2**1024 and raise
+        raise ValueError("|m| is too large: gt = pi*(2m+1) must be finite")
+    gt = float(np.pi * (2 * args.m + 1)) if args.m is not None else args.gt
     if not math.isfinite(gt):
-        print("error: gt must be finite", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("gt must be finite")
     if gt < 0:
-        print("error: gt must be nonnegative", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("gt must be nonnegative")
     if gt > MAX_PHASE:  # ||H_total||_F = 1 at qnd_zz(1)
-        print(f"error: gt = {gt:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}, past which the phases are rounding noise", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(f"gt = {gt:.6g} exceeds MAX_PHASE = {MAX_PHASE:.6g}, past which the phases are rounding noise")
     psi0 = fully_separable([0.0] * 3, [Z_AXIS] * 3, axes=(X_AXIS, X_AXIS, X_AXIS))
     psi_t = evolve(*eigh_spectra(qnd_zz(1.0)), psi0, (gt,))
     print(f"gt = {gt:.12g}")
@@ -188,11 +171,7 @@ def cmd_qnd_demo(args) -> int:
 
 
 def cmd_periodicity(args) -> int:
-    try:
-        result = residual_periodicity_check(args.k, args.l, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    result = residual_periodicity_check(args.k, args.l, trials=args.trials, seed=args.seed)
     print(
         f"ratio {args.k}/{args.l}: {result.trials} trials, "
         f"max |tau(t*) - tau(0)| = {result.max_violation:.3e}"
@@ -209,16 +188,34 @@ def main(argv=None) -> int:
         "qnd-demo": cmd_qnd_demo,
         "periodicity": cmd_periodicity,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        raise  # a reader that closed standard output is entry()'s to silence
+    except OSError as exc:
+        return _fail("io error", exc, EXIT_IO)
+    except ValueError as exc:
+        return _fail("config error" if isinstance(exc, ConfigError) else "error", exc, EXIT_CONFIG)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print ``kind: message`` to stderr, the message cut to ``MAX_MESSAGE`` characters, and return ``code``."""
+    message = str(exc)
+    if len(message) > MAX_MESSAGE:
+        message = message[: MAX_MESSAGE - 3] + "..."
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:
     try:
         code = main()
-        sys.stdout.flush()  # a reader that closed the pipe early raises here, not at exit
-    except BrokenPipeError:
+        sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
+    except OSError as exc:  # main lets only BrokenPipeError through, so any other comes from the flush
         # point stdout at devnull so the interpreter's own flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe stays silent
+            _fail("io error", exc, EXIT_IO)
         code = EXIT_IO
     sys.exit(code)
 

@@ -34,13 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, directions, embed_single
+from .linalg import I2, PAULIS, directions
 from .tolerances import AXIS_SIGN_TOL, SPECTRAL_TOL
 
 
-# embedding tables, [qubit or pair, Pauli indices, 64 matrix entries]: the matrices are then three products
-_SINGLE = np.array([[embed_single(p, qubit).ravel() for p in PAULIS] for qubit in (1, 2, 3)])
-_COUPLINGS = np.array([[(embed_single(a, body) @ embed_single(b, 3)).ravel() for a in PAULIS for b in PAULIS] for body in (1, 2)])
+# embedding tables, [qubit or pair, Pauli indices, 64 matrix entries]: the matrices are then three products;
+# both are slices of the Pauli strings [a, b, c] = sigma_a x sigma_b x sigma_c, sigma_0 the identity
+_SIGMA = np.array([I2, *PAULIS])
+_STRINGS = np.einsum("aij,bkl,cmn->abcikmjln", _SIGMA, _SIGMA, _SIGMA).reshape(4, 4, 4, 64)
+_SINGLE = np.array([_STRINGS[1:, 0, 0], _STRINGS[0, 1:, 0], _STRINGS[0, 0, 1:]])
+_COUPLINGS = np.array([_STRINGS[1:, 0, 1:], _STRINGS[0, 1:, 1:]]).reshape(2, 9, 64)
 
 
 def pair_matrices(coeffs: np.ndarray) -> np.ndarray:

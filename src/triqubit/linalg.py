@@ -39,13 +39,3 @@ def directions(x) -> tuple[np.ndarray, np.ndarray]:
     scaled = x / (top + zero)[..., None] + (zero[..., None] & last)
     size = np.sqrt(np.vecdot(scaled, scaled).real)
     return top * size, scaled / size[..., None]
-
-
-def embed_single(op2: np.ndarray, qubit: int) -> np.ndarray:
-    """Embed a one-qubit operator on qubit 1, 2 or 3 of the 8-dimensional space."""
-    if qubit not in (1, 2, 3):
-        raise ValueError(f"qubit index must be 1, 2 or 3, got {qubit}")
-    ops = [I2, I2, I2]
-    ops[qubit - 1] = np.asarray(op2, dtype=complex)
-    return kron(*ops)
-

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triqubit.cli import main
+from triqubit.cli import MAX_MESSAGE, main
 from triqubit.scenarios import ConfigError, parse_config
 
 from test_scenarios import OVERFLOW_CASES
@@ -319,6 +319,21 @@ class TestQndDemoCommand:
         assert "must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (2**1023 - 2**969 - 1, "gt must be finite"),
+            (2**1023 - 2**969, "|m| is too large: gt = pi*(2m+1) must be finite"),
+            (-(2**1023 - 2**969), "gt must be finite"),
+            (-(2**1023 - 2**969) - 1, "|m| is too large: gt = pi*(2m+1) must be finite"),
+        ],
+        ids=["below", "at", "-below", "-at"],
+    )
+    def test_m_at_the_float_conversion_edge(self, capsys, m, message):
+        # |2m + 1| = 2**1024 - 2**970 is halfway between the largest float and 2**1024: from there
+        # float() rounds up and refuses, just below it rounds down and pi * (2m + 1) is infinite
+        assert main(["qnd-demo", "--m", str(m)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["--gt", "1e17"], ["--gt", "4.6e6"], ["--m", "10000000"]])
     def test_phase_past_max_phase_exit_2(self, capsys, argv):
@@ -563,3 +578,76 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 3
         assert err == b""
+
+
+class TestErrorBoundary:
+    """``main`` alone maps a handler's exception to an exit code and one stderr line."""
+
+    @pytest.mark.parametrize(
+        "exc, code, line",
+        [
+            (ConfigError("config.x: bad"), 2, "config error: config.x: bad\n"),
+            (ValueError("bad value"), 2, "error: bad value\n"),
+            (np.linalg.LinAlgError("Eigenvalues did not converge"), 2, "error: Eigenvalues did not converge\n"),
+            (OSError(5, "Input/output error"), 3, "io error: [Errno 5] Input/output error\n"),
+        ],
+        ids=["config_error", "value_error", "linalg_error", "os_error"],
+    )
+    def test_exception_maps_to_exit_code(self, tmp_path, capsys, monkeypatch, exc, code, line):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("triqubit.cli.run_sweep", fail)
+        cfg = write_config(tmp_path, heisenberg_raw())
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == code
+        assert capsys.readouterr() == ("", line)
+
+    def test_closed_pipe_propagates(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("triqubit.cli.run_sweep", fail)
+        cfg = write_config(tmp_path, heisenberg_raw())
+        with pytest.raises(BrokenPipeError):
+            main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert capsys.readouterr() == ("", "")
+
+    def test_long_message_is_cut(self, tmp_path, capsys):
+        # the whole repr of a 200000-element list was 600060 bytes of stderr on one line
+        cfg = write_config(tmp_path, {"hamiltonian": {"preset": "qnd_zz", "g": [0] * 200000}})
+        assert main(["classify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: config.hamiltonian.g: expected a number, got [0, 0")
+        assert captured.err.endswith("...\n") and captured.err.count("\n") == 1
+        assert len(captured.err) <= len("config error: ") + MAX_MESSAGE + 1
+
+
+class TestFailedStdout:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, unbuffered",
+        [
+            (["classify", "--config", str(CONFIGS / "qnd_x.json")], ""),
+            (["suite", "ghz_can_increase", "--trials", "5"], ""),
+            (["qnd-demo"], ""),
+            (["qnd-demo"], "1"),
+            (["periodicity", "--k", "1", "--l", "2", "--trials", "5"], ""),
+            (["sweep", "--config", str(CONFIGS / "qnd_x.json"), "--out", os.devnull], ""),
+        ],
+        ids=["classify", "suite", "qnd-demo", "qnd-demo-unbuffered", "periodicity", "sweep"],
+    )
+    def test_full_device_exits_3_with_one_line(self, argv, unbuffered):
+        # the buffered write fails at the final flush, the unbuffered one inside the handler
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "triqubit.cli", *argv], stdout=full, stderr=subprocess.PIPE,
+                                  env=env, timeout=60)
+        assert proc.returncode == 3
+        err = proc.stderr.decode()
+        assert err.startswith("io error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err

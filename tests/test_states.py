@@ -218,6 +218,18 @@ class TestConstructors:
         with pytest.raises(ValueError):
             raw_amplitudes(np.ones(8))
 
+    @pytest.mark.parametrize("factor, accepted", [(1 - 5e-4, True), (1 + 5e-4, False)])
+    def test_normalization_edge(self, factor, accepted):
+        # x = 1 + k 2^-52 squares to exactly 1 + k 2^-51, so |norm^2 - 1| is at 5e-4 of
+        # STRUCTURAL_TOL = 1e-12 inside or outside it, for amplitudes and Schmidt coefficients alike
+        x = 1.0 + round(factor * 1e-12 * 2.0**51) * 2.0**-52
+        for build in (lambda: raw_amplitudes([x, 0, 0, 0, 0, 0, 0, 0]), lambda: bipartite_12(x, 0.0, np.array([1, 0]))):
+            if accepted:
+                build()
+            else:
+                with pytest.raises(ValueError, match=r"must be normalized|a\^2 \+ b\^2 = 1"):
+                    build()
+
 
 class TestBasisChange:
     def test_roundtrip_and_unitarity(self):
