@@ -42,10 +42,17 @@ EXIT_VIOLATION = 4
 MAX_MESSAGE = 1000  # characters of an error message printed; a longer one is cut to end in "..."
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write, and its exit skips entry's flush
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()  # a full device raises here, inside main, and exits 3
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and reused: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="triqubit", description=__doc__)
+    parser = _Parser(prog="triqubit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a time sweep from a config file and write CSV")
@@ -78,7 +85,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(load_config(args.config), seed=args.seed)
     emit_csv(result, args.out)
     kind = "commuting" if result.commuting else "noncommuting"
-    print(f"{result.name}: {len(result.times)} rows -> {args.out} ({kind}, commutator norm {result.commutator_norm:.6e})")
+    print(f"{result.config.name}: {len(result.config.times)} rows -> {args.out} ({kind}, commutator norm {result.commutator_norm:.6e})")
     return EXIT_OK
 
 
@@ -211,7 +218,7 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
-    except OSError as exc:  # main lets only BrokenPipeError through, so any other comes from the flush
+    except OSError as exc:  # main lets only BrokenPipeError and a failed help write through
         # point stdout at devnull so the interpreter's own flush at exit does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):  # a closed pipe stays silent

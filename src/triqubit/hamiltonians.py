@@ -143,8 +143,8 @@ def canonical_forms(coeffs) -> CanonicalForms:
     sq = np.einsum("nikc,nikc->n", cross, cross)
     q = np.vecdot(unit, unit) + (top == 0.0)  # >= 1 for a nonzero pair
     commutes = (top == 0.0).any(axis=-1) | (sq <= 2.0 * SPECTRAL_TOL * SPECTRAL_TOL * q[:, 0] * q[:, 1])
-    with np.errstate(over="ignore"):  # inf only where the norm itself passes float range
-        commutator_norm = np.sqrt(32.0 * sq) * top[:, 0] * top[:, 1]
+    with np.errstate(over="ignore"):  # smaller scale first: inf only where the norm itself passes float range
+        commutator_norm = np.sqrt(32.0 * sq) * top.min(axis=1) * top.max(axis=1)
     if not commutes.any():  # no form to extract
         zeros = np.zeros((n, 2, 3))
         return CanonicalForms(np.ones(n, dtype=int), commutator_norm, zeros[:, 0], zeros, zeros[..., 0], zeros[..., 0])

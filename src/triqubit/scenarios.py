@@ -156,15 +156,15 @@ def _parse_hamiltonian(section: dict, path: str) -> np.ndarray:
 
 
 def _hamiltonian_scale(coeffs: np.ndarray, path: str) -> float:
-    """``||H_total||_F``, after rejecting Hamiltonians whose evolution would overflow.
+    """``||H_total||_F``, after rejecting Hamiltonians whose output would overflow.
 
     Pauli strings are orthogonal with squared Frobenius norm 8, so
     ||H||_F = sqrt(8) |c| over a Hamiltonian's coefficients c, and H_total's are
     both pairs' couplings and body-local terms and the sum of their probe-local
     terms. Every matrix entry is at most the sum of |c|: past float range that
-    sum could make an entry infinite, and the commutation test multiplies
-    ``||H13||_F * ||H23||_F``; either would turn the classification or the
-    eigensolver into NaN.
+    sum could make an entry infinite and the eigensolver NaN. The pairs share
+    only the probe, so ||[H13, H23]||_F <= ||H13||_F ||H23||_F / sqrt(2), and a
+    finite product keeps the printed commutator norm finite.
     """
     pairs = coeffs[0]
     with np.errstate(over="ignore"):
@@ -376,33 +376,29 @@ def load_config(path) -> ScenarioConfig:
 
 @dataclass
 class SweepResult:
-    """A sweep as columns, in the arrays it was computed in.
+    """A sweep of ``config`` as columns, in the arrays it was computed in.
 
-    ``times`` has shape (T,) and ``table`` maps every ``REPORT_FIELDS`` name to
-    a (T,) array; the CSV holds ``t`` and the ``measures`` columns in order.
-    With a probe measurement, ``labels`` names the two outcomes and
-    ``probabilities`` and ``conditional_tangles`` are (T, 2) arrays indexed
-    [row, outcome]. NaN is the one "no value": a probability is NaN where its
-    row was not measured, and a conditional tangle is NaN where its row was not
-    measured or its outcome is degenerate.
+    ``table`` maps every ``REPORT_FIELDS`` name to a (T,) array over
+    ``config.times``; the CSV holds ``t`` and the ``config.measures`` columns in
+    order. With a probe measurement (``config.measurement``, whose labels name
+    the two outcomes), ``probabilities`` and ``conditional_tangles`` are (T, 2)
+    arrays indexed [row, outcome]. NaN is the one "no value": a probability is
+    NaN where its row was not measured, and a conditional tangle is NaN where
+    its row was not measured or its outcome is degenerate.
     """
 
-    name: str
-    times: np.ndarray
+    config: ScenarioConfig
     table: dict[str, np.ndarray]
-    measures: tuple[str, ...]
     commuting: bool
     commutator_norm: float
-    config_hash: str
     seed: int | None = None
-    labels: tuple[str, str] | None = None
     probabilities: np.ndarray | None = None
     conditional_tangles: np.ndarray | None = None
 
     @property
     def columns(self) -> list[str]:
-        columns = ["t", *self.measures]
-        if self.labels is not None:
+        columns = ["t", *self.config.measures]
+        if self.config.measurement is not None:
             for k in (1, 2):
                 columns += [f"outcome_label_{k}", f"outcome_prob_{k}", f"conditional_tangle_{k}"]
         return columns
@@ -416,22 +412,14 @@ def run_sweep(cfg: ScenarioConfig, seed: int | None = None) -> SweepResult:
         raise ConfigError("config.time_grid: required to run a sweep")
     forms = canonical_forms(cfg.coeffs)
     psis = evolve(*eigh_spectra(cfg.coeffs), cfg.psi0, cfg.times)
-    result = SweepResult(
-        name=cfg.name,
-        times=cfg.times,
-        table=report_batch(psis),
-        measures=cfg.measures,
-        commuting=bool(forms.ok[0]),
-        commutator_norm=float(forms.commutator_norm[0]),
-        config_hash=cfg.config_hash,
-        seed=seed,
-    )
+    result = SweepResult(config=cfg, table=report_batch(psis), commuting=bool(forms.ok[0]),
+                         commutator_norm=float(forms.commutator_norm[0]), seed=seed)
     if cfg.measurement is not None:
         probs, tangles = measure_probe_grid(psis, cfg.measurement.axis)
         if cfg.measurement.at_time is not None:  # the nearest grid point; of two, the earlier
             skipped = np.arange(len(cfg.times)) != np.argmin(np.abs(cfg.times - cfg.measurement.at_time))
             probs[skipped] = tangles[skipped] = np.nan
-        result.labels, result.probabilities, result.conditional_tangles = cfg.measurement.labels, probs, tangles
+        result.probabilities, result.conditional_tangles = probs, tangles
     return result
 
 
@@ -448,14 +436,15 @@ def _write_csv(result: SweepResult, fh) -> None:
     """Header, optional seed comment, then one row per time: ``t``, the measures and, with a
     measurement, (label, probability, tangle) per outcome. A NaN is an empty cell, and so
     is the label of a NaN probability."""
+    cfg = result.config
     fh.write(",".join(result.columns) + "\n")
     if result.seed is not None:
-        fh.write(f"# seed={result.seed} config=sha256:{result.config_hash} commuting={str(result.commuting).lower()}\n")
-    template = "%.17g" + ",%.17g" * len(result.measures)
-    columns = [result.times.tolist(), *(result.table[name].tolist() for name in result.measures)]
-    if result.labels is not None:
+        fh.write(f"# seed={result.seed} config=sha256:{cfg.config_hash} commuting={str(result.commuting).lower()}\n")
+    template = "%.17g" + ",%.17g" * len(cfg.measures)
+    columns = [cfg.times.tolist(), *(result.table[name].tolist() for name in cfg.measures)]
+    if cfg.measurement is not None:
         template += ",%s,%.17g,%.17g" * 2
-        for k, label in enumerate(result.labels):
+        for k, label in enumerate(cfg.measurement.labels):
             probs = result.probabilities[:, k].tolist()
             columns += [["" if math.isnan(p) else label for p in probs], probs, result.conditional_tangles[:, k].tolist()]
     template += "\n"
@@ -566,7 +555,6 @@ class SuiteResult:
 
     name: str
     trials: int
-    seed: int
     failures: list[dict] = field(default_factory=list)
     max_violation: float = -np.inf
     stats: dict = field(default_factory=dict)
@@ -803,7 +791,7 @@ def _run_trials(name: str, compute, trials: int, seed: int) -> SuiteResult:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    result = SuiteResult(name=name, trials=trials, seed=seed)
+    result = SuiteResult(name=name, trials=trials)
     root = np.random.SeedSequence(seed)
     for start in range(0, trials, _CHUNK):
         violations, context = compute(_Draws(root, min(_CHUNK, trials - start)))

@@ -35,6 +35,17 @@ def heisenberg_raw(**overrides):
     return raw
 
 
+def run_cli(argv, stdout, unbuffered=""):
+    """Run ``python -m triqubit.cli`` in a fresh process on this checkout's ``src``, stderr captured."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run([sys.executable, "-m", "triqubit.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+
+
 class TestSweepCommand:
     def test_success(self, tmp_path, capsys):
         cfg = write_config(tmp_path, heisenberg_raw())
@@ -634,20 +645,31 @@ class TestFailedStdout:
             (["qnd-demo"], "1"),
             (["periodicity", "--k", "1", "--l", "2", "--trials", "5"], ""),
             (["sweep", "--config", str(CONFIGS / "qnd_x.json"), "--out", os.devnull], ""),
+            (["--help"], ""),
+            (["sweep", "--help"], ""),
+            (["--help"], "1"),
         ],
-        ids=["classify", "suite", "qnd-demo", "qnd-demo-unbuffered", "periodicity", "sweep"],
+        ids=["classify", "suite", "qnd-demo", "qnd-demo-unbuffered", "periodicity", "sweep", "help", "sweep-help",
+             "help-unbuffered"],
     )
     def test_full_device_exits_3_with_one_line(self, argv, unbuffered):
-        # the buffered write fails at the final flush, the unbuffered one inside the handler
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = unbuffered
+        # the buffered write fails at the final flush, the unbuffered one inside the handler, and the help
+        # at its own flush before argparse exits
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "triqubit.cli", *argv], stdout=full, stderr=subprocess.PIPE,
-                                  env=env, timeout=60)
+            proc = run_cli(argv, full, unbuffered)
         assert proc.returncode == 3
         err = proc.stderr.decode()
         assert err.startswith("io error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    def test_help_to_a_pipe_exits_0(self):
+        proc = run_cli(["--help"], subprocess.PIPE)
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert proc.stdout.decode().startswith("usage: triqubit ")
+
+    def test_usage_error_exits_2_with_its_message(self):
+        proc = run_cli(["suite"], subprocess.PIPE)
+        assert proc.returncode == 2 and proc.stdout == b""
+        err = proc.stderr.decode()
+        assert err.startswith("usage: triqubit suite ")
+        assert err.endswith("triqubit suite: error: the following arguments are required: name\n")

@@ -264,7 +264,7 @@ class TestPureStateConcurrence:
             assert (report_batch(states)["tangle_12"] == 0.0).all()
         assert (concurrence_12(ghz_general(a, np.sqrt(1 - a * a))) == 0.0).all()
         qnd_x = run_sweep(load_config(CONFIGS / "qnd_x.json"))
-        assert qnd_x.times[0] == 0.0
+        assert qnd_x.config.times[0] == 0.0
         assert qnd_x.table["concurrence_12"][0] == 0.0
 
     def test_non_finite_rows_give_nan(self):

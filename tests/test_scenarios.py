@@ -13,6 +13,7 @@ from triqubit.measures import REPORT_FIELDS
 from triqubit.scenarios import (
     MAX_STEPS,
     ConfigError,
+    ScenarioConfig,
     SweepResult,
     emit_csv,
     load_config,
@@ -305,9 +306,22 @@ class TestNonFiniteAndMalformedValues:
         cfg = parse_config(raw)
         assert canonical_forms(cfg.coeffs).ok[0]
         result = run_sweep(cfg)
-        exact = report_batch([oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, t) for t in result.times])
+        exact = report_batch([oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, t) for t in result.config.times])
         for name in REPORT_FIELDS:
             assert np.max(np.abs(result.table[name] - exact[name])) <= 1e-9
+
+    def test_commutator_norm_is_finite_where_the_norm_product_is(self):
+        # ||[H13, H23]||_F <= ||H13||_F ||H23||_F / sqrt(2), so an accepted pair prints a finite norm,
+        # also with one scale near the float limit; [c X1X3, d Z2Z3] has norm 2 sqrt(8) c d
+        big, small = 6e307, 1e-10
+        pairwise = {"h13": {"coupling": [[big, 0, 0], [0, 0, 0], [0, 0, 0]]},
+                    "h23": {"coupling": [[0, 0, 0], [0, 0, 0], [0, 0, small]]}}
+        cfg = parse_config({"hamiltonian": {"pairwise": pairwise}})
+        assert canonical_forms(cfg.coeffs).commutator_norm[0] == pytest.approx(2 * math.sqrt(8) * (big * small), rel=1e-12)
+        # a commuting pair past the check's range still has norm 0, not inf * 0
+        both = np.zeros((1, 2, 15))
+        both[0, :, 8] = 1e160
+        assert canonical_forms(both).commutator_norm[0] == 0.0
 
     @pytest.mark.parametrize("factor, accepted", [(1 - 1e-15, True), (1 + 1e-15, False)])
     def test_coefficient_bound_at_float_max(self, factor, accepted):
@@ -458,12 +472,12 @@ class TestRunSweep:
                 time_grid={"t_start": 0.0, "t_end": float(np.pi) / g, "steps": 64},
             ))
             result = run_sweep(cfg)
-            assert len(result.times) == 64
+            assert len(result.config.times) == 64
             assert result.commuting is False
             psi0 = np.zeros(8, dtype=complex)
             psi0[0] = psi0[1] = INV_SQRT2
             h = total_hamiltonian(cfg.coeffs)
-            for t, tangle in zip(result.times, result.table["tangle_12"]):
+            for t, tangle in zip(result.config.times, result.table["tangle_12"]):
                 psi_t = oracle_evolve(h, psi0, t)
                 assert abs(tangle - oracle_concurrence_pure3(psi_t, 3) ** 2) <= 1e-9
 
@@ -478,7 +492,7 @@ class TestRunSweep:
         assert cfg.coeffs.tobytes() == coeffs.tobytes()
         result = run_sweep(cfg)
         assert result.commuting
-        exact = report_batch([oracle_evolve(total_hamiltonian(coeffs), cfg.psi0, t) for t in result.times])
+        exact = report_batch([oracle_evolve(total_hamiltonian(coeffs), cfg.psi0, t) for t in result.config.times])
         for field in REPORT_FIELDS:
             assert np.max(np.abs(result.table[field] - exact[field])) <= 1e-9
 
@@ -498,7 +512,7 @@ class TestRunSweep:
         cfg = parse_config(raw)
         result = run_sweep(cfg)
         assert result.commuting
-        exact = report_batch(oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.times))
+        exact = report_batch(oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.config.times))
         for field in ("tangle_12", "residual_tangle"):
             assert np.max(np.abs(result.table[field] - exact[field])) <= 1e-9, field
 
@@ -530,7 +544,7 @@ class TestRunSweep:
                 "outcome_prob_2",
                 "conditional_tangle_2",
             ]
-            assert result.labels == ("+x", "-x")
+            assert result.config.measurement.labels == ("+x", "-x")
             # at t = 0 the probe is in |+x>: outcome -x never occurs
             assert not np.isnan(result.probabilities).any()
             assert np.isnan(result.conditional_tangles).tolist() == [[False, True]] + [[False, False]] * 4
@@ -539,7 +553,7 @@ class TestRunSweep:
             assert result.probabilities[-1] == pytest.approx([0.5, 0.5], abs=1e-9)
             assert result.table["tangle_12"][-1] <= 1e-9
             assert result.conditional_tangles[-1] == pytest.approx([1.0, 1.0], abs=1e-9)
-            psi_t = oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.times[-1])
+            psi_t = oracle_evolve(total_hamiltonian(cfg.coeffs), cfg.psi0, result.config.times[-1])
             for tangle in oracle_probe_measurement(psi_t, cfg.measurement.axis)[1]:
                 assert tangle == pytest.approx(1.0, abs=1e-9)
 
@@ -576,10 +590,10 @@ class TestRunSweep:
             raw["hamiltonian"] = {"pairwise": pairwise(reference_pair(rng, locals_mode=locals_mode))}
         cfg = parse_config(raw)
         result = run_sweep(cfg)
-        assert result.labels == ("+n", "-n")
+        assert result.config.measurement.labels == ("+n", "-n")
         w_plan, v_plan = eigh_spectra(cfg.coeffs)
         w, v = np.linalg.eigh(total_hamiltonian(cfg.coeffs))
-        for i, t in enumerate(result.times):
+        for i, t in enumerate(result.config.times):
             if reference == "off":
                 psi_t = (v * np.exp(-1j * w * t)) @ (v.conj().T @ cfg.psi0)
             else:
@@ -612,8 +626,9 @@ GOLDEN_GRID = {"t_start": 0.0, "t_end": 3.0, "steps": 4}
 
 class TestCsv:
     def test_empty_rows_header_only(self, tmp_path):
-        result = SweepResult(name="empty", times=np.zeros(0), table={"tangle_12": np.zeros(0)}, measures=("tangle_12",),
-                             commuting=False, commutator_norm=0.0, config_hash="")
+        cfg = ScenarioConfig(name="empty", coeffs=np.zeros((1, 2, 15)), psi0=None, times=np.zeros(0),
+                             measures=("tangle_12",), measurement=None, config_hash="")
+        result = SweepResult(config=cfg, table={"tangle_12": np.zeros(0)}, commuting=False, commutator_norm=0.0)
         out = tmp_path / "empty.csv"
         emit_csv(result, out)
         assert out.read_text() == "t,tangle_12\n"
@@ -636,10 +651,10 @@ class TestCsv:
         header, *lines = out.read_text().splitlines()
         columns = header.split(",")
         assert columns == result.columns
-        assert len(lines) == len(result.times)
+        assert len(lines) == len(result.config.times)
         for i, line in enumerate(lines):
             parsed = line.split(",")
-            assert float(parsed[0]) == result.times[i]
+            assert float(parsed[0]) == result.config.times[i]
             for name, cell in zip(columns[1:], parsed[1:]):
                 assert float(cell) == result.table[name][i]
 
@@ -681,11 +696,11 @@ class TestCsv:
         out = tmp_path / "sweep.csv"
         for raw in (heisenberg, degenerate, degenerate_at):
             result = run_sweep(parse_config(raw))
-            assert result.measures == ("purity_12", "tangle_12") and result.labels == ("+z", "-z")
+            assert result.config.measures == ("purity_12", "tangle_12") and result.config.measurement.labels == ("+z", "-z")
             emit_csv(result, out)
             header, *lines = out.read_text().splitlines()
             assert header.split(",") == result.columns
-            assert len(lines) == len(result.times)
+            assert len(lines) == len(result.config.times)
             for i, line in enumerate(lines):
                 parsed = line.split(",")
                 assert len(parsed) == len(result.columns)
@@ -694,14 +709,14 @@ class TestCsv:
                 assert line.endswith(",,,,,,") == (not measured)
                 for k in (0, 1):
                     label, prob, tangle = parsed[3 + 3 * k : 6 + 3 * k]
-                    assert label == (result.labels[k] if measured else "")
+                    assert label == (result.config.measurement.labels[k] if measured else "")
                     assert same(prob, result.probabilities[i, k])
                     assert same(tangle, result.conditional_tangles[i, k])
             if raw is not heisenberg:
                 measured_rows = [line for line in lines if not line.endswith(",,,,,,")]
                 assert len(measured_rows) == (1 if raw is degenerate_at else 7)
                 assert all(line.endswith(",-z,0,") for line in measured_rows)
-        without = dataclasses.replace(result, measures=("eof_12",), labels=None)
+        without = dataclasses.replace(result, config=dataclasses.replace(result.config, measures=("eof_12",), measurement=None))
         emit_csv(without, out)
         assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 8
 
@@ -753,8 +768,9 @@ class TestCsv:
         assert out.read_bytes() == expected.encode()
 
     def test_io_error(self, tmp_path):
-        result = SweepResult(name="x", times=np.zeros(0), table={}, measures=(), commuting=False, commutator_norm=0.0,
-                             config_hash="")
+        cfg = ScenarioConfig(name="x", coeffs=np.zeros((1, 2, 15)), psi0=None, times=np.zeros(0), measures=(),
+                             measurement=None, config_hash="")
+        result = SweepResult(config=cfg, table={}, commuting=False, commutator_norm=0.0)
         with pytest.raises(IOError):
             emit_csv(result, tmp_path / "no_such_dir" / "out.csv")
 
